@@ -29,14 +29,10 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .matchings import (
-    Edge,
-    MVertex,
     PerfectMatching,
-    components,
-    edge_class,
+    _from_partners,
+    _partners,
     is_callan,
-    match_stats,
-    mk_matching,
 )
 from .perms import (
     Permutation,
@@ -119,6 +115,17 @@ def enumerate_negative_cdes(
             yield SignedPermutation(perm=p, neg=chosen)
 
 
+def _cut(cycle: Sequence[int], neg: frozenset[int]) -> list[list[int]]:
+    out: list[list[int]] = []
+    block: list[int] = []
+    for v in cycle:
+        block.append(v)
+        if v not in neg:
+            out.append(block)
+            block = []
+    return out
+
+
 def blocks(cycle: Sequence[int], neg: Sequence[int] | frozenset[int]) -> BlockSeq:
     """Cut a smallest-first cycle into blocks after each positive value.
 
@@ -136,17 +143,41 @@ def blocks(cycle: Sequence[int], neg: Sequence[int] | frozenset[int]) -> BlockSe
         raise ValueError("the cycle minimum cannot carry a negative sign")
     if cycle[-1] in neg:
         raise ValueError("the last cycle element cannot carry a negative sign")
-    out: list[tuple[int, ...]] = []
-    block: list[int] = []
-    for v in cycle:
-        block.append(v)
-        if v not in neg:
-            out.append(tuple(block))
-            block = []
+    out = tuple(tuple(b) for b in _cut(cycle, neg))
     for b in out:
         if any(a <= c for a, c in zip(b, b[1:])):
             raise ValueError(f"negative signs do not follow the descents: block {b}")
-    return BlockSeq(blocks=tuple(out))
+    return BlockSeq(blocks=out)
+
+
+def _theta_partners(cycle: Sequence[int], neg: frozenset[int], partner: list[int]) -> None:
+    """Write the edges of ``theta`` on one standard cycle into a partner list.
+
+    ``theta`` reads only the relative order of the values, so it commutes
+    with the order-preserving relabelling of the cycle onto 1..len; the
+    edges are therefore built on the cycle's own values, with the cycle
+    minimum in the role of 1.  The signs must be cycle descents.
+    """
+
+    def join(a: int, b: int) -> None:
+        partner[a] = b
+        partner[b] = a
+
+    seq = _cut(cycle, neg)
+    for block in seq:
+        for a, b in zip(block, block[1:]):
+            join(2 * a, 2 * b + 1)  # downline (a, 0)-(b, 1)
+    for idx in range(1, len(seq)):  # joins block idx to block idx+1 (1-based)
+        cur, nxt = seq[idx - 1], seq[idx]
+        if idx % 2 == 1:
+            join(2 * cur[-1], 2 * nxt[-1])
+        else:
+            join(2 * cur[0] + 1, 2 * nxt[0] + 1)
+    last = seq[-1]
+    if len(seq) % 2 == 1:
+        join(2 * cycle[0] + 1, 2 * last[-1])
+    else:
+        join(2 * cycle[0] + 1, 2 * last[0] + 1)
 
 
 def theta(sp: SignedPermutation) -> PerfectMatching:
@@ -164,134 +195,99 @@ def theta(sp: SignedPermutation) -> PerfectMatching:
     cycles = standard_cycles(sp.perm).cycles
     if len(cycles) != 1:
         raise ValueError(f"not cyclic: {len(cycles)} cycles")
-    seq = blocks(cycles[0], sp.neg).blocks
-    k = len(seq)
-    edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for block in seq:
-        for a, b in zip(block, block[1:]):
-            edges.append(((a, 0), (b, 1)))
-    for idx in range(1, k):  # joins block idx to block idx+1 (1-based)
-        cur, nxt = seq[idx - 1], seq[idx]
-        if idx % 2 == 1:
-            edges.append(((cur[-1], 0), (nxt[-1], 0)))
-        else:
-            edges.append(((cur[0], 1), (nxt[0], 1)))
-    last = seq[-1]
-    if k % 2 == 1:
-        edges.append(((1, 1), (last[-1], 0)))
-    else:
-        edges.append(((1, 1), (last[0], 1)))
-    return mk_matching(range(1, sp.n + 1), edges)
+    partner = [0] * (2 * sp.n + 2)
+    _theta_partners(cycles[0], sp.neg, partner)
+    return _from_partners(partner)
+
+
+def _unfold(partner: list[int], start: int, seen: list[bool]) -> tuple[list[int], list[int]]:
+    """Cycle and negative values that ``theta`` maps to one component.
+
+    ``start`` is the component's smallest index, in the role of 1, and the
+    partner list describes a Callan matching.  Deleting the edge at
+    (start, 1) and identifying the two rows leaves a path from start.  Bars
+    go after every path step that crosses an arc (and at the end); each
+    bar-delimited block, sorted decreasingly, becomes a run of the cycle,
+    with the block minimum positive and the rest negative.  Marks every
+    index of the component in ``seen``.
+    """
+    seen[start] = True
+    runs: list[list[int]] = []
+    block = [start]
+    out = 2 * start  # leave start by its bottom vertex
+    close = out + 1
+    while (key := partner[out]) != close:
+        nxt = key >> 1
+        if seen[nxt]:
+            raise ValueError("edges do not form a perfect matching")
+        seen[nxt] = True
+        if (key ^ out) & 1 == 0:  # both ends in one row: an arc
+            runs.append(block)
+            block = []
+        block.append(nxt)
+        out = key ^ 1  # leave nxt by its other vertex
+    runs.append(block)
+    cycle: list[int] = []
+    neg: list[int] = []
+    for run in runs:
+        run.sort(reverse=True)
+        cycle.extend(run)
+        neg.extend(run[:-1])
+    return cycle, neg
 
 
 def theta_inv(m: PerfectMatching) -> SignedPermutation:
-    """Inverse of :func:`theta` on connected Callan matchings of 1..l.
-
-    Deleting the edge at (1, 1) and identifying the two rows leaves a path
-    starting at 1.  Bars go after every path step that crosses an arc (and
-    at the end); each bar-delimited block, sorted decreasingly, becomes a
-    run of the cycle, with the block minimum positive and the rest
-    negative.
-    """
+    """Inverse of :func:`theta` on connected Callan matchings of 1..l."""
     l = m.n
     if m.support != tuple(range(1, l + 1)) or l == 0:
         raise ValueError("support must be exactly 1..l")
     if not is_callan(m):
         raise ValueError("matching has uplines")
-    if match_stats(m).com != 1:
+    seen = [True] + [False] * l
+    cycle, neg = _unfold(_partners(m), 1, seen)
+    if len(cycle) != l:
         raise ValueError("matching is not connected")
-    if l == 1:
-        return SignedPermutation(perm=Permutation((1,)), neg=frozenset())
-
-    start = MVertex(1, 1)
-    deleted = next(e for e in m.edges if start in e)
-    adjacency: dict[int, list[tuple[int, Edge]]] = {i: [] for i in m.support}
-    for e in m.edges:
-        if e == deleted:
-            continue
-        a, b = e
-        adjacency[a.index].append((b.index, e))
-        adjacency[b.index].append((a.index, e))
-
-    path = [1]
-    links: list[Edge] = []
-    used: set[Edge] = set()
-    cur = 1
-    for _ in range(l - 1):
-        nxt, edge = next(
-            (other, e) for other, e in adjacency[cur] if e not in used
-        )
-        used.add(edge)
-        path.append(nxt)
-        links.append(edge)
-        cur = nxt
-
-    raw_blocks: list[list[int]] = []
-    block: list[int] = [path[0]]
-    for step, edge in enumerate(links):
-        if edge_class(edge) == "arc":
-            raw_blocks.append(block)
-            block = []
-        block.append(path[step + 1])
-    raw_blocks.append(block)
-
-    cycle: list[int] = []
-    neg: set[int] = set()
-    for b in raw_blocks:
-        ordered = sorted(b, reverse=True)
-        cycle.extend(ordered)
-        neg.update(ordered[:-1])
     perm = permutation_from_cycles([cycle], l)
     return SignedPermutation(perm=perm, neg=frozenset(neg))
-
-
-def _relabel_edges(m: PerfectMatching, mapping: dict[int, int]) -> list[Edge]:
-    return [
-        (MVertex(mapping[a.index], a.row), MVertex(mapping[b.index], b.row))
-        for a, b in m.edges
-    ]
 
 
 def gamma(sp: SignedPermutation) -> PerfectMatching:
     """Callan matching of a negative-cdes permutation, built cyclewise.
 
-    Each standard cycle is relabelled onto 1..len (signs travel with the
-    values), pushed through :func:`theta`, relabelled back, and the edge
-    sets are united.  Components correspond to cycles and vertical lines
-    to fixed points.
+    Each standard cycle goes through :func:`theta` on its own values (the
+    order-preserving relabelling onto 1..len and back, with signs
+    travelling with the values), and the edge sets are united.  Components
+    correspond to cycles and vertical lines to fixed points.
     """
     if not is_negative_cdes(sp):
         raise ValueError("negative signs are not all cycle descents")
-    edges: list[Edge] = []
+    partner = [0] * (2 * sp.n + 2)
     for cyc in standard_cycles(sp.perm).cycles:
-        support = sorted(cyc)
-        down = {v: r for r, v in enumerate(support, start=1)}
-        up = {r: v for v, r in down.items()}
-        local = SignedPermutation(
-            perm=permutation_from_cycles([tuple(down[v] for v in cyc)], len(cyc)),
-            neg=frozenset(down[v] for v in cyc if v in sp.neg),
-        )
-        edges.extend(_relabel_edges(theta(local), up))
-    return mk_matching(range(1, sp.n + 1), edges)
+        _theta_partners(cyc, sp.neg, partner)
+    return _from_partners(partner)
 
 
 def gamma_inv(m: PerfectMatching) -> SignedPermutation:
-    """Inverse of :func:`gamma` on Callan matchings of 1..n."""
-    if m.support != tuple(range(1, m.n + 1)):
+    """Inverse of :func:`gamma` on Callan matchings of 1..n.
+
+    Each component, found from its smallest index, is unfolded on its own
+    values by the inverse of :func:`theta`.
+    """
+    n = m.n
+    if m.support != tuple(range(1, n + 1)):
         raise ValueError("support must be exactly 1..n")
     if not is_callan(m):
         raise ValueError("matching has uplines")
-    cycles: list[tuple[int, ...]] = []
-    neg: set[int] = set()
-    for comp in components(m):
-        support = list(comp.support)
-        down = {v: r for r, v in enumerate(support, start=1)}
-        up = {r: v for v, r in down.items()}
-        local = mk_matching(range(1, len(support) + 1), _relabel_edges(comp, down))
-        sp = theta_inv(local)
-        cycles.append(tuple(up[r] for r in standard_cycles(sp.perm).cycles[0]))
-        neg.update(up[r] for r in sp.neg)
-    perm = permutation_from_cycles(cycles, m.n)
+    partner = _partners(m)
+    seen = [True] + [False] * n
+    cycles: list[list[int]] = []
+    neg: list[int] = []
+    for start in range(1, n + 1):
+        if not seen[start]:
+            cycle, cycle_neg = _unfold(partner, start, seen)
+            cycles.append(cycle)
+            neg.extend(cycle_neg)
+    perm = permutation_from_cycles(cycles, n)
     return SignedPermutation(perm=perm, neg=frozenset(neg))
 
 

@@ -47,7 +47,12 @@ Edge = tuple[MVertex, MVertex]
 
 @dataclass(frozen=True)
 class PerfectMatching:
-    """A partition of support x {0, 1} into unordered pairs."""
+    """A partition of support x {0, 1} into unordered pairs.
+
+    The constructor trusts its arguments: a matching from outside comes in
+    through :func:`mk_matching` or :func:`matching_from_json_dict`, which
+    validate and canonicalize it.
+    """
 
     support: tuple[int, ...]
     edges: tuple[Edge, ...]
@@ -67,18 +72,34 @@ class PerfectMatching:
         return " ".join(f"({a.index},{a.row})-({b.index},{b.row})" for a, b in self.edges)
 
 
+def _vertex(v: Sequence[int] | MVertex) -> MVertex:
+    try:
+        index, row = v
+        return MVertex(int(index), int(row))
+    except (TypeError, ValueError):
+        raise ValueError(f"vertex must be an [index, row] pair of integers: {v!r}") from None
+
+
 def mk_matching(
     support: Iterable[int], edges: Iterable[Sequence[Sequence[int] | MVertex]]
 ) -> PerfectMatching:
     """Validate and canonicalize a matching given as vertex pairs."""
-    supp = tuple(sorted(set(support)))
-    if any(v < 1 for v in supp):
+    try:
+        supp = tuple(sorted(set(support)))
+        positive = all(v >= 1 for v in supp)
+    except TypeError:
+        raise ValueError(f"support must be a collection of integers: {support!r}") from None
+    if not positive:
         raise ValueError("support must contain positive integers")
     required = {MVertex(i, r) for i in supp for r in (0, 1)}
     canon: list[Edge] = []
     covered: set[MVertex] = set()
     for pair in edges:
-        a, b = (MVertex(int(v[0]), int(v[1])) for v in pair)
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"edge must be a pair of vertices: {pair!r}") from None
+        a, b = _vertex(a), _vertex(b)
         if a == b:
             raise ValueError(f"vertex paired with itself: {a}")
         for v in (a, b):
@@ -92,6 +113,36 @@ def mk_matching(
         missing = sorted(required - covered)
         raise ValueError(f"uncovered vertices: {missing}")
     return PerfectMatching(support=supp, edges=tuple(sorted(canon)))
+
+
+# Internal code addresses the vertex (i, r) of a matching of 1..n by the
+# key 2i + r, so keys follow the canonical (index, row) order, and holds a
+# matching as a partner list: partner[k] is the key matched to key k
+# (slots 0 and 1 are unused).
+
+
+def _from_partners(partner: Sequence[int]) -> PerfectMatching:
+    """Trusted constructor from a partner list of a perfect matching of 1..n.
+
+    Each edge is emitted once, at its smaller key, in increasing key order,
+    which is the canonical edge order of :func:`mk_matching`.
+    """
+    edges = tuple(
+        (MVertex(k >> 1, k & 1), MVertex(q >> 1, q & 1))
+        for k, q in enumerate(partner)
+        if k < q
+    )
+    return PerfectMatching(support=tuple(range(1, len(partner) // 2)), edges=edges)
+
+
+def _partners(m: PerfectMatching) -> list[int]:
+    """Partner list of a matching whose support is 1..n."""
+    partner = [0] * (2 * m.n + 2)
+    for a, b in m.edges:
+        ka, kb = 2 * a.index + a.row, 2 * b.index + b.row
+        partner[ka] = kb
+        partner[kb] = ka
+    return partner
 
 
 def edge_class(edge: Edge) -> str:
@@ -193,16 +244,18 @@ def enumerate_matchings(n: int, flt: str = "all") -> Iterator[PerfectMatching]:
             return False
         return True
 
+    # ``free`` stays sorted and ``a`` is its smallest vertex, so every edge
+    # is chosen as (smaller, larger) and ``chosen`` grows in canonical order
     def rec(free: tuple[MVertex, ...]) -> Iterator[PerfectMatching]:
         if not free:
-            yield PerfectMatching(support=support, edges=tuple(sorted(chosen)))
+            yield PerfectMatching(support=support, edges=tuple(chosen))
             return
         a = free[0]
         for k in range(1, len(free)):
             b = free[k]
             if not admissible(a, b):
                 continue
-            chosen.append(tuple(sorted((a, b))))
+            chosen.append((a, b))
             yield from rec(free[1:k] + free[k + 1 :])
             chosen.pop()
 
@@ -222,4 +275,6 @@ def matching_from_json_dict(data: dict) -> PerfectMatching:
         edges = data["edges"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"matching JSON must have 'support' and 'edges': {exc}") from None
+    if not isinstance(support, list) or not isinstance(edges, list):
+        raise ValueError("matching JSON 'support' and 'edges' must be lists")
     return mk_matching(support, edges)

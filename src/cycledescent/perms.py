@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -47,7 +48,14 @@ Word = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation of [n] in one-line notation; ``word[i-1] = pi(i)``."""
+    """A permutation of [n] in one-line notation; ``word[i-1] = pi(i)``.
+
+    The public constructor validates its word.  Code in this package that
+    has already proven a word to be a permutation builds it with
+    :meth:`_trusted` instead.  The standard cycles and the statistics are
+    computed by one cycle walk on first use and cached on the instance;
+    the cache takes no part in equality, hashing, ``repr`` or pickling.
+    """
 
     word: tuple[int, ...]
 
@@ -55,8 +63,26 @@ class Permutation:
         word = tuple(self.word)
         object.__setattr__(self, "word", word)
         n = len(word)
-        if sorted(word) != list(range(1, n + 1)):
+        try:
+            ok = sorted(word) == list(range(1, n + 1))
+        except TypeError:
+            ok = False
+        if not ok:
             raise ValueError(f"not a permutation of 1..{n}: {word}")
+
+    @classmethod
+    def _trusted(cls, word: tuple[int, ...]) -> Permutation:
+        """Wrap a tuple already known to be a permutation of 1..len(word)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "word", word)
+        return p
+
+    @cached_property
+    def _walk(self) -> tuple[CycleDecomposition, StatRecord]:
+        return _cycle_walk(self.word)
+
+    def __getstate__(self) -> dict:
+        return {"word": self.word}
 
     @property
     def n(self) -> int:
@@ -98,6 +124,13 @@ class CycleDecomposition:
                 if v in seen:
                     raise ValueError(f"element repeated across cycles: {v}")
                 seen.add(v)
+
+    @classmethod
+    def _trusted(cls, cycles: tuple[tuple[int, ...], ...]) -> CycleDecomposition:
+        """Wrap cycles already known to be in standard form."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "cycles", cycles)
+        return d
 
     @property
     def support(self) -> frozenset[int]:
@@ -204,35 +237,81 @@ def _parse_cycle_form(text: str, n: int | None) -> Permutation:
 
 
 def permutation_from_cycles(cycles: Iterable[Sequence[int]], n: int) -> Permutation:
-    """Build a permutation of [n] from disjoint cycles (any rotation per cycle)."""
+    """Build a permutation of [n] from disjoint cycles (any rotation per cycle).
+
+    The cycles must cover 1..n exactly once; anything else raises
+    ValueError.  This check is what lets every map that builds its image
+    from cycles (``psi``, ``varphi``, ``phi_map``, ``theta_inv``) return a
+    proven permutation without sorting it again.
+    """
     word = [0] * n
+    count = 0
     for cyc in cycles:
+        if not cyc:
+            raise ValueError("empty cycle")
+        if min(cyc) < 1 or max(cyc) > n:
+            raise ValueError(f"cycle element outside 1..{n}: {tuple(cyc)}")
+        count += len(cyc)
         for a, b in zip(cyc, cyc[1:]):
             word[a - 1] = b
         word[cyc[-1] - 1] = cyc[0]
-    if 0 in word:
+    # n in-range elements leave no slot empty only if they are distinct
+    if count != n or 0 in word:
         uncovered = [i + 1 for i, v in enumerate(word) if v == 0]
-        raise ValueError(f"cycles do not cover 1..{n}: missing {uncovered}")
-    return Permutation(tuple(word))
+        raise ValueError(
+            f"cycles do not cover 1..{n} exactly once: {count} elements,"
+            f" missing {uncovered}"
+        )
+    return Permutation._trusted(tuple(word))
+
+
+def _cycle_walk(word: tuple[int, ...]) -> tuple[CycleDecomposition, StatRecord]:
+    """Standard cycles and statistics of a permutation word, in one walk.
+
+    Following pi from each cycle minimum c_1: c_1 is an excedance unless it
+    is fixed; every later c_j with pi(c_j) > c_j is an excedance, and with
+    c_1 < pi(c_j) < c_j an interior cycle descent; the last element, whose
+    image is c_1, is neither.
+    """
+    n = len(word)
+    seen = [False] * (n + 1)
+    cycles: list[tuple[int, ...]] = []
+    exc = fix = 0
+    cdes: list[int] = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        v = word[start - 1]
+        if v == start:
+            fix += 1
+            cycles.append((start,))
+            continue
+        exc += 1
+        cyc = [start]
+        while v != start:
+            seen[v] = True
+            cyc.append(v)
+            nxt = word[v - 1]
+            if nxt > v:
+                exc += 1
+            elif nxt != start:
+                cdes.append(v)
+            v = nxt
+        cycles.append(tuple(cyc))
+    stats = StatRecord(
+        exc=exc,
+        fix=fix,
+        cyc=len(cycles),
+        cdes=len(cdes),
+        cdes_set=frozenset(cdes),
+        inv1=cycles[0][-1] if cycles else 0,
+    )
+    return CycleDecomposition._trusted(tuple(cycles)), stats
 
 
 def standard_cycles(p: Permutation) -> CycleDecomposition:
     """Standard cycle decomposition: smallest-first cycles, increasing minima."""
-    word = p.word
-    seen = [False] * (p.n + 1)
-    cycles: list[tuple[int, ...]] = []
-    for start in range(1, p.n + 1):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        v = word[start - 1]
-        while v != start:
-            cyc.append(v)
-            seen[v] = True
-            v = word[v - 1]
-        cycles.append(tuple(cyc))
-    return CycleDecomposition(tuple(cycles))
+    return p._walk[0]
 
 
 def cycle_string(p: Permutation) -> str:
@@ -240,32 +319,14 @@ def cycle_string(p: Permutation) -> str:
 
 
 def statistics(p: Permutation) -> StatRecord:
-    word = p.word
-    exc = sum(1 for i, v in enumerate(word, start=1) if v > i)
-    fix = sum(1 for i, v in enumerate(word, start=1) if v == i)
-    cdes: set[int] = set()
-    cycles = standard_cycles(p).cycles
-    for cyc in cycles:
-        # interior positions only: j = 2 .. len-1 (1-indexed)
-        for j in range(1, len(cyc) - 1):
-            if cyc[j] > cyc[j + 1]:
-                cdes.add(cyc[j])
-    inv1 = word.index(1) + 1 if word else 0
-    return StatRecord(
-        exc=exc,
-        fix=fix,
-        cyc=len(cycles),
-        cdes=len(cdes),
-        cdes_set=frozenset(cdes),
-        inv1=inv1,
-    )
+    return p._walk[1]
 
 
 def inverse(p: Permutation) -> Permutation:
     word = [0] * p.n
     for i, v in enumerate(p.word, start=1):
         word[v - 1] = i
-    return Permutation(tuple(word))
+    return Permutation._trusted(tuple(word))
 
 
 def red(entries: Sequence[int]) -> Permutation:
@@ -277,12 +338,12 @@ def red(entries: Sequence[int]) -> Permutation:
     if len(set(entries)) != len(entries):
         raise ValueError(f"duplicate entries in word: {entries}")
     rank = {v: j for j, v in enumerate(sorted(entries), start=1)}
-    return Permutation(tuple(rank[v] for v in entries))
+    return Permutation._trusted(tuple(rank[v] for v in entries))
 
 
 def hat(p: Permutation) -> Word:
     """Flattening of the standard cycle decomposition (parentheses erased)."""
-    return tuple(v for cyc in standard_cycles(p).cycles for v in cyc)
+    return tuple(itertools.chain.from_iterable(standard_cycles(p).cycles))
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +362,13 @@ FAMILIES = (
 
 def _all_perms(n: int) -> Iterator[Permutation]:
     for word in itertools.permutations(range(1, n + 1)):
-        yield Permutation(word)
+        yield Permutation._trusted(word)
 
 
 def _one_at(n: int, i: int) -> Iterator[Permutation]:
     rest = [v for v in range(1, n + 1) if v != 1]
     for tail in itertools.permutations(rest):
-        yield Permutation(tail[: i - 1] + (1,) + tail[i - 1 :])
+        yield Permutation._trusted(tail[: i - 1] + (1,) + tail[i - 1 :])
 
 
 def _is_derangement(p: Permutation) -> bool:
@@ -317,7 +378,7 @@ def _is_derangement(p: Permutation) -> bool:
 def _last_is(n: int, i: int) -> Iterator[Permutation]:
     rest = [v for v in range(1, n + 1) if v != i]
     for head in itertools.permutations(rest):
-        yield Permutation(head + (i,))
+        yield Permutation._trusted(head + (i,))
 
 
 def enumerate_permutations(

@@ -520,9 +520,9 @@ def run_verification(
 ) -> VerificationSummary:
     """Run one suite up to ``n_max`` (defaulting to every check's own cap).
 
-    Raises ValueError for an unknown suite or an ``n_max`` beyond the
-    suite's cap; sizes are never silently truncated below a check's
-    documented cap.
+    Raises ValueError for an unknown suite, an ``n_max`` beyond the
+    suite's cap or a ``jobs`` below 1; sizes are never silently truncated
+    below a check's documented cap.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite: {suite!r} (choose from {sorted(SUITES)})")
@@ -531,6 +531,8 @@ def run_verification(
         raise ValueError(f"suite {suite!r} is capped at n <= {cap}, got n_max={n_max}")
     if n_max is not None and n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = [(cid, n, seed) for cid, n in _plan(suite, n_max)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -1,0 +1,261 @@
+"""The trusted construction paths against naive oracles, and the public
+entry points against bad input.
+
+Values built inside the package skip validation and compute their cycles
+and statistics in one cached walk.  These tests check that walk against a
+cycle walk written here, independent of the package, and check that the
+cache leaves equality, hashing, ``repr`` and pickling alone.  Values from
+outside still go through full validation at the public constructors and
+parsers, and the CLI turns every rejection into exit status 2.
+"""
+
+import itertools
+import pickle
+
+import pytest
+
+from cycledescent.bijections import (
+    enumerate_negative_cdes,
+    gamma,
+    parse_signed,
+    signed_from_json_dict,
+    theta,
+)
+from cycledescent.cli import main
+from cycledescent.matchings import matching_from_json_dict, mk_matching
+from cycledescent.perms import (
+    FAMILIES,
+    CycleDecomposition,
+    Permutation,
+    StatRecord,
+    enumerate_permutations,
+    parse_permutation,
+    permutation_from_cycles,
+    standard_cycles,
+    statistics,
+)
+
+
+def naive_cycles(word):
+    """Standard cycles by the textbook walk: start each cycle at the
+    smallest value not yet placed."""
+    left = set(range(1, len(word) + 1))
+    cycles = []
+    while left:
+        start = min(left)
+        cycle = [start]
+        v = word[start - 1]
+        while v != start:
+            cycle.append(v)
+            v = word[v - 1]
+        left -= set(cycle)
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+def naive_stats(word):
+    cycles = naive_cycles(word)
+    cdes = {c[j] for c in cycles for j in range(1, len(c) - 1) if c[j] > c[j + 1]}
+    return StatRecord(
+        exc=sum(1 for i, v in enumerate(word, start=1) if v > i),
+        fix=sum(1 for i, v in enumerate(word, start=1) if v == i),
+        cyc=len(cycles),
+        cdes=len(cdes),
+        cdes_set=frozenset(cdes),
+        inv1=word.index(1) + 1 if word else 0,
+    )
+
+
+def family_streams(n):
+    for family in FAMILIES:
+        if family.endswith("_i"):
+            for i in range(1, n + 1):
+                yield f"{family} i={i}", enumerate_permutations(family, n, i)
+        else:
+            yield family, enumerate_permutations(family, n)
+    yield "negative-cdes perms", (s.perm for s in enumerate_negative_cdes(n))
+
+
+def check_trusted(p):
+    fresh = Permutation(p.word)
+    assert fresh == p and hash(fresh) == hash(p)
+    cycles, stats = naive_cycles(p.word), naive_stats(p.word)
+    assert standard_cycles(p).cycles == cycles
+    assert statistics(p) == stats
+    # the cache is filled now; it must not show in any of these
+    assert fresh == p and hash(fresh) == hash(p)
+    assert repr(p) == repr(fresh) == f"Permutation({p.word!r})"
+    assert pickle.dumps(p) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and hash(back) == hash(p)
+    assert standard_cycles(back).cycles == cycles and statistics(back) == stats
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_cached_walk_matches_naive_walk(n):
+    for name, stream in family_streams(n):
+        for p in stream:
+            check_trusted(p)
+
+
+def test_cache_is_per_instance_and_stable():
+    p = Permutation((3, 1, 4, 2, 7, 6, 5))
+    first = standard_cycles(p)
+    assert standard_cycles(p) is first
+    assert statistics(p) is statistics(p)
+    assert str(first) == "(1 3 4 2)(5 7)(6)"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gamma_and_theta_emit_canonical_matchings(n):
+    for s in enumerate_negative_cdes(n):
+        m = gamma(s)
+        assert mk_matching(m.support, m.edges) == m
+        if statistics(s.perm).cyc == 1:
+            t = theta(s)
+            assert mk_matching(t.support, t.edges) == t
+            assert t == m
+
+
+# ---------------------------------------------------------------------------
+# Public entry points keep rejecting bad values.
+
+
+@pytest.mark.parametrize(
+    "word", [(1, 1), (0, 1), (2, 3), (1, 2, 4), (1, "a"), ("b", "a"), (1.5, 1)]
+)
+def test_permutation_rejects(word):
+    with pytest.raises(ValueError):
+        Permutation(word)
+
+
+@pytest.mark.parametrize(
+    "cycles", [((2, 1),), ((3, 4), (1, 2)), ((1, 2), (2, 3)), ((),), ((0, 1),)]
+)
+def test_cycle_decomposition_rejects(cycles):
+    with pytest.raises(ValueError):
+        CycleDecomposition(cycles)
+
+
+@pytest.mark.parametrize(
+    "cycles, n",
+    [
+        ([(1, 2), (2, 3)], 3),  # overlapping
+        ([(1, 2), (2, 1)], 2),  # overlapping, yet every slot consistent
+        ([(1, 2), (1, 2)], 2),  # the same cycle twice
+        ([(1, 2, 1)], 2),  # repeated inside one cycle
+        ([(1, 4), (2,), (3,)], 3),  # above n
+        ([(0, 1), (2,)], 2),  # below 1
+        ([(-1, 1), (2,)], 2),
+        ([(1, 2)], 3),  # missing 3
+        ([(1, 2), ()], 2),  # empty cycle
+        ([(1,)], 0),
+    ],
+)
+def test_permutation_from_cycles_rejects(cycles, n):
+    with pytest.raises(ValueError):
+        permutation_from_cycles(cycles, n)
+
+
+def test_permutation_from_cycles_accepts_any_rotation():
+    assert permutation_from_cycles([(4, 2, 1, 3), (5,)], 5) == parse_permutation(
+        "(1 3 4 2)(5)"
+    )
+    assert permutation_from_cycles([], 0) == Permutation(())
+
+
+@pytest.mark.parametrize(
+    "support, edges",
+    [
+        ([1, 2], [((1, 0), (1, 1))]),  # uncovered
+        ([1], [((1, 0), (1, 0))]),  # self-pair
+        ([1], [((1, 0), (2, 1)), ((1, 1), (2, 0))]),  # outside support
+        ([1], [((1, 0), (1, 2))]),  # no such row
+        ([0], [((0, 0), (0, 1))]),  # non-positive support
+        (["a"], [((1, 0), (1, 1))]),
+        ([[1]], [((1, 0), (1, 1))]),
+        ([1], [(1, 2)]),  # flat edge
+        ([1], [((1, 0), (1,))]),  # one-coordinate vertex
+        ([1], [((1, 0), (1, 1, 0))]),  # three-coordinate vertex
+        ([1], [((1, 0), (1, 1), (2, 0))]),  # three vertices
+        ([1], [((1, 0),)]),  # lone vertex
+        ([1], [(("a", 0), (1, 1))]),  # string coordinate
+        ([1], [((None, 0), (1, 1))]),
+        ([1], [7]),
+    ],
+)
+def test_mk_matching_rejects(support, edges):
+    with pytest.raises(ValueError):
+        mk_matching(support, edges)
+    with pytest.raises(ValueError):
+        matching_from_json_dict({"support": support, "edges": edges})
+
+
+@pytest.mark.parametrize(
+    "data", [[], "x", {"support": [1]}, {"support": 1, "edges": []}, {"support": [1], "edges": 5}]
+)
+def test_matching_json_rejects_bad_shapes(data):
+    with pytest.raises(ValueError):
+        matching_from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "text", ["(1 2)(2 3)", "(1 3)", "(1 2", "() (1 2)", "0 2 1", "-1 2", "2 2 1", "", "(0 1)"]
+)
+def test_parse_permutation_rejects(text):
+    with pytest.raises(ValueError):
+        parse_permutation(text)
+
+
+@pytest.mark.parametrize("text", ["(1+ 1-)", "(1+ 3+)", "1+ 2+", "(1 x)", "(1 2)(2)", ""])
+def test_parse_signed_rejects(text):
+    with pytest.raises(ValueError):
+        parse_signed(text)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"one_line": [1, 1], "neg": []},
+        {"one_line": [1, "a"], "neg": []},
+        {"one_line": [2, 1], "neg": [3]},
+        {"n": 3, "one_line": [2, 1], "neg": []},
+        {"one_line": 5, "neg": []},
+        {"one_line": [1]},
+        [1, 2],
+    ],
+)
+def test_signed_from_json_dict_rejects(data):
+    with pytest.raises(ValueError):
+        signed_from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "gamma-inv", "--input", '{"support":[1],"edges":[[1,2]]}'],
+        ["map", "theta-inv", "--input", '{"support":[1],"edges":[[[1,0],[1]]]}'],
+        ["map", "gamma-inv", "--input", '{"support":[1],"edges":[[[1,0],[1,1],[2,0]]]}'],
+        ["map", "gamma", "--input", '{"one_line":[1,"a"],"neg":[]}'],
+        ["verify", "lemmas", "--n-max", "2", "--jobs", "-3"],
+        ["verify", "lemmas", "--n-max", "2", "--jobs", "0"],
+    ],
+)
+def test_cli_bad_input_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_every_small_word_is_accepted_or_rejected_cleanly():
+    for n in range(0, 4):
+        for word in itertools.product(range(0, n + 2), repeat=n):
+            try:
+                p = Permutation(word)
+            except ValueError:
+                assert sorted(word) != list(range(1, n + 1))
+            else:
+                assert statistics(p) == naive_stats(p.word)
