@@ -24,10 +24,10 @@ sign means +.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .caps import check_cap
 from .matchings import (
     PerfectMatching,
     _from_partners,
@@ -36,6 +36,7 @@ from .matchings import (
 )
 from .perms import (
     Permutation,
+    _parse_form,
     enumerate_permutations,
     permutation_from_cycles,
     standard_cycles,
@@ -105,8 +106,7 @@ def enumerate_negative_cdes(
     """
     if flt not in ("all", "derangement"):
         raise ValueError(f"unknown filter: {flt!r}")
-    if n > 7:
-        raise ValueError(f"signed enumeration capped at n <= 7, got {n}")
+    check_cap("signed enumeration", n)
     family = "derangements" if flt == "derangement" else "all"
     for p in enumerate_permutations(family, n):
         descents = sorted(statistics(p).cdes_set)
@@ -294,9 +294,6 @@ def gamma_inv(m: PerfectMatching) -> SignedPermutation:
 # ---------------------------------------------------------------------------
 # Notation and JSON.
 
-_SIGNED_TOKEN = re.compile(r"(\d+)\s*([+-]?)")
-
-
 def format_signed(sp: SignedPermutation) -> str:
     parts = []
     for cyc in standard_cycles(sp.perm).cycles:
@@ -308,55 +305,12 @@ def format_signed(sp: SignedPermutation) -> str:
 def parse_signed(text: str, n: int | None = None) -> SignedPermutation:
     """Parse signed cycle notation like ``(1+ 6- 3+ 4+)(2+ 8- 7+)(5+)``.
 
-    An omitted sign defaults to +.  With ``n`` given, missing values are
-    positive fixed points; a bare form must cover 1..n.
+    The grammar is the cycle form of
+    :func:`~cycledescent.perms.parse_permutation`, with a sign allowed
+    directly after each value; an omitted sign means +.  With ``n`` given,
+    missing values are positive fixed points; a bare form must cover 1..n.
     """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty signed permutation text")
-    pos = 0
-    cycles: list[list[int]] = []
-    neg: set[int] = set()
-    seen: set[int] = set()
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch != "(":
-            raise ValueError(f"malformed parentheses near {text[pos:pos + 8]!r}")
-        close = text.find(")", pos)
-        if close < 0:
-            raise ValueError("malformed parentheses: unclosed '('")
-        inner = text[pos + 1 : close].strip()
-        if not inner:
-            raise ValueError("malformed parentheses: empty cycle")
-        cyc: list[int] = []
-        scan = 0
-        for match in _SIGNED_TOKEN.finditer(inner):
-            between = inner[scan : match.start()]
-            if between.strip(" ,"):
-                raise ValueError(f"unexpected text in cycle: {between!r}")
-            v = int(match.group(1))
-            if v < 1:
-                raise ValueError(f"value out of range: {v}")
-            if v in seen:
-                raise ValueError(f"duplicate element: {v}")
-            seen.add(v)
-            cyc.append(v)
-            if match.group(2) == "-":
-                neg.add(v)
-            scan = match.end()
-        if inner[scan:].strip(" ,"):
-            raise ValueError(f"unexpected text in cycle: {inner[scan:]!r}")
-        cycles.append(cyc)
-        pos = close + 1
-    size = max(seen) if n is None else n
-    missing = set(range(1, size + 1)) - seen
-    if n is None and missing:
-        raise ValueError(f"gap in 1..{size} coverage: missing {sorted(missing)}")
-    cycles.extend([v] for v in sorted(missing))
-    perm = permutation_from_cycles(cycles, size)
+    perm, neg = _parse_form(text, n, signed=True)
     return SignedPermutation(perm=perm, neg=frozenset(neg))
 
 

@@ -17,15 +17,11 @@ import sys
 from . import bijections as bj
 from . import diagrams
 from . import matchings as mt
+from .caps import CAPS, check_cap
 from .perms import cycle_string, parse_permutation, statistics
 from .reftables import emit_table
 from .statpolys import b20_count, klazar_count
-from .verify import DEFAULT_SEED, SUITES, run_verification, suite_cap
-
-SEQ_RECURRENCE_CAP = 20
-SEQ_ENUM_CAP = 7
-ENUM_MATCHING_CAP = 7
-ENUM_SIGNED_CAP = 7
+from .verify import CHECKS, DEFAULT_SEED, SUITES, run_verification, suite_cap
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,15 +32,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     caps = ", ".join(f"{s} <= {suite_cap(s)}" for s in SUITES)
+    brute, rounds, images = (
+        CHECKS[c].cap for c in ("closed-form-all", "gamma-roundtrip", "gamma-image")
+    )
     p_verify = sub.add_parser(
         "verify",
         help="run an exhaustive verification suite",
         description=(
             "Run one verification suite.  Without --n-max every check runs up"
             f" to its own documented cap (suite caps: {caps}; brute-force"
-            " checks run to n <= 8, matching enumeration and round trips to"
-            " n <= 7, image-set equality to n <= 6).  An --n-max beyond the"
-            " suite cap is refused rather than truncated."
+            f" checks run to n <= {brute}, matching enumeration and round trips to"
+            f" n <= {rounds}, image-set equality to n <= {images}).  An --n-max beyond"
+            " the suite cap is refused rather than truncated."
         ),
     )
     p_verify.add_argument("suite", choices=sorted(SUITES))
@@ -60,14 +59,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--i", type=int, default=None)
 
+    recurrence, listing = CAPS["sequence recurrences"], CAPS["CLI matching enumeration"]
     p_seq = sub.add_parser(
         "seq",
         help="print a counting sequence",
         description=(
             "b21: signed cycle-descent permutation counts by recurrence"
-            f" (n <= {SEQ_RECURRENCE_CAP}); b20: the derangement analogue"
-            f" (n <= {SEQ_RECURRENCE_CAP}); mn: Callan matchings by exhaustive"
-            f" enumeration (n <= {SEQ_ENUM_CAP})."
+            f" (n <= {recurrence}); b20: the derangement analogue"
+            f" (n <= {recurrence}); mn: Callan matchings by exhaustive"
+            f" enumeration (n <= {listing})."
         ),
     )
     p_seq.add_argument("which", choices=("b21", "b20", "mn"))
@@ -137,9 +137,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_seq(args) -> int:
-    cap = SEQ_ENUM_CAP if args.which == "mn" else SEQ_RECURRENCE_CAP
-    if not 1 <= args.n_max <= cap:
-        raise ValueError(f"sequence {args.which} is capped at n <= {cap}")
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
+    check_cap(
+        "CLI matching enumeration" if args.which == "mn" else "sequence recurrences",
+        args.n_max,
+    )
     if args.which == "b21":
         values = [klazar_count(n) for n in range(1, args.n_max + 1)]
     elif args.which == "b20":
@@ -158,18 +161,14 @@ def _cmd_enum(args) -> int:
         flt = args.flt or ("callan" if args.what == "callan" else "all")
         if flt not in mt.MATCHING_FILTERS:
             raise ValueError(f"unknown matching filter: {flt!r}")
-        if args.n > ENUM_MATCHING_CAP:
-            raise ValueError(f"matching enumeration capped at n <= {ENUM_MATCHING_CAP}")
+        check_cap("CLI matching enumeration", args.n)
         for m in mt.enumerate_matchings(args.n, flt):
             if args.format == "json":
                 print(json.dumps(mt.matching_to_json_dict(m)))
             else:
                 print(m)
     else:
-        flt = args.flt or "all"
-        if args.n > ENUM_SIGNED_CAP:
-            raise ValueError(f"signed enumeration capped at n <= {ENUM_SIGNED_CAP}")
-        for s in bj.enumerate_negative_cdes(args.n, flt):
+        for s in bj.enumerate_negative_cdes(args.n, args.flt or "all"):
             if args.format == "json":
                 print(json.dumps(bj.signed_to_json_dict(s)))
             else:

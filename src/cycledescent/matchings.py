@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .caps import check_cap
+
 __all__ = [
     "MVertex",
     "Edge",
@@ -227,8 +229,7 @@ def enumerate_matchings(n: int, flt: str = "all") -> Iterator[PerfectMatching]:
         raise ValueError(f"unknown filter: {flt!r}")
     if n < 0:
         raise ValueError("negative size")
-    if n > 8:
-        raise ValueError(f"matching enumeration capped at n <= 8, got {n}")
+    check_cap("matching enumeration", n)
     vertices = [MVertex(i, r) for i in range(1, n + 1) for r in (0, 1)]
     support = tuple(range(1, n + 1))
     forbid_vertical = flt == "callan_no_vertical"

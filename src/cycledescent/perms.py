@@ -164,76 +164,65 @@ class StatRecord:
     inv1: int
 
 
-_TOKEN_SPLIT = re.compile(r"[,\s]+")
+# Cycle notation, signed or not.  A form is a bare one-line word or one or
+# more ( token (sep token)* ) groups; sep is commas and/or whitespace, and a
+# token is decimal digits, optionally followed directly by + or -.
+_TOKEN = r"[0-9]+[+-]?"
+_BODY = rf"{_TOKEN}(?:[\s,]+{_TOKEN})*"
+_FORM = re.compile(rf"\s*(?:{_BODY}|(?:\(\s*{_BODY}\s*\)\s*)+)\s*")
+_NEGATIVE = re.compile(r"([0-9]+)-")
+_COMMAS_AND_SIGNS = str.maketrans(",+-", "   ")
 
 
-def _parse_ints(chunk: str, context: str) -> list[int]:
-    parts = [p for p in _TOKEN_SPLIT.split(chunk.strip()) if p]
-    values = []
-    for p in parts:
-        try:
-            v = int(p)
-        except ValueError:
-            raise ValueError(f"malformed {context}: {p!r} is not an integer") from None
-        if v < 1:
-            raise ValueError(f"value out of range in {context}: {v}")
-        values.append(v)
-    return values
+def _parse_form(text: str, n: int | None, signed: bool) -> tuple[Permutation, list[int]]:
+    """Tokenize either notation into a permutation and its negative values.
+
+    Unsigned text may carry no sign; signed text must be in cycle form.
+    Without ``n`` the values cover 1..max only if there are exactly max of
+    them, which is checked before anything of size max is built; with
+    ``n``, values missing from the cycles become fixed points.
+    """
+    kind = "signed permutation" if signed else "permutation"
+    if not text.strip():
+        raise ValueError(f"empty {kind} text")
+    if not _FORM.fullmatch(text):
+        raise ValueError(f"malformed {kind} text: {text[:60]!r}")
+    if not signed and ("+" in text or "-" in text):
+        raise ValueError(f"signs are not allowed in permutation text: {text[:60]!r}")
+    if "(" not in text:
+        if signed:
+            raise ValueError("signed notation needs cycles in parentheses")
+        word = tuple(map(int, text.translate(_COMMAS_AND_SIGNS).split()))
+        if n is not None and len(word) != n:
+            raise ValueError(f"one-line word has length {len(word)}, expected {n}")
+        return Permutation(word), []
+    cycles = [
+        list(map(int, chunk.partition("(")[2].translate(_COMMAS_AND_SIGNS).split()))
+        for chunk in text.split(")")[:-1]
+    ]
+    size = sum(map(len, cycles))
+    top = max(map(max, cycles))
+    if n is None:
+        if top != size:
+            raise ValueError(f"cycles do not cover 1..{top} exactly once: {size} values")
+        n = size
+    elif top > n:
+        raise ValueError(f"element {top} above size {n}")
+    else:
+        seen = set(itertools.chain.from_iterable(cycles))
+        cycles.extend([v] for v in range(1, n + 1) if v not in seen)
+    neg = [int(v) for v in _NEGATIVE.findall(text)] if signed else []
+    return permutation_from_cycles(cycles, n), neg
 
 
 def parse_permutation(text: str, n: int | None = None) -> Permutation:
     """Parse one-line notation ("3 1 4 2") or cycle notation ("(1 3 4 2)(5 7)(6)").
 
-    Separators inside a form are whitespace or commas.  Cycle notation may
-    omit fixed points only when the total size ``n`` is supplied; a bare
-    cycle form must cover 1..n on its own.
+    Separators inside a form are whitespace or commas, and signs are
+    refused.  Cycle notation may omit fixed points only when the total size
+    ``n`` is supplied; a bare cycle form must cover 1..n on its own.
     """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty permutation text")
-    if "(" in text or ")" in text:
-        return _parse_cycle_form(text, n)
-    word = _parse_ints(text, "one-line word")
-    if n is not None and len(word) != n:
-        raise ValueError(f"one-line word has length {len(word)}, expected {n}")
-    return Permutation(tuple(word))
-
-
-def _parse_cycle_form(text: str, n: int | None) -> Permutation:
-    pos = 0
-    cycles: list[list[int]] = []
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch != "(":
-            raise ValueError(f"malformed parentheses near {text[pos:pos + 8]!r}")
-        close = text.find(")", pos)
-        if close < 0:
-            raise ValueError("malformed parentheses: unclosed '('")
-        inner = text[pos + 1 : close]
-        if "(" in inner:
-            raise ValueError("malformed parentheses: nested '('")
-        cyc = _parse_ints(inner, "cycle")
-        if not cyc:
-            raise ValueError("malformed parentheses: empty cycle")
-        cycles.append(cyc)
-        pos = close + 1
-    seen: set[int] = set()
-    for cyc in cycles:
-        for v in cyc:
-            if v in seen:
-                raise ValueError(f"duplicate element: {v}")
-            seen.add(v)
-    size = max(seen) if n is None else n
-    missing = set(range(1, size + 1)) - seen
-    if n is None and missing:
-        raise ValueError(f"gap in 1..{size} coverage: missing {sorted(missing)}")
-    if seen - set(range(1, size + 1)):
-        raise ValueError(f"element above size {size}")
-    cycles.extend([v] for v in sorted(missing))
-    return permutation_from_cycles(cycles, size)
+    return _parse_form(text, n, signed=False)[0]
 
 
 def permutation_from_cycles(cycles: Iterable[Sequence[int]], n: int) -> Permutation:

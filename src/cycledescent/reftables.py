@@ -9,6 +9,7 @@ Rows use '|'-separated fields with permutations in cycle notation.
 
 from __future__ import annotations
 
+from .caps import check_cap
 from .involutions import (
     last_top_descent,
     m_index,
@@ -90,16 +91,12 @@ def _weight_str(p: Permutation) -> str:
     return str(MultiPoly.monomial((-1) ** s.cdes, ex=s.exc))
 
 
-def _from_cycle_text(text: str) -> Permutation:
-    return parse_permutation(text)
-
-
 def _domain_order(n: int, i: int, seeded: tuple[str, ...] | None) -> list[Permutation]:
     domain = list(enumerate_permutations("one_at_i", n, i))
     if seeded is None:
         fixed = psi_fixed_set(n, i)
         return sorted(domain, key=lambda p: (p not in fixed, p.word))
-    order = [_from_cycle_text(s) for s in seeded]
+    order = [parse_permutation(s) for s in seeded]
     if sorted(p.word for p in order) != sorted(p.word for p in domain):
         raise AssertionError("pinned table order does not cover the domain")
     return order
@@ -146,7 +143,7 @@ def _varphi_table(n: int) -> str:
             fp = varphi_fixed_point(n, i)
             rows = sorted(domain, key=lambda p: (p == fp, p.word))
         else:
-            rows = [_from_cycle_text(s) for s in seeded]
+            rows = [parse_permutation(s) for s in seeded]
             if sorted(p.word for p in rows) != sorted(p.word for p in domain):
                 raise AssertionError("pinned table order does not cover the domain")
         for p in rows:
@@ -158,6 +155,7 @@ def _varphi_table(n: int) -> str:
 
 def emit_table(kind: str, n: int, i: int | None = None) -> str:
     """Emit one involution table; ``psi`` needs i, ``varphi`` covers i=2..n."""
+    check_cap("involution tables", n)
     if kind == "psi":
         if i is None:
             raise ValueError("psi tables need an index i")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
+from .caps import CAPS, check_cap
 from .perms import (
     Permutation,
     cycle_string,
@@ -43,8 +44,7 @@ __all__ = [
     "identity_check",
 ]
 
-# Hard cap for per-cell brute-force enumeration; 9! is the desk limit.
-BRUTE_CAP = 9
+BRUTE_CAP = CAPS["brute force"]
 
 
 @dataclass
@@ -74,8 +74,7 @@ class IdentityReport:
 def _check_brute_args(n: int, i: int) -> None:
     if not 1 <= i <= n:
         raise ValueError(f"index out of range: i={i}, n={n}")
-    if n > BRUTE_CAP:
-        raise ValueError(f"brute force capped at n <= {BRUTE_CAP}, got {n}")
+    check_cap("brute force", n)
 
 
 @lru_cache(maxsize=None)
@@ -163,8 +162,7 @@ def alternating_closed_form(n: int, i: int, derangements: bool = False) -> Multi
 
 def cdes_distribution_brute(n: int, derangements: bool = False) -> MultiPoly:
     """Sum of y^cdes over all permutations (or all derangements) of [n]."""
-    if n > BRUTE_CAP:
-        raise ValueError(f"brute force capped at n <= {BRUTE_CAP}, got {n}")
+    check_cap("brute force", n)
     family = "derangements" if derangements else "all"
     counts: dict[tuple[int, int, int, int], int] = {}
     for p in enumerate_permutations(family, n):
@@ -346,8 +344,7 @@ def identity_check(identity_id: str, n: int) -> IdentityReport:
     """
     if identity_id not in _IDENTITY_SPECS:
         raise ValueError(f"unknown identity id: {identity_id!r}")
-    if n > BRUTE_CAP:
-        raise ValueError(f"brute force capped at n <= {BRUTE_CAP}, got {n}")
+    check_cap("brute force", n)
     family, weight, rhs_fn, min_n = _IDENTITY_SPECS[identity_id]
     if n < min_n:
         raise ValueError(f"identity {identity_id!r} needs n >= {min_n}")

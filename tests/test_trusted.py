@@ -21,6 +21,7 @@ from cycledescent.bijections import (
     signed_from_json_dict,
     theta,
 )
+from cycledescent.caps import CAPS
 from cycledescent.cli import main
 from cycledescent.matchings import matching_from_json_dict, mk_matching
 from cycledescent.perms import (
@@ -207,7 +208,9 @@ def test_parse_permutation_rejects(text):
         parse_permutation(text)
 
 
-@pytest.mark.parametrize("text", ["(1+ 1-)", "(1+ 3+)", "1+ 2+", "(1 x)", "(1 2)(2)", ""])
+@pytest.mark.parametrize(
+    "text", ["(1+ 1-)", "(1+ 3+)", "1+ 2+", "(1 x)", "(1 2)(2)", "", "(1+ 3 -2)", "(1 3 - 2)"]
+)
 def test_parse_signed_rejects(text):
     with pytest.raises(ValueError):
         parse_signed(text)
@@ -239,6 +242,10 @@ def test_signed_from_json_dict_rejects(data):
         ["map", "gamma", "--input", '{"one_line":[1,"a"],"neg":[]}'],
         ["verify", "lemmas", "--n-max", "2", "--jobs", "-3"],
         ["verify", "lemmas", "--n-max", "2", "--jobs", "0"],
+        # sparse cycle text is refused before anything of its largest value is built
+        ["map", "gamma", "--input", f"(1 2)({10**12})"],
+        ["diagram", "--input", f"(1 2)({10**12})"],
+        ["stats", "--perm", f"(1 2)({10**12})"],
     ],
 )
 def test_cli_bad_input_exits_2(capsys, argv):
@@ -247,6 +254,28 @@ def test_cli_bad_input_exits_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["enum", "callan", "--n"], "CLI matching enumeration"),
+        (["enum", "matchings", "--n"], "CLI matching enumeration"),
+        (["enum", "ncdp", "--n"], "signed enumeration"),
+        (["seq", "b21", "--n-max"], "sequence recurrences"),
+        (["seq", "b20", "--n-max"], "sequence recurrences"),
+        (["seq", "mn", "--n-max"], "CLI matching enumeration"),
+        (["table", "psi", "--i", "5", "--n"], "involution tables"),
+        (["table", "varphi", "--n"], "involution tables"),
+    ],
+)
+def test_cli_refuses_one_past_each_cap(capsys, argv, cap):
+    code = main([*argv, str(CAPS[cap] + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cap} capped at n <= {CAPS[cap]}")
     assert "Traceback" not in captured.err
 
 
