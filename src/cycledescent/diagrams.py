@@ -1,11 +1,11 @@
 """
 Dot-diagram rendering of two-row perfect matchings, as text or SVG.
 
-Layout is deterministic: index i sits at horizontal slot i, row 1 is the
-top row.  Arcs are drawn as semicircles bulging away from the rows
-(upward above row 1, downward below row 0); lines between the rows are
-straight segments.  Non-Callan matchings render fine, with uplines
-highlighted and a warning attached.
+Layout is deterministic: each support index sits at the horizontal slot
+of its rank in the support, row 1 is the top row.  Arcs are drawn as
+semicircles bulging away from the rows (upward above row 1, downward below
+row 0); lines between the rows are straight segments.  Non-Callan
+matchings render fine, with uplines highlighted and a warning attached.
 """
 
 from __future__ import annotations
@@ -39,13 +39,10 @@ _BOTTOM_Y = 140.0
 _MARGIN = 40.0
 
 
-def _slot(i: int, m: PerfectMatching) -> float:
-    # slots follow the rank within the support so sparse supports stay compact
-    return _MARGIN + _STEP * m.support.index(i)
-
-
 def render_svg(m: PerfectMatching) -> str:
     """Standalone SVG document for the dot diagram."""
+    # slots follow the rank within the support so sparse supports stay compact
+    slot = {i: _MARGIN + _STEP * rank for rank, i in enumerate(m.support)}
     width = _MARGIN * 2 + _STEP * max(len(m.support) - 1, 0)
     height = _BOTTOM_Y + _TOP_Y
     out = [
@@ -55,7 +52,7 @@ def render_svg(m: PerfectMatching) -> str:
     if not is_callan(m):
         out.append("<!-- warning: matching has uplines (not Callan) -->")
     for a, b in m.edges:
-        x1, x2 = _slot(a.index, m), _slot(b.index, m)
+        x1, x2 = slot[a.index], slot[b.index]
         kind = edge_class((a, b))
         color = "#cc2222" if kind == "upline" else "#222222"
         if kind == "arc":
@@ -73,8 +70,7 @@ def render_svg(m: PerfectMatching) -> str:
                 f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
                 f'stroke="{color}" stroke-width="2"/>'
             )
-    for i in m.support:
-        x = _slot(i, m)
+    for i, x in slot.items():
         for y in (_TOP_Y, _BOTTOM_Y):
             out.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="#222222"/>')
         out.append(

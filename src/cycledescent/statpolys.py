@@ -10,15 +10,18 @@ that position:
                              x^exc(pi) * y^cdes(pi) * q^fix(pi) * t^i
 
 Everything here is exact integer arithmetic; brute-force sums are the
-oracle and the recurrences are the fast path checked against it.
+oracle and the recurrences are the fast path checked against it.  Every
+brute-force sum reads one tally of S_n per size, built by a naive walk
+and keyed by (exc, fix, cyc, cdes, position of 1, last entry).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .caps import CAPS, check_cap
 from .perms import (
@@ -41,6 +44,7 @@ __all__ = [
     "klazar_count",
     "b20_count",
     "IDENTITY_IDS",
+    "IDENTITY_MIN_N",
     "identity_check",
 ]
 
@@ -71,13 +75,61 @@ class IdentityReport:
     witness: str | None = None
 
 
-def _check_brute_args(n: int, i: int) -> None:
-    if not 1 <= i <= n:
-        raise ValueError(f"index out of range: i={i}, n={n}")
-    check_cap("brute force", n)
+class _Key(NamedTuple):
+    """The statistics that every brute-force sum in this module weighs."""
+
+    exc: int
+    fix: int
+    cyc: int
+    cdes: int
+    inv1: int
+    last: int  # pi(n); 0 for the empty permutation
+
+
+def _key(p: Permutation) -> _Key:
+    s = statistics(p)
+    return _Key(s.exc, s.fix, s.cyc, s.cdes, s.inv1, p.word[-1] if p.word else 0)
 
 
 @lru_cache(maxsize=None)
+def _tally(n: int) -> tuple[tuple[_Key, int], ...]:
+    """How many permutations of [n] carry each key: the one naive walk of
+    S_n that every brute-force sum here reads."""
+    check_cap("brute force", n)
+    return tuple(Counter(map(_key, enumerate_permutations("all", n))).items())
+
+
+# family of perms.FAMILIES -> membership test on (key, i)
+_IN_FAMILY: dict[str, Callable[[_Key, int | None], bool]] = {
+    "all": lambda k, i: True,
+    "one_at_i": lambda k, i: k.inv1 == i,
+    "derangements": lambda k, i: k.fix == 0,
+    "derangements_one_at_i": lambda k, i: k.fix == 0 and k.inv1 == i,
+}
+
+Term = tuple[int, tuple[int, int, int, int]]  # (sign, exponents of x, y, q, t)
+Weight = Callable[[_Key], Term]
+
+
+def _weighted_sum(family: str, n: int, weight: Weight, i: int | None = None) -> MultiPoly:
+    """Sum of ``weight`` = (sign, exponents) over a family, read off the tally."""
+    in_family = _IN_FAMILY[family]
+    counts: dict[tuple[int, int, int, int], int] = {}
+    for key, count in _tally(n):
+        if in_family(key, i):
+            sign, exps = weight(key)
+            counts[exps] = counts.get(exps, 0) + sign * count
+    return MultiPoly(counts)
+
+
+def _weight_statistic(k: _Key) -> Term:
+    return 1, (k.exc, k.cdes, k.fix, k.inv1)
+
+
+def _weight_cdes(k: _Key) -> Term:
+    return 1, (0, k.cdes, 0, 0)
+
+
 def statistic_poly(n: int, i: int, derangements: bool = False) -> MultiPoly:
     """Exact (x, y, q, t) generating polynomial over {pi : pi(i) = 1}.
 
@@ -85,14 +137,15 @@ def statistic_poly(n: int, i: int, derangements: bool = False) -> MultiPoly:
     permutations (the q exponent is then always 0).  Every term carries
     t-exponent i.
     """
-    _check_brute_args(n, i)
+    if not 1 <= i <= n:
+        raise ValueError(f"index out of range: i={i}, n={n}")
     family = "derangements_one_at_i" if derangements else "one_at_i"
-    counts: dict[tuple[int, int, int, int], int] = {}
-    for p in enumerate_permutations(family, n, i):
-        s = statistics(p)
-        key = (s.exc, s.cdes, s.fix, i)
-        counts[key] = counts.get(key, 0) + 1
-    return MultiPoly(counts)
+    return _weighted_sum(family, n, _weight_statistic, i)
+
+
+# Empties the tally, so the next brute-force sum of any size walks S_n
+# afresh; benchmarks call it to time a cold sum.
+statistic_poly.cache_clear = _tally.cache_clear  # type: ignore[attr-defined]
 
 
 def recurrence_table(n: int, derangements: bool = False) -> PolyTable:
@@ -162,13 +215,7 @@ def alternating_closed_form(n: int, i: int, derangements: bool = False) -> Multi
 
 def cdes_distribution_brute(n: int, derangements: bool = False) -> MultiPoly:
     """Sum of y^cdes over all permutations (or all derangements) of [n]."""
-    check_cap("brute force", n)
-    family = "derangements" if derangements else "all"
-    counts: dict[tuple[int, int, int, int], int] = {}
-    for p in enumerate_permutations(family, n):
-        key = (0, statistics(p).cdes, 0, 0)
-        counts[key] = counts.get(key, 0) + 1
-    return MultiPoly(counts)
+    return _weighted_sum("derangements" if derangements else "all", n, _weight_cdes)
 
 
 def cdes_distribution_rec(n: int, derangements: bool = False) -> MultiPoly:
@@ -233,32 +280,25 @@ def b20_count(n: int) -> int:
 # Signed identities.  Each identity pairs a brute-force weighted enumeration
 # (the lhs) with an independently built closed form (the rhs).
 
-Weight = Callable[[Permutation], tuple[int, tuple[int, int, int, int]]]
+
+def _weight_exc_signed_cyc(k: _Key) -> Term:
+    return (-1) ** k.cyc, (k.exc, 0, 0, 0)
 
 
-def _weight_exc_signed_cyc(p: Permutation) -> tuple[int, tuple[int, int, int, int]]:
-    s = statistics(p)
-    return (-1) ** s.cyc, (s.exc, 0, 0, 0)
+def _weight_exc_signed_cyc_tlast(k: _Key) -> Term:
+    return (-1) ** k.cyc, (k.exc, 0, 0, k.last)
 
 
-def _weight_exc_signed_cyc_tlast(p: Permutation) -> tuple[int, tuple[int, int, int, int]]:
-    s = statistics(p)
-    return (-1) ** s.cyc, (s.exc, 0, 0, p.word[-1])
+def _weight_signed_cdes_t(k: _Key) -> Term:
+    return (-1) ** k.cdes, (0, 0, 0, k.inv1)
 
 
-def _weight_signed_cdes_t(p: Permutation) -> tuple[int, tuple[int, int, int, int]]:
-    s = statistics(p)
-    return (-1) ** s.cdes, (0, 0, 0, s.inv1)
+def _weight_exc_signed_cdes_t(k: _Key) -> Term:
+    return (-1) ** k.cdes, (k.exc, 0, 0, k.inv1)
 
 
-def _weight_exc_signed_cdes_t(p: Permutation) -> tuple[int, tuple[int, int, int, int]]:
-    s = statistics(p)
-    return (-1) ** s.cdes, (s.exc, 0, 0, s.inv1)
-
-
-def _weight_signed_cdes(p: Permutation) -> tuple[int, tuple[int, int, int, int]]:
-    s = statistics(p)
-    return (-1) ** s.cdes, (0, 0, 0, 0)
+def _weight_signed_cdes(k: _Key) -> Term:
+    return (-1) ** k.cdes, (0, 0, 0, 0)
 
 
 def _geometric_negative(n: int) -> MultiPoly:
@@ -307,20 +347,13 @@ _IDENTITY_SPECS: dict[str, tuple[str, Weight, Callable[[int], MultiPoly], int]] 
 }
 
 IDENTITY_IDS = tuple(_IDENTITY_SPECS)
-
-
-def _weighted_sum(family: str, n: int, weight: Weight, i: int | None = None) -> MultiPoly:
-    counts: dict[tuple[int, int, int, int], int] = {}
-    for p in enumerate_permutations(family, n, i):
-        sign, key = weight(p)
-        counts[key] = counts.get(key, 0) + sign
-    return MultiPoly(counts)
+IDENTITY_MIN_N = {identity_id: spec[3] for identity_id, spec in _IDENTITY_SPECS.items()}
 
 
 def _find_witness(family: str, n: int, weight: Weight, diff: MultiPoly) -> str | None:
     lead = diff.sorted_terms()[0][0]
     for p in enumerate_permutations(family, n):
-        if weight(p)[1] == lead:
+        if weight(_key(p))[1] == lead:
             return f"{p} = {cycle_string(p)} (first contributor to the leading mismatch)"
     return None
 
@@ -344,7 +377,6 @@ def identity_check(identity_id: str, n: int) -> IdentityReport:
     """
     if identity_id not in _IDENTITY_SPECS:
         raise ValueError(f"unknown identity id: {identity_id!r}")
-    check_cap("brute force", n)
     family, weight, rhs_fn, min_n = _IDENTITY_SPECS[identity_id]
     if n < min_n:
         raise ValueError(f"identity {identity_id!r} needs n >= {min_n}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from . import bijections as bj
@@ -77,55 +78,29 @@ class VerificationSummary:
 # Check bodies.  Signature: fn(n, seed) -> (passed, detail).
 
 
-def _check_closed_form_all(n: int, seed: int) -> tuple[bool, str]:
-    for i in range(1, n + 1):
-        brute = sp.statistic_poly(n, i).substitute(y=-1, q=1)
-        closed = sp.alternating_closed_form(n, i)
-        if brute != closed:
-            return False, f"i={i}: enumerated {brute}, closed form {closed}"
-    return True, f"{n} positions match"
-
-
-def _check_closed_form_derangements(n: int, seed: int) -> tuple[bool, str]:
-    if not sp.statistic_poly(n, 1, derangements=True).is_zero():
+def _check_closed_form(n: int, seed: int, derangements: bool = False) -> tuple[bool, str]:
+    if derangements and not sp.statistic_poly(n, 1, derangements=True).is_zero():
         return False, "i=1: expected the empty sum"
-    for i in range(2, n + 1):
-        brute = sp.statistic_poly(n, i, derangements=True).substitute(y=-1)
-        closed = sp.alternating_closed_form(n, i, derangements=True)
+    for i in range(2 if derangements else 1, n + 1):
+        brute = sp.statistic_poly(n, i, derangements).substitute(y=-1, q=1)
+        closed = sp.alternating_closed_form(n, i, derangements)
         if brute != closed:
             return False, f"i={i}: enumerated {brute}, closed form {closed}"
     return True, f"{n} positions match"
 
 
-def _check_recurrence_all(n: int, seed: int) -> tuple[bool, str]:
-    table = sp.recurrence_table(n)
+def _check_recurrence(n: int, seed: int, derangements: bool = False) -> tuple[bool, str]:
+    table = sp.recurrence_table(n, derangements)
     for i in range(1, n + 1):
-        brute = sp.statistic_poly(n, i).substitute(q=1, t=1)
+        brute = sp.statistic_poly(n, i, derangements).substitute(q=1, t=1)
         if table.entries[i] != brute:
             return False, f"i={i}: recurrence {table.entries[i]}, enumerated {brute}"
     return True, f"{n} table cells match"
 
 
-def _check_recurrence_derangements(n: int, seed: int) -> tuple[bool, str]:
-    table = sp.recurrence_table(n, derangements=True)
-    for i in range(1, n + 1):
-        brute = sp.statistic_poly(n, i, derangements=True).substitute(t=1)
-        if table.entries[i] != brute:
-            return False, f"i={i}: recurrence {table.entries[i]}, enumerated {brute}"
-    return True, f"{n} table cells match"
-
-
-def _check_cdes_poly_all(n: int, seed: int) -> tuple[bool, str]:
-    rec = sp.cdes_distribution_rec(n)
-    brute = sp.cdes_distribution_brute(n)
-    if rec != brute:
-        return False, f"recurrence {rec}, enumerated {brute}"
-    return True, f"distribution {rec}"
-
-
-def _check_cdes_poly_derangements(n: int, seed: int) -> tuple[bool, str]:
-    rec = sp.cdes_distribution_rec(n, derangements=True)
-    brute = sp.cdes_distribution_brute(n, derangements=True)
+def _check_cdes_poly(n: int, seed: int, derangements: bool = False) -> tuple[bool, str]:
+    rec = sp.cdes_distribution_rec(n, derangements)
+    brute = sp.cdes_distribution_brute(n, derangements)
     if rec != brute:
         return False, f"recurrence {rec}, enumerated {brute}"
     return True, f"distribution {rec}"
@@ -226,9 +201,7 @@ def _signed_weight(p) -> MultiPoly:
 
 def _check_psi_fixed_weight(n: int, seed: int) -> tuple[bool, str]:
     for i in range(1, n + 1):
-        brute = ZERO
-        for p in enumerate_permutations("one_at_i", n, i):
-            brute = brute + _signed_weight(p)
+        brute = sp.statistic_poly(n, i).substitute(y=-1, q=1, t=1)
         fixed_weight = ZERO
         for p in iv.psi_fixed_set(n, i):
             if statistics(p).cdes:
@@ -246,11 +219,9 @@ def _check_varphi_involution(n: int, seed: int) -> tuple[bool, str]:
     total = 0
     for i in range(2, n + 1):
         fp = iv.varphi_fixed_point(n, i)
-        signed_sum = ZERO
         fixed_seen = set()
         for p in enumerate_permutations("derangements_one_at_i", n, i):
             total += 1
-            signed_sum = signed_sum + _signed_weight(p)
             out = iv.varphi(n, i, p)
             back = iv.varphi(n, i, out.image)
             if back.image != p:
@@ -268,6 +239,7 @@ def _check_varphi_involution(n: int, seed: int) -> tuple[bool, str]:
                     return False, f"i={i}, pi={p}: branch pairing broken"
         if fixed_seen != {fp}:
             return False, f"i={i}: fixed set {fixed_seen}, expected {{{fp}}}"
+        signed_sum = sp.statistic_poly(n, i, derangements=True).substitute(y=-1, t=1)
         closed = sp.alternating_closed_form(n, i, derangements=True).substitute(t=1)
         if signed_sum != closed:
             return False, f"i={i}: signed sum {signed_sum}, closed {closed}"
@@ -295,19 +267,12 @@ def _check_phi_preservation(n: int, seed: int) -> tuple[bool, str]:
     return True, f"{moved} permutations moved"
 
 
-def _check_count_callan(n: int, seed: int) -> tuple[bool, str]:
-    m_count = sum(1 for _ in mt.enumerate_matchings(n, "callan"))
-    rec = sp.klazar_count(n)
-    signed = sum(1 for _ in bj.enumerate_negative_cdes(n))
-    if not (m_count == rec == signed):
-        return False, f"matchings {m_count}, recurrence {rec}, signed perms {signed}"
-    return True, f"all three give {rec}"
-
-
-def _check_count_no_vertical(n: int, seed: int) -> tuple[bool, str]:
-    m_count = sum(1 for _ in mt.enumerate_matchings(n, "callan_no_vertical"))
-    rec = sp.b20_count(n)
-    signed = sum(1 for _ in bj.enumerate_negative_cdes(n, "derangement"))
+def _check_count_callan(n: int, seed: int, derangements: bool = False) -> tuple[bool, str]:
+    family = "callan_no_vertical" if derangements else "callan"
+    m_count = sum(1 for _ in mt.enumerate_matchings(n, family))
+    rec = sp.b20_count(n) if derangements else sp.klazar_count(n)
+    flt = "derangement" if derangements else "all"
+    signed = sum(1 for _ in bj.enumerate_negative_cdes(n, flt))
     if not (m_count == rec == signed):
         return False, f"matchings {m_count}, recurrence {rec}, signed perms {signed}"
     return True, f"all three give {rec}"
@@ -437,12 +402,12 @@ class Check:
 
 
 CHECKS: dict[str, Check] = {
-    "closed-form-all": Check(_check_closed_form_all, 2, 8),
-    "closed-form-derangement": Check(_check_closed_form_derangements, 2, 8),
-    "recurrence-all": Check(_check_recurrence_all, 1, 8),
-    "recurrence-derangement": Check(_check_recurrence_derangements, 2, 8),
-    "cdes-poly-all": Check(_check_cdes_poly_all, 1, 8),
-    "cdes-poly-derangement": Check(_check_cdes_poly_derangements, 1, 8),
+    "closed-form-all": Check(_check_closed_form, 2, 8),
+    "closed-form-derangement": Check(partial(_check_closed_form, derangements=True), 2, 8),
+    "recurrence-all": Check(_check_recurrence, 1, 8),
+    "recurrence-derangement": Check(partial(_check_recurrence, derangements=True), 2, 8),
+    "cdes-poly-all": Check(_check_cdes_poly, 1, 8),
+    "cdes-poly-derangement": Check(partial(_check_cdes_poly, derangements=True), 1, 8),
     "sequence-cross-check": Check(_check_sequence_cross, 1, 12),
     "poly-ring-axioms": Check(_check_poly_axioms, 1, 1),
     "psi-involution": Check(_check_psi_involution, 2, 8),
@@ -450,7 +415,7 @@ CHECKS: dict[str, Check] = {
     "varphi-involution": Check(_check_varphi_involution, 2, 8),
     "phi-preservation": Check(_check_phi_preservation, 1, 8),
     "count-callan": Check(_check_count_callan, 1, 7),
-    "count-callan-no-vertical": Check(_check_count_no_vertical, 1, 7),
+    "count-callan-no-vertical": Check(partial(_check_count_callan, derangements=True), 1, 7),
     "gamma-image": Check(_check_gamma_image, 1, 6),
     "theta-image": Check(_check_theta_image, 1, 6),
     "gamma-roundtrip": Check(_check_gamma_roundtrip, 1, 7),
@@ -461,8 +426,7 @@ CHECKS: dict[str, Check] = {
     "downline-global-report": Check(_check_downline_global_report, 1, 7, informational=True),
 }
 
-for _id in sp.IDENTITY_IDS:
-    _min = 2 if _id in ("signed-sni", "signed-sn") else 1
+for _id, _min in sp.IDENTITY_MIN_N.items():
     CHECKS[f"identity-{_id}"] = Check(_make_identity_check(_id), _min, 8)
 
 SUITES: dict[str, tuple[str, ...]] = {

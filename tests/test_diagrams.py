@@ -1,4 +1,9 @@
+import json
+import re
+import time
+
 from cycledescent.bijections import gamma, parse_signed
+from cycledescent.cli import main
 from cycledescent.diagrams import render_svg, render_text
 from cycledescent.matchings import mk_matching
 
@@ -45,3 +50,32 @@ def test_svg_single_vertical():
 def test_svg_warns_on_uplines():
     m = mk_matching([1, 2], [((1, 0), (2, 1)), ((1, 1), (2, 0))])
     assert "warning" in render_svg(m)
+
+
+def test_svg_slots_follow_rank_in_sparse_support():
+    m = mk_matching([2, 5, 9], [((2, 0), (2, 1)), ((5, 1), (9, 1)), ((5, 0), (9, 0))])
+    svg = render_svg(m)
+    assert 'width="160"' in svg  # three slots, not nine
+    assert re.findall(r'<text x="([0-9.]+)"', svg) == ["40.0", "80.0", "120.0"]
+    assert re.findall(r'<circle cx="([0-9.]+)"', svg) == [
+        "40.0", "40.0", "80.0", "80.0", "120.0", "120.0"
+    ]
+    assert '<line x1="40.0" y1="140.0" x2="40.0" y2="60.0"' in svg
+    assert '<path d="M 80.0 60.0 A 20.0 20.0 0 0 1 120.0 60.0"' in svg
+    assert '<path d="M 80.0 140.0 A 20.0 20.0 0 0 0 120.0 140.0"' in svg
+
+
+def test_svg_render_is_linear_in_the_support(capsys):
+    # all verticals, n = 30 000: one rank lookup per endpoint must be O(1)
+    n = 30_000
+    doc = json.dumps(
+        {"support": list(range(1, n + 1)), "edges": [[[i, 0], [i, 1]] for i in range(1, n + 1)]}
+    )
+    start = time.perf_counter()
+    code = main(["diagram", "--input", doc, "--format", "svg"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("<line") == n and out.count("<circle") == 2 * n
+    assert f'<text x="{40.0 + 40.0 * (n - 1):.1f}"' in out
+    assert elapsed < 5.0, f"{elapsed:.2f} s"
