@@ -57,20 +57,15 @@ class InvolutionOutcome:
     ``case_tag`` records which branch fired: ``fixed``, ``phi-split``,
     ``phi-merge``, ``psi-case1``, ``psi-case2``, ``varphi-merge`` or
     ``varphi-split``.  ``delta_cdes`` is cdes(image) - cdes(input); it is 0
-    exactly on fixed points and +-1 otherwise.
+    exactly on fixed points and +-1 otherwise.  Each branch states its own
+    value (-1 for a split or ``psi-case1``, +1 for a merge or
+    ``psi-case2``) without walking the image; ``verify`` proves the stated
+    value against a naive walk of every image up to its size cap.
     """
 
     image: Permutation
     case_tag: str
     delta_cdes: int
-
-
-def _outcome(p: Permutation, image: Permutation, tag: str) -> InvolutionOutcome:
-    return InvolutionOutcome(
-        image=image,
-        case_tag=tag,
-        delta_cdes=statistics(image).cdes - statistics(p).cdes,
-    )
 
 
 def last_top_descent(p: Permutation) -> int | None:
@@ -98,6 +93,16 @@ def phi_map(p: Permutation) -> InvolutionOutcome:
     qv = last_top_descent(p)
     if qv is None:
         raise ValueError("map undefined: the flattened cycle word is increasing")
+    return _split_or_merge(p, qv)
+
+
+def _split_or_merge(p: Permutation, qv: int) -> InvolutionOutcome:
+    """The body of ``phi_map`` at a known last top-descent ``qv``.
+
+    A split leaves the top-descent ending a cycle, so it is no longer a
+    cycle descent and cdes falls by one; a merge puts it back inside a
+    cycle and cdes rises by one.
+    """
     cycles = list(standard_cycles(p).cycles)
     for k, cyc in enumerate(cycles):
         if qv not in cyc:
@@ -108,14 +113,13 @@ def phi_map(p: Permutation) -> InvolutionOutcome:
             # following cycle always exists here
             merged = cyc + cycles[k + 1]
             new_cycles = cycles[:k] + [merged] + cycles[k + 2 :]
-            tag = "phi-merge"
+            tag, delta = "phi-merge", 1
         else:
             new_cycles = (
                 cycles[:k] + [cyc[: pos + 1], cyc[pos + 1 :]] + cycles[k + 1 :]
             )
-            tag = "phi-split"
-        image = permutation_from_cycles(new_cycles, p.n)
-        return _outcome(p, image, tag)
+            tag, delta = "phi-split", -1
+        return InvolutionOutcome(permutation_from_cycles(new_cycles, p.n), tag, delta)
     raise AssertionError("unreachable: top-descent not found in any cycle")
 
 
@@ -155,13 +159,13 @@ def psi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
     qv = last_top_descent(p)
     if i == 1:
         if qv is None:
-            return _outcome(p, p, "fixed")
-        return phi_map(p)
+            return InvolutionOutcome(p, "fixed", 0)
+        return _split_or_merge(p, qv)
 
     cycles = standard_cycles(p).cycles
     first = cycles[0]
     if qv is not None and qv not in first:
-        return phi_map(p)
+        return _split_or_merge(p, qv)
 
     index_set = _index_set(p)
     if not index_set:
@@ -169,22 +173,21 @@ def psi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
         # these are exactly the fixed points, and exist only for i = n
         if i != n:
             raise AssertionError("empty index set for interior i")
-        return _outcome(p, p, "fixed")
+        return InvolutionOutcome(p, "fixed", 0)
     m = min(index_set)
     if m >= 2:
         # detach the increasing prefix c_1 .. c_{m-1} as a cycle of its own
         new_first = (1,) + first[m:]
         detached = first[1:m]
         new_cycles = [new_first, detached, *cycles[1:]]
-        tag = "psi-case1"
+        tag, delta = "psi-case1", -1
     else:
         # splice the last cycle into the first, right after the 1
         last = cycles[-1]
         new_first = (1,) + last + first[1:]
         new_cycles = [new_first, *cycles[1:-1]]
-        tag = "psi-case2"
-    image = permutation_from_cycles(new_cycles, n)
-    return _outcome(p, image, tag)
+        tag, delta = "psi-case2", 1
+    return InvolutionOutcome(permutation_from_cycles(new_cycles, n), tag, delta)
 
 
 def _consecutive_block_cycles(values: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
@@ -280,7 +283,7 @@ def varphi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
 
     if _staircase_shaped(_rank_word(last)):
         if len(cycles) == 1:
-            return _outcome(p, p, "fixed")
+            return InvolutionOutcome(p, "fixed", 0)
         prev = cycles[-2]
         top = last.index(max(last))  # 0-based position of the maximum
         if prev[1] < last[top - 1]:
@@ -294,7 +297,7 @@ def varphi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
                 *prev[1:],
             )
         image = permutation_from_cycles([*cycles[:-2], merged], n)
-        return _outcome(p, image, "varphi-merge")
+        return InvolutionOutcome(image, "varphi-merge", 1)
 
     # longest staircase-shaped proper prefix; prefixes of length 2 and 3
     # always qualify, and the property is hereditary, so scan upward
@@ -312,4 +315,4 @@ def varphi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
     else:
         rest = (*last[1:top], last[cut - 1], *last[top : cut - 1])
     image = permutation_from_cycles([*cycles[:-1], head, rest], n)
-    return _outcome(p, image, "varphi-split")
+    return InvolutionOutcome(image, "varphi-split", -1)

@@ -14,16 +14,18 @@ form is known not to survive beyond connected matchings).
 from __future__ import annotations
 
 import random
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from math import factorial
+from typing import Callable, Iterator
 
 from . import bijections as bj
 from . import involutions as iv
 from . import matchings as mt
 from . import statpolys as sp
-from .perms import enumerate_permutations, hat, statistics
+from .perms import Permutation, enumerate_permutations, hat, statistics
 from .poly import MultiPoly, ZERO
 
 __all__ = [
@@ -155,42 +157,173 @@ def _check_poly_axioms(n: int, seed: int) -> tuple[bool, str]:
     return True, "60 random trials"
 
 
+# ---------------------------------------------------------------------------
+# Involution laws from one map call per object.
+#
+# Pass 1 keys every object of a family by its lexicographic rank and records
+# its exc and cdes (read from the naive walk of ``statistics``), the rank of
+# its image, the branch tag and the cdes delta the branch states.  An image
+# is itself an object of the family with a record of its own, so pass 2
+# reads the involution law, exc preservation and the tag pairing off the
+# records, in the order and with the texts of a check that maps every image
+# back, and no image is mapped or walked again.  A stated delta that differs
+# from the walked one is reported only once every other law has held.
+
 _PHI_PAIRS = {"phi-split": "phi-merge", "phi-merge": "phi-split"}
 _PSI_PAIRS = {**_PHI_PAIRS, "psi-case1": "psi-case2", "psi-case2": "psi-case1"}
 _VARPHI_PAIRS = {"varphi-merge": "varphi-split", "varphi-split": "varphi-merge"}
+_TAGS = ("fixed", *_PSI_PAIRS, *_VARPHI_PAIRS)
+_TAG_CODE = {tag: code for code, tag in enumerate(_TAGS, start=1)}  # 0: no record
+_FIXED = _TAG_CODE["fixed"]
+
+
+def _code_pairs(pairs: dict[str, str]) -> dict[int, int]:
+    return {_TAG_CODE[a]: _TAG_CODE[b] for a, b in pairs.items()}
+
+
+class _Family:
+    """A permutation stream with every word keyed by its lexicographic rank.
+
+    ``one_at_i`` words are ranked with the 1 at position i removed, so for
+    ``all`` and ``one_at_i`` the rank is the index in the stream.
+    ``derangements_one_at_i`` is a filtered ``one_at_i`` stream and keeps
+    those ranks, which increase along it.
+    """
+
+    def __init__(self, name: str, n: int, i: int | None = None) -> None:
+        self.name, self.n, self.i = name, n, i
+        self.values = list(range(1 if i is None else 2, n + 1))
+        self.size = factorial(len(self.values))
+
+    def rank(self, word: tuple[int, ...]) -> int:
+        """The rank of a word of the family; -1 for any other word."""
+        if len(word) != self.n:
+            return -1
+        i = self.i
+        if i is not None:
+            if word[i - 1] != 1:
+                return -1
+            if self.name == "derangements_one_at_i" and any(
+                v == k for k, v in enumerate(word, start=1)
+            ):
+                return -1
+            word = word[: i - 1] + word[i:]
+        rest = self.values.copy()
+        r = 0
+        for v in word:
+            j = rest.index(v)
+            r = r * len(rest) + j
+            del rest[j]
+        return r
+
+    def unrank(self, r: int) -> Permutation:
+        """The word of rank r; used only to name a witness."""
+        rest = self.values.copy()
+        word = []
+        for m in range(len(rest) - 1, -1, -1):
+            j, r = divmod(r, factorial(m))
+            word.append(rest.pop(j))
+        if self.i is not None:
+            word.insert(self.i - 1, 1)
+        return Permutation(tuple(word))
+
+    def ranked(self) -> Iterator[tuple[int, Permutation]]:
+        """The stream in its own order, each object with its rank."""
+        stream = enumerate_permutations(self.name, self.n, self.i)
+        if self.name == "derangements_one_at_i":
+            return ((self.rank(p.word), p) for p in stream)
+        return enumerate(stream)
+
+
+@dataclass
+class _Records:
+    """Pass-1 records of one map over one family, indexed by rank."""
+
+    exc: bytearray
+    cdes: bytearray
+    img: array  # rank of the image; -1 outside the family or the domain
+    tag: bytearray  # _TAG_CODE of the branch; 0 for no map call
+    delta: array  # the stated cdes delta
+
+
+def _apply_once(fam: _Family, apply: Callable) -> _Records:
+    """Pass 1: one naive walk and at most one map call per object.
+
+    ``apply(k, p)`` maps the object p of rank k, or returns None when p is
+    outside the map's domain.
+    """
+    size = fam.size
+    rec = _Records(
+        bytearray(size),
+        bytearray(size),
+        array("i", [-1]) * size,
+        bytearray(size),
+        array("b", bytes(size)),
+    )
+    exc, cdes, img, tag, delta, rank = (
+        rec.exc, rec.cdes, rec.img, rec.tag, rec.delta, fam.rank
+    )
+    for k, p in fam.ranked():
+        s = statistics(p)
+        exc[k] = s.exc
+        cdes[k] = s.cdes
+        out = apply(k, p)
+        if out is not None:
+            img[k] = rank(out.image.word)
+            tag[k] = _TAG_CODE[out.case_tag]
+            delta[k] = out.delta_cdes
+    return rec
+
+
+def _false_claim(fam: _Family, rec: _Records, prefix: str) -> str | None:
+    """The first mapped object whose stated delta is not its walked one."""
+    img, tag, delta, cdes = rec.img, rec.tag, rec.delta, rec.cdes
+    for k in range(fam.size):
+        if tag[k] and delta[k] != cdes[img[k]] - cdes[k]:
+            return (
+                f"{prefix}pi={fam.unrank(k)}: cdes delta"
+                f" {cdes[img[k]] - cdes[k]}, stated {delta[k]}"
+            )
+    return None
 
 
 def _check_psi_involution(n: int, seed: int) -> tuple[bool, str]:
     total = 0
+    false_claim = None
+    pairs = _code_pairs(_PSI_PAIRS)
     for i in range(1, n + 1):
         expected_fixed = iv.psi_fixed_set(n, i)
+        fam = _Family("one_at_i", n, i)
+        rec = _apply_once(fam, lambda k, p: iv.psi(n, i, p))
+        img, tag, delta, exc = rec.img, rec.tag, rec.delta, rec.exc
         seen_fixed = set()
-        for p in enumerate_permutations("one_at_i", n, i):
+        for k in range(fam.size):
             total += 1
-            out = iv.psi(n, i, p)
-            back = iv.psi(n, i, out.image)
-            if back.image != p:
-                return False, f"i={i}, pi={p}: not an involution"
-            s0, s1 = statistics(p), statistics(out.image)
-            if s1.exc != s0.exc:
-                return False, f"i={i}, pi={p}: excedances not preserved"
-            if out.case_tag == "fixed":
-                if out.delta_cdes != 0 or out.image != p:
-                    return False, f"i={i}, pi={p}: bad fixed point"
-                seen_fixed.add(p)
+            j = img[k]
+            if j < 0 or img[j] != k:
+                return False, f"i={i}, pi={fam.unrank(k)}: not an involution"
+            if exc[j] != exc[k]:
+                return False, f"i={i}, pi={fam.unrank(k)}: excedances not preserved"
+            if tag[k] == _FIXED:
+                if delta[k] != 0 or j != k:
+                    return False, f"i={i}, pi={fam.unrank(k)}: bad fixed point"
+                seen_fixed.add(k)
             else:
-                if abs(out.delta_cdes) != 1:
-                    return False, f"i={i}, pi={p}: cdes delta {out.delta_cdes}"
-                if back.case_tag != _PSI_PAIRS[out.case_tag]:
+                if abs(delta[k]) != 1:
+                    return False, f"i={i}, pi={fam.unrank(k)}: cdes delta {delta[k]}"
+                if tag[j] != pairs[tag[k]]:
                     return False, (
-                        f"i={i}, pi={p}: branch {out.case_tag} paired with"
-                        f" {back.case_tag}"
+                        f"i={i}, pi={fam.unrank(k)}: branch {_TAGS[tag[k] - 1]}"
+                        f" paired with {_TAGS[tag[j] - 1]}"
                     )
-        if seen_fixed != set(expected_fixed):
+        if seen_fixed != {fam.rank(q.word) for q in expected_fixed}:
             return False, f"i={i}: fixed set mismatch ({len(seen_fixed)} found)"
         want = 0 if 1 < i < n else 2 ** (n - 2)
         if len(expected_fixed) != want:
             return False, f"i={i}: fixed set has size {len(expected_fixed)}, want {want}"
+        false_claim = false_claim or _false_claim(fam, rec, f"i={i}, ")
+    if false_claim:
+        return False, false_claim
     return True, f"{total} applications across {n} positions"
 
 
@@ -217,53 +350,80 @@ def _check_psi_fixed_weight(n: int, seed: int) -> tuple[bool, str]:
 
 def _check_varphi_involution(n: int, seed: int) -> tuple[bool, str]:
     total = 0
+    false_claim = None
+    pairs = _code_pairs(_VARPHI_PAIRS)
     for i in range(2, n + 1):
         fp = iv.varphi_fixed_point(n, i)
-        fixed_seen = set()
-        for p in enumerate_permutations("derangements_one_at_i", n, i):
+        fam = _Family("derangements_one_at_i", n, i)
+        rec = _apply_once(fam, lambda k, p: iv.varphi(n, i, p))
+        img, tag, delta, exc = rec.img, rec.tag, rec.delta, rec.exc
+        fixed_seen = []
+        for k in range(fam.size):
+            if not tag[k]:
+                continue  # not a derangement
             total += 1
-            out = iv.varphi(n, i, p)
-            back = iv.varphi(n, i, out.image)
-            if back.image != p:
-                return False, f"i={i}, pi={p}: not an involution"
-            if statistics(out.image).exc != statistics(p).exc:
-                return False, f"i={i}, pi={p}: excedances not preserved"
-            if out.case_tag == "fixed":
-                fixed_seen.add(p)
-                if out.delta_cdes != 0:
-                    return False, f"i={i}, pi={p}: fixed point with cdes delta"
+            j = img[k]
+            if j < 0 or img[j] != k:
+                return False, f"i={i}, pi={fam.unrank(k)}: not an involution"
+            if exc[j] != exc[k]:
+                return False, f"i={i}, pi={fam.unrank(k)}: excedances not preserved"
+            if tag[k] == _FIXED:
+                fixed_seen.append(k)
+                if delta[k] != 0:
+                    return False, f"i={i}, pi={fam.unrank(k)}: fixed point with cdes delta"
             else:
-                if abs(out.delta_cdes) != 1:
-                    return False, f"i={i}, pi={p}: cdes delta {out.delta_cdes}"
-                if back.case_tag != _VARPHI_PAIRS[out.case_tag]:
-                    return False, f"i={i}, pi={p}: branch pairing broken"
-        if fixed_seen != {fp}:
-            return False, f"i={i}: fixed set {fixed_seen}, expected {{{fp}}}"
+                if abs(delta[k]) != 1:
+                    return False, f"i={i}, pi={fam.unrank(k)}: cdes delta {delta[k]}"
+                if tag[j] != pairs[tag[k]]:
+                    return False, f"i={i}, pi={fam.unrank(k)}: branch pairing broken"
+        if fixed_seen != [fam.rank(fp.word)]:
+            found = {fam.unrank(k) for k in fixed_seen}
+            return False, f"i={i}: fixed set {found}, expected {{{fp}}}"
         signed_sum = sp.statistic_poly(n, i, derangements=True).substitute(y=-1, t=1)
         closed = sp.alternating_closed_form(n, i, derangements=True).substitute(t=1)
         if signed_sum != closed:
             return False, f"i={i}: signed sum {signed_sum}, closed {closed}"
+        false_claim = false_claim or _false_claim(fam, rec, f"i={i}, ")
+    if false_claim:
+        return False, false_claim
     return True, f"{total} applications across {n - 1} positions"
 
 
 def _check_phi_preservation(n: int, seed: int) -> tuple[bool, str]:
+    fam = _Family("all", n)
+    hat_rank = array("i", [0]) * fam.size
+    top = bytearray(fam.size)  # the last top-descent; 0 for none
+
+    def apply(k: int, p: Permutation) -> iv.InvolutionOutcome | None:
+        hat_rank[k] = fam.rank(hat(p))
+        qv = iv.last_top_descent(p)
+        if qv is None:
+            return None
+        top[k] = qv
+        return iv.phi_map(p)
+
+    rec = _apply_once(fam, apply)
+    img, tag, delta, exc = rec.img, rec.tag, rec.delta, rec.exc
+    pairs = _code_pairs(_PHI_PAIRS)
     moved = 0
-    for p in enumerate_permutations("all", n):
-        if iv.last_top_descent(p) is None:
-            continue
+    for k in range(fam.size):
+        if not tag[k]:
+            continue  # increasing flattening: phi is undefined
         moved += 1
-        out = iv.phi_map(p)
-        if hat(out.image) != hat(p):
-            return False, f"pi={p}: flattened word changed"
-        if iv.last_top_descent(out.image) != iv.last_top_descent(p):
-            return False, f"pi={p}: top-descent changed"
-        if statistics(out.image).exc != statistics(p).exc:
-            return False, f"pi={p}: excedances changed"
-        if abs(out.delta_cdes) != 1:
-            return False, f"pi={p}: cdes delta {out.delta_cdes}"
-        back = iv.phi_map(out.image)
-        if back.image != p or back.case_tag != _PHI_PAIRS[out.case_tag]:
-            return False, f"pi={p}: split/merge pairing broken"
+        j = img[k]
+        if j < 0 or hat_rank[j] != hat_rank[k]:
+            return False, f"pi={fam.unrank(k)}: flattened word changed"
+        if top[j] != top[k]:
+            return False, f"pi={fam.unrank(k)}: top-descent changed"
+        if exc[j] != exc[k]:
+            return False, f"pi={fam.unrank(k)}: excedances changed"
+        if abs(delta[k]) != 1:
+            return False, f"pi={fam.unrank(k)}: cdes delta {delta[k]}"
+        if img[j] != k or tag[j] != pairs[tag[k]]:
+            return False, f"pi={fam.unrank(k)}: split/merge pairing broken"
+    false_claim = _false_claim(fam, rec, "")
+    if false_claim:
+        return False, false_claim
     return True, f"{moved} permutations moved"
 
 

@@ -197,6 +197,8 @@ def test_criterion_08_involutions():
                     seen_fixed.add(p)
                 elif abs(out.delta_cdes) != 1:
                     failures.append(("psi parity", n, i, str(p)))
+                if out.delta_cdes != statistics(out.image).cdes - statistics(p).cdes:
+                    failures.append(("psi stated delta", n, i, str(p)))
             if seen_fixed != set(expected_fixed):
                 failures.append(("psi fixed set", n, i))
         for i in range(2, n + 1):
@@ -211,6 +213,8 @@ def test_criterion_08_involutions():
                     fixed_seen.add(p)
                 elif abs(out.delta_cdes) != 1:
                     failures.append(("varphi parity", n, i, str(p)))
+                if out.delta_cdes != statistics(out.image).cdes - statistics(p).cdes:
+                    failures.append(("varphi stated delta", n, i, str(p)))
             if fixed_seen != {varphi_fixed_point(n, i)}:
                 failures.append(("varphi fixed set", n, i))
     _finish("criterion-8 sign-reversing involutions", 60, start, failures)

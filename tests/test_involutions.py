@@ -52,6 +52,7 @@ def test_phi_preserves_hat_and_q():
         assert last_top_descent(out.image) == last_top_descent(p)
         assert statistics(out.image).exc == statistics(p).exc
         assert abs(out.delta_cdes) == 1
+        assert out.delta_cdes == statistics(out.image).cdes - statistics(p).cdes
         assert phi_map(out.image).image == p
 
 
@@ -116,11 +117,13 @@ def test_psi_involution_exhaustive_small():
                 out = psi(n, i, p)
                 assert psi(n, i, out.image).image == p
                 assert statistics(out.image).exc == statistics(p).exc
+                naive = statistics(out.image).cdes - statistics(p).cdes
                 if out.case_tag == "fixed":
-                    assert out.delta_cdes == 0
+                    assert out.delta_cdes == 0 == naive
                     seen_fixed.add(p)
                 else:
                     assert abs(out.delta_cdes) == 1
+                    assert out.delta_cdes == naive
             assert seen_fixed == set(fixed)
 
 
@@ -164,5 +167,27 @@ def test_varphi_involution_exhaustive_small():
                     fixed_seen.add(p)
                 else:
                     assert abs(out.delta_cdes) == 1
+                    assert out.delta_cdes == statistics(out.image).cdes - statistics(p).cdes
                     assert out.case_tag in ("varphi-merge", "varphi-split")
             assert fixed_seen == {fp}, (n, i)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_stated_delta_is_the_walked_delta(n):
+    """Each branch states its cdes delta; a naive walk of every image agrees."""
+
+    def naive(p, out):
+        return statistics(out.image).cdes - statistics(p).cdes
+
+    for p in enumerate_permutations("all", n):
+        if last_top_descent(p) is not None:
+            out = phi_map(p)
+            assert out.delta_cdes == naive(p, out), (str(p), out.case_tag)
+    for i in range(1, n + 1):
+        for p in enumerate_permutations("one_at_i", n, i):
+            out = psi(n, i, p)
+            assert out.delta_cdes == naive(p, out), (i, str(p), out.case_tag)
+        if i >= 2:
+            for p in enumerate_permutations("derangements_one_at_i", n, i):
+                out = varphi(n, i, p)
+                assert out.delta_cdes == naive(p, out), (i, str(p), out.case_tag)
