@@ -28,12 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .caps import check_cap
-from .matchings import (
-    PerfectMatching,
-    _from_partners,
-    _partners,
-    is_callan,
-)
+from .matchings import PerfectMatching, _component_walks, _walk, is_callan
 from .perms import (
     Permutation,
     _parse_form,
@@ -197,35 +192,29 @@ def theta(sp: SignedPermutation) -> PerfectMatching:
         raise ValueError(f"not cyclic: {len(cycles)} cycles")
     partner = [0] * (2 * sp.n + 2)
     _theta_partners(cycles[0], sp.neg, partner)
-    return _from_partners(partner)
+    return PerfectMatching(support=tuple(range(1, sp.n + 1)), partner=tuple(partner))
 
 
-def _unfold(partner: list[int], start: int, seen: list[bool]) -> tuple[list[int], list[int]]:
+def _unfold(start: int, keys: list[int]) -> tuple[list[int], list[int]]:
     """Cycle and negative values that ``theta`` maps to one component.
 
-    ``start`` is the component's smallest index, in the role of 1, and the
-    partner list describes a Callan matching.  Deleting the edge at
-    (start, 1) and identifying the two rows leaves a path from start.  Bars
+    ``start`` is the component's smallest index, in the role of 1, and
+    ``keys`` is the walk from it (:func:`~cycledescent.matchings._walk`) in
+    a Callan matching of 1..n.  Deleting the edge at (start, 1) and
+    identifying the two rows leaves that walk as a path from start.  Bars
     go after every path step that crosses an arc (and at the end); each
     bar-delimited block, sorted decreasingly, becomes a run of the cycle,
-    with the block minimum positive and the rest negative.  Marks every
-    index of the component in ``seen``.
+    with the block minimum positive and the rest negative.
     """
-    seen[start] = True
     runs: list[list[int]] = []
     block = [start]
-    out = 2 * start  # leave start by its bottom vertex
-    close = out + 1
-    while (key := partner[out]) != close:
-        nxt = key >> 1
-        if seen[nxt]:
-            raise ValueError("edges do not form a perfect matching")
-        seen[nxt] = True
-        if (key ^ out) & 1 == 0:  # both ends in one row: an arc
+    out_row = 0  # the walk leaves start by its bottom vertex
+    for key in keys:
+        if key & 1 == out_row:  # both ends in one row: an arc
             runs.append(block)
             block = []
-        block.append(nxt)
-        out = key ^ 1  # leave nxt by its other vertex
+        block.append(key >> 1)
+        out_row = (key & 1) ^ 1  # and leaves each index by its other vertex
     runs.append(block)
     cycle: list[int] = []
     neg: list[int] = []
@@ -243,8 +232,7 @@ def theta_inv(m: PerfectMatching) -> SignedPermutation:
         raise ValueError("support must be exactly 1..l")
     if not is_callan(m):
         raise ValueError("matching has uplines")
-    seen = [True] + [False] * l
-    cycle, neg = _unfold(_partners(m), 1, seen)
+    cycle, neg = _unfold(1, _walk(m.partner, 1))
     if len(cycle) != l:
         raise ValueError("matching is not connected")
     perm = permutation_from_cycles([cycle], l)
@@ -264,7 +252,7 @@ def gamma(sp: SignedPermutation) -> PerfectMatching:
     partner = [0] * (2 * sp.n + 2)
     for cyc in standard_cycles(sp.perm).cycles:
         _theta_partners(cyc, sp.neg, partner)
-    return _from_partners(partner)
+    return PerfectMatching(support=tuple(range(1, sp.n + 1)), partner=tuple(partner))
 
 
 def gamma_inv(m: PerfectMatching) -> SignedPermutation:
@@ -278,15 +266,12 @@ def gamma_inv(m: PerfectMatching) -> SignedPermutation:
         raise ValueError("support must be exactly 1..n")
     if not is_callan(m):
         raise ValueError("matching has uplines")
-    partner = _partners(m)
-    seen = [True] + [False] * n
     cycles: list[list[int]] = []
     neg: list[int] = []
-    for start in range(1, n + 1):
-        if not seen[start]:
-            cycle, cycle_neg = _unfold(partner, start, seen)
-            cycles.append(cycle)
-            neg.extend(cycle_neg)
+    for start, keys in _component_walks(m):
+        cycle, cycle_neg = _unfold(start, keys)
+        cycles.append(cycle)
+        neg.extend(cycle_neg)
     perm = permutation_from_cycles(cycles, n)
     return SignedPermutation(perm=perm, neg=frozenset(neg))
 

@@ -10,14 +10,20 @@ Identifying (i,0) with (i,1) for every i turns a matching into a disjoint
 union of cycles; the sub-matchings induced by those cycles are the
 matching's connected components.
 
-Canonical ordering: inside an edge, vertices sort by (index, row); the
-edge list sorts by its smaller vertex.  This makes equality, hashing and
-the JSON form deterministic.
+Storage: a matching holds its sorted support and a partner list.  The
+index of rank r in the support sits in slot r + 1, and the vertex
+(i, row) has the key 2 * slot + row.  Keys follow the (index, row) order,
+a sparse support costs no more than 1..n, and on the support 1..n the key
+is 2i + row.  partner[k] is the key matched to key k; keys 0 and 1 are
+unused and hold 0.  A partner list is canonical, so equality and hashing
+read it and the support.  The edge list is a view: each edge is
+(smaller vertex, larger vertex), in order of the smaller vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .caps import check_cap
@@ -53,25 +59,31 @@ class PerfectMatching:
 
     The constructor trusts its arguments: a matching from outside comes in
     through :func:`mk_matching` or :func:`matching_from_json_dict`, which
-    validate and canonicalize it.
+    validate it and build its partner list.
     """
 
     support: tuple[int, ...]
-    edges: tuple[Edge, ...]
+    partner: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return len(self.support)
 
-    def partner_map(self) -> dict[MVertex, MVertex]:
-        out: dict[MVertex, MVertex] = {}
-        for a, b in self.edges:
-            out[a] = b
-            out[b] = a
-        return out
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        supp = self.support
+        return tuple(
+            (_key_vertex(supp, k), _key_vertex(supp, q))
+            for k, q in enumerate(self.partner)
+            if k < q
+        )
 
     def __str__(self) -> str:
         return " ".join(f"({a.index},{a.row})-({b.index},{b.row})" for a, b in self.edges)
+
+
+def _key_vertex(support: tuple[int, ...], key: int) -> MVertex:
+    return MVertex(support[(key >> 1) - 1], key & 1)
 
 
 def _vertex(v: Sequence[int] | MVertex) -> MVertex:
@@ -85,7 +97,7 @@ def _vertex(v: Sequence[int] | MVertex) -> MVertex:
 def mk_matching(
     support: Iterable[int], edges: Iterable[Sequence[Sequence[int] | MVertex]]
 ) -> PerfectMatching:
-    """Validate and canonicalize a matching given as vertex pairs."""
+    """Validate a matching given as vertex pairs and build its partner list."""
     try:
         supp = tuple(sorted(set(support)))
         positive = all(v >= 1 for v in supp)
@@ -93,9 +105,17 @@ def mk_matching(
         raise ValueError(f"support must be a collection of integers: {support!r}") from None
     if not positive:
         raise ValueError("support must contain positive integers")
-    required = {MVertex(i, r) for i in supp for r in (0, 1)}
-    canon: list[Edge] = []
-    covered: set[MVertex] = set()
+    bottom = {i: 2 * slot for slot, i in enumerate(supp, 1)}
+    partner = [0] * (2 * len(supp) + 2)
+
+    def key(v: MVertex) -> int:
+        if v.index not in bottom or v.row not in (0, 1):
+            raise ValueError(f"vertex outside the support rows: {v}")
+        k = bottom[v.index] + v.row
+        if partner[k]:
+            raise ValueError(f"vertex covered twice: {v}")
+        return k
+
     for pair in edges:
         try:
             a, b = pair
@@ -104,59 +124,34 @@ def mk_matching(
         a, b = _vertex(a), _vertex(b)
         if a == b:
             raise ValueError(f"vertex paired with itself: {a}")
-        for v in (a, b):
-            if v not in required:
-                raise ValueError(f"vertex outside the support rows: {v}")
-            if v in covered:
-                raise ValueError(f"vertex covered twice: {v}")
-            covered.add(v)
-        canon.append(tuple(sorted((a, b))))
-    if covered != required:
-        missing = sorted(required - covered)
+        ka, kb = key(a), key(b)
+        partner[ka], partner[kb] = kb, ka
+    missing = [_key_vertex(supp, k) for k in range(2, len(partner)) if not partner[k]]
+    if missing:
         raise ValueError(f"uncovered vertices: {missing}")
-    return PerfectMatching(support=supp, edges=tuple(sorted(canon)))
+    # 2.0 and True pass the checks above, as they equal the ints 2 and 1 that
+    # edges name; the edge view prints support values, so they must be ints
+    if not all(type(v) is int for v in supp):
+        raise ValueError(f"support must be a collection of integers: {support!r}")
+    return PerfectMatching(support=supp, partner=tuple(partner))
 
 
-# Internal code addresses the vertex (i, r) of a matching of 1..n by the
-# key 2i + r, so keys follow the canonical (index, row) order, and holds a
-# matching as a partner list: partner[k] is the key matched to key k
-# (slots 0 and 1 are unused).
+def _edge_kind(a: int, b: int) -> str:
+    """Class of the edge between the vertices with keys a and b.
 
-
-def _from_partners(partner: Sequence[int]) -> PerfectMatching:
-    """Trusted constructor from a partner list of a perfect matching of 1..n.
-
-    Each edge is emitted once, at its smaller key, in increasing key order,
-    which is the canonical edge order of :func:`mk_matching`.
+    Any key 2x + row in which x orders like the indices will do.
     """
-    edges = tuple(
-        (MVertex(k >> 1, k & 1), MVertex(q >> 1, q & 1))
-        for k, q in enumerate(partner)
-        if k < q
-    )
-    return PerfectMatching(support=tuple(range(1, len(partner) // 2)), edges=edges)
-
-
-def _partners(m: PerfectMatching) -> list[int]:
-    """Partner list of a matching whose support is 1..n."""
-    partner = [0] * (2 * m.n + 2)
-    for a, b in m.edges:
-        ka, kb = 2 * a.index + a.row, 2 * b.index + b.row
-        partner[ka] = kb
-        partner[kb] = ka
-    return partner
+    if (a ^ b) & 1 == 0:
+        return "arc"
+    bottom, top = (a, b) if a & 1 == 0 else (b, a)
+    if bottom >> 1 == top >> 1:
+        return "vertical"
+    return "upline" if bottom < top else "downline"
 
 
 def edge_class(edge: Edge) -> str:
     a, b = edge
-    if a.row == b.row:
-        return "arc"
-    bottom, top = (a, b) if a.row == 0 else (b, a)
-    if bottom.index < top.index:
-        return "upline"
-    if bottom.index > top.index:
-        return "downline"
-    return "vertical"
+    return _edge_kind(2 * a.index + a.row, 2 * b.index + b.row)
 
 
 @dataclass(frozen=True)
@@ -168,53 +163,69 @@ class MatchStats:
     com: int
 
 
-def _component_supports(m: PerfectMatching) -> list[list[int]]:
-    parent = {i: i for i in m.support}
+def _walk(partner: Sequence[int], slot: int) -> list[int]:
+    """Keys entered on the walk around the component of ``slot``.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    The walk leaves ``slot`` by its bottom vertex and follows its edge; it
+    leaves each slot it enters by that slot's other vertex, until it comes
+    back to the top vertex of ``slot``, whose key is not listed.  Every
+    other slot of the component is entered exactly once.
+    """
+    keys: list[int] = []
+    out, close = 2 * slot, 2 * slot + 1
+    while (key := partner[out]) != close:
+        keys.append(key)
+        out = key ^ 1
+    return keys
 
-    for a, b in m.edges:
-        ra, rb = find(a.index), find(b.index)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for i in m.support:
-        groups.setdefault(find(i), []).append(i)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+def _component_walks(m: PerfectMatching) -> Iterator[tuple[int, list[int]]]:
+    """(smallest slot, :func:`_walk` from it) per component, by smallest slot."""
+    seen = [False] * (m.n + 1)
+    for start in range(1, m.n + 1):
+        if not seen[start]:
+            keys = _walk(m.partner, start)
+            for k in keys:
+                seen[k >> 1] = True
+            yield start, keys
 
 
 def match_stats(m: PerfectMatching) -> MatchStats:
     kinds = {"arc": 0, "upline": 0, "downline": 0, "vertical": 0}
-    for e in m.edges:
-        kinds[edge_class(e)] += 1
+    for k, q in enumerate(m.partner):
+        if k < q:
+            kinds[_edge_kind(k, q)] += 1
     return MatchStats(
         arc=kinds["arc"],
         up=kinds["upline"],
         down=kinds["downline"],
         ver=kinds["vertical"],
-        com=len(_component_supports(m)) if m.support else 0,
+        com=sum(1 for _ in _component_walks(m)),
     )
 
 
 def is_callan(m: PerfectMatching) -> bool:
-    return all(edge_class(e) != "upline" for e in m.edges)
+    return all(_edge_kind(k, q) != "upline" for k, q in enumerate(m.partner) if k < q)
 
 
 def components(m: PerfectMatching) -> list[PerfectMatching]:
     """Induced sub-matchings, one per identification cycle, by min support."""
     out: list[PerfectMatching] = []
-    for group in _component_supports(m):
-        members = set(group)
-        edges = tuple(e for e in m.edges if e[0].index in members)
-        out.append(PerfectMatching(support=tuple(group), edges=edges))
+    for start, keys in _component_walks(m):
+        slots = sorted([start, *(k >> 1 for k in keys)])
+        new_slot = {s: r for r, s in enumerate(slots, 1)}
+        partner = (0, 0, *(
+            2 * new_slot[q >> 1] + (q & 1) for s in slots for q in m.partner[2 * s : 2 * s + 2]
+        ))
+        out.append(
+            PerfectMatching(support=tuple(m.support[s - 1] for s in slots), partner=partner)
+        )
     return out
 
 
-MATCHING_FILTERS = ("all", "callan", "callan_no_vertical")
+# The edge classes each filter refuses.
+_REFUSED = {"all": (), "callan": ("upline",), "callan_no_vertical": ("upline", "vertical")}
+MATCHING_FILTERS = tuple(_REFUSED)
 
 
 def enumerate_matchings(n: int, flt: str = "all") -> Iterator[PerfectMatching]:
@@ -230,37 +241,24 @@ def enumerate_matchings(n: int, flt: str = "all") -> Iterator[PerfectMatching]:
     if n < 0:
         raise ValueError("negative size")
     check_cap("matching enumeration", n)
-    vertices = [MVertex(i, r) for i in range(1, n + 1) for r in (0, 1)]
     support = tuple(range(1, n + 1))
-    forbid_vertical = flt == "callan_no_vertical"
-    prune_uplines = flt in ("callan", "callan_no_vertical")
-    chosen: list[Edge] = []
-    free = vertices  # working copy handed down the recursion
+    refused = _REFUSED[flt]
+    # every path to a leaf writes every key, so no choice needs undoing
+    partner = [0] * (2 * n + 2)
 
-    def admissible(a: MVertex, b: MVertex) -> bool:
-        cls = edge_class((a, b))
-        if prune_uplines and cls == "upline":
-            return False
-        if forbid_vertical and cls == "vertical":
-            return False
-        return True
-
-    # ``free`` stays sorted and ``a`` is its smallest vertex, so every edge
-    # is chosen as (smaller, larger) and ``chosen`` grows in canonical order
-    def rec(free: tuple[MVertex, ...]) -> Iterator[PerfectMatching]:
+    def rec(free: tuple[int, ...]) -> Iterator[PerfectMatching]:
         if not free:
-            yield PerfectMatching(support=support, edges=tuple(chosen))
+            yield PerfectMatching(support=support, partner=tuple(partner))
             return
         a = free[0]
         for k in range(1, len(free)):
             b = free[k]
-            if not admissible(a, b):
+            if _edge_kind(a, b) in refused:
                 continue
-            chosen.append((a, b))
+            partner[a], partner[b] = b, a
             yield from rec(free[1:k] + free[k + 1 :])
-            chosen.pop()
 
-    yield from rec(tuple(free))
+    yield from rec(tuple(range(2, 2 * n + 2)))
 
 
 def matching_to_json_dict(m: PerfectMatching) -> dict:

@@ -58,12 +58,6 @@ class PolyTable:
     n: int
     entries: dict[int, MultiPoly]
 
-    def total(self) -> MultiPoly:
-        acc = ZERO
-        for p in self.entries.values():
-            acc = acc + p
-        return acc
-
 
 @dataclass
 class IdentityReport:

@@ -517,8 +517,7 @@ def _check_downline_per_cycle(n: int, seed: int) -> tuple[bool, str]:
             continue
         count += 1
         m = bj.theta(s)
-        closing = next(e for e in m.edges if mt.MVertex(1, 1) in e)
-        bump = 1 if mt.edge_class(closing) == "downline" else 0
+        bump = 1 if mt._edge_kind(3, m.partner[3]) == "downline" else 0  # key 3 is (1, 1)
         if mt.match_stats(m).down != len(s.neg) + bump:
             return False, f"{s}: down={mt.match_stats(m).down}, neg={len(s.neg)}, bump={bump}"
     return True, f"{count} cyclic inputs satisfy the per-cycle form"
@@ -530,8 +529,7 @@ def _check_downline_global_report(n: int, seed: int) -> tuple[bool, str]:
     first_fail = None
     for s in bj.enumerate_negative_cdes(n):
         m = bj.gamma(s)
-        partner = m.partner_map()[mt.MVertex(1, 1)]
-        expected = len(s.neg) + (0 if partner.row == 1 else 1)
+        expected = len(s.neg) + (0 if m.partner[3] & 1 else 1)  # key 3 is (1, 1)
         if mt.match_stats(m).down == expected:
             holds += 1
         else:

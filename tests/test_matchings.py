@@ -160,3 +160,10 @@ def test_sub_matching_on_sparse_support():
     comp = components(mk_matching(range(1, 9), EX_CALLAN))[1]
     assert comp.support == (2, 7, 8)
     assert match_stats(comp).down == 1
+
+
+def test_mk_matching_refuses_non_integer_support():
+    # 2.0 and True equal the ints 2 and 1 that the edges name
+    for support in ([2.0, 1], [True, 2]):
+        with pytest.raises(ValueError, match="support must be a collection of integers"):
+            mk_matching(support, [((1, 0), (1, 1)), ((2, 0), (2, 1))])

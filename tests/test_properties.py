@@ -4,12 +4,17 @@ The parsers must invert the formatters at sizes no enumeration reaches,
 and no text over the notation's own alphabet may make ``stats`` or
 ``map gamma`` fail other than with exit status 2 and an ``error:`` line.
 Beyond the exhaustive caps of ``verify``, ``psi`` and ``varphi`` keep
-their involution laws and ``gamma``/``theta`` invert.  Every test is
+their involution laws, ``gamma``/``theta`` invert and carry the statistics
+over.  Matching JSON, valid or broken, never makes ``map`` or ``diagram``
+print a traceback, and the key-based matching statistics agree with a
+naive oracle on Callan and non-Callan matchings.  Every test is
 derandomized, so a run is reproducible.
 """
 
 import contextlib
 import io
+import json
+import time
 from unittest import mock
 
 from hypothesis import given, settings
@@ -19,6 +24,15 @@ from cycledescent import bijections as bj
 from cycledescent.bijections import SignedPermutation, format_signed, parse_signed
 from cycledescent.cli import main
 from cycledescent.involutions import psi, varphi
+from cycledescent.matchings import (
+    MVertex,
+    components,
+    edge_class,
+    is_callan,
+    match_stats,
+    matching_to_json_dict,
+    mk_matching,
+)
 from cycledescent.perms import (
     Permutation,
     cycle_string,
@@ -160,3 +174,166 @@ def test_gamma_roundtrip_beyond_the_cap(s):
 @given(negative_cdes(cyclic()))
 def test_theta_roundtrip_beyond_the_cap(s):
     assert bj.theta_inv(bj.theta(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# Matching JSON through the CLI, and the key-based statistics.
+
+JUNK = st.one_of(
+    st.integers(min_value=-2, max_value=3),
+    st.just(10**12),
+    st.text(max_size=2),
+    st.none(),
+    st.just(1.5),
+    st.just(2.0),
+    st.booleans(),
+    st.lists(st.integers(min_value=0, max_value=3), max_size=3),
+)
+
+
+@st.composite
+def sparse_pairings(draw, max_n=60):
+    """A valid matching JSON dict: a random pairing on a random sparse support."""
+    support = draw(
+        st.lists(st.integers(min_value=1, max_value=10**12), max_size=max_n, unique=True)
+    )
+    vertices = draw(st.permutations([[i, r] for i in support for r in (0, 1)]))
+    edges = [vertices[k : k + 2] for k in range(0, len(vertices), 2)]
+    return {"support": support, "edges": edges}
+
+
+@st.composite
+def matching_json(draw):
+    """Matching JSON text, valid or broken in one of the ways input can be."""
+    data = draw(
+        st.one_of(
+            sparse_pairings(max_n=6),
+            negative_cdes(permutations(max_n=6)).map(
+                lambda s: matching_to_json_dict(bj.gamma(s))
+            ),
+        )
+    )
+    support, edges = data["support"], data["edges"]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        fault = draw(st.sampled_from(("drop", "repeat", "edge", "vertex", "support", "self")))
+        if fault == "edge":
+            edges.append(draw(st.one_of(JUNK, st.lists(JUNK, max_size=3))))
+        elif fault == "support":
+            support.append(draw(JUNK))
+        elif edges:
+            k = draw(st.integers(0, len(edges) - 1))
+            a, b = edges[k] if isinstance(edges[k], list) and len(edges[k]) == 2 else (1, 1)
+            if fault == "drop":
+                edges.pop(k)
+            elif fault == "repeat":
+                edges.append(edges[k])
+            elif fault == "vertex":
+                edges[k] = [draw(st.one_of(JUNK, st.lists(JUNK, max_size=3))), b]
+            else:  # a vertex paired with itself
+                edges[k] = [a, a]
+    if draw(st.integers(0, 9)) == 0:  # not a matching object at all
+        data = draw(st.sampled_from(({"edges": edges}, [support, edges], {"support": 1})))
+    return json.dumps(data)
+
+
+@SEEDED
+@given(matching_json())
+def test_cli_matching_json_fuzz_exits_0_1_or_2(text):
+    for argv in (
+        ["map", "gamma-inv", "--input", text],
+        ["map", "theta-inv", "--input", text],
+        ["diagram", "--input", text],
+        ["diagram", "--input", text, "--format", "svg"],
+    ):
+        code, out, err = _run(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+            assert "error: " in err
+
+
+def test_diagram_on_a_huge_sparse_support_is_fast():
+    text = json.dumps(
+        {"support": [2, 10**12], "edges": [[[2, 0], [10**12, 1]], [[2, 1], [10**12, 0]]]}
+    )
+    start = time.perf_counter()
+    code, out, _ = _run(["diagram", "--input", text, "--format", "text"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == (
+        "row 1:             2 1000000000000\n"
+        "row 0:             2 1000000000000\n"
+        "arc:      -\n"
+        "upline:   (2,0)-(1000000000000,1)\n"
+        "downline: (2,1)-(1000000000000,0)\n"
+        "vertical: -\n"
+        "warning: matching has uplines (not Callan)\n"
+    )
+
+
+def naive_stats(m):
+    """Edge classes read off the vertex pairs, and a union-find over indices."""
+    kinds = {"arc": 0, "upline": 0, "downline": 0, "vertical": 0}
+    root = {i: i for i in m.support}
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for a, b in m.edges:
+        if a.row == b.row:
+            kind = "arc"
+        else:
+            bottom, top = (a, b) if a.row == 0 else (b, a)
+            kind = "vertical" if bottom.index == top.index else (
+                "upline" if bottom.index < top.index else "downline"
+            )
+        assert edge_class((a, b)) == kind
+        kinds[kind] += 1
+        root[find(a.index)] = find(b.index)
+    groups = {}
+    for i in m.support:
+        groups.setdefault(find(i), []).append(i)
+    return kinds, sorted(tuple(g) for g in groups.values())
+
+
+def assert_stats_match_oracle(m):
+    kinds, supports = naive_stats(m)
+    stats = match_stats(m)
+    assert (stats.arc, stats.up, stats.down, stats.ver, stats.com) == (
+        kinds["arc"], kinds["upline"], kinds["downline"], kinds["vertical"], len(supports)
+    )
+    assert is_callan(m) == (kinds["upline"] == 0)
+    parts = components(m)
+    assert [c.support for c in parts] == supports
+    assert set(m.edges) == {e for c in parts for e in c.edges}
+
+
+@SEEDED
+@given(negative_cdes())
+def test_key_stats_of_gamma_images_match_the_oracle(s):
+    assert_stats_match_oracle(bj.gamma(s))
+
+
+@SEEDED
+@given(sparse_pairings())
+def test_key_stats_of_sparse_pairings_match_the_oracle(data):
+    assert_stats_match_oracle(mk_matching(data["support"], data["edges"]))
+
+
+@SEEDED
+@given(negative_cdes())
+def test_statistic_transport_beyond_the_cap(s):
+    stats, pstats = match_stats(bj.gamma(s)), statistics(s.perm)
+    assert (stats.com, stats.ver) == (pstats.cyc, pstats.fix)
+
+
+@SEEDED
+@given(negative_cdes(cyclic()))
+def test_downline_per_cycle_form_beyond_the_cap(s):
+    m = bj.theta(s)
+    closing = next(e for e in m.edges if MVertex(1, 1) in e)
+    bump = 1 if edge_class(closing) == "downline" else 0
+    assert match_stats(m).down == len(s.neg) + bump
