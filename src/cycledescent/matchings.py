@@ -89,9 +89,12 @@ def _key_vertex(support: tuple[int, ...], key: int) -> MVertex:
 def _vertex(v: Sequence[int] | MVertex) -> MVertex:
     try:
         index, row = v
-        return MVertex(int(index), int(row))
     except (TypeError, ValueError):
-        raise ValueError(f"vertex must be an [index, row] pair of integers: {v!r}") from None
+        index = row = None
+    # 1.5, "1" and True are refused, not read as another vertex
+    if type(index) is not int or type(row) is not int:
+        raise ValueError(f"vertex must be an [index, row] pair of integers: {v!r}")
+    return MVertex(index, row)
 
 
 def mk_matching(

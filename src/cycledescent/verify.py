@@ -3,8 +3,11 @@ Exhaustive verification suites behind the ``verify`` CLI command.
 
 Each check is a pure function of a size n returning (passed, detail); a
 suite is a set of checks, each with its own size cap chosen so that the
-whole battery stays desk-scale.  Checks at different sizes are
-independent, so a suite can fan out over a process pool.
+whole battery stays desk-scale.  The bijection checks of one size share
+one walk of the signed objects and one of the Callan matchings, and each
+reads its outcome off the two.  Tasks at different sizes are
+independent, so a suite can fan out over a process pool, largest sizes
+first.
 
 Informational checks never fail: they attach their findings to the
 summary's notes (used for the downline formula, whose textbook global
@@ -427,121 +430,173 @@ def _check_phi_preservation(n: int, seed: int) -> tuple[bool, str]:
     return True, f"{moved} permutations moved"
 
 
-def _check_count_callan(n: int, seed: int, derangements: bool = False) -> tuple[bool, str]:
-    family = "callan_no_vertical" if derangements else "callan"
-    m_count = sum(1 for _ in mt.enumerate_matchings(n, family))
-    rec = sp.b20_count(n) if derangements else sp.klazar_count(n)
-    flt = "derangement" if derangements else "all"
-    signed = sum(1 for _ in bj.enumerate_negative_cdes(n, flt))
+# ---------------------------------------------------------------------------
+# Bijection checks from two walks per size.
+#
+# ``_walk_signed(n)`` walks the negative cdes permutations of size n once:
+# it computes gamma, gamma_inv of the image, match_stats of the image and
+# the permutation statistics of every object, and theta, theta_inv and
+# match_stats of every cyclic object.  ``_walk_callan(n)`` walks the Callan
+# matchings of size n once and runs the reverse round trip on its own.  A
+# walk keeps counts and the first failure of each law it reads, and keeps
+# image and target sets only when an image check runs at its size, so no
+# set of a size beyond the image cap is held.  Each bijection check is a
+# fold that reads its outcome at size n off the two walks.
+
+_IMAGE_CHECKS = ("gamma-image", "theta-image", "derangement-restriction")
+
+
+class _SignedWalk:
+    def __init__(self, images: bool) -> None:
+        self.count = self.cyclic = self.derangements = 0
+        self.holds = 0  # objects on which the row-of-partner downline form holds
+        self.cyclic_fails = 0  # cyclic objects on which it fails
+        self.first: dict[str, str] = {}  # check id -> first failure
+        self.images: dict[str, set] = {c: set() for c in _IMAGE_CHECKS} if images else {}
+
+
+class _CallanWalk:
+    def __init__(self, images: bool) -> None:
+        self.count = self.no_vertical = 0
+        self.reverse_trip: str | None = None  # first failure of gamma(gamma_inv(m)) == m
+        self.targets: dict[str, set] = {c: set() for c in _IMAGE_CHECKS} if images else {}
+
+
+def _walk_signed(n: int, images: bool) -> _SignedWalk:
+    w = _SignedWalk(images)
+    first = w.first
+    perm = pstats = None
+    for s in bj.enumerate_negative_cdes(n):
+        if s.perm is not perm:  # the sign sets of one permutation come in a row
+            perm, pstats = s.perm, statistics(s.perm)
+        w.count += 1
+        m = bj.gamma(s)
+        if bj.gamma_inv(m) != s:
+            first.setdefault("gamma-roundtrip", f"round trip broke at {s}")
+        stats = mt.match_stats(m)
+        if stats.com != pstats.cyc or stats.ver != pstats.fix:
+            first.setdefault("statistic-transport", (
+                f"{s}: com={stats.com} cyc={pstats.cyc}"
+                f" ver={stats.ver} fix={pstats.fix}"
+            ))
+        if stats.down == len(s.neg) + (0 if m.partner[3] & 1 else 1):  # key 3 is (1, 1)
+            w.holds += 1
+        else:
+            w.cyclic_fails += pstats.cyc == 1
+            first.setdefault("downline-global-report", str(s))
+        if pstats.cyc == 1:
+            w.cyclic += 1
+            t = bj.theta(s)
+            if bj.theta_inv(t) != s:
+                first.setdefault("theta-roundtrip", f"round trip broke at {s}")
+            down = mt.match_stats(t).down
+            bump = 1 if mt._edge_kind(3, t.partner[3]) == "downline" else 0  # key 3 is (1, 1)
+            if down != len(s.neg) + bump:
+                first.setdefault(
+                    "downline-per-cycle", f"{s}: down={down}, neg={len(s.neg)}, bump={bump}"
+                )
+            if images:
+                w.images["theta-image"].add(t)
+        w.derangements += pstats.fix == 0
+        if images:
+            w.images["gamma-image"].add(m)
+            if pstats.fix == 0:
+                w.images["derangement-restriction"].add(m)
+    return w
+
+
+def _walk_callan(n: int, images: bool) -> _CallanWalk:
+    w = _CallanWalk(images)
+    for m in mt.enumerate_matchings(n, "callan"):
+        w.count += 1
+        # (i, 0)-(i, 1) is a vertical: key 2i partnered with key 2i + 1
+        vertical_free = all(m.partner[k] != k + 1 for k in range(2, 2 * n + 2, 2))
+        w.no_vertical += vertical_free
+        if bj.gamma(bj.gamma_inv(m)) != m and w.reverse_trip is None:
+            w.reverse_trip = f"reverse round trip broke at {m}"
+        if images:
+            w.targets["gamma-image"].add(m)
+            if mt.match_stats(m).com == 1:
+                w.targets["theta-image"].add(m)
+            if vertical_free:
+                w.targets["derangement-restriction"].add(m)
+    return w
+
+
+def _law(s: _SignedWalk, check_id: str, passing: str) -> tuple[bool, str]:
+    """The outcome of a law the signed walk reads on its own."""
+    failure = s.first.get(check_id)
+    return (False, failure) if failure else (True, passing)
+
+
+def _fold_counts(
+    n: int, s: _SignedWalk, c: _CallanWalk, derangements: bool = False
+) -> tuple[bool, str]:
+    if derangements:
+        m_count, rec, signed = c.no_vertical, sp.b20_count(n), s.derangements
+    else:
+        m_count, rec, signed = c.count, sp.klazar_count(n), s.count
     if not (m_count == rec == signed):
         return False, f"matchings {m_count}, recurrence {rec}, signed perms {signed}"
     return True, f"all three give {rec}"
 
 
-def _check_gamma_image(n: int, seed: int) -> tuple[bool, str]:
-    inputs = list(bj.enumerate_negative_cdes(n))
-    image = {bj.gamma(s) for s in inputs}
-    if len(image) != len(inputs):
-        return False, f"gamma not injective: {len(inputs)} inputs, {len(image)} images"
-    target = set(mt.enumerate_matchings(n, "callan"))
+def _fold_gamma_image(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
+    image, target = s.images["gamma-image"], c.targets["gamma-image"]
+    if len(image) != s.count:
+        return False, f"gamma not injective: {s.count} inputs, {len(image)} images"
     if image != target:
         return False, f"image has {len(image)} matchings, target {len(target)}"
-    return True, f"bijection on {len(inputs)} objects"
+    return True, f"bijection on {s.count} objects"
 
 
-def _check_theta_image(n: int, seed: int) -> tuple[bool, str]:
-    inputs = [
-        s for s in bj.enumerate_negative_cdes(n) if statistics(s.perm).cyc == 1
-    ]
-    image = {bj.theta(s) for s in inputs}
-    if len(image) != len(inputs):
-        return False, f"theta not injective on {len(inputs)} inputs"
-    target = {
-        m for m in mt.enumerate_matchings(n, "callan") if mt.match_stats(m).com == 1
-    }
+def _fold_theta_image(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
+    image, target = s.images["theta-image"], c.targets["theta-image"]
+    if len(image) != s.cyclic:
+        return False, f"theta not injective on {s.cyclic} inputs"
     if image != target:
         return False, f"image has {len(image)} matchings, target {len(target)}"
-    return True, f"bijection on {len(inputs)} cyclic objects"
+    return True, f"bijection on {s.cyclic} cyclic objects"
 
 
-def _check_gamma_roundtrip(n: int, seed: int) -> tuple[bool, str]:
-    count = 0
-    for s in bj.enumerate_negative_cdes(n):
-        count += 1
-        if bj.gamma_inv(bj.gamma(s)) != s:
-            return False, f"round trip broke at {s}"
-    for m in mt.enumerate_matchings(n, "callan"):
-        if bj.gamma(bj.gamma_inv(m)) != m:
-            return False, f"reverse round trip broke at {m}"
-    return True, f"{count} signed permutations and as many matchings"
+def _fold_derangement_restriction(
+    n: int, s: _SignedWalk, c: _CallanWalk
+) -> tuple[bool, str]:
+    image = s.images["derangement-restriction"]
+    target = c.targets["derangement-restriction"]
+    if len(image) != s.derangements or image != target:
+        return False, f"{s.derangements} inputs, {len(image)} images, {len(target)} targets"
+    return True, f"bijection on {s.derangements} derangement objects"
 
 
-def _check_theta_roundtrip(n: int, seed: int) -> tuple[bool, str]:
-    count = 0
-    for s in bj.enumerate_negative_cdes(n):
-        if statistics(s.perm).cyc != 1:
-            continue
-        count += 1
-        if bj.theta_inv(bj.theta(s)) != s:
-            return False, f"round trip broke at {s}"
-    return True, f"{count} cyclic signed permutations"
+def _fold_gamma_roundtrip(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
+    failure = s.first.get("gamma-roundtrip") or c.reverse_trip
+    if failure:
+        return False, failure
+    return True, f"{s.count} signed permutations and as many matchings"
 
 
-def _check_transport(n: int, seed: int) -> tuple[bool, str]:
-    count = 0
-    for s in bj.enumerate_negative_cdes(n):
-        count += 1
-        stats = mt.match_stats(bj.gamma(s))
-        pstats = statistics(s.perm)
-        if stats.com != pstats.cyc or stats.ver != pstats.fix:
-            return False, (
-                f"{s}: com={stats.com} cyc={pstats.cyc}"
-                f" ver={stats.ver} fix={pstats.fix}"
-            )
-    return True, f"components/verticals match on {count} objects"
+def _fold_theta_roundtrip(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
+    return _law(s, "theta-roundtrip", f"{s.cyclic} cyclic signed permutations")
 
 
-def _check_derangement_restriction(n: int, seed: int) -> tuple[bool, str]:
-    inputs = list(bj.enumerate_negative_cdes(n, "derangement"))
-    image = {bj.gamma(s) for s in inputs}
-    target = set(mt.enumerate_matchings(n, "callan_no_vertical"))
-    if len(image) != len(inputs) or image != target:
-        return False, f"{len(inputs)} inputs, {len(image)} images, {len(target)} targets"
-    return True, f"bijection on {len(inputs)} derangement objects"
+def _fold_transport(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
+    return _law(s, "statistic-transport", f"components/verticals match on {s.count} objects")
 
 
-def _check_downline_per_cycle(n: int, seed: int) -> tuple[bool, str]:
-    count = 0
-    for s in bj.enumerate_negative_cdes(n):
-        if statistics(s.perm).cyc != 1:
-            continue
-        count += 1
-        m = bj.theta(s)
-        bump = 1 if mt._edge_kind(3, m.partner[3]) == "downline" else 0  # key 3 is (1, 1)
-        if mt.match_stats(m).down != len(s.neg) + bump:
-            return False, f"{s}: down={mt.match_stats(m).down}, neg={len(s.neg)}, bump={bump}"
-    return True, f"{count} cyclic inputs satisfy the per-cycle form"
+def _fold_downline_per_cycle(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
+    return _law(
+        s, "downline-per-cycle", f"{s.cyclic} cyclic inputs satisfy the per-cycle form"
+    )
 
 
-def _check_downline_global_report(n: int, seed: int) -> tuple[bool, str]:
-    holds = fails = 0
-    cyclic_fails = 0
-    first_fail = None
-    for s in bj.enumerate_negative_cdes(n):
-        m = bj.gamma(s)
-        expected = len(s.neg) + (0 if m.partner[3] & 1 else 1)  # key 3 is (1, 1)
-        if mt.match_stats(m).down == expected:
-            holds += 1
-        else:
-            fails += 1
-            if statistics(s.perm).cyc == 1:
-                cyclic_fails += 1
-            if first_fail is None:
-                first_fail = str(s)
-    total = holds + fails
-    msg = f"row-of-partner form holds for {holds}/{total} signed permutations"
-    if fails:
-        msg += f"; {cyclic_fails} failing inputs are cyclic; first failure {first_fail}"
+def _fold_downline_global_report(
+    n: int, s: _SignedWalk, c: _CallanWalk
+) -> tuple[bool, str]:
+    msg = f"row-of-partner form holds for {s.holds}/{s.count} signed permutations"
+    if s.holds < s.count:
+        first = s.first["downline-global-report"]
+        msg += f"; {s.cyclic_fails} failing inputs are cyclic; first failure {first}"
     else:
         msg += "; no failures"
     return True, msg
@@ -553,10 +608,17 @@ def _check_downline_global_report(n: int, seed: int) -> tuple[bool, str]:
 
 @dataclass(frozen=True)
 class Check:
+    """A check whose ``fn(n, seed)`` gives (passed, detail) at size n."""
+
     fn: Callable[[int, int], tuple[bool, str]]
     min_n: int
     cap: int
     informational: bool = False
+
+
+class WalkCheck(Check):
+    """A bijection check: ``fn(n, signed, callan)`` folds its outcome at
+    size n off the signed and the Callan walk of that size."""
 
 
 CHECKS: dict[str, Check] = {
@@ -572,16 +634,16 @@ CHECKS: dict[str, Check] = {
     "psi-fixed-weight": Check(_check_psi_fixed_weight, 2, 8),
     "varphi-involution": Check(_check_varphi_involution, 2, 8),
     "phi-preservation": Check(_check_phi_preservation, 1, 8),
-    "count-callan": Check(_check_count_callan, 1, 7),
-    "count-callan-no-vertical": Check(partial(_check_count_callan, derangements=True), 1, 7),
-    "gamma-image": Check(_check_gamma_image, 1, 6),
-    "theta-image": Check(_check_theta_image, 1, 6),
-    "gamma-roundtrip": Check(_check_gamma_roundtrip, 1, 7),
-    "theta-roundtrip": Check(_check_theta_roundtrip, 1, 7),
-    "statistic-transport": Check(_check_transport, 1, 7),
-    "derangement-restriction": Check(_check_derangement_restriction, 1, 6),
-    "downline-per-cycle": Check(_check_downline_per_cycle, 1, 7),
-    "downline-global-report": Check(_check_downline_global_report, 1, 7, informational=True),
+    "count-callan": WalkCheck(_fold_counts, 1, 7),
+    "count-callan-no-vertical": WalkCheck(partial(_fold_counts, derangements=True), 1, 7),
+    "gamma-image": WalkCheck(_fold_gamma_image, 1, 6),
+    "theta-image": WalkCheck(_fold_theta_image, 1, 6),
+    "gamma-roundtrip": WalkCheck(_fold_gamma_roundtrip, 1, 7),
+    "theta-roundtrip": WalkCheck(_fold_theta_roundtrip, 1, 7),
+    "statistic-transport": WalkCheck(_fold_transport, 1, 7),
+    "derangement-restriction": WalkCheck(_fold_derangement_restriction, 1, 6),
+    "downline-per-cycle": WalkCheck(_fold_downline_per_cycle, 1, 7),
+    "downline-global-report": WalkCheck(_fold_downline_global_report, 1, 7, informational=True),
 }
 
 for _id, _min in sp.IDENTITY_MIN_N.items():
@@ -628,10 +690,43 @@ def _plan(suite: str, n_max: int | None) -> list[tuple[str, int]]:
     return tasks
 
 
-def _run_one(task: tuple[str, int, int]) -> tuple[str, int, bool, str]:
-    check_id, n, seed = task
-    passed, detail = CHECKS[check_id].fn(n, seed)
-    return check_id, n, passed, detail
+def _run_check(check_id: str, n: int, seed: int) -> tuple[bool, str]:
+    # a worker looks the check up by id, as some check bodies are closures
+    return CHECKS[check_id].fn(n, seed)
+
+
+def _walk_both(n: int, check_ids: tuple[str, ...]) -> dict[str, tuple[bool, str]]:
+    """Both walks of a size where an image check runs, folded in one task.
+
+    The image and target sets then stay in the process that builds them.
+    """
+    s, c = _walk_signed(n, images=True), _walk_callan(n, images=True)
+    return {check_id: CHECKS[check_id].fn(n, s, c) for check_id in check_ids}
+
+
+def _tasks(plan: list[tuple[str, int]], seed: int) -> dict[tuple[str, int], tuple]:
+    """The tasks of a plan as (function, *arguments), keyed, in plan order.
+
+    A :class:`Check` is one task per (check, n).  The walk checks of size n
+    share the walks of that size: one task ("both", n) where an image check
+    is planned at n, else ("signed", n) and then ("callan", n), which can
+    run side by side and which the caller folds.
+    """
+    walk_ids: dict[int, list[str]] = {}
+    for check_id, n in plan:
+        if isinstance(CHECKS[check_id], WalkCheck):
+            walk_ids.setdefault(n, []).append(check_id)
+    tasks: dict[tuple[str, int], tuple] = {}
+    for check_id, n in plan:
+        ids = walk_ids.get(n, ())
+        if check_id not in ids:
+            tasks[check_id, n] = (_run_check, check_id, n, seed)
+        elif any(c in ids for c in _IMAGE_CHECKS):
+            tasks.setdefault(("both", n), (_walk_both, n, tuple(ids)))
+        else:
+            tasks.setdefault(("signed", n), (_walk_signed, n, False))
+            tasks.setdefault(("callan", n), (_walk_callan, n, False))
+    return tasks
 
 
 def run_verification(
@@ -655,21 +750,32 @@ def run_verification(
         raise ValueError("n_max must be >= 1")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(cid, n, seed) for cid, n in _plan(suite, n_max)]
+    plan = _plan(suite, n_max)
+    tasks = _tasks(plan, seed)
     if jobs > 1:
+        # largest sizes first, so the longest tasks start side by side
+        order = sorted(tasks, key=lambda key: -key[1])
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, tasks))
+            futures = {key: pool.submit(*tasks[key]) for key in order}
+            results = {key: future.result() for key, future in futures.items()}
     else:
-        results = [_run_one(t) for t in tasks]
+        results = {key: fn(*args) for key, (fn, *args) in tasks.items()}
     summary = VerificationSummary(
         suite=suite,
         n_lo=min((CHECKS[c].min_n for c in SUITES[suite]), default=1),
-        n_hi=max((n for _, n, _ in tasks), default=0),
-        checks_run=len(results),
+        n_hi=max((n for _, n in plan), default=0),
+        checks_run=len(plan),
     )
-    for check_id, n, passed, detail in results:
+    for check_id, n in plan:
+        check = CHECKS[check_id]
+        if not isinstance(check, WalkCheck):
+            passed, detail = results[check_id, n]
+        elif ("both", n) in results:
+            passed, detail = results["both", n][check_id]
+        else:
+            passed, detail = check.fn(n, results["signed", n], results["callan", n])
         outcome = CheckOutcome(check_id, n, passed, detail)
-        if CHECKS[check_id].informational:
+        if check.informational:
             summary.notes.append(outcome)
         elif not passed:
             summary.failures.append(outcome)

@@ -239,6 +239,9 @@ def test_signed_from_json_dict_rejects(data):
         ["map", "gamma-inv", "--input", '{"support":[1],"edges":[[1,2]]}'],
         ["map", "theta-inv", "--input", '{"support":[1],"edges":[[[1,0],[1]]]}'],
         ["map", "gamma-inv", "--input", '{"support":[1],"edges":[[[1,0],[1,1],[2,0]]]}'],
+        # vertex coordinates must be ints: a float, a string or a bool names no vertex
+        ["map", "gamma-inv", "--input", '{"support":[1],"edges":[[[1.5,0],[1.9,1]]]}'],
+        ["map", "gamma-inv", "--input", '{"support":[1],"edges":[[["1",0],[true,1]]]}'],
         ["map", "gamma", "--input", '{"one_line":[1,"a"],"neg":[]}'],
         ["verify", "lemmas", "--n-max", "2", "--jobs", "-3"],
         ["verify", "lemmas", "--n-max", "2", "--jobs", "0"],
