@@ -1,18 +1,25 @@
-"""Fault injection into the recurrence and closed-form checks of ``verify``.
+"""Fault injection into the checks of ``verify`` that compare two sides.
 
-Each case replaces one fast path of ``statpolys`` (the closed form, the
-recurrence table, the cdes recurrence or an integer count) by one that is
-wrong at one size, runs a suite through the CLI and compares every failure
-it reports with recorded texts.  The brute-force sums these checks compare
-against are left alone.
+Most cases replace one fast path of ``statpolys`` (the closed form, the
+recurrence table, the cdes recurrence, an integer count or an identity's
+right-hand side) by one that is wrong at one size, runs a suite through the
+CLI and compares every failure it reports with recorded texts.  The
+brute-force sums these checks compare against are left alone, except where
+a case breaks a brute-force sum, a fixed set or ``match_stats`` on purpose,
+to reach a return that no fast path can.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from cycledescent import bijections as bj
+from cycledescent import involutions as iv
+from cycledescent import matchings as mt
 from cycledescent import statpolys as sp
 from cycledescent.cli import main
+from cycledescent.perms import Permutation
 from cycledescent.poly import MultiPoly
 
 REAL = {
@@ -21,6 +28,10 @@ REAL = {
     "cdes_distribution_rec": sp.cdes_distribution_rec,
     "klazar_count": sp.klazar_count,
     "b20_count": sp.b20_count,
+    "statistic_poly": sp.statistic_poly,
+    "_IDENTITY_SPECS": sp._IDENTITY_SPECS,
+    "psi_fixed_set": iv.psi_fixed_set,
+    "match_stats": mt.match_stats,
 }
 X = MultiPoly.monomial(1, ex=1)
 Y = MultiPoly.monomial(1, ey=1)
@@ -58,27 +69,52 @@ def cdes_rec_off(at_derangements):
     return fake
 
 
-# case id -> (suite, name of the faulty fast path, its fake, failures of
-# ``verify <suite> --n-max 3`` as (check, n, witness))
+def statistic_poly_off(at):
+    real = REAL["statistic_poly"]
+
+    def fake(n, i, derangements=False):
+        out = real(n, i, derangements)
+        return out + 1 if (n, i, derangements) == at else out
+
+    return fake
+
+
+def brenti_rhs_off():
+    family, weight, rhs, min_n = REAL["_IDENTITY_SPECS"]["brenti"]
+
+    def fake_rhs(n):
+        return rhs(n) + X if n == 3 else rhs(n)
+
+    return {**REAL["_IDENTITY_SPECS"], "brenti": (family, weight, fake_rhs, min_n)}
+
+
+def psi_fixed_set_with_a_cycle_descent():
+    # (1 3 2) has one cycle descent; it joins the fixed set of psi(3, 1, .)
+    real = REAL["psi_fixed_set"]
+    return lambda n, i: real(n, i) | {Permutation((3, 1, 2))} if (n, i) == (3, 1) else real(n, i)
+
+
+# case id -> (suite, module, name of the faulty fast path, its fake, failures
+# of ``verify <suite> --n-max 3`` as (check, n, witness))
 CASES = {
     "closed-form-all": (
-        "theorem-p", "alternating_closed_form", lambda: closed_form_off(2, False),
+        "theorem-p", sp, "alternating_closed_form", lambda: closed_form_off(2, False),
         [("closed-form-all", 3, "i=2: enumerated 0, closed form 1")],
     ),
     "closed-form-derangement": (
-        "theorem-p", "alternating_closed_form", lambda: closed_form_off(3, True),
+        "theorem-p", sp, "alternating_closed_form", lambda: closed_form_off(3, True),
         [("closed-form-derangement", 3, "i=3: enumerated x^2*t^3, closed form x^2*t^3 + 1")],
     ),
     "recurrence-all": (
-        "lemmas", "recurrence_table", lambda: table_off(False),
+        "lemmas", sp, "recurrence_table", lambda: table_off(False),
         [("recurrence-all", 3, "i=2: recurrence x*y + 2*x, enumerated x*y + x")],
     ),
     "recurrence-derangement": (
-        "lemmas", "recurrence_table", lambda: table_off(True),
+        "lemmas", sp, "recurrence_table", lambda: table_off(True),
         [("recurrence-derangement", 3, "i=2: recurrence x*y + x, enumerated x*y")],
     ),
     "cdes-rec-all": (
-        "theorem-b", "cdes_distribution_rec", lambda: cdes_rec_off(False),
+        "theorem-b", sp, "cdes_distribution_rec", lambda: cdes_rec_off(False),
         [
             ("cdes-poly-all", 3, "recurrence 2*y + 5, enumerated y + 5"),
             (
@@ -88,14 +124,14 @@ CASES = {
         ],
     ),
     "cdes-rec-derangement": (
-        "theorem-b", "cdes_distribution_rec", lambda: cdes_rec_off(True),
+        "theorem-b", sp, "cdes_distribution_rec", lambda: cdes_rec_off(True),
         [
             ("cdes-poly-derangement", 3, "recurrence 2*y + 1, enumerated y + 1"),
             ("sequence-cross-check", 3, "derangement recurrences disagree: 3 vs 5"),
         ],
     ),
     "klazar-count": (
-        "theorem-b", "klazar_count", lambda: lambda n: REAL["klazar_count"](n) + (n == 3),
+        "theorem-b", sp, "klazar_count", lambda: lambda n: REAL["klazar_count"](n) + (n == 3),
         [
             (
                 "sequence-cross-check", 3,
@@ -104,17 +140,72 @@ CASES = {
         ],
     ),
     "b20-count": (
-        "theorem-b", "b20_count", lambda: lambda n: REAL["b20_count"](n) - (n == 3),
+        "theorem-b", sp, "b20_count", lambda: lambda n: REAL["b20_count"](n) - (n == 3),
         [("sequence-cross-check", 3, "derangement recurrences disagree: 2 vs 3")],
+    ),
+    "closed-form-derangement-empty-sum": (
+        "theorem-p", sp, "statistic_poly", lambda: statistic_poly_off((3, 1, True)),
+        [("closed-form-derangement", 3, "i=1: expected the empty sum")],
+    ),
+    "identity-with-witness": (
+        "identities", sp, "_IDENTITY_SPECS", brenti_rhs_off,
+        [
+            (
+                "identity-brenti", 3,
+                "lhs -x^2 + 2*x - 1, rhs -x^2 + 3*x - 1; witness 1 3 2 = (1)(2 3)"
+                " (first contributor to the leading mismatch)",
+            )
+        ],
+    ),
+    "psi-fixed-point-with-cycle-descent": (
+        "involutions", iv, "psi_fixed_set", psi_fixed_set_with_a_cycle_descent,
+        [
+            ("psi-involution", 3, "i=1: fixed set mismatch (2 found)"),
+            ("psi-fixed-weight", 3, "i=1: fixed point 3 1 2 has a cycle descent"),
+        ],
+    ),
+    "psi-fixed-weight-closed-form": (
+        "involutions", sp, "alternating_closed_form",
+        lambda: lambda n, i, derangements=False: (
+            REAL["alternating_closed_form"](n, i, derangements)
+            + (X if (n, i, derangements) == (3, 1, False) else 0)
+        ),
+        [("psi-fixed-weight", 3, "i=1: enumerated x + 1, fixed set x + 1, closed 2*x + 1")],
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fault_is_reported_with_its_exact_text(case, monkeypatch, capsys):
-    suite, name, make, failures = CASES[case]
-    monkeypatch.setattr(sp, name, make())
+    suite, module, name, make, failures = CASES[case]
+    monkeypatch.setattr(module, name, make())
     code = main(["verify", suite, "--n-max", "3", "--json"])
     data = json.loads(capsys.readouterr().out)
     assert [(f["check"], f["n"], f["witness"]) for f in data["failures"]] == failures
+    assert code == 1
+
+
+def test_downline_report_without_failures(monkeypatch, capsys):
+    # a match_stats whose downline count always fits the row-of-partner form
+    # (it reads the form off gamma_inv of the matching); the per-cycle form,
+    # which reads the same match_stats on the images of theta, then fails
+    real = REAL["match_stats"]
+
+    def fits(m):
+        bump = 0 if m.partner[3] & 1 else 1  # key 3 is (1, 1)
+        return replace(real(m), down=len(bj.gamma_inv(m).neg) + bump)
+
+    monkeypatch.setattr(mt, "match_stats", fits)
+    code = main(["verify", "bijections", "--n-max", "3", "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert [(f["check"], f["n"], f["witness"]) for f in data["failures"]] == [
+        ("downline-per-cycle", 1, "(1+): down=1, neg=0, bump=0")
+    ]
+    assert [(r["check"], r["n"], r["text"]) for r in data["notes"]] == [
+        (
+            "downline-global-report", n,
+            f"row-of-partner form holds for {k}/{k} signed permutations; no failures",
+        )
+        for n, k in [(1, 1), (2, 2), (3, 7)]
+    ]
     assert code == 1

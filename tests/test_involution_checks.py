@@ -16,6 +16,7 @@ import pytest
 
 from cycledescent import involutions as iv
 from cycledescent import perms
+from cycledescent import statpolys as sp
 from cycledescent import verify
 from cycledescent.involutions import InvolutionOutcome
 from cycledescent.perms import Permutation, enumerate_permutations
@@ -62,6 +63,12 @@ F1, F2 = W((1, 3, 2, 4, 5)), W((1, 2, 4, 3, 5))
 LOSE_TWO = {
     F1: InvolutionOutcome(F2, "phi-split", -1),
     F2: InvolutionOutcome(F1, "phi-merge", 1),
+}
+# two psi(5, 1, .) fixed points with 0 and 1 excedances, mapped onto each other
+IDENTITY = W((1, 2, 3, 4, 5))
+EXC_PAIR = {
+    IDENTITY: InvolutionOutcome(F1, "phi-merge", 1),
+    F1: InvolutionOutcome(IDENTITY, "phi-split", -1),
 }
 # the fixed point of varphi(5, 2, .) is the cycle (1 5 4 3 2)
 FP = W((5, 1, 2, 3, 4))
@@ -131,6 +138,11 @@ CASES = {
         lambda: LOSE_TWO,
         "i=1: fixed set mismatch (6 found)",
     ),
+    "psi-exc": (
+        "psi-involution", "psi",
+        lambda: EXC_PAIR,
+        "i=1, pi=1 2 3 4 5: excedances not preserved",
+    ),
     "psi-out-of-family": (
         "psi-involution", "psi",
         lambda: {A: replace(psi2(A), image=W((1, 2, 3, 4, 5)))},
@@ -145,6 +157,15 @@ CASES = {
         "varphi-involution", "varphi",
         lambda: {D: replace(varphi2(D), delta_cdes=2)},
         "i=2, pi=2 1 4 5 3: cdes delta 2",
+    ),
+    "varphi-exc": (
+        "varphi-involution", "varphi",
+        # D has 3 excedances, the fixed point 1
+        lambda: {
+            D: InvolutionOutcome(FP, "varphi-merge", 1),
+            FP: InvolutionOutcome(D, "varphi-split", -1),
+        },
+        "i=2, pi=2 1 4 5 3: excedances not preserved",
     ),
     "varphi-delta-sign": (
         "varphi-involution", "varphi",
@@ -261,6 +282,36 @@ def test_unbroken_maps_pass(monkeypatch):
     ]:
         _patch(monkeypatch, name, {})
         assert verify.CHECKS[check].fn(N, verify.DEFAULT_SEED)[0]
+
+
+def test_psi_fixed_set_of_the_wrong_size(monkeypatch):
+    # psi(5, 2, .) fixes A and its image, and the fixed set agrees, but an
+    # interior position has no fixed points
+    a_image = psi2(A).image
+    _patch(monkeypatch, "psi", fixed_pair(A, psi2))
+    real = iv.psi_fixed_set
+    monkeypatch.setattr(
+        iv, "psi_fixed_set",
+        lambda n, i: frozenset({A, a_image}) if (n, i) == (N, 2) else real(n, i),
+    )
+    assert verify.CHECKS["psi-involution"].fn(N, verify.DEFAULT_SEED) == (
+        False,
+        "i=2: fixed set has size 2, want 0",
+    )
+
+
+def test_varphi_signed_sum_off_its_closed_form(monkeypatch):
+    real = sp.alternating_closed_form
+
+    def closed_form(n, i, derangements=False):
+        out = real(n, i, derangements)
+        return out + 1 if (n, i, derangements) == (N, 2, True) else out
+
+    monkeypatch.setattr(sp, "alternating_closed_form", closed_form)
+    assert verify.CHECKS["varphi-involution"].fn(N, verify.DEFAULT_SEED) == (
+        False,
+        "i=2: signed sum -x, closed -x + 1",
+    )
 
 
 def test_phi_top_descent_changed(monkeypatch):
