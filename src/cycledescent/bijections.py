@@ -316,4 +316,8 @@ def signed_from_json_dict(data: dict) -> SignedPermutation:
         raise ValueError(f"signed permutation JSON needs 'one_line' and 'neg': {exc}") from None
     if n != len(word):
         raise ValueError(f"declared n={n} but one_line has length {len(word)}")
-    return SignedPermutation(perm=Permutation(word), neg=neg)
+    signed = SignedPermutation(perm=Permutation(word), neg=neg)
+    # checked last, so that every input refused for another reason keeps its message
+    if type(n) is not int or not all(type(v) is int for v in neg):
+        raise ValueError("signed permutation JSON: 'n' and the 'neg' values must be integers")
+    return signed

@@ -176,16 +176,24 @@ def _cmd_enum(args) -> int:
     return 0
 
 
+def _load_json(text: str):
+    """``json.loads``, with JSON nested too deep to parse refused as bad input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _parse_signed_input(text: str) -> bj.SignedPermutation:
     text = text.strip()
     if text.startswith("{"):
-        return bj.signed_from_json_dict(json.loads(text))
+        return bj.signed_from_json_dict(_load_json(text))
     return bj.parse_signed(text)
 
 
 def _parse_matching_input(text: str) -> mt.PerfectMatching:
     try:
-        data = json.loads(text)
+        data = _load_json(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid matching JSON: {exc}") from None
     return mt.matching_from_json_dict(data)

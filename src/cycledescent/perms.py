@@ -53,8 +53,9 @@ class Permutation:
     The public constructor validates its word.  Code in this package that
     has already proven a word to be a permutation builds it with
     :meth:`_trusted` instead.  The standard cycles and the statistics are
-    computed by one cycle walk on first use and cached on the instance;
-    the cache takes no part in equality, hashing, ``repr`` or pickling.
+    computed by one cycle walk on first use and cached on the instance, as
+    is the flattening; the caches take no part in equality, hashing,
+    ``repr`` or pickling.
     """
 
     word: tuple[int, ...]
@@ -63,11 +64,9 @@ class Permutation:
         word = tuple(self.word)
         object.__setattr__(self, "word", word)
         n = len(word)
-        try:
-            ok = sorted(word) == list(range(1, n + 1))
-        except TypeError:
-            ok = False
-        if not ok:
+        # a value that only equals an integer (3.0, True) names no position
+        ints = all(type(v) is int for v in word)
+        if not (ints and sorted(word) == list(range(1, n + 1))):
             raise ValueError(f"not a permutation of 1..{n}: {word}")
 
     @classmethod
@@ -80,6 +79,10 @@ class Permutation:
     @cached_property
     def _walk(self) -> tuple[CycleDecomposition, StatRecord]:
         return _cycle_walk(self.word)
+
+    @cached_property
+    def _hat(self) -> Word:
+        return tuple(itertools.chain.from_iterable(self._walk[0].cycles))
 
     def __getstate__(self) -> dict:
         return {"word": self.word}
@@ -332,7 +335,7 @@ def red(entries: Sequence[int]) -> Permutation:
 
 def hat(p: Permutation) -> Word:
     """Flattening of the standard cycle decomposition (parentheses erased)."""
-    return tuple(itertools.chain.from_iterable(standard_cycles(p).cycles))
+    return p._hat
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """
 Exhaustive verification suites behind the ``verify`` CLI command.
 
-Each check is a pure function of a size n returning (passed, detail); a
-suite is a set of checks, each with its own size cap chosen so that the
-whole battery stays desk-scale.  The bijection checks of one size share
-one walk of the signed objects and one of the Callan matchings, and each
-reads its outcome off the two.  Tasks at different sizes are
-independent, so a suite can fan out over a process pool, largest sizes
-first.
+Each check gives (passed, detail) at a size n; a suite is a set of
+checks, each with its own size cap chosen so that the whole battery stays
+desk-scale.  A plain check computes its outcome on its own.  A walk check
+folds it off records that one walk of its size keeps for every check that
+reads them: the involution checks of one size share one walk of S_n, and
+the bijection checks one walk of the signed objects and one of the Callan
+matchings.  Tasks at different sizes are independent, so a suite can fan
+out over a process pool, largest sizes first.
 
 Informational checks never fail: they attach their findings to the
 summary's notes (used for the downline formula, whose textbook global
@@ -22,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from math import factorial
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import bijections as bj
 from . import involutions as iv
@@ -161,16 +162,19 @@ def _check_poly_axioms(n: int, seed: int) -> tuple[bool, str]:
 
 
 # ---------------------------------------------------------------------------
-# Involution laws from one map call per object.
+# Involution laws from one walk of S_n per size.
 #
-# Pass 1 keys every object of a family by its lexicographic rank and records
-# its exc and cdes (read from the naive walk of ``statistics``), the rank of
-# its image, the branch tag and the cdes delta the branch states.  An image
-# is itself an object of the family with a record of its own, so pass 2
-# reads the involution law, exc preservation and the tag pairing off the
-# records, in the order and with the texts of a check that maps every image
-# back, and no image is mapped or walked again.  A stated delta that differs
-# from the walked one is reported only once every other law has held.
+# Pass 1 (``_walk_perms``) keys every object of S_n by its lexicographic
+# rank, its index in the walk, and records its exc and cdes (read from the
+# naive walk of ``statistics``), the position of 1, the rank of its
+# flattening and its last top-descent.  For each map whose domain holds the
+# object it records the rank of the image, the branch tag and the cdes delta
+# the branch states.  An image is itself an object of S_n with a record of
+# its own, so each fold reads the involution law, exc preservation and the
+# tag pairing off the records, in the order and with the texts of a check
+# that maps every image back, and no image is mapped or walked again.  A
+# stated delta that differs from the walked one is reported only once every
+# other law has held.
 
 _PHI_PAIRS = {"phi-split": "phi-merge", "phi-merge": "phi-split"}
 _PSI_PAIRS = {**_PHI_PAIRS, "psi-case1": "psi-case2", "psi-case2": "psi-case1"}
@@ -184,147 +188,128 @@ def _code_pairs(pairs: dict[str, str]) -> dict[int, int]:
     return {_TAG_CODE[a]: _TAG_CODE[b] for a, b in pairs.items()}
 
 
-class _Family:
-    """A permutation stream with every word keyed by its lexicographic rank.
-
-    ``one_at_i`` words are ranked with the 1 at position i removed, so for
-    ``all`` and ``one_at_i`` the rank is the index in the stream.
-    ``derangements_one_at_i`` is a filtered ``one_at_i`` stream and keeps
-    those ranks, which increase along it.
-    """
-
-    def __init__(self, name: str, n: int, i: int | None = None) -> None:
-        self.name, self.n, self.i = name, n, i
-        self.values = list(range(1 if i is None else 2, n + 1))
-        self.size = factorial(len(self.values))
-
-    def rank(self, word: tuple[int, ...]) -> int:
-        """The rank of a word of the family; -1 for any other word."""
-        if len(word) != self.n:
-            return -1
-        i = self.i
-        if i is not None:
-            if word[i - 1] != 1:
-                return -1
-            if self.name == "derangements_one_at_i" and any(
-                v == k for k, v in enumerate(word, start=1)
-            ):
-                return -1
-            word = word[: i - 1] + word[i:]
-        rest = self.values.copy()
-        r = 0
-        for v in word:
-            j = rest.index(v)
-            r = r * len(rest) + j
-            del rest[j]
-        return r
-
-    def unrank(self, r: int) -> Permutation:
-        """The word of rank r; used only to name a witness."""
-        rest = self.values.copy()
-        word = []
-        for m in range(len(rest) - 1, -1, -1):
-            j, r = divmod(r, factorial(m))
-            word.append(rest.pop(j))
-        if self.i is not None:
-            word.insert(self.i - 1, 1)
-        return Permutation(tuple(word))
-
-    def ranked(self) -> Iterator[tuple[int, Permutation]]:
-        """The stream in its own order, each object with its rank."""
-        stream = enumerate_permutations(self.name, self.n, self.i)
-        if self.name == "derangements_one_at_i":
-            return ((self.rank(p.word), p) for p in stream)
-        return enumerate(stream)
+def _rank(word: tuple[int, ...], n: int) -> int:
+    """The lexicographic rank of a word in S_n; -1 for a word of another size."""
+    if len(word) != n:
+        return -1
+    rest = list(range(1, n + 1))
+    r = 0
+    for v in word:
+        j = rest.index(v)
+        r = r * len(rest) + j
+        del rest[j]
+    return r
 
 
-@dataclass
-class _Records:
-    """Pass-1 records of one map over one family, indexed by rank."""
+def _unrank(r: int, n: int) -> Permutation:
+    """The word of rank r in S_n; used only to name a witness."""
+    rest = list(range(1, n + 1))
+    word = []
+    for m in range(n - 1, -1, -1):
+        j, r = divmod(r, factorial(m))
+        word.append(rest.pop(j))
+    return Permutation(tuple(word))
 
-    exc: bytearray
-    cdes: bytearray
-    img: array  # rank of the image; -1 outside the family or the domain
-    tag: bytearray  # _TAG_CODE of the branch; 0 for no map call
-    delta: array  # the stated cdes delta
+
+class _MapRecords:
+    """What one map gave each object of its domain, indexed by rank."""
+
+    def __init__(self, size: int) -> None:
+        self.img = array("i", [-1]) * size  # rank of the image; -1 for none or another size
+        self.tag = bytearray(size)  # _TAG_CODE of the branch; 0 outside the domain
+        self.delta = array("b", bytes(size))  # the stated cdes delta
 
 
-def _apply_once(fam: _Family, apply: Callable) -> _Records:
-    """Pass 1: one naive walk and at most one map call per object.
+class _PermWalk:
+    """Pass-1 records of one walk of S_n, indexed by rank."""
 
-    ``apply(k, p)`` maps the object p of rank k, or returns None when p is
-    outside the map's domain.
-    """
-    size = fam.size
-    rec = _Records(
-        bytearray(size),
-        bytearray(size),
-        array("i", [-1]) * size,
-        bytearray(size),
-        array("b", bytes(size)),
-    )
-    exc, cdes, img, tag, delta, rank = (
-        rec.exc, rec.cdes, rec.img, rec.tag, rec.delta, fam.rank
-    )
-    for k, p in fam.ranked():
+    def __init__(self, size: int) -> None:
+        self.exc, self.cdes, self.pos1 = bytearray(size), bytearray(size), bytearray(size)
+        self.hat_rank = array("i", [0]) * size  # rank of the flattening
+        self.top = bytearray(size)  # the last top-descent; 0 for none
+        self.psi, self.varphi, self.phi = (_MapRecords(size) for _ in range(3))
+
+
+def _walk_perms(n: int) -> _PermWalk:
+    """Pass 1: one naive walk of S_n, calling ``psi`` (n >= 2), ``varphi``
+    (derangements) and ``phi_map`` (a top-descent exists) once per object."""
+    w = _PermWalk(factorial(n))
+
+    def record(maps: _MapRecords, k: int, out: iv.InvolutionOutcome) -> None:
+        maps.img[k] = _rank(out.image.word, n)
+        maps.tag[k] = _TAG_CODE[out.case_tag]
+        maps.delta[k] = out.delta_cdes
+
+    for k, p in enumerate(enumerate_permutations("all", n)):
         s = statistics(p)
-        exc[k] = s.exc
-        cdes[k] = s.cdes
-        out = apply(k, p)
-        if out is not None:
-            img[k] = rank(out.image.word)
-            tag[k] = _TAG_CODE[out.case_tag]
-            delta[k] = out.delta_cdes
-    return rec
+        w.exc[k], w.cdes[k], w.pos1[k] = s.exc, s.cdes, s.inv1
+        w.hat_rank[k] = _rank(hat(p), n)
+        if n >= 2:
+            record(w.psi, k, iv.psi(n, s.inv1, p))
+        if not s.fix:
+            record(w.varphi, k, iv.varphi(n, s.inv1, p))
+        qv = iv.last_top_descent(p)
+        if qv is not None:
+            w.top[k] = qv
+            record(w.phi, k, iv.phi_map(p))
+    return w
 
 
-def _false_claim(fam: _Family, rec: _Records, prefix: str) -> str | None:
+def _one_at(pos1: bytearray, i: int) -> Iterator[int]:
+    """The ranks of the objects with pi(i) = 1, in increasing order."""
+    k = pos1.find(i)
+    while k >= 0:
+        yield k
+        k = pos1.find(i, k + 1)
+
+
+def _false_claim(
+    n: int, w: _PermWalk, maps: _MapRecords, ranks: Iterable[int], prefix: str
+) -> str | None:
     """The first mapped object whose stated delta is not its walked one."""
-    img, tag, delta, cdes = rec.img, rec.tag, rec.delta, rec.cdes
-    for k in range(fam.size):
+    img, tag, delta, cdes = maps.img, maps.tag, maps.delta, w.cdes
+    for k in ranks:
         if tag[k] and delta[k] != cdes[img[k]] - cdes[k]:
             return (
-                f"{prefix}pi={fam.unrank(k)}: cdes delta"
+                f"{prefix}pi={_unrank(k, n)}: cdes delta"
                 f" {cdes[img[k]] - cdes[k]}, stated {delta[k]}"
             )
     return None
 
 
-def _check_psi_involution(n: int, seed: int) -> tuple[bool, str]:
+def _fold_psi_involution(n: int, w: _PermWalk) -> tuple[bool, str]:
     total = 0
     false_claim = None
     pairs = _code_pairs(_PSI_PAIRS)
+    img, tag, delta, exc, pos1 = w.psi.img, w.psi.tag, w.psi.delta, w.exc, w.pos1
     for i in range(1, n + 1):
         expected_fixed = iv.psi_fixed_set(n, i)
-        fam = _Family("one_at_i", n, i)
-        rec = _apply_once(fam, lambda k, p: iv.psi(n, i, p))
-        img, tag, delta, exc = rec.img, rec.tag, rec.delta, rec.exc
         seen_fixed = set()
-        for k in range(fam.size):
+        for k in _one_at(pos1, i):
             total += 1
             j = img[k]
-            if j < 0 or img[j] != k:
-                return False, f"i={i}, pi={fam.unrank(k)}: not an involution"
+            if j < 0 or pos1[j] != i or img[j] != k:
+                return False, f"i={i}, pi={_unrank(k, n)}: not an involution"
             if exc[j] != exc[k]:
-                return False, f"i={i}, pi={fam.unrank(k)}: excedances not preserved"
+                return False, f"i={i}, pi={_unrank(k, n)}: excedances not preserved"
             if tag[k] == _FIXED:
                 if delta[k] != 0 or j != k:
-                    return False, f"i={i}, pi={fam.unrank(k)}: bad fixed point"
+                    return False, f"i={i}, pi={_unrank(k, n)}: bad fixed point"
                 seen_fixed.add(k)
             else:
                 if abs(delta[k]) != 1:
-                    return False, f"i={i}, pi={fam.unrank(k)}: cdes delta {delta[k]}"
+                    return False, f"i={i}, pi={_unrank(k, n)}: cdes delta {delta[k]}"
                 if tag[j] != pairs[tag[k]]:
                     return False, (
-                        f"i={i}, pi={fam.unrank(k)}: branch {_TAGS[tag[k] - 1]}"
+                        f"i={i}, pi={_unrank(k, n)}: branch {_TAGS[tag[k] - 1]}"
                         f" paired with {_TAGS[tag[j] - 1]}"
                     )
-        if seen_fixed != {fam.rank(q.word) for q in expected_fixed}:
+        if seen_fixed != {_rank(q.word, n) for q in expected_fixed}:
             return False, f"i={i}: fixed set mismatch ({len(seen_fixed)} found)"
         want = 0 if 1 < i < n else 2 ** (n - 2)
         if len(expected_fixed) != want:
             return False, f"i={i}: fixed set has size {len(expected_fixed)}, want {want}"
-        false_claim = false_claim or _false_claim(fam, rec, f"i={i}, ")
+        false_claim = false_claim or _false_claim(n, w, w.psi, _one_at(pos1, i), f"i={i}, ")
     if false_claim:
         return False, false_claim
     return True, f"{total} applications across {n} positions"
@@ -351,80 +336,67 @@ def _check_psi_fixed_weight(n: int, seed: int) -> tuple[bool, str]:
     return True, f"{n} positions collapse"
 
 
-def _check_varphi_involution(n: int, seed: int) -> tuple[bool, str]:
+def _fold_varphi_involution(n: int, w: _PermWalk) -> tuple[bool, str]:
     total = 0
     false_claim = None
     pairs = _code_pairs(_VARPHI_PAIRS)
+    img, tag, delta, exc, pos1 = w.varphi.img, w.varphi.tag, w.varphi.delta, w.exc, w.pos1
     for i in range(2, n + 1):
         fp = iv.varphi_fixed_point(n, i)
-        fam = _Family("derangements_one_at_i", n, i)
-        rec = _apply_once(fam, lambda k, p: iv.varphi(n, i, p))
-        img, tag, delta, exc = rec.img, rec.tag, rec.delta, rec.exc
         fixed_seen = []
-        for k in range(fam.size):
+        for k in _one_at(pos1, i):
             if not tag[k]:
                 continue  # not a derangement
             total += 1
             j = img[k]
-            if j < 0 or img[j] != k:
-                return False, f"i={i}, pi={fam.unrank(k)}: not an involution"
+            if j < 0 or pos1[j] != i or not tag[j] or img[j] != k:
+                return False, f"i={i}, pi={_unrank(k, n)}: not an involution"
             if exc[j] != exc[k]:
-                return False, f"i={i}, pi={fam.unrank(k)}: excedances not preserved"
+                return False, f"i={i}, pi={_unrank(k, n)}: excedances not preserved"
             if tag[k] == _FIXED:
                 fixed_seen.append(k)
                 if delta[k] != 0:
-                    return False, f"i={i}, pi={fam.unrank(k)}: fixed point with cdes delta"
+                    return False, f"i={i}, pi={_unrank(k, n)}: fixed point with cdes delta"
             else:
                 if abs(delta[k]) != 1:
-                    return False, f"i={i}, pi={fam.unrank(k)}: cdes delta {delta[k]}"
+                    return False, f"i={i}, pi={_unrank(k, n)}: cdes delta {delta[k]}"
                 if tag[j] != pairs[tag[k]]:
-                    return False, f"i={i}, pi={fam.unrank(k)}: branch pairing broken"
-        if fixed_seen != [fam.rank(fp.word)]:
-            found = {fam.unrank(k) for k in fixed_seen}
+                    return False, f"i={i}, pi={_unrank(k, n)}: branch pairing broken"
+        if fixed_seen != [_rank(fp.word, n)]:
+            found = {_unrank(k, n) for k in fixed_seen}
             return False, f"i={i}: fixed set {found}, expected {{{fp}}}"
         signed_sum = sp.statistic_poly(n, i, derangements=True).substitute(y=-1, t=1)
         closed = sp.alternating_closed_form(n, i, derangements=True).substitute(t=1)
         if signed_sum != closed:
             return False, f"i={i}: signed sum {signed_sum}, closed {closed}"
-        false_claim = false_claim or _false_claim(fam, rec, f"i={i}, ")
+        false_claim = false_claim or _false_claim(n, w, w.varphi, _one_at(pos1, i), f"i={i}, ")
     if false_claim:
         return False, false_claim
     return True, f"{total} applications across {n - 1} positions"
 
 
-def _check_phi_preservation(n: int, seed: int) -> tuple[bool, str]:
-    fam = _Family("all", n)
-    hat_rank = array("i", [0]) * fam.size
-    top = bytearray(fam.size)  # the last top-descent; 0 for none
-
-    def apply(k: int, p: Permutation) -> iv.InvolutionOutcome | None:
-        hat_rank[k] = fam.rank(hat(p))
-        qv = iv.last_top_descent(p)
-        if qv is None:
-            return None
-        top[k] = qv
-        return iv.phi_map(p)
-
-    rec = _apply_once(fam, apply)
-    img, tag, delta, exc = rec.img, rec.tag, rec.delta, rec.exc
+def _fold_phi_preservation(n: int, w: _PermWalk) -> tuple[bool, str]:
+    img, tag, delta, exc, hat_rank, top = (
+        w.phi.img, w.phi.tag, w.phi.delta, w.exc, w.hat_rank, w.top
+    )
     pairs = _code_pairs(_PHI_PAIRS)
     moved = 0
-    for k in range(fam.size):
+    for k in range(len(tag)):
         if not tag[k]:
             continue  # increasing flattening: phi is undefined
         moved += 1
         j = img[k]
         if j < 0 or hat_rank[j] != hat_rank[k]:
-            return False, f"pi={fam.unrank(k)}: flattened word changed"
+            return False, f"pi={_unrank(k, n)}: flattened word changed"
         if top[j] != top[k]:
-            return False, f"pi={fam.unrank(k)}: top-descent changed"
+            return False, f"pi={_unrank(k, n)}: top-descent changed"
         if exc[j] != exc[k]:
-            return False, f"pi={fam.unrank(k)}: excedances changed"
+            return False, f"pi={_unrank(k, n)}: excedances changed"
         if abs(delta[k]) != 1:
-            return False, f"pi={fam.unrank(k)}: cdes delta {delta[k]}"
+            return False, f"pi={_unrank(k, n)}: cdes delta {delta[k]}"
         if img[j] != k or tag[j] != pairs[tag[k]]:
-            return False, f"pi={fam.unrank(k)}: split/merge pairing broken"
-    false_claim = _false_claim(fam, rec, "")
+            return False, f"pi={_unrank(k, n)}: split/merge pairing broken"
+    false_claim = _false_claim(n, w, w.phi, range(len(tag)), "")
     if false_claim:
         return False, false_claim
     return True, f"{moved} permutations moved"
@@ -616,9 +588,13 @@ class Check:
     informational: bool = False
 
 
+@dataclass(frozen=True)
 class WalkCheck(Check):
-    """A bijection check: ``fn(n, signed, callan)`` folds its outcome at
-    size n off the signed and the Callan walk of that size."""
+    """A check that folds its outcome at size n off the walks of that size:
+    ``fn(n, records)`` off the walk of S_n (``walk="perms"``), or
+    ``fn(n, signed, callan)`` off the signed and the Callan walk."""
+
+    walk: str = "bijections"
 
 
 CHECKS: dict[str, Check] = {
@@ -630,10 +606,10 @@ CHECKS: dict[str, Check] = {
     "cdes-poly-derangement": Check(partial(_check_cdes_poly, derangements=True), 1, 8),
     "sequence-cross-check": Check(_check_sequence_cross, 1, 12),
     "poly-ring-axioms": Check(_check_poly_axioms, 1, 1),
-    "psi-involution": Check(_check_psi_involution, 2, 8),
+    "psi-involution": WalkCheck(_fold_psi_involution, 2, 8, walk="perms"),
     "psi-fixed-weight": Check(_check_psi_fixed_weight, 2, 8),
-    "varphi-involution": Check(_check_varphi_involution, 2, 8),
-    "phi-preservation": Check(_check_phi_preservation, 1, 8),
+    "varphi-involution": WalkCheck(_fold_varphi_involution, 2, 8, walk="perms"),
+    "phi-preservation": WalkCheck(_fold_phi_preservation, 1, 8, walk="perms"),
     "count-callan": WalkCheck(_fold_counts, 1, 7),
     "count-callan-no-vertical": WalkCheck(partial(_fold_counts, derangements=True), 1, 7),
     "gamma-image": WalkCheck(_fold_gamma_image, 1, 6),
@@ -695,34 +671,42 @@ def _run_check(check_id: str, n: int, seed: int) -> tuple[bool, str]:
     return CHECKS[check_id].fn(n, seed)
 
 
-def _walk_both(n: int, check_ids: tuple[str, ...]) -> dict[str, tuple[bool, str]]:
-    """Both walks of a size where an image check runs, folded in one task.
+def _fold_in_place(walk: str, n: int, check_ids: tuple[str, ...]) -> dict[str, tuple]:
+    """The walks of size n that a group of checks reads, folded in one task.
 
-    The image and target sets then stay in the process that builds them.
+    Records, image sets and target sets then stay in the process that
+    builds them.
     """
-    s, c = _walk_signed(n, images=True), _walk_callan(n, images=True)
-    return {check_id: CHECKS[check_id].fn(n, s, c) for check_id in check_ids}
+    if walk == "perms":
+        walks = (_walk_perms(n),)
+    else:
+        walks = (_walk_signed(n, images=True), _walk_callan(n, images=True))
+    return {check_id: CHECKS[check_id].fn(n, *walks) for check_id in check_ids}
 
 
 def _tasks(plan: list[tuple[str, int]], seed: int) -> dict[tuple[str, int], tuple]:
     """The tasks of a plan as (function, *arguments), keyed, in plan order.
 
     A :class:`Check` is one task per (check, n).  The walk checks of size n
-    share the walks of that size: one task ("both", n) where an image check
-    is planned at n, else ("signed", n) and then ("callan", n), which can
-    run side by side and which the caller folds.
+    that read the same walk share it in one task (walk, n), except that
+    bijection walks of a size with no image check planned are two tasks,
+    ("signed", n) and then ("callan", n), which can run side by side and
+    which the caller folds.
     """
-    walk_ids: dict[int, list[str]] = {}
+    walk_ids: dict[tuple[str, int], list[str]] = {}
     for check_id, n in plan:
-        if isinstance(CHECKS[check_id], WalkCheck):
-            walk_ids.setdefault(n, []).append(check_id)
+        check = CHECKS[check_id]
+        if isinstance(check, WalkCheck):
+            walk_ids.setdefault((check.walk, n), []).append(check_id)
+    images = {n for check_id, n in plan if check_id in _IMAGE_CHECKS}
     tasks: dict[tuple[str, int], tuple] = {}
     for check_id, n in plan:
-        ids = walk_ids.get(n, ())
-        if check_id not in ids:
+        check = CHECKS[check_id]
+        if not isinstance(check, WalkCheck):
             tasks[check_id, n] = (_run_check, check_id, n, seed)
-        elif any(c in ids for c in _IMAGE_CHECKS):
-            tasks.setdefault(("both", n), (_walk_both, n, tuple(ids)))
+        elif check.walk == "perms" or n in images:
+            key = (check.walk, n)
+            tasks.setdefault(key, (_fold_in_place, *key, tuple(walk_ids[key])))
         else:
             tasks.setdefault(("signed", n), (_walk_signed, n, False))
             tasks.setdefault(("callan", n), (_walk_callan, n, False))
@@ -770,8 +754,8 @@ def run_verification(
         check = CHECKS[check_id]
         if not isinstance(check, WalkCheck):
             passed, detail = results[check_id, n]
-        elif ("both", n) in results:
-            passed, detail = results["both", n][check_id]
+        elif (check.walk, n) in results:
+            passed, detail = results[check.walk, n][check_id]
         else:
             passed, detail = check.fn(n, results["signed", n], results["callan", n])
         outcome = CheckOutcome(check_id, n, passed, detail)

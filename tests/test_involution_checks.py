@@ -6,10 +6,12 @@ the text a check that maps every image back prints for the same fault.
 The cases where such a check cannot report (it raises on an image outside
 the family, or never compares the stated delta with a walk) are marked.
 
-The checks key every object by its lexicographic rank in its stream; the
-rank tests at the end pin that property down.
+The three checks fold their laws off one walk of S_n, which keys every
+object by its lexicographic rank; the tests at the end pin down the ranks,
+the walk order and that each map is called once per object of its domain.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -19,11 +21,16 @@ from cycledescent import perms
 from cycledescent import statpolys as sp
 from cycledescent import verify
 from cycledescent.involutions import InvolutionOutcome
-from cycledescent.perms import Permutation, enumerate_permutations
+from cycledescent.perms import Permutation, enumerate_permutations, statistics
 
 REAL = {"psi": iv.psi, "varphi": iv.varphi, "phi_map": iv.phi_map}
 N = 5
 W = Permutation
+
+
+def fold(check, n):
+    """Walk S_n once and fold one involution check off the walk."""
+    return verify.CHECKS[check].fn(n, verify._walk_perms(n))
 
 
 def _patch(monkeypatch, name, table):
@@ -143,6 +150,15 @@ CASES = {
         lambda: EXC_PAIR,
         "i=1, pi=1 2 3 4 5: excedances not preserved",
     ),
+    "psi-other-family": (
+        "psi-involution", "psi",
+        # A and B map onto each other, but B has pi(3) = 1
+        lambda: {
+            A: InvolutionOutcome(W((3, 2, 1, 4, 5)), "phi-split", -1),
+            W((3, 2, 1, 4, 5)): InvolutionOutcome(A, "phi-merge", 1),
+        },
+        "i=2, pi=2 1 3 4 5: not an involution",
+    ),
     "psi-out-of-family": (
         "psi-involution", "psi",
         lambda: {A: replace(psi2(A), image=W((1, 2, 3, 4, 5)))},
@@ -197,6 +213,15 @@ CASES = {
         "varphi-involution", "varphi",
         lambda: {FP: InvolutionOutcome(FP, "varphi-split", -1)},
         "i=2, pi=5 1 2 3 4: branch pairing broken",
+    ),
+    "varphi-other-family": (
+        "varphi-involution", "varphi",
+        # D and a derangement with pi(3) = 1 map onto each other
+        lambda: {
+            D: InvolutionOutcome(W((2, 3, 1, 5, 4)), "varphi-split", -1),
+            W((2, 3, 1, 5, 4)): InvolutionOutcome(D, "varphi-merge", 1),
+        },
+        "i=2, pi=2 1 4 5 3: not an involution",
     ),
     "varphi-not-derangement": (
         "varphi-involution", "varphi",
@@ -264,7 +289,7 @@ NEW_TEXT = {
 def run_case(monkeypatch, case_id):
     check, name, overrides, _ = CASES[case_id]
     _patch(monkeypatch, name, overrides())
-    return verify.CHECKS[check].fn(N, verify.DEFAULT_SEED)
+    return fold(check, N)
 
 
 @pytest.mark.parametrize("case_id", sorted(CASES))
@@ -281,7 +306,7 @@ def test_unbroken_maps_pass(monkeypatch):
         ("phi-preservation", "phi_map"),
     ]:
         _patch(monkeypatch, name, {})
-        assert verify.CHECKS[check].fn(N, verify.DEFAULT_SEED)[0]
+        assert fold(check, N)[0]
 
 
 def test_psi_fixed_set_of_the_wrong_size(monkeypatch):
@@ -294,7 +319,7 @@ def test_psi_fixed_set_of_the_wrong_size(monkeypatch):
         iv, "psi_fixed_set",
         lambda n, i: frozenset({A, a_image}) if (n, i) == (N, 2) else real(n, i),
     )
-    assert verify.CHECKS["psi-involution"].fn(N, verify.DEFAULT_SEED) == (
+    assert fold("psi-involution", N) == (
         False,
         "i=2: fixed set has size 2, want 0",
     )
@@ -308,7 +333,7 @@ def test_varphi_signed_sum_off_its_closed_form(monkeypatch):
         return out + 1 if (n, i, derangements) == (N, 2, True) else out
 
     monkeypatch.setattr(sp, "alternating_closed_form", closed_form)
-    assert verify.CHECKS["varphi-involution"].fn(N, verify.DEFAULT_SEED) == (
+    assert fold("varphi-involution", N) == (
         False,
         "i=2: signed sum -x, closed -x + 1",
     )
@@ -321,73 +346,95 @@ def test_phi_top_descent_changed(monkeypatch):
     monkeypatch.setattr(
         iv, "last_top_descent", lambda p: 2 if p == liar else real(p)
     )
-    assert verify.CHECKS["phi-preservation"].fn(3, 0) == (
+    assert fold("phi-preservation", 3) == (
         False,
         "pi=1 3 2: top-descent changed",
     )
 
 
-def _objects(check, n):
-    """The objects a check walks and the ones it maps."""
-    if check == "psi-involution":
-        walked = [p for i in range(1, n + 1) for p in enumerate_permutations("one_at_i", n, i)]
-        return walked, walked
-    walked = list(enumerate_permutations("all", n))
-    return walked, [p for p in walked if iv.last_top_descent(p) is not None]
+# the objects of S_n in the domain of each map
+DOMAIN = {
+    "psi": lambda p: True,
+    "varphi": lambda p: statistics(p).fix == 0,
+    "phi_map": lambda p: iv.last_top_descent(p) is not None,
+}
 
 
 @pytest.mark.parametrize(
-    "check, name", [("psi-involution", "psi"), ("phi-preservation", "phi_map")]
+    "check, name",
+    [("psi-involution", "psi"), ("varphi-involution", "varphi"), ("phi-preservation", "phi_map")],
 )
 def test_one_walk_and_one_map_call_per_object(monkeypatch, check, name):
     n = 6
-    walked, mapped = _objects(check, n)
+    walked = list(enumerate_permutations("all", n))
+    sp.statistic_poly(n, 1)  # the varphi check reads its signed sums off this tally
     walks, calls = [], []
     real_walk, real_map = perms._cycle_walk, REAL[name]
     monkeypatch.setattr(perms, "_cycle_walk", lambda w: walks.append(w) or real_walk(w))
     monkeypatch.setattr(iv, name, lambda *a: calls.append(a[-1]) or real_map(*a))
-    assert verify.CHECKS[check].fn(n, verify.DEFAULT_SEED)[0]
+    assert fold(check, n)[0]
     # every walk is of an object of the stream, none of an image
     assert sorted(walks) == sorted(p.word for p in walked)
-    assert calls == mapped
+    assert calls == [p for p in walked if DOMAIN[name](p)]
+
+
+def test_involutions_suite_walks_s_n_once_per_size(monkeypatch):
+    enumerated, calls = [], Counter()
+    real_enumerate = verify.enumerate_permutations
+    monkeypatch.setattr(
+        verify, "enumerate_permutations", lambda *a: enumerated.append(a) or real_enumerate(*a)
+    )
+    for name, real in REAL.items():
+        def counted(*a, name=name, real=real):
+            calls[name, *a] += 1
+            return real(*a)
+
+        monkeypatch.setattr(iv, name, counted)
+    summary = verify.run_verification("involutions", n_max=6)
+    assert summary.checks_run == 21 and not summary.failures
+    assert sorted(enumerated) == [("all", n) for n in range(1, 7)]
+    want = Counter()
+    for n in range(1, 7):
+        for p in enumerate_permutations("all", n):
+            s = statistics(p)
+            want["psi", n, s.inv1, p] += n >= 2
+            want["varphi", n, s.inv1, p] += s.fix == 0
+            want["phi_map", p] += DOMAIN["phi_map"](p)
+    assert calls == want
 
 
 # ---------------------------------------------------------------------------
-# The rank keys.
+# The rank keys and the walk order.
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_rank_is_the_stream_index(n):
-    families = [verify._Family("all", n)] + [
-        verify._Family("one_at_i", n, i) for i in range(1, n + 1)
-    ]
-    for fam in families:
-        stream = list(enumerate_permutations(fam.name, n, fam.i))
-        assert fam.size == len(stream)
-        for k, p in enumerate(stream):
-            assert fam.rank(p.word) == k
-            assert fam.unrank(k) == p
-        assert [k for k, _ in fam.ranked()] == list(range(fam.size))
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_derangement_ranks_are_one_at_i_indices(n):
-    for i in range(2, n + 1):
-        fam = verify._Family("derangements_one_at_i", n, i)
-        index = {p: k for k, p in enumerate(enumerate_permutations("one_at_i", n, i))}
-        ranked = list(fam.ranked())
-        assert [p for _, p in ranked] == list(
-            enumerate_permutations("derangements_one_at_i", n, i)
-        )
-        assert all(k == index[p] and fam.unrank(k) == p for k, p in ranked)
-        members = {p for _, p in ranked}
-        for p, k in index.items():
-            assert fam.rank(p.word) == (k if p in members else -1)
+    for k, p in enumerate(enumerate_permutations("all", n)):
+        assert verify._rank(p.word, n) == k
+        assert verify._unrank(k, n) == p
 
 
 def test_rank_refuses_words_outside_the_family():
-    assert verify._Family("one_at_i", 4, 2).rank((1, 2, 3, 4)) == -1
-    assert verify._Family("one_at_i", 4, 2).rank((2, 1, 3)) == -1
-    assert verify._Family("all", 4).rank((2, 1, 3)) == -1
-    assert verify._Family("derangements_one_at_i", 4, 2).rank((3, 1, 2, 4)) == -1
-    assert verify._Family("derangements_one_at_i", 4, 2).rank((3, 1, 4, 2)) >= 0
+    assert verify._rank((2, 1, 3), 4) == -1
+    assert verify._rank((1, 2, 3, 4, 5), 4) == -1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_at_i_ranks_follow_their_stream(n):
+    w = verify._walk_perms(n)
+    for i in range(1, n + 1):
+        ranks = verify._one_at(w.pos1, i)
+        assert [verify._unrank(k, n) for k in ranks] == list(
+            enumerate_permutations("one_at_i", n, i)
+        )
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_derangement_ranks_follow_their_stream(n):
+    # varphi records exactly the derangements, so its tags mark the family
+    w = verify._walk_perms(n)
+    for i in range(2, n + 1):
+        ranks = [k for k in verify._one_at(w.pos1, i) if w.varphi.tag[k]]
+        assert [verify._unrank(k, n) for k in ranks] == list(
+            enumerate_permutations("derangements_one_at_i", n, i)
+        )

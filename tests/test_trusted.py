@@ -2,13 +2,15 @@
 entry points against bad input.
 
 Values built inside the package skip validation and compute their cycles
-and statistics in one cached walk.  These tests check that walk against a
-cycle walk written here, independent of the package, and check that the
-cache leaves equality, hashing, ``repr`` and pickling alone.  Values from
+and statistics in one cached walk, and cache their flattening.  These tests
+check both against a cycle walk written here, independent of the package,
+and check that the caches leave equality, hashing, ``repr`` and pickling
+alone.  Values from
 outside still go through full validation at the public constructors and
 parsers, and the CLI turns every rejection into exit status 2.
 """
 
+import io
 import itertools
 import pickle
 
@@ -30,6 +32,7 @@ from cycledescent.perms import (
     Permutation,
     StatRecord,
     enumerate_permutations,
+    hat,
     parse_permutation,
     permutation_from_cycles,
     standard_cycles,
@@ -83,7 +86,8 @@ def check_trusted(p):
     cycles, stats = naive_cycles(p.word), naive_stats(p.word)
     assert standard_cycles(p).cycles == cycles
     assert statistics(p) == stats
-    # the cache is filled now; it must not show in any of these
+    assert hat(p) == tuple(v for c in cycles for v in c)
+    # the caches are filled now; they must not show in any of these
     assert fresh == p and hash(fresh) == hash(p)
     assert repr(p) == repr(fresh) == f"Permutation({p.word!r})"
     assert pickle.dumps(p) == pickle.dumps(fresh)
@@ -104,6 +108,7 @@ def test_cache_is_per_instance_and_stable():
     first = standard_cycles(p)
     assert standard_cycles(p) is first
     assert statistics(p) is statistics(p)
+    assert hat(p) is hat(p) == (1, 3, 4, 2, 5, 7, 6)
     assert str(first) == "(1 3 4 2)(5 7)(6)"
 
 
@@ -249,6 +254,11 @@ def test_signed_from_json_dict_rejects(data):
         ["map", "gamma", "--input", f"(1 2)({10**12})"],
         ["diagram", "--input", f"(1 2)({10**12})"],
         ["stats", "--perm", f"(1 2)({10**12})"],
+        # values that only equal integers: 3.0 and true are no positions or values
+        ["map", "gamma", "--input", '{"one_line":[3.0,1,2],"neg":[]}'],
+        ["map", "gamma", "--input", '{"one_line":[true,2],"neg":[]}'],
+        ["map", "gamma", "--input", '{"one_line":[3,1,2],"neg":[3.0]}'],
+        ["map", "gamma", "--input", '{"one_line":[3,1,2],"neg":[],"n":3.0}'],
     ],
 )
 def test_cli_bad_input_exits_2(capsys, argv):
@@ -258,6 +268,19 @@ def test_cli_bad_input_exits_2(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text", ["[" * 5000, '{"a": ' * 5000], ids=["arrays", "objects"])
+@pytest.mark.parametrize(
+    "argv", [["map", "gamma"], ["map", "gamma-inv"], ["map", "theta-inv"], ["diagram"]]
+)
+def test_cli_refuses_deeply_nested_json(capsys, monkeypatch, argv, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = main([*argv, "--input", "-"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
