@@ -5,8 +5,10 @@ recurrence table, the cdes recurrence, an integer count or an identity's
 right-hand side) by one that is wrong at one size, runs a suite through the
 CLI and compares every failure it reports with recorded texts.  The
 brute-force sums these checks compare against are left alone, except where
-a case breaks a brute-force sum, a fixed set or ``match_stats`` on purpose,
-to reach a return that no fast path can.
+a case breaks a brute-force sum, a fixed set, a weight or ``match_stats`` on
+purpose, to reach a return that no fast path can.  The poly-ring-axioms
+cases draw the check's random polynomials as subclasses of ``MultiPoly``
+that get one operation wrong, so no other check sees the fault.
 """
 
 import json
@@ -18,6 +20,7 @@ from cycledescent import bijections as bj
 from cycledescent import involutions as iv
 from cycledescent import matchings as mt
 from cycledescent import statpolys as sp
+from cycledescent import verify
 from cycledescent.cli import main
 from cycledescent.perms import Permutation
 from cycledescent.poly import MultiPoly
@@ -32,6 +35,7 @@ REAL = {
     "_IDENTITY_SPECS": sp._IDENTITY_SPECS,
     "psi_fixed_set": iv.psi_fixed_set,
     "match_stats": mt.match_stats,
+    "_random_poly": verify._random_poly,
 }
 X = MultiPoly.monomial(1, ex=1)
 Y = MultiPoly.monomial(1, ey=1)
@@ -92,6 +96,46 @@ def psi_fixed_set_with_a_cycle_descent():
     # (1 3 2) has one cycle descent; it joins the fixed set of psi(3, 1, .)
     real = REAL["psi_fixed_set"]
     return lambda n, i: real(n, i) | {Permutation((3, 1, 2))} if (n, i) == (3, 1) else real(n, i)
+
+
+def signed_sni_unsigned():
+    # the weight of signed-sni without its sign (-1)^cdes; signed-sn keeps
+    # the real weight, which its entry in _IDENTITY_SPECS holds
+    return lambda k: (1, (0, 0, 0, k.inv1))
+
+
+class NonCommuting(MultiPoly):
+    """A product a * b off by a, so a * b != b * a unless a == b."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return MultiPoly.__mul__(self, other) + self
+
+
+class NonDistributing(MultiPoly):
+    """A product off by one, unless both factors are of this class."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        out = MultiPoly.__mul__(self, other)
+        return out if isinstance(other, NonDistributing) else out + 1
+
+
+class NonSubstituting(MultiPoly):
+    """A substitution off by one."""
+
+    __slots__ = ()
+
+    def substitute(self, **bindings):
+        return MultiPoly.substitute(self, **bindings) + 1
+
+
+def random_polys_as(cls):
+    """``_random_poly`` with its draws (the same as the real one's) of class cls."""
+    real = REAL["_random_poly"]
+    return lambda rng: cls(dict(real(rng).items()))
 
 
 # case id -> (suite, module, name of the faulty fast path, its fake, failures
@@ -171,6 +215,28 @@ CASES = {
             + (X if (n, i, derangements) == (3, 1, False) else 0)
         ),
         [("psi-fixed-weight", 3, "i=1: enumerated x + 1, fixed set x + 1, closed 2*x + 1")],
+    ),
+    "signed-sni-with-witness": (
+        "identities", sp, "_weight_signed_cdes_t", signed_sni_unsigned,
+        [
+            (
+                "identity-signed-sni", 3,
+                "lhs 2*t^3 + 2*t^2 + 2*t, rhs 2*t^3 + 2*t; witness i=2: 2 1 3 = (1 2)(3)"
+                " (first contributor to the leading mismatch)",
+            )
+        ],
+    ),
+    "poly-ring-axiom": (
+        "identities", verify, "_random_poly", lambda: random_polys_as(NonCommuting),
+        [("poly-ring-axioms", 1, "trial 0: ring axiom broken")],
+    ),
+    "poly-distributivity": (
+        "identities", verify, "_random_poly", lambda: random_polys_as(NonDistributing),
+        [("poly-ring-axioms", 1, "trial 0: distributivity broken")],
+    ),
+    "poly-substitution": (
+        "identities", verify, "_random_poly", lambda: random_polys_as(NonSubstituting),
+        [("poly-ring-axioms", 1, "trial 0: substitution does not commute")],
     ),
 }
 
