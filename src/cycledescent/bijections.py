@@ -66,6 +66,9 @@ class SignedPermutation:
         object.__setattr__(self, "neg", frozenset(self.neg))
         if not self.neg <= frozenset(range(1, self.perm.n + 1)):
             raise ValueError(f"negative values outside 1..{self.perm.n}: {set(self.neg)}")
+        # a value that only equals an integer (3.0, True) names no value
+        if not all(type(v) is int for v in self.neg):
+            raise ValueError(f"negative values must be integers: {set(self.neg)}")
 
     @property
     def n(self) -> int:
@@ -318,6 +321,6 @@ def signed_from_json_dict(data: dict) -> SignedPermutation:
         raise ValueError(f"declared n={n} but one_line has length {len(word)}")
     signed = SignedPermutation(perm=Permutation(word), neg=neg)
     # checked last, so that every input refused for another reason keeps its message
-    if type(n) is not int or not all(type(v) is int for v in neg):
+    if type(n) is not int:
         raise ValueError("signed permutation JSON: 'n' and the 'neg' values must be integers")
     return signed

@@ -17,6 +17,7 @@ import pickle
 import pytest
 
 from cycledescent.bijections import (
+    SignedPermutation,
     enumerate_negative_cdes,
     gamma,
     parse_signed,
@@ -133,6 +134,13 @@ def test_gamma_and_theta_emit_canonical_matchings(n):
 def test_permutation_rejects(word):
     with pytest.raises(ValueError):
         Permutation(word)
+
+
+@pytest.mark.parametrize("neg", [{4}, {0}, {3.0}, {True}, {2, 3.0}])
+def test_signed_permutation_rejects(neg):
+    # 3.0 and True equal values of 1..3 but name none of them
+    with pytest.raises(ValueError):
+        SignedPermutation(Permutation((3, 1, 2)), frozenset(neg))
 
 
 @pytest.mark.parametrize(
@@ -258,6 +266,7 @@ def test_signed_from_json_dict_rejects(data):
         ["map", "gamma", "--input", '{"one_line":[3.0,1,2],"neg":[]}'],
         ["map", "gamma", "--input", '{"one_line":[true,2],"neg":[]}'],
         ["map", "gamma", "--input", '{"one_line":[3,1,2],"neg":[3.0]}'],
+        ["map", "gamma", "--input", '{"one_line":[3,1,2],"neg":[true]}'],
         ["map", "gamma", "--input", '{"one_line":[3,1,2],"neg":[],"n":3.0}'],
     ],
 )
