@@ -7,8 +7,8 @@ desk-scale.  A plain check computes its outcome on its own.  A walk check
 folds it off records that one walk of its size keeps for every check that
 reads them: the involution checks of one size share one walk of S_n, and
 the bijection checks one walk of the signed objects and one of the Callan
-matchings.  Tasks at different sizes are independent, so a suite can fan
-out over a process pool, largest sizes first.
+matchings.  Each walk of a size is one task, so tasks are independent and
+a suite can fan out over a process pool, largest sizes first.
 
 Informational checks never fail: they attach their findings to the
 summary's notes (used for the downline formula, whose textbook global
@@ -402,6 +402,20 @@ def _fold_phi_preservation(n: int, w: _PermWalk) -> tuple[bool, str]:
     return True, f"{moved} permutations moved"
 
 
+_PERM_FOLDS = {
+    "psi-involution": _fold_psi_involution,
+    "varphi-involution": _fold_varphi_involution,
+    "phi-preservation": _fold_phi_preservation,
+}
+
+
+def _walk_perm_folds(n: int) -> dict[str, tuple[bool, str]]:
+    """Walk S_n and fold each involution check of size n off it, in this
+    process: the records (about 1 MB at n = 8) cost more to send than to fold."""
+    w = _walk_perms(n)
+    return {c: fold(n, w) for c, fold in _PERM_FOLDS.items() if CHECKS[c].min_n <= n}
+
+
 # ---------------------------------------------------------------------------
 # Bijection checks from two walks per size.
 #
@@ -410,33 +424,45 @@ def _fold_phi_preservation(n: int, w: _PermWalk) -> tuple[bool, str]:
 # the permutation statistics of every object, and theta, theta_inv and
 # match_stats of every cyclic object.  ``_walk_callan(n)`` walks the Callan
 # matchings of size n once and runs the reverse round trip on its own.  A
-# walk keeps counts and the first failure of each law it reads, and keeps
-# image and target sets only when an image check runs at its size, so no
-# set of a size beyond the image cap is held.  Each bijection check is a
-# fold that reads its outcome at size n off the two walks.
+# walk keeps counts, the first failure of each law it reads and, up to the
+# image cap, its image or target sets in the form of ``_exact``, cheap to
+# send.  Each bijection check is a fold of its outcome off the two walks.
 
+_IMAGE_CAP = 6  # the largest size whose image and target sets are compared
 _IMAGE_CHECKS = ("gamma-image", "theta-image", "derangement-restriction")
 
 
+def _exact(partners: set[bytes]) -> bytes:
+    """A set of matchings of one size, given as ``bytes(m.partner)``, sorted
+    and joined: its members have one length, so equal sets give equal values."""
+    return b"".join(sorted(partners))
+
+
+def _members(exact: bytes, n: int) -> int:
+    """The number of matchings of size n in a set of the form of ``_exact``."""
+    return len(exact) // (2 * n + 2)
+
+
 class _SignedWalk:
-    def __init__(self, images: bool) -> None:
+    def __init__(self) -> None:
         self.count = self.cyclic = self.derangements = 0
         self.holds = 0  # objects on which the row-of-partner downline form holds
         self.cyclic_fails = 0  # cyclic objects on which it fails
         self.first: dict[str, str] = {}  # check id -> first failure
-        self.images: dict[str, set] = {c: set() for c in _IMAGE_CHECKS} if images else {}
+        self.images: dict[str, bytes] = {}  # image check id -> image set, up to the cap
 
 
 class _CallanWalk:
-    def __init__(self, images: bool) -> None:
+    def __init__(self) -> None:
         self.count = self.no_vertical = 0
         self.reverse_trip: str | None = None  # first failure of gamma(gamma_inv(m)) == m
-        self.targets: dict[str, set] = {c: set() for c in _IMAGE_CHECKS} if images else {}
+        self.targets: dict[str, bytes] = {}  # image check id -> target set, up to the cap
 
 
-def _walk_signed(n: int, images: bool) -> _SignedWalk:
-    w = _SignedWalk(images)
+def _walk_signed(n: int) -> _SignedWalk:
+    w = _SignedWalk()
     first = w.first
+    images = {c: set() for c in _IMAGE_CHECKS} if n <= _IMAGE_CAP else {}
     perm = pstats = None
     for s in bj.enumerate_negative_cdes(n):
         if s.perm is not perm:  # the sign sets of one permutation come in a row
@@ -468,17 +494,19 @@ def _walk_signed(n: int, images: bool) -> _SignedWalk:
                     "downline-per-cycle", f"{s}: down={down}, neg={len(s.neg)}, bump={bump}"
                 )
             if images:
-                w.images["theta-image"].add(t)
+                images["theta-image"].add(bytes(t.partner))
         w.derangements += pstats.fix == 0
         if images:
-            w.images["gamma-image"].add(m)
+            images["gamma-image"].add(bytes(m.partner))
             if pstats.fix == 0:
-                w.images["derangement-restriction"].add(m)
+                images["derangement-restriction"].add(bytes(m.partner))
+    w.images = {c: _exact(keys) for c, keys in images.items()}
     return w
 
 
-def _walk_callan(n: int, images: bool) -> _CallanWalk:
-    w = _CallanWalk(images)
+def _walk_callan(n: int) -> _CallanWalk:
+    w = _CallanWalk()
+    targets = {c: set() for c in _IMAGE_CHECKS} if n <= _IMAGE_CAP else {}
     for m in mt.enumerate_matchings(n, "callan"):
         w.count += 1
         # (i, 0)-(i, 1) is a vertical: key 2i partnered with key 2i + 1
@@ -486,12 +514,14 @@ def _walk_callan(n: int, images: bool) -> _CallanWalk:
         w.no_vertical += vertical_free
         if bj.gamma(bj.gamma_inv(m)) != m and w.reverse_trip is None:
             w.reverse_trip = f"reverse round trip broke at {m}"
-        if images:
-            w.targets["gamma-image"].add(m)
+        if targets:
+            key = bytes(m.partner)
+            targets["gamma-image"].add(key)
             if mt.match_stats(m).com == 1:
-                w.targets["theta-image"].add(m)
+                targets["theta-image"].add(key)
             if vertical_free:
-                w.targets["derangement-restriction"].add(m)
+                targets["derangement-restriction"].add(key)
+    w.targets = {c: _exact(keys) for c, keys in targets.items()}
     return w
 
 
@@ -515,29 +545,29 @@ def _fold_counts(
 
 def _fold_gamma_image(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
     image, target = s.images["gamma-image"], c.targets["gamma-image"]
-    if len(image) != s.count:
-        return False, f"gamma not injective: {s.count} inputs, {len(image)} images"
+    if _members(image, n) != s.count:
+        return False, f"gamma not injective: {s.count} inputs, {_members(image, n)} images"
     if image != target:
-        return False, f"image has {len(image)} matchings, target {len(target)}"
+        return False, f"image has {_members(image, n)} matchings, target {_members(target, n)}"
     return True, f"bijection on {s.count} objects"
 
 
 def _fold_theta_image(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
     image, target = s.images["theta-image"], c.targets["theta-image"]
-    if len(image) != s.cyclic:
+    if _members(image, n) != s.cyclic:
         return False, f"theta not injective on {s.cyclic} inputs"
     if image != target:
-        return False, f"image has {len(image)} matchings, target {len(target)}"
+        return False, f"image has {_members(image, n)} matchings, target {_members(target, n)}"
     return True, f"bijection on {s.cyclic} cyclic objects"
 
 
 def _fold_derangement_restriction(
     n: int, s: _SignedWalk, c: _CallanWalk
 ) -> tuple[bool, str]:
-    image = s.images["derangement-restriction"]
-    target = c.targets["derangement-restriction"]
-    if len(image) != s.derangements or image != target:
-        return False, f"{s.derangements} inputs, {len(image)} images, {len(target)} targets"
+    image, target = s.images["derangement-restriction"], c.targets["derangement-restriction"]
+    images, targets = _members(image, n), _members(target, n)
+    if images != s.derangements or image != target:
+        return False, f"{s.derangements} inputs, {images} images, {targets} targets"
     return True, f"bijection on {s.derangements} derangement objects"
 
 
@@ -580,22 +610,18 @@ def _fold_downline_global_report(
 
 @dataclass(frozen=True)
 class Check:
-    """A check whose ``fn(n, seed)`` gives (passed, detail) at size n."""
+    """A check at size n.  With no ``walks``, ``fn(n, seed)`` gives its
+    (passed, detail); otherwise ``fn(n, *records)`` folds it off what the
+    named walks of size n (see ``_WALKS``) return."""
 
-    fn: Callable[[int, int], tuple[bool, str]]
+    fn: Callable[..., tuple[bool, str]]
     min_n: int
     cap: int
+    walks: tuple[str, ...] = ()
     informational: bool = False
 
 
-@dataclass(frozen=True)
-class WalkCheck(Check):
-    """A check that folds its outcome at size n off the walks of that size:
-    ``fn(n, records)`` off the walk of S_n (``walk="perms"``), or
-    ``fn(n, signed, callan)`` off the signed and the Callan walk."""
-
-    walk: str = "bijections"
-
+_PERMS, _BIJ = ("perms",), ("signed", "callan")  # the walks of the walk checks
 
 CHECKS: dict[str, Check] = {
     "closed-form-all": Check(_check_closed_form, 2, 8),
@@ -606,20 +632,20 @@ CHECKS: dict[str, Check] = {
     "cdes-poly-derangement": Check(partial(_check_cdes_poly, derangements=True), 1, 8),
     "sequence-cross-check": Check(_check_sequence_cross, 1, 12),
     "poly-ring-axioms": Check(_check_poly_axioms, 1, 1),
-    "psi-involution": WalkCheck(_fold_psi_involution, 2, 8, walk="perms"),
+    "psi-involution": Check(lambda n, folds: folds["psi-involution"], 2, 8, _PERMS),
     "psi-fixed-weight": Check(_check_psi_fixed_weight, 2, 8),
-    "varphi-involution": WalkCheck(_fold_varphi_involution, 2, 8, walk="perms"),
-    "phi-preservation": WalkCheck(_fold_phi_preservation, 1, 8, walk="perms"),
-    "count-callan": WalkCheck(_fold_counts, 1, 7),
-    "count-callan-no-vertical": WalkCheck(partial(_fold_counts, derangements=True), 1, 7),
-    "gamma-image": WalkCheck(_fold_gamma_image, 1, 6),
-    "theta-image": WalkCheck(_fold_theta_image, 1, 6),
-    "gamma-roundtrip": WalkCheck(_fold_gamma_roundtrip, 1, 7),
-    "theta-roundtrip": WalkCheck(_fold_theta_roundtrip, 1, 7),
-    "statistic-transport": WalkCheck(_fold_transport, 1, 7),
-    "derangement-restriction": WalkCheck(_fold_derangement_restriction, 1, 6),
-    "downline-per-cycle": WalkCheck(_fold_downline_per_cycle, 1, 7),
-    "downline-global-report": WalkCheck(_fold_downline_global_report, 1, 7, informational=True),
+    "varphi-involution": Check(lambda n, folds: folds["varphi-involution"], 2, 8, _PERMS),
+    "phi-preservation": Check(lambda n, folds: folds["phi-preservation"], 1, 8, _PERMS),
+    "count-callan": Check(_fold_counts, 1, 7, _BIJ),
+    "count-callan-no-vertical": Check(partial(_fold_counts, derangements=True), 1, 7, _BIJ),
+    "gamma-image": Check(_fold_gamma_image, 1, _IMAGE_CAP, _BIJ),
+    "theta-image": Check(_fold_theta_image, 1, _IMAGE_CAP, _BIJ),
+    "gamma-roundtrip": Check(_fold_gamma_roundtrip, 1, 7, _BIJ),
+    "theta-roundtrip": Check(_fold_theta_roundtrip, 1, 7, _BIJ),
+    "statistic-transport": Check(_fold_transport, 1, 7, _BIJ),
+    "derangement-restriction": Check(_fold_derangement_restriction, 1, _IMAGE_CAP, _BIJ),
+    "downline-per-cycle": Check(_fold_downline_per_cycle, 1, 7, _BIJ),
+    "downline-global-report": Check(_fold_downline_global_report, 1, 7, _BIJ, informational=True),
 }
 
 for _id, _min in sp.IDENTITY_MIN_N.items():
@@ -671,45 +697,20 @@ def _run_check(check_id: str, n: int, seed: int) -> tuple[bool, str]:
     return CHECKS[check_id].fn(n, seed)
 
 
-def _fold_in_place(walk: str, n: int, check_ids: tuple[str, ...]) -> dict[str, tuple]:
-    """The walks of size n that a group of checks reads, folded in one task.
-
-    Records, image sets and target sets then stay in the process that
-    builds them.
-    """
-    if walk == "perms":
-        walks = (_walk_perms(n),)
-    else:
-        walks = (_walk_signed(n, images=True), _walk_callan(n, images=True))
-    return {check_id: CHECKS[check_id].fn(n, *walks) for check_id in check_ids}
+_WALKS = {"perms": _walk_perm_folds, "signed": _walk_signed, "callan": _walk_callan}
 
 
 def _tasks(plan: list[tuple[str, int]], seed: int) -> dict[tuple[str, int], tuple]:
-    """The tasks of a plan as (function, *arguments), keyed, in plan order.
-
-    A :class:`Check` is one task per (check, n).  The walk checks of size n
-    that read the same walk share it in one task (walk, n), except that
-    bijection walks of a size with no image check planned are two tasks,
-    ("signed", n) and then ("callan", n), which can run side by side and
-    which the caller folds.
-    """
-    walk_ids: dict[tuple[str, int], list[str]] = {}
-    for check_id, n in plan:
-        check = CHECKS[check_id]
-        if isinstance(check, WalkCheck):
-            walk_ids.setdefault((check.walk, n), []).append(check_id)
-    images = {n for check_id, n in plan if check_id in _IMAGE_CHECKS}
+    """The tasks of a plan as (function, *arguments), keyed, in plan order:
+    (check, n) for a check without walks, and (walk, n) for each walk of
+    size n that a planned check reads, shared by all such checks."""
     tasks: dict[tuple[str, int], tuple] = {}
     for check_id, n in plan:
-        check = CHECKS[check_id]
-        if not isinstance(check, WalkCheck):
+        walks = CHECKS[check_id].walks
+        if not walks:
             tasks[check_id, n] = (_run_check, check_id, n, seed)
-        elif check.walk == "perms" or n in images:
-            key = (check.walk, n)
-            tasks.setdefault(key, (_fold_in_place, *key, tuple(walk_ids[key])))
-        else:
-            tasks.setdefault(("signed", n), (_walk_signed, n, False))
-            tasks.setdefault(("callan", n), (_walk_callan, n, False))
+        for walk in walks:
+            tasks.setdefault((walk, n), (_WALKS[walk], n))
     return tasks
 
 
@@ -752,12 +753,10 @@ def run_verification(
     )
     for check_id, n in plan:
         check = CHECKS[check_id]
-        if not isinstance(check, WalkCheck):
-            passed, detail = results[check_id, n]
-        elif (check.walk, n) in results:
-            passed, detail = results[check.walk, n][check_id]
+        if check.walks:
+            passed, detail = check.fn(n, *(results[walk, n] for walk in check.walks))
         else:
-            passed, detail = check.fn(n, results["signed", n], results["callan", n])
+            passed, detail = results[check_id, n]
         outcome = CheckOutcome(check_id, n, passed, detail)
         if check.informational:
             summary.notes.append(outcome)

@@ -3,11 +3,19 @@
 Its ten checks read their outcomes off one walk of the negative cdes
 permutations and one walk of the Callan matchings per size, so gamma runs
 once per signed object (the forward round trip, the images, the
-statistics) and once per Callan matching (the reverse round trip).
+statistics) and once per Callan matching (the reverse round trip).  The
+two walks of a size are two tasks at every size, and what they send back
+holds their image and target sets in an exact form of plain bytes.
 """
+
+import pickle
+import random
+
+import pytest
 
 from cycledescent import bijections as bj
 from cycledescent import matchings as mt
+from cycledescent import verify
 from cycledescent.verify import run_verification
 
 
@@ -48,3 +56,30 @@ def test_parallel_bijections_match_serial():
     assert parallel.failures == serial.failures
     assert parallel.notes == serial.notes
     assert serial.exit_code == 0
+
+
+def test_signed_and_callan_walks_are_two_tasks_at_every_size():
+    tasks = verify._tasks(verify._plan("all", None), verify.DEFAULT_SEED)
+    walks = {key for key in tasks if key[0] in ("signed", "callan", "bijections")}
+    assert walks == {(walk, n) for walk in ("signed", "callan") for n in range(1, 8)}
+    assert all(tasks[walk, n][1:] == (n,) for walk, n in walks)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_walks_send_no_matchings(n):
+    signed, callan = verify._walk_signed(n), verify._walk_callan(n)
+    for walk in (signed, callan):
+        assert b"PerfectMatching" not in pickle.dumps(walk)
+    assert set(signed.images) == set(callan.targets) == set(verify._IMAGE_CHECKS)
+
+
+def test_exact_form_is_the_set():
+    callan = [bytes(m.partner) for m in mt.enumerate_matchings(4, "callan")]
+    everything = (bytes(m.partner) for m in mt.enumerate_matchings(4))
+    others = [key for key in everything if key not in callan]
+    shuffled = callan * 2
+    random.Random(1).shuffle(shuffled)
+    exact = verify._exact(set(callan))
+    assert verify._exact(set(shuffled)) == verify._exact(set(reversed(callan))) == exact
+    assert verify._members(exact, 4) == len(callan)
+    assert verify._exact({*callan[1:], others[0]}) != exact
