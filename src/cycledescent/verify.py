@@ -432,15 +432,16 @@ _IMAGE_CAP = 6  # the largest size whose image and target sets are compared
 _IMAGE_CHECKS = ("gamma-image", "theta-image", "derangement-restriction")
 
 
-def _exact(partners: set[bytes]) -> bytes:
-    """A set of matchings of one size, given as ``bytes(m.partner)``, sorted
-    and joined: its members have one length, so equal sets give equal values."""
-    return b"".join(sorted(partners))
+def _key(m: mt.PerfectMatching) -> bytes:
+    """The partner of the first vertex of each edge of m, in key order: n
+    bytes that tell m from every other matching on its support."""
+    return bytes(q for k, q in enumerate(m.partner) if k < q)
 
 
-def _members(exact: bytes, n: int) -> int:
-    """The number of matchings of size n in a set of the form of ``_exact``."""
-    return len(exact) // (2 * n + 2)
+def _exact(keys: set[bytes]) -> bytes:
+    """A set of matchings of size n, given by ``_key``, sorted and joined:
+    n bytes a member, so two sets are equal exactly when their values are."""
+    return b"".join(sorted(keys))
 
 
 class _SignedWalk:
@@ -494,12 +495,13 @@ def _walk_signed(n: int) -> _SignedWalk:
                     "downline-per-cycle", f"{s}: down={down}, neg={len(s.neg)}, bump={bump}"
                 )
             if images:
-                images["theta-image"].add(bytes(t.partner))
+                images["theta-image"].add(_key(t))
         w.derangements += pstats.fix == 0
         if images:
-            images["gamma-image"].add(bytes(m.partner))
+            key = _key(m)
+            images["gamma-image"].add(key)
             if pstats.fix == 0:
-                images["derangement-restriction"].add(bytes(m.partner))
+                images["derangement-restriction"].add(key)
     w.images = {c: _exact(keys) for c, keys in images.items()}
     return w
 
@@ -515,7 +517,7 @@ def _walk_callan(n: int) -> _CallanWalk:
         if bj.gamma(bj.gamma_inv(m)) != m and w.reverse_trip is None:
             w.reverse_trip = f"reverse round trip broke at {m}"
         if targets:
-            key = bytes(m.partner)
+            key = _key(m)
             targets["gamma-image"].add(key)
             if mt.match_stats(m).com == 1:
                 targets["theta-image"].add(key)
@@ -545,27 +547,25 @@ def _fold_counts(
 
 def _fold_gamma_image(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
     image, target = s.images["gamma-image"], c.targets["gamma-image"]
-    if _members(image, n) != s.count:
-        return False, f"gamma not injective: {s.count} inputs, {_members(image, n)} images"
+    if len(image) // n != s.count:
+        return False, f"gamma not injective: {s.count} inputs, {len(image) // n} images"
     if image != target:
-        return False, f"image has {_members(image, n)} matchings, target {_members(target, n)}"
+        return False, f"image has {len(image) // n} matchings, target {len(target) // n}"
     return True, f"bijection on {s.count} objects"
 
 
 def _fold_theta_image(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
     image, target = s.images["theta-image"], c.targets["theta-image"]
-    if _members(image, n) != s.cyclic:
+    if len(image) // n != s.cyclic:
         return False, f"theta not injective on {s.cyclic} inputs"
     if image != target:
-        return False, f"image has {_members(image, n)} matchings, target {_members(target, n)}"
+        return False, f"image has {len(image) // n} matchings, target {len(target) // n}"
     return True, f"bijection on {s.cyclic} cyclic objects"
 
 
-def _fold_derangement_restriction(
-    n: int, s: _SignedWalk, c: _CallanWalk
-) -> tuple[bool, str]:
+def _fold_derangement_restriction(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
     image, target = s.images["derangement-restriction"], c.targets["derangement-restriction"]
-    images, targets = _members(image, n), _members(target, n)
+    images, targets = len(image) // n, len(target) // n
     if images != s.derangements or image != target:
         return False, f"{s.derangements} inputs, {images} images, {targets} targets"
     return True, f"bijection on {s.derangements} derangement objects"

@@ -73,13 +73,19 @@ def test_walks_send_no_matchings(n):
     assert set(signed.images) == set(callan.targets) == set(verify._IMAGE_CHECKS)
 
 
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 15), (4, 105), (5, 945)])
+def test_key_tells_every_matching_apart(n, count):
+    keys = {verify._key(m) for m in mt.enumerate_matchings(n)}
+    assert len(keys) == count and {len(key) for key in keys} == {n}
+
+
 def test_exact_form_is_the_set():
-    callan = [bytes(m.partner) for m in mt.enumerate_matchings(4, "callan")]
-    everything = (bytes(m.partner) for m in mt.enumerate_matchings(4))
-    others = [key for key in everything if key not in callan]
+    everything = [verify._key(m) for m in mt.enumerate_matchings(4)]
+    callan = [verify._key(m) for m in mt.enumerate_matchings(4, "callan")]
+    other = next(key for key in everything if key not in callan)
     shuffled = callan * 2
     random.Random(1).shuffle(shuffled)
     exact = verify._exact(set(callan))
     assert verify._exact(set(shuffled)) == verify._exact(set(reversed(callan))) == exact
-    assert verify._members(exact, 4) == len(callan)
-    assert verify._exact({*callan[1:], others[0]}) != exact
+    assert len(exact) == 4 * len(callan)
+    assert verify._exact({*callan[1:], other}) != exact
