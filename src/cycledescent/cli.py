@@ -5,13 +5,16 @@ Commands: ``verify`` (exhaustive theorem batteries), ``table`` (bundled
 involution tables), ``seq`` (counting sequences), ``enum`` (object
 streams), ``map`` (the matching bijections), ``diagram`` (dot diagrams)
 and ``stats`` (single-permutation statistics).  All state lives on the
-command line; exit status 0 means every requested check passed.
+command line; exit status 0 means every requested check passed, 1 that
+a check failed, 2 bad input, and 141 (128 + SIGPIPE) that the reader of
+standard output went away before it was written, as in ``| head``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bijections as bj
@@ -268,10 +271,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        status = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: what is still buffered goes to devnull, so
+        # the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

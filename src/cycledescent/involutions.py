@@ -26,6 +26,7 @@ Three layers of machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -33,7 +34,6 @@ from .perms import (
     Permutation,
     hat,
     permutation_from_cycles,
-    red,
     standard_cycles,
     statistics,
 )
@@ -96,31 +96,29 @@ def phi_map(p: Permutation) -> InvolutionOutcome:
     return _split_or_merge(p, qv)
 
 
+@lru_cache(maxsize=1)
 def _split_or_merge(p: Permutation, qv: int) -> InvolutionOutcome:
     """The body of ``phi_map`` at a known last top-descent ``qv``.
 
     A split leaves the top-descent ending a cycle, so it is no longer a
     cycle descent and cdes falls by one; a merge puts it back inside a
-    cycle and cdes rises by one.
+    cycle and cdes rises by one.  The last image is kept: a walk that
+    applies ``psi`` and then ``phi_map`` to one object builds it once.
     """
     cycles = list(standard_cycles(p).cycles)
-    for k, cyc in enumerate(cycles):
-        if qv not in cyc:
-            continue
-        pos = cyc.index(qv)
-        if pos == len(cyc) - 1:
-            # the last top-descent is never the global last entry, so a
-            # following cycle always exists here
-            merged = cyc + cycles[k + 1]
-            new_cycles = cycles[:k] + [merged] + cycles[k + 2 :]
-            tag, delta = "phi-merge", 1
-        else:
-            new_cycles = (
-                cycles[:k] + [cyc[: pos + 1], cyc[pos + 1 :]] + cycles[k + 1 :]
-            )
-            tag, delta = "phi-split", -1
-        return InvolutionOutcome(permutation_from_cycles(new_cycles, p.n), tag, delta)
-    raise AssertionError("unreachable: top-descent not found in any cycle")
+    k = next(k for k, cyc in enumerate(cycles) if qv in cyc)
+    cyc = cycles[k]
+    pos = cyc.index(qv)
+    if pos == len(cyc) - 1:
+        # the last top-descent is never the global last entry, so a
+        # following cycle always exists here
+        merged = cyc + cycles[k + 1]
+        new_cycles = cycles[:k] + [merged] + cycles[k + 2 :]
+        tag, delta = "phi-merge", 1
+    else:
+        new_cycles = cycles[:k] + [cyc[: pos + 1], cyc[pos + 1 :]] + cycles[k + 1 :]
+        tag, delta = "phi-split", -1
+    return InvolutionOutcome(permutation_from_cycles(new_cycles, p.n), tag, delta)
 
 
 def _index_set(p: Permutation) -> set[int]:
@@ -171,8 +169,6 @@ def psi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
     if not index_set:
         # increasing-staircase first cycle ending at n, increasing rest:
         # these are exactly the fixed points, and exist only for i = n
-        if i != n:
-            raise AssertionError("empty index set for interior i")
         return InvolutionOutcome(p, "fixed", 0)
     m = min(index_set)
     if m >= 2:
@@ -231,19 +227,22 @@ def psi_fixed_set(n: int, i: int) -> frozenset[Permutation]:
 # The involution on derangements with pi(i) = 1.
 
 
-def _staircase_shaped(ranks: tuple[int, ...]) -> bool:
-    """True for rank words of the form 1, 2, .., r-1, s, s-1, .., r."""
-    s = len(ranks)
+def _staircase(seq: Sequence[int]) -> bool:
+    """True for sequences of distinct values order-isomorphic to
+    1, 2, .., r-1, s, s-1, .., r (length s >= 2): they increase up to their
+    maximum and decrease from it on, and the entry before the maximum, if
+    any, is below the last entry."""
+    s = len(seq)
     if s < 2:
         return False
-    top = ranks.index(s)
-    return ranks[:top] == tuple(range(1, top + 1)) and ranks[top:] == tuple(
-        range(s, top, -1)
-    )
-
-
-def _rank_word(seq: Sequence[int]) -> tuple[int, ...]:
-    return red(tuple(seq)).word
+    top = seq.index(max(seq))
+    for j in range(1, top):
+        if seq[j - 1] > seq[j]:
+            return False
+    for j in range(top + 1, s):
+        if seq[j - 1] < seq[j]:
+            return False
+    return top == 0 or seq[top - 1] < seq[-1]
 
 
 def varphi_fixed_point(n: int, i: int) -> Permutation:
@@ -281,7 +280,7 @@ def varphi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
     last = cycles[-1]
     s = len(last)
 
-    if _staircase_shaped(_rank_word(last)):
+    if _staircase(last):
         if len(cycles) == 1:
             return InvolutionOutcome(p, "fixed", 0)
         prev = cycles[-2]
@@ -303,7 +302,7 @@ def varphi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
     # always qualify, and the property is hereditary, so scan upward
     cut = 3
     for length in range(4, s):
-        if _staircase_shaped(_rank_word(last[:length])):
+        if _staircase(last[:length]):
             cut = length
         else:
             break

@@ -163,6 +163,8 @@ def emit_table(kind: str, n: int, i: int | None = None) -> str:
             raise ValueError(f"indices out of range: n={n}, i={i}")
         return _psi_table(n, i)
     if kind == "varphi":
+        if i is not None:
+            raise ValueError("varphi tables cover every i in 2..n and take no index")
         if n < 2:
             raise ValueError(f"indices out of range: n={n}")
         return _varphi_table(n)

@@ -1,4 +1,11 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from cycledescent.cli import main
 from cycledescent.bijections import parse_signed, signed_to_json_dict
@@ -52,6 +59,14 @@ def test_table_command_matches_library(capsys):
     code, out, _ = run(capsys, "table", "varphi", "--n", "4")
     assert code == 0
     assert "misprint" in out
+
+
+@pytest.mark.parametrize("i", ["1", "2", "4", "9"])
+def test_table_varphi_refuses_an_index(capsys, i):
+    # varphi tables cover every i in 2..n at once
+    code, out, err = run(capsys, "table", "varphi", "--n", "4", "--i", i)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_seq_commands(capsys):
@@ -160,3 +175,47 @@ def test_map_reads_stdin(capsys, monkeypatch):
     assert code == 0
     data = json.loads(out)
     assert data["support"] == [1, 2]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        (["enum", "callan", "--n", "7"], 1),  # like `| head -1`
+        (["verify", "theorem-p", "--n-max", "3", "--json"], 0),
+    ],
+)
+def test_closed_stdout_exits_141_without_traceback(argv, lines_read):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cycledescent.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()  # the reader goes away
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_closed_stdout_in_process_points_stdout_at_devnull(monkeypatch, tmp_path):
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert main(["seq", "b21", "--n-max", "3"]) == 141
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)

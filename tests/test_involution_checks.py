@@ -13,6 +13,7 @@ the walk order and that each map is called once per object of its domain.
 
 from collections import Counter
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
@@ -417,6 +418,36 @@ def test_rank_is_the_stream_index(n):
 def test_rank_refuses_words_outside_the_family():
     assert verify._rank((2, 1, 3), 4) == -1
     assert verify._rank((1, 2, 3, 4, 5), 4) == -1
+
+
+def list_rank(word, n):
+    """The rank by a list of the unused values: one index and one del per entry."""
+    if len(word) != n:
+        return -1
+    rest = list(range(1, n + 1))
+    r = 0
+    for v in word:
+        j = rest.index(v)
+        r = r * len(rest) + j
+        del rest[j]
+    return r
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_table_rank_is_the_list_rank(n):
+    for word in permutations(range(1, n + 1)):
+        assert verify._rank(word, n) == list_rank(word, n)
+    for word in (tuple(range(1, n)), tuple(range(1, n + 2))):
+        assert verify._rank(word, n) == list_rank(word, n) == -1
+
+
+def test_split_or_merge_body_runs_once_per_object():
+    # psi's phi branch and phi_map build the image of one object once
+    n = 6
+    iv._split_or_merge.cache_clear()
+    verify._walk_perms(n)
+    domain = [p for p in enumerate_permutations("all", n) if DOMAIN["phi_map"](p)]
+    assert iv._split_or_merge.cache_info().misses == len(domain)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

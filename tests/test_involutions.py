@@ -1,5 +1,8 @@
+from itertools import permutations
+
 import pytest
 
+from cycledescent import involutions as iv
 from cycledescent.involutions import (
     last_top_descent,
     m_index,
@@ -15,6 +18,7 @@ from cycledescent.perms import (
     enumerate_permutations,
     hat,
     parse_permutation,
+    red,
     statistics,
 )
 
@@ -106,6 +110,19 @@ def test_psi_rejects_bad_input():
         psi(4, 2, Permutation((1, 2, 3, 4)))  # value 1 not at position 2
     with pytest.raises(ValueError):
         psi(1, 1, Permutation((1,)))
+    with pytest.raises(ValueError, match="bad arguments"):
+        psi(5, 2, Permutation((2, 1, 3, 4)))  # a permutation of another size
+    for i in (0, 5):
+        with pytest.raises(ValueError, match="bad arguments"):
+            psi(4, i, Permutation((2, 1, 3, 4)))
+
+
+def test_psi_fixed_set_rejects_bad_input():
+    with pytest.raises(ValueError, match="n >= 2"):
+        psi_fixed_set(1, 1)
+    for i in (0, 5):
+        with pytest.raises(ValueError, match="index out of range"):
+            psi_fixed_set(4, i)
 
 
 def test_psi_involution_exhaustive_small():
@@ -152,6 +169,43 @@ def test_varphi_rejects_bad_input():
         varphi(4, 2, P("(1 2)(3)(4)"))  # has fixed points
     with pytest.raises(ValueError):
         varphi(4, 1, P("(1 2 3 4)"))  # i = 1 impossible for derangements
+    with pytest.raises(ValueError, match="size mismatch"):
+        varphi(5, 2, P("(1 2)(3 4)"))
+    with pytest.raises(ValueError, match="index out of range"):
+        varphi(4, 5, P("(1 2)(3 4)"))
+    with pytest.raises(ValueError, match="does not place the value 1"):
+        varphi(4, 3, P("(1 2)(3 4)"))  # 1 sits at position 2
+
+
+def test_varphi_fixed_point_rejects_bad_index():
+    for i in (1, 5):
+        with pytest.raises(ValueError, match="index out of range"):
+            varphi_fixed_point(4, i)
+
+
+def _staircase_by_ranks(seq):
+    """The predicate on the rank word: red(seq) is 1, 2, .., r-1, s, s-1, .., r."""
+    ranks = red(tuple(seq)).word
+    s = len(ranks)
+    if s < 2:
+        return False
+    top = ranks.index(s)
+    return ranks[:top] == tuple(range(1, top + 1)) and ranks[top:] == tuple(
+        range(s, top, -1)
+    )
+
+
+# an increasing relabelling of 1..8 onto values with gaps
+SPARSE = (3, 4, 7, 10, 11, 15, 20, 26)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_staircase_on_values_is_the_rank_word_test(k):
+    # every order pattern of length k, on the values 1..k and on values with gaps
+    for word in permutations(range(1, k + 1)):
+        sparse = tuple(SPARSE[v - 1] for v in word)
+        assert iv._staircase(word) == _staircase_by_ranks(word)
+        assert iv._staircase(sparse) == _staircase_by_ranks(sparse)
 
 
 def test_varphi_involution_exhaustive_small():

@@ -93,3 +93,5 @@ def test_emit_table_errors():
         emit_table("psi", 4, 5)
     with pytest.raises(ValueError):
         emit_table("nope", 4, 1)
+    with pytest.raises(ValueError, match="take no index"):
+        emit_table("varphi", 4, 3)
