@@ -162,8 +162,6 @@ def _cmd_seq(args) -> int:
 def _cmd_enum(args) -> int:
     if args.what in ("callan", "matchings"):
         flt = args.flt or ("callan" if args.what == "callan" else "all")
-        if flt not in mt.MATCHING_FILTERS:
-            raise ValueError(f"unknown matching filter: {flt!r}")
         check_cap("CLI matching enumeration", args.n)
         for m in mt.enumerate_matchings(args.n, flt):
             if args.format == "json":

@@ -26,7 +26,6 @@ Three layers of machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -88,23 +87,14 @@ def phi_map(p: Permutation) -> InvolutionOutcome:
     onto it (erasing ")(" in the written decomposition); otherwise the
     cycle is split right after the value.  Both moves preserve the
     flattened word, the top-descent itself, and the excedance count, and
-    change cdes by exactly one; applying the map twice is the identity.
+    change cdes by exactly one; applying the map twice is the identity.  A
+    split leaves the top-descent ending a cycle, so it is no longer a cycle
+    descent and cdes falls by one; a merge puts it back inside a cycle and
+    cdes rises by one.
     """
     qv = last_top_descent(p)
     if qv is None:
         raise ValueError("map undefined: the flattened cycle word is increasing")
-    return _split_or_merge(p, qv)
-
-
-@lru_cache(maxsize=1)
-def _split_or_merge(p: Permutation, qv: int) -> InvolutionOutcome:
-    """The body of ``phi_map`` at a known last top-descent ``qv``.
-
-    A split leaves the top-descent ending a cycle, so it is no longer a
-    cycle descent and cdes falls by one; a merge puts it back inside a
-    cycle and cdes rises by one.  The last image is kept: a walk that
-    applies ``psi`` and then ``phi_map`` to one object builds it once.
-    """
     cycles = list(standard_cycles(p).cycles)
     k = next(k for k, cyc in enumerate(cycles) if qv in cyc)
     cyc = cycles[k]
@@ -121,28 +111,21 @@ def _split_or_merge(p: Permutation, qv: int) -> InvolutionOutcome:
     return InvolutionOutcome(permutation_from_cycles(new_cycles, p.n), tag, delta)
 
 
-def _index_set(p: Permutation) -> set[int]:
-    """Positions j >= 1 in the cycle (1, c_1, ..., c_l) containing 1 such
-    that c_j is not the largest element once the tail c_{j+1}.. is removed
-    from consideration."""
-    first = standard_cycles(p).cycles[0]
-    tail = first[1:]  # c_1 .. c_l
+def m_index(p: Permutation) -> int | None:
+    """The least j >= 1 such that, in the cycle (1, c_1, ..., c_l)
+    containing 1, c_j is not the largest element once the tail c_{j+1}..
+    is removed from consideration; None when no j qualifies."""
+    tail = standard_cycles(p).cycles[0][1:]  # c_1 .. c_l
     excluded: set[int] = set()
-    out: set[int] = set()
+    m = None
     cur_max = p.n
     for j in range(len(tail), 0, -1):
         while cur_max in excluded:
             cur_max -= 1
         if tail[j - 1] < cur_max:
-            out.add(j)
+            m = j
         excluded.add(tail[j - 1])
-    return out
-
-
-def m_index(p: Permutation) -> int | None:
-    """min of the index set on the cycle containing 1; None when empty."""
-    q = _index_set(p)
-    return min(q) if q else None
+    return m
 
 
 def psi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
@@ -158,19 +141,18 @@ def psi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
     if i == 1:
         if qv is None:
             return InvolutionOutcome(p, "fixed", 0)
-        return _split_or_merge(p, qv)
+        return phi_map(p)
 
     cycles = standard_cycles(p).cycles
     first = cycles[0]
     if qv is not None and qv not in first:
-        return _split_or_merge(p, qv)
+        return phi_map(p)
 
-    index_set = _index_set(p)
-    if not index_set:
+    m = m_index(p)
+    if m is None:
         # increasing-staircase first cycle ending at n, increasing rest:
         # these are exactly the fixed points, and exist only for i = n
         return InvolutionOutcome(p, "fixed", 0)
-    m = min(index_set)
     if m >= 2:
         # detach the increasing prefix c_1 .. c_{m-1} as a cycle of its own
         new_first = (1,) + first[m:]

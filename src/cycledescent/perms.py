@@ -91,10 +91,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.word)
 
-    def __call__(self, i: int) -> int:
-        """Image pi(i) of a 1-indexed position."""
-        return self.word[i - 1]
-
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.word)
 

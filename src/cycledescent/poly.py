@@ -76,9 +76,6 @@ class MultiPoly:
             raise ValueError(f"not a constant polynomial: {self}")
         return self._terms[(0, 0, 0, 0)]
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = MultiPoly.constant(other)
@@ -113,9 +110,6 @@ class MultiPoly:
 
     def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
         return self + (-_coerce(other))
-
-    def __rsub__(self, other: "MultiPoly | int") -> "MultiPoly":
-        return _coerce(other) + (-self)
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = _coerce(other)

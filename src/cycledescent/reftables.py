@@ -9,6 +9,8 @@ Rows use '|'-separated fields with permutations in cycle notation.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .caps import check_cap
 from .involutions import (
     last_top_descent,
@@ -91,19 +93,22 @@ def _weight_str(p: Permutation) -> str:
     return str(MultiPoly.monomial((-1) ** s.cdes, ex=s.exc))
 
 
-def _domain_order(n: int, i: int, seeded: tuple[str, ...] | None) -> list[Permutation]:
-    domain = list(enumerate_permutations("one_at_i", n, i))
+def _rows(
+    seeded: tuple[str, ...] | None, domain: Iterable[Permutation], key
+) -> list[Permutation]:
+    """The pinned order if there is one, otherwise the domain sorted by key."""
     if seeded is None:
-        fixed = psi_fixed_set(n, i)
-        return sorted(domain, key=lambda p: (p not in fixed, p.word))
-    order = [parse_permutation(s) for s in seeded]
-    if sorted(p.word for p in order) != sorted(p.word for p in domain):
-        raise AssertionError("pinned table order does not cover the domain")
-    return order
+        return sorted(domain, key=key)
+    return [parse_permutation(s) for s in seeded]
 
 
 def _psi_table(n: int, i: int) -> str:
-    rows = _domain_order(n, i, _PSI_SEED.get((n, i)))
+    fixed = psi_fixed_set(n, i)
+    rows = _rows(
+        _PSI_SEED.get((n, i)),
+        enumerate_permutations("one_at_i", n, i),
+        lambda p: (p not in fixed, p.word),
+    )
     with_m = i >= 2
     lines = [
         f"# table: psi involution, n={n}, i={i}"
@@ -137,15 +142,12 @@ def _varphi_table(n: int) -> str:
     if n == 4:
         lines[1:1] = list(_VARPHI_NOTES)
     for i in range(2, n + 1):
-        seeded = _VARPHI_SEED.get(i) if n == 4 else None
-        domain = list(enumerate_permutations("derangements_one_at_i", n, i))
-        if seeded is None:
-            fp = varphi_fixed_point(n, i)
-            rows = sorted(domain, key=lambda p: (p == fp, p.word))
-        else:
-            rows = [parse_permutation(s) for s in seeded]
-            if sorted(p.word for p in rows) != sorted(p.word for p in domain):
-                raise AssertionError("pinned table order does not cover the domain")
+        fp = varphi_fixed_point(n, i)
+        rows = _rows(
+            _VARPHI_SEED.get(i) if n == 4 else None,
+            enumerate_permutations("derangements_one_at_i", n, i),
+            lambda p: (p == fp, p.word),
+        )
         for p in rows:
             out = varphi(n, i, p)
             tag = "fixed" if out.case_tag == "fixed" else ""

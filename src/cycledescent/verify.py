@@ -171,8 +171,9 @@ def _check_poly_axioms(n: int, seed: int) -> tuple[bool, str]:
 # flattening and its last top-descent.  For each map whose domain holds the
 # object it records the rank of the image, the branch tag and the cdes delta
 # the branch states.  A rank is two lookups, of the word's head and tail in
-# tables built once per n; ``psi`` and ``phi_map`` share the split/merge
-# image of an object, built once.  An image is itself an object of S_n with
+# tables built once per n.  Where ``psi`` takes a phi branch, its outcome is
+# the ``phi_map`` call for that object, so the split/merge image is built
+# once per object of phi's domain.  An image is itself an object of S_n with
 # a record of its own, so each fold reads the involution law, exc
 # preservation and the tag pairing off the records, in the order and with
 # the texts of a check that maps every image back, and no image is mapped or
@@ -262,14 +263,19 @@ def _walk_perms(n: int) -> _PermWalk:
         s = statistics(p)
         w.exc[k], w.cdes[k], w.pos1[k] = s.exc, s.cdes, s.inv1
         w.hat_rank[k] = _rank(hat(p), n)
+        out = None
         if n >= 2:
-            record(w.psi, k, iv.psi(n, s.inv1, p))
+            out = iv.psi(n, s.inv1, p)
+            record(w.psi, k, out)
         if not s.fix:
             record(w.varphi, k, iv.varphi(n, s.inv1, p))
         qv = iv.last_top_descent(p)
         if qv is not None:
             w.top[k] = qv
-            record(w.phi, k, iv.phi_map(p))
+            # psi's phi branches return the phi_map call for this object
+            if out is None or out.case_tag not in _PHI_PAIRS:
+                out = iv.phi_map(p)
+            record(w.phi, k, out)
     return w
 
 

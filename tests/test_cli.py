@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,9 @@ def test_seq_commands(capsys):
     assert code == 0 and out.strip() == "1 2 7"
     code, _, err = run(capsys, "seq", "mn", "--n-max", "8")
     assert code == 2 and "capped" in err
+    code, out, err = run(capsys, "seq", "b21", "--n-max", "0")
+    assert code == 2 and out == ""
+    assert err == "error: --n-max must be >= 1, got 0\n"
 
 
 def test_seq_agreement_on_overlap(capsys):
@@ -98,6 +102,13 @@ def test_enum_counts_and_json(capsys):
     assert len(out.strip().splitlines()) == 3
     code, _, err = run(capsys, "enum", "matchings", "--n", "9")
     assert code == 2 and "capped" in err
+
+
+@pytest.mark.parametrize("what", ["callan", "ncdp"])
+def test_enum_refuses_an_unknown_filter(capsys, what):
+    code, out, err = run(capsys, "enum", what, "--n", "3", "--filter", "bogus")
+    assert code == 2 and out == ""
+    assert err == "error: unknown filter: 'bogus'\n"
 
 
 def test_map_round_trip_through_cli(capsys):
@@ -219,3 +230,13 @@ def test_closed_stdout_in_process_points_stdout_at_devnull(monkeypatch, tmp_path
         assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
     finally:
         os.close(fd)
+
+
+def test_module_runs_as_a_script(capsys, monkeypatch):
+    # ``python -m cycledescent.cli``, in process: the exit status is main's
+    monkeypatch.setattr(sys, "argv", ["cycledescent", "seq", "b21", "--n-max", "3"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("cycledescent.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == "1 2 7\n"

@@ -441,15 +441,6 @@ def test_table_rank_is_the_list_rank(n):
         assert verify._rank(word, n) == list_rank(word, n) == -1
 
 
-def test_split_or_merge_body_runs_once_per_object():
-    # psi's phi branch and phi_map build the image of one object once
-    n = 6
-    iv._split_or_merge.cache_clear()
-    verify._walk_perms(n)
-    domain = [p for p in enumerate_permutations("all", n) if DOMAIN["phi_map"](p)]
-    assert iv._split_or_merge.cache_info().misses == len(domain)
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_one_at_i_ranks_follow_their_stream(n):
     w = verify._walk_perms(n)

@@ -1,8 +1,11 @@
-"""Every command that prints a matching, diffed byte for byte with its golden.
+"""CLI outputs diffed byte for byte with their goldens.
 
-The goldens cover the three output formats (text, JSON, SVG), the two
-enumeration filters that list matchings, and a diagram on a sparse support
-with every edge class.  CI runs the same commands and diffs the same files.
+The matching goldens cover the three output formats (text, JSON, SVG), the
+two enumeration filters that list matchings, and a diagram on a sparse
+support with every edge class.  The others pin the text report of a verify
+suite with notes, the JSON of a signed enumeration and of both inverse
+maps, and the refusal of SVG output for a signed result.  CI runs the same
+commands and diffs the same files.
 """
 
 from pathlib import Path
@@ -14,6 +17,8 @@ from cycledescent.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 SIGNED = "(1+ 6- 3+ 4+)(2+ 8- 7+)(5+)"
 SPARSE = (GOLDEN / "diagram_sparse_input.json").read_text()
+GAMMA_IMAGE = (GOLDEN / "map_gamma.json").read_text()
+THETA_IMAGE = (GOLDEN / "map_theta_inv_input.json").read_text()
 
 CASES = {
     "enum_matchings_4.jsonl": ["enum", "matchings", "--n", "4", "--format", "json"],
@@ -24,8 +29,28 @@ CASES = {
     "diagram_sparse.svg": ["diagram", "--input", SPARSE, "--format", "svg"],
 }
 
+OTHER_CASES = {
+    "verify_bijections_3.txt": ["verify", "bijections", "--n-max", "3"],
+    "enum_ncdp_3.jsonl": ["enum", "ncdp", "--n", "3", "--format", "json"],
+    "map_gamma_inv.json": ["map", "gamma-inv", "--input", GAMMA_IMAGE, "--format", "json"],
+    "map_theta_inv.json": ["map", "theta-inv", "--input", THETA_IMAGE, "--format", "json"],
+}
+
 
 @pytest.mark.parametrize("fname", sorted(CASES))
 def test_matching_output_matches_golden(fname, capsys):
     assert main(CASES[fname]) == 0
     assert capsys.readouterr().out == (GOLDEN / fname).read_bytes().decode()
+
+
+@pytest.mark.parametrize("fname", sorted(OTHER_CASES))
+def test_cli_output_matches_golden(fname, capsys):
+    assert main(OTHER_CASES[fname]) == 0
+    assert capsys.readouterr().out == (GOLDEN / fname).read_bytes().decode()
+
+
+def test_svg_refusal_for_a_signed_result_matches_golden(capsys):
+    assert main(["map", "gamma-inv", "--input", GAMMA_IMAGE, "--format", "svg"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (GOLDEN / "map_gamma_inv_svg.err").read_bytes().decode()

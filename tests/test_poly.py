@@ -99,3 +99,30 @@ def test_substitution_commutes_with_arithmetic():
 def test_big_coefficients_stay_exact():
     p = (1 + X) ** 64
     assert p.coefficient(ex=32) == 1832624140942590534  # C(64, 32)
+
+
+def test_keys_naming_one_exponent_vector_are_summed():
+    assert MultiPoly({(0, 1, 2, 3): 2, range(4): -1}) == MultiPoly.monomial(1, 0, 1, 2, 3)
+    assert MultiPoly({(0, 1, 2, 3): 1, range(4): -1}).is_zero()
+
+
+def test_equality_with_integers_and_other_types():
+    assert MultiPoly.constant(3) == 3
+    assert ZERO == 0 and X != 1
+    assert X != "x"
+
+
+def test_substitute_refuses_an_unknown_variable():
+    with pytest.raises(ValueError, match="unknown variable: 'z'"):
+        X.substitute(z=1)
+
+
+def test_repr_shows_the_canonical_string():
+    assert repr(X**2 - 1) == "MultiPoly<x^2 - 1>"
+
+
+def test_only_integers_mix_with_polynomials():
+    with pytest.raises(TypeError, match="cannot treat str as a polynomial"):
+        X + "1"
+    with pytest.raises(TypeError, match="cannot treat float as a polynomial"):
+        X * 1.5

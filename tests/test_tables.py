@@ -9,7 +9,7 @@ from cycledescent.perms import (
     parse_permutation,
     statistics,
 )
-from cycledescent.reftables import emit_table
+from cycledescent.reftables import _VARPHI_SEED, emit_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -95,3 +95,12 @@ def test_emit_table_errors():
         emit_table("nope", 4, 1)
     with pytest.raises(ValueError, match="take no index"):
         emit_table("varphi", 4, 3)
+    with pytest.raises(ValueError, match="out of range: n=1"):
+        emit_table("varphi", 1)
+
+
+@pytest.mark.parametrize("i", [2, 3, 4])
+def test_varphi_seed_covers_its_domain(i):
+    seeded = [parse_permutation(s) for s in _VARPHI_SEED[i]]
+    domain = enumerate_permutations("derangements_one_at_i", 4, i)
+    assert sorted(p.word for p in seeded) == sorted(p.word for p in domain)
