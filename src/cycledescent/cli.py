@@ -113,6 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _read_input(raw: str) -> str:
     return sys.stdin.read() if raw == "-" else raw
 
@@ -170,10 +173,7 @@ def _cmd_enum(args) -> int:
                 print(m)
     else:
         for s in bj.enumerate_negative_cdes(args.n, args.flt or "all"):
-            if args.format == "json":
-                print(json.dumps(bj.signed_to_json_dict(s)))
-            else:
-                print(bj.format_signed(s))
+            _emit_signed(s, args.format)
     return 0
 
 
@@ -237,9 +237,7 @@ def _cmd_diagram(args) -> int:
         m = _parse_matching_input(text)
     else:
         m = bj.gamma(bj.parse_signed(text))
-    sys.stdout.write(
-        diagrams.render_svg(m) if args.format == "svg" else diagrams.render_text(m)
-    )
+    _emit_matching(m, args.format)
     return 0
 
 
@@ -266,8 +264,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         status = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

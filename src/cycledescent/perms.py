@@ -123,6 +123,9 @@ class CycleDecomposition:
                 if v in seen:
                     raise ValueError(f"element repeated across cycles: {v}")
                 seen.add(v)
+        # a value that only equals an integer (2.0, True) names no element
+        if not all(type(v) is int for v in seen):
+            raise ValueError(f"cycle elements must be integers: {cycles}")
 
     @classmethod
     def _trusted(cls, cycles: tuple[tuple[int, ...], ...]) -> CycleDecomposition:

@@ -764,7 +764,8 @@ def run_verification(
     if jobs > 1:
         # largest sizes first, so the longest tasks start side by side
         order = sorted(tasks, key=lambda key: -key[1])
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at the first submit, so no more than tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             futures = {key: pool.submit(*tasks[key]) for key in order}
             results = {key: future.result() for key, future in futures.items()}
     else:

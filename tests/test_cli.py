@@ -240,3 +240,35 @@ def test_module_runs_as_a_script(capsys, monkeypatch):
             runpy.run_module("cycledescent.cli", run_name="__main__")
     assert exit_info.value.code == 0
     assert capsys.readouterr().out == "1 2 7\n"
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ["stats", "--perm", "3 1 2"],
+        ["map", "gamma", "--input", "(1+ 2+)"],
+        ["seq", "b21", "--n-max", "3"],
+    ):
+        assert run(capsys, *argv)[0] == 0
+    assert built == []
+
+
+def test_one_process_answers_after_refusals(capsys):
+    stats = ("stats", "--perm", "(1 4 2)(3)")
+    first = run(capsys, *stats)
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "gamma"])  # no --input: argparse refuses
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "map", "gamma", "--input", "(1- 2+)")[0] == 2
+    assert run(capsys, *stats) == first

@@ -144,7 +144,16 @@ def test_signed_permutation_rejects(neg):
 
 
 @pytest.mark.parametrize(
-    "cycles", [((2, 1),), ((3, 4), (1, 2)), ((1, 2), (2, 3)), ((),), ((0, 1),)]
+    "cycles",
+    [
+        ((2, 1),),
+        ((3, 4), (1, 2)),
+        ((1, 2), (2, 3)),
+        ((),),
+        ((0, 1),),
+        ((1, 2.5),),
+        ((1, 2.0),),
+    ],
 )
 def test_cycle_decomposition_rejects(cycles):
     with pytest.raises(ValueError):

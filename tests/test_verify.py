@@ -74,3 +74,34 @@ def test_failures_set_exit_code(monkeypatch):
     assert any(f.detail == "forced failure" for f in summary.failures)
     data = summary.to_json_dict()
     assert data["failures"][0]["witness"] == "forced failure"
+
+
+def test_jobs_beyond_the_task_count_start_one_worker_per_task(monkeypatch):
+    # a fake pool that runs each call inline: no worker process starts
+    from concurrent.futures import Future
+
+    from cycledescent import verify
+
+    workers, submits = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submits.append(fn)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    serial = run_verification("theorem-p", n_max=2)
+    pooled = run_verification("theorem-p", n_max=2, jobs=10_000)
+    assert workers == [len(submits)]
+    assert pooled.to_json_dict() == serial.to_json_dict()
