@@ -168,7 +168,7 @@ def _cmd_enum(args) -> int:
         check_cap("CLI matching enumeration", args.n)
         for m in mt.enumerate_matchings(args.n, flt):
             if args.format == "json":
-                print(json.dumps(mt.matching_to_json_dict(m)))
+                _emit_matching(m, "json")
             else:
                 print(m)
     else:

@@ -105,27 +105,31 @@ class CycleDecomposition:
     cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        cycles = tuple(tuple(c) for c in self.cycles)
-        object.__setattr__(self, "cycles", cycles)
-        seen: set[int] = set()
-        prev_min = 0
-        for cyc in cycles:
-            if not cyc:
-                raise ValueError("empty cycle")
-            if min(cyc) != cyc[0]:
-                raise ValueError(f"cycle not smallest-first: {cyc}")
-            if cyc[0] <= prev_min:
-                raise ValueError("cycle minima not strictly increasing")
-            prev_min = cyc[0]
-            for v in cyc:
-                if v < 1:
-                    raise ValueError(f"cycle element out of range: {v}")
-                if v in seen:
-                    raise ValueError(f"element repeated across cycles: {v}")
-                seen.add(v)
+        try:
+            cycles = tuple(tuple(c) for c in self.cycles)
+            object.__setattr__(self, "cycles", cycles)
+            seen: set[int] = set()
+            prev_min = 0
+            for cyc in cycles:
+                if not cyc:
+                    raise ValueError("empty cycle")
+                if min(cyc) != cyc[0]:
+                    raise ValueError(f"cycle not smallest-first: {cyc}")
+                if cyc[0] <= prev_min:
+                    raise ValueError("cycle minima not strictly increasing")
+                prev_min = cyc[0]
+                for v in cyc:
+                    if v < 1:
+                        raise ValueError(f"cycle element out of range: {v}")
+                    if v in seen:
+                        raise ValueError(f"element repeated across cycles: {v}")
+                    seen.add(v)
+        except TypeError:
+            # an element that does not compare with an int ('a', None) fails above
+            raise ValueError(f"cycle elements must be integers: {self.cycles}") from None
         # a value that only equals an integer (2.0, True) names no element
         if not all(type(v) is int for v in seen):
-            raise ValueError(f"cycle elements must be integers: {cycles}")
+            raise ValueError(f"cycle elements must be integers: {self.cycles}")
 
     @classmethod
     def _trusted(cls, cycles: tuple[tuple[int, ...], ...]) -> CycleDecomposition:

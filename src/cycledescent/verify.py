@@ -761,11 +761,12 @@ def run_verification(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     plan = _plan(suite, n_max)
     tasks = _tasks(plan, seed)
-    if jobs > 1:
+    # the pool starts all its workers at the first submit, so no more than tasks
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # largest sizes first, so the longest tasks start side by side
         order = sorted(tasks, key=lambda key: -key[1])
-        # the pool starts all its workers at the first submit, so no more than tasks
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {key: pool.submit(*tasks[key]) for key in order}
             results = {key: future.result() for key, future in futures.items()}
     else:

@@ -153,6 +153,8 @@ def test_signed_permutation_rejects(neg):
         ((0, 1),),
         ((1, 2.5),),
         ((1, 2.0),),
+        (("a",),),
+        ((1, None),),
     ],
 )
 def test_cycle_decomposition_rejects(cycles):

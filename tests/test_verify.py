@@ -86,6 +86,8 @@ def test_jobs_beyond_the_task_count_start_one_worker_per_task(monkeypatch):
 
     class InlinePool:
         def __init__(self, max_workers):
+            if max_workers < 1:  # as the real executor refuses it
+                raise ValueError("max_workers must be greater than 0")
             workers.append(max_workers)
 
         def __enter__(self):
@@ -103,5 +105,10 @@ def test_jobs_beyond_the_task_count_start_one_worker_per_task(monkeypatch):
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
     serial = run_verification("theorem-p", n_max=2)
     pooled = run_verification("theorem-p", n_max=2, jobs=10_000)
+    assert workers == [len(submits)]
+    assert pooled.to_json_dict() == serial.to_json_dict()
+    # an empty plan (no theorem-p check starts below n = 2) runs without a pool
+    serial = run_verification("theorem-p", n_max=1)
+    pooled = run_verification("theorem-p", n_max=1, jobs=2)
     assert workers == [len(submits)]
     assert pooled.to_json_dict() == serial.to_json_dict()
