@@ -351,7 +351,6 @@ FAMILIES = (
     "one_at_i",
     "derangements",
     "derangements_one_at_i",
-    "derangements_last_is_i",
 )
 
 
@@ -370,19 +369,13 @@ def _is_derangement(p: Permutation) -> bool:
     return all(v != i for i, v in enumerate(p.word, start=1))
 
 
-def _last_is(n: int, i: int) -> Iterator[Permutation]:
-    rest = [v for v in range(1, n + 1) if v != i]
-    for head in itertools.permutations(rest):
-        yield Permutation._trusted(head + (i,))
-
-
 def enumerate_permutations(
     family: str, n: int, i: int | None = None
 ) -> Iterator[Permutation]:
     """Stream a permutation family in lexicographic one-line order.
 
     Families: ``all``; ``one_at_i`` (pi(i) = 1); ``derangements``;
-    ``derangements_one_at_i``; ``derangements_last_is_i`` (pi(n) = i).
+    ``derangements_one_at_i``.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family: {family!r}")
@@ -390,7 +383,7 @@ def enumerate_permutations(
         raise ValueError("negative size")
     needs_i = family.endswith("_i")
     if needs_i:
-        if family in ("one_at_i", "derangements_one_at_i") and n == 0:
+        if n == 0:
             raise ValueError("family requires the value 1 but n = 0")
         if i is None:
             raise ValueError(f"family {family!r} requires an index")
@@ -402,7 +395,5 @@ def enumerate_permutations(
         yield from _one_at(n, i)
     elif family == "derangements":
         yield from (p for p in _all_perms(n) if _is_derangement(p))
-    elif family == "derangements_one_at_i":
-        yield from (p for p in _one_at(n, i) if _is_derangement(p))
     else:
-        yield from (p for p in _last_is(n, i) if _is_derangement(p))
+        yield from (p for p in _one_at(n, i) if _is_derangement(p))

@@ -319,18 +319,19 @@ def _rhs_signed_d_t(n: int) -> MultiPoly:
     return acc
 
 
+def _rhs_signed_sn(n: int) -> MultiPoly:
+    return 2 ** (n - 2) * (T + T**n)
+
+
 # id -> (domain family, weight, rhs builder, minimum n)
 _IDENTITY_SPECS: dict[str, tuple[str, Weight, Callable[[int], MultiPoly], int]] = {
     "brenti": ("all", _weight_exc_signed_cyc, lambda n: -((X - ONE) ** (n - 1)), 1),
     "kz-total": ("derangements", _weight_exc_signed_cyc, _geometric_negative, 1),
     "kz-refined": ("derangements", _weight_exc_signed_cyc_tlast, _rhs_refined, 1),
-    "signed-sni": ("all", _weight_signed_cdes_t, None, 2),  # per-i, handled below
-    "signed-sn": (
-        "all",
-        _weight_signed_cdes_t,
-        lambda n: 2 ** (n - 2) * (T + T**n),
-        2,
-    ),
+    # t marks pi(i) = 1, so the per-position sums of signed-sni are the t^i
+    # coefficients of signed-sn's sum: the two forms are one equation
+    "signed-sni": ("all", _weight_signed_cdes_t, _rhs_signed_sn, 2),
+    "signed-sn": ("all", _weight_signed_cdes_t, _rhs_signed_sn, 2),
     "signed-d-t": ("derangements", _weight_exc_signed_cdes_t, _rhs_signed_d_t, 1),
     "signed-d-parity": (
         "derangements",
@@ -375,36 +376,17 @@ def identity_check(identity_id: str, n: int) -> IdentityReport:
     if n < min_n:
         raise ValueError(f"identity {identity_id!r} needs n >= {min_n}")
 
-    if identity_id == "signed-sni":
-        return _check_signed_sni(n)
-
     lhs = _weighted_sum(family, n, weight)
     rhs = rhs_fn(n)
     passed = lhs == rhs
     witness = None
-    if not passed:
+    if identity_id == "signed-sni" and not passed:
+        # name the least position i of the value 1 whose sum fails
+        terms = (lhs - rhs).sorted_terms()
+        i = min(exps[3] for exps, _ in terms)
+        at_i = MultiPoly({exps: c for exps, c in terms if exps[3] == i})
+        found = _find_witness(family, n, weight, at_i)
+        witness = f"i={i}: {found}" if found else f"i={i}"
+    elif not passed:
         witness = _find_witness(family, n, weight, lhs - rhs)
     return IdentityReport(identity_id, n, passed, lhs, rhs, witness)
-
-
-def _check_signed_sni(n: int) -> IdentityReport:
-    lhs_total = ZERO
-    rhs_total = ZERO
-    witness = None
-    passed = True
-    half = 2 ** (n - 2)
-    for i in range(1, n + 1):
-        lhs_i = _weighted_sum("one_at_i", n, _weight_signed_cdes_t, i)
-        if i == 1:
-            rhs_i = MultiPoly.constant(half) * T
-        elif i == n:
-            rhs_i = MultiPoly.monomial(half, et=n)
-        else:
-            rhs_i = ZERO
-        lhs_total = lhs_total + lhs_i
-        rhs_total = rhs_total + rhs_i
-        if lhs_i != rhs_i and passed:
-            passed = False
-            found = _find_witness("all", n, _weight_signed_cdes_t, lhs_i - rhs_i)
-            witness = f"i={i}: {found}" if found else f"i={i}"
-    return IdentityReport("signed-sni", n, passed, lhs_total, rhs_total, witness)

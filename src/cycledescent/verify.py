@@ -125,17 +125,14 @@ def _check_sequence_cross(n: int, seed: int) -> tuple[bool, str]:
     return True, f"counts {a} and {c}"
 
 
-def _make_identity_check(identity_id: str) -> Callable[[int, int], tuple[bool, str]]:
-    def check(n: int, seed: int) -> tuple[bool, str]:
-        report = sp.identity_check(identity_id, n)
-        if report.passed:
-            return True, f"lhs = rhs = {report.rhs}"
-        detail = f"lhs {report.lhs}, rhs {report.rhs}"
-        if report.witness:
-            detail += f"; witness {report.witness}"
-        return False, detail
-
-    return check
+def _check_identity(n: int, seed: int, identity_id: str) -> tuple[bool, str]:
+    report = sp.identity_check(identity_id, n)
+    if report.passed:
+        return True, f"lhs = rhs = {report.rhs}"
+    detail = f"lhs {report.lhs}, rhs {report.rhs}"
+    if report.witness:
+        detail += f"; witness {report.witness}"
+    return False, detail
 
 
 def _random_poly(rng: random.Random) -> MultiPoly:
@@ -435,7 +432,9 @@ _PERM_FOLDS = {
 
 def _walk_perm_folds(n: int) -> dict[str, tuple[bool, str]]:
     """Walk S_n and fold each involution check of size n off it, in this
-    process: the records (about 1 MB at n = 8) cost more to send than to fold."""
+    process.  The records (about 1 MB at n = 8) would be cheap to send, but
+    the folds take longer than the round trip, and the varphi fold reads the
+    tally of ``statpolys``, which the parent of a pool never builds."""
     w = _walk_perms(n)
     return {c: fold(n, w) for c, fold in _PERM_FOLDS.items() if CHECKS[c].min_n <= n}
 
@@ -488,10 +487,8 @@ def _walk_signed(n: int) -> _SignedWalk:
     w = _SignedWalk()
     first = w.first
     images = {c: set() for c in _IMAGE_CHECKS} if n <= _IMAGE_CAP else {}
-    perm = pstats = None
     for s in bj.enumerate_negative_cdes(n):
-        if s.perm is not perm:  # the sign sets of one permutation come in a row
-            perm, pstats = s.perm, statistics(s.perm)
+        pstats = statistics(s.perm)  # cached on the Permutation its sign sets share
         w.count += 1
         m = bj.gamma(s)
         if bj.gamma_inv(m) != s:
@@ -673,7 +670,7 @@ CHECKS: dict[str, Check] = {
 }
 
 for _id, _min in sp.IDENTITY_MIN_N.items():
-    CHECKS[f"identity-{_id}"] = Check(_make_identity_check(_id), _min, 8)
+    CHECKS[f"identity-{_id}"] = Check(partial(_check_identity, identity_id=_id), _min, 8)
 
 SUITES: dict[str, tuple[str, ...]] = {
     "theorem-p": ("closed-form-all", "closed-form-derangement"),
@@ -716,11 +713,6 @@ def _plan(suite: str, n_max: int | None) -> list[tuple[str, int]]:
     return tasks
 
 
-def _run_check(check_id: str, n: int, seed: int) -> tuple[bool, str]:
-    # a worker looks the check up by id, as some check bodies are closures
-    return CHECKS[check_id].fn(n, seed)
-
-
 _WALKS = {"perms": _walk_perm_folds, "signed": _walk_signed, "callan": _walk_callan}
 
 
@@ -732,7 +724,7 @@ def _tasks(plan: list[tuple[str, int]], seed: int) -> dict[tuple[str, int], tupl
     for check_id, n in plan:
         walks = CHECKS[check_id].walks
         if not walks:
-            tasks[check_id, n] = (_run_check, check_id, n, seed)
+            tasks[check_id, n] = (CHECKS[check_id].fn, n, seed)
         for walk in walks:
             tasks.setdefault((walk, n), (_WALKS[walk], n))
     return tasks

@@ -100,8 +100,13 @@ def psi_fixed_set_with_a_cycle_descent():
 
 def signed_sni_unsigned():
     # the weight of signed-sni without its sign (-1)^cdes; signed-sn keeps
-    # the real weight, which its entry in _IDENTITY_SPECS holds
-    return lambda k: (1, (0, 0, 0, k.inv1))
+    # the real weight in its own row
+    family, weight, rhs, min_n = REAL["_IDENTITY_SPECS"]["signed-sni"]
+
+    def unsigned(k):
+        return 1, (0, 0, 0, k.inv1)
+
+    return {**REAL["_IDENTITY_SPECS"], "signed-sni": (family, unsigned, rhs, min_n)}
 
 
 class NonCommuting(MultiPoly):
@@ -217,7 +222,7 @@ CASES = {
         [("psi-fixed-weight", 3, "i=1: enumerated x + 1, fixed set x + 1, closed 2*x + 1")],
     ),
     "signed-sni-with-witness": (
-        "identities", sp, "_weight_signed_cdes_t", signed_sni_unsigned,
+        "identities", sp, "_IDENTITY_SPECS", signed_sni_unsigned,
         [
             (
                 "identity-signed-sni", 3,

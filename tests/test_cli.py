@@ -36,11 +36,10 @@ def test_verify_json_schema(capsys):
     assert data["checks_run"] == 5  # sizes 1..3 plus derangement sizes 2..3
 
 
-def test_verify_jobs_parity(capsys):
-    code1, out1, _ = run(capsys, "verify", "identities", "--n-max", "3", "--json")
-    code2, out2, _ = run(
-        capsys, "verify", "identities", "--n-max", "3", "--json", "--jobs", "2"
-    )
+@pytest.mark.parametrize("suite", ["theorem-p", "lemmas", "identities", "involutions"])
+def test_verify_jobs_parity(capsys, suite):
+    code1, out1, _ = run(capsys, "verify", suite, "--n-max", "3", "--json")
+    code2, out2, _ = run(capsys, "verify", suite, "--n-max", "3", "--json", "--jobs", "2")
     assert code1 == code2 == 0
     assert json.loads(out1) == json.loads(out2)
 
