@@ -31,7 +31,7 @@ from . import involutions as iv
 from . import matchings as mt
 from . import statpolys as sp
 from .perms import Permutation, enumerate_permutations, hat, statistics
-from .poly import MultiPoly, ZERO
+from .poly import MultiPoly
 
 __all__ = [
     "CheckOutcome",
@@ -175,7 +175,10 @@ def _check_poly_axioms(n: int, seed: int) -> tuple[bool, str]:
 # preservation and the tag pairing off the records, in the order and with
 # the texts of a check that maps every image back, and no image is mapped or
 # walked again.  A stated delta that differs from the walked one is reported
-# only once every other law has held.
+# only once every other law has held.  The signed sums of (-1)^cdes x^exc
+# that psi and varphi collapse to the weight of their fixed points are read
+# off the same exc and cdes records, so these checks read no tally of
+# ``statpolys`` and the walk is the one pass over S_n they make.
 
 _PHI_PAIRS = {"phi-split": "phi-merge", "phi-merge": "phi-split"}
 _PSI_PAIRS = {**_PHI_PAIRS, "psi-case1": "psi-case2", "psi-case2": "psi-case1"}
@@ -336,23 +339,29 @@ def _fold_psi_involution(n: int, w: _PermWalk) -> tuple[bool, str]:
     return True, f"{total} applications across {n} positions"
 
 
-def _signed_weight(p) -> MultiPoly:
-    s = statistics(p)
-    return MultiPoly.monomial((-1) ** s.cdes, ex=s.exc)
+def _signed_sum(w: _PermWalk, ranks: Iterable[int]) -> MultiPoly:
+    """The sum of (-1)^cdes x^exc over the objects of the given ranks."""
+    counts: dict[tuple[int, int, int, int], int] = {}
+    for k in ranks:
+        exps = (w.exc[k], 0, 0, 0)
+        counts[exps] = counts.get(exps, 0) + (-1) ** w.cdes[k]
+    return MultiPoly(counts)
 
 
-def _check_psi_fixed_weight(n: int, seed: int) -> tuple[bool, str]:
+def _fold_psi_fixed_weight(n: int, w: _PermWalk) -> tuple[bool, str]:
     for i in range(1, n + 1):
-        brute = sp.statistic_poly(n, i).substitute(y=-1, q=1, t=1)
-        fixed_weight = ZERO
+        enumerated = _signed_sum(w, _one_at(w.pos1, i))
+        fixed = []
         for p in iv.psi_fixed_set(n, i):
-            if statistics(p).cdes:
+            k = _rank(p.word, n)
+            if w.cdes[k]:
                 return False, f"i={i}: fixed point {p} has a cycle descent"
-            fixed_weight = fixed_weight + _signed_weight(p)
+            fixed.append(k)
+        fixed_weight = _signed_sum(w, fixed)
         closed = sp.alternating_closed_form(n, i).substitute(t=1)
-        if not (brute == fixed_weight == closed):
+        if not (enumerated == fixed_weight == closed):
             return False, (
-                f"i={i}: enumerated {brute}, fixed set {fixed_weight}, closed {closed}"
+                f"i={i}: enumerated {enumerated}, fixed set {fixed_weight}, closed {closed}"
             )
     return True, f"{n} positions collapse"
 
@@ -386,7 +395,7 @@ def _fold_varphi_involution(n: int, w: _PermWalk) -> tuple[bool, str]:
         if fixed_seen != [_rank(fp.word, n)]:
             found = {_unrank(k, n) for k in fixed_seen}
             return False, f"i={i}: fixed set {found}, expected {{{fp}}}"
-        signed_sum = sp.statistic_poly(n, i, derangements=True).substitute(y=-1, t=1)
+        signed_sum = _signed_sum(w, (k for k in _one_at(pos1, i) if tag[k]))
         closed = sp.alternating_closed_form(n, i, derangements=True).substitute(t=1)
         if signed_sum != closed:
             return False, f"i={i}: signed sum {signed_sum}, closed {closed}"
@@ -425,6 +434,7 @@ def _fold_phi_preservation(n: int, w: _PermWalk) -> tuple[bool, str]:
 
 _PERM_FOLDS = {
     "psi-involution": _fold_psi_involution,
+    "psi-fixed-weight": _fold_psi_fixed_weight,
     "varphi-involution": _fold_varphi_involution,
     "phi-preservation": _fold_phi_preservation,
 }
@@ -433,8 +443,7 @@ _PERM_FOLDS = {
 def _walk_perm_folds(n: int) -> dict[str, tuple[bool, str]]:
     """Walk S_n and fold each involution check of size n off it, in this
     process.  The records (about 1 MB at n = 8) would be cheap to send, but
-    the folds take longer than the round trip, and the varphi fold reads the
-    tally of ``statpolys``, which the parent of a pool never builds."""
+    the folds take longer than the round trip."""
     w = _walk_perms(n)
     return {c: fold(n, w) for c, fold in _PERM_FOLDS.items() if CHECKS[c].min_n <= n}
 
@@ -654,7 +663,7 @@ CHECKS: dict[str, Check] = {
     "sequence-cross-check": Check(_check_sequence_cross, 1, 12),
     "poly-ring-axioms": Check(_check_poly_axioms, 1, 1),
     "psi-involution": Check(lambda n, folds: folds["psi-involution"], 2, 8, _PERMS),
-    "psi-fixed-weight": Check(_check_psi_fixed_weight, 2, 8),
+    "psi-fixed-weight": Check(lambda n, folds: folds["psi-fixed-weight"], 2, 8, _PERMS),
     "varphi-involution": Check(lambda n, folds: folds["varphi-involution"], 2, 8, _PERMS),
     "phi-preservation": Check(lambda n, folds: folds["phi-preservation"], 1, 8, _PERMS),
     "count-callan": Check(_fold_counts, 1, 7, _BIJ),

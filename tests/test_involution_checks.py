@@ -6,9 +6,10 @@ the text a check that maps every image back prints for the same fault.
 The cases where such a check cannot report (it raises on an image outside
 the family, or never compares the stated delta with a walk) are marked.
 
-The three checks fold their laws off one walk of S_n, which keys every
-object by its lexicographic rank; the tests at the end pin down the ranks,
-the walk order and that each map is called once per object of its domain.
+The involution checks fold their laws and signed sums off one walk of
+S_n, which keys every object by its lexicographic rank; the tests at the
+end pin down the ranks, the walk order, that each map is called once per
+object of its domain and that the suite walks S_n once per size.
 """
 
 from collections import Counter
@@ -368,7 +369,6 @@ DOMAIN = {
 def test_one_walk_and_one_map_call_per_object(monkeypatch, check, name):
     n = 6
     walked = list(enumerate_permutations("all", n))
-    sp.statistic_poly(n, 1)  # the varphi check reads its signed sums off this tally
     walks, calls = [], []
     real_walk, real_map = perms._cycle_walk, REAL[name]
     monkeypatch.setattr(perms, "_cycle_walk", lambda w: walks.append(w) or real_walk(w))
@@ -380,11 +380,12 @@ def test_one_walk_and_one_map_call_per_object(monkeypatch, check, name):
 
 
 def test_involutions_suite_walks_s_n_once_per_size(monkeypatch):
-    enumerated, calls = [], Counter()
-    real_enumerate = verify.enumerate_permutations
-    monkeypatch.setattr(
-        verify, "enumerate_permutations", lambda *a: enumerated.append(a) or real_enumerate(*a)
-    )
+    # every walk of S_n in the process goes through _all_perms, the tally of
+    # statpolys included; an empty tally lets no earlier test hide a walk
+    walked, calls = Counter(), Counter()
+    real_all = perms._all_perms
+    monkeypatch.setattr(perms, "_all_perms", lambda n: walked.update([n]) or real_all(n))
+    sp.statistic_poly.cache_clear()
     for name, real in REAL.items():
         def counted(*a, name=name, real=real):
             calls[name, *a] += 1
@@ -393,7 +394,7 @@ def test_involutions_suite_walks_s_n_once_per_size(monkeypatch):
         monkeypatch.setattr(iv, name, counted)
     summary = verify.run_verification("involutions", n_max=6)
     assert summary.checks_run == 21 and not summary.failures
-    assert sorted(enumerated) == [("all", n) for n in range(1, 7)]
+    assert walked == Counter(range(1, 7))
     want = Counter()
     for n in range(1, 7):
         for p in enumerate_permutations("all", n):
@@ -402,6 +403,22 @@ def test_involutions_suite_walks_s_n_once_per_size(monkeypatch):
             want["varphi", n, s.inv1, p] += s.fix == 0
             want["phi_map", p] += DOMAIN["phi_map"](p)
     assert calls == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_signed_sums_off_the_walk_match_the_tally(n):
+    # the naive tally of statpolys, a walk of its own, is the oracle of the
+    # records that psi-fixed-weight and varphi-involution sum
+    w = verify._walk_perms(n)
+    for i in range(1, n + 1):
+        ranks = list(verify._one_at(w.pos1, i))
+        derangements = [k for k in ranks if w.varphi.tag[k]]
+        assert verify._signed_sum(w, ranks) == sp.statistic_poly(n, i).substitute(
+            y=-1, q=1, t=1
+        ), (n, i)
+        assert verify._signed_sum(w, derangements) == sp.statistic_poly(
+            n, i, derangements=True
+        ).substitute(y=-1, t=1), (n, i)
 
 
 # ---------------------------------------------------------------------------
