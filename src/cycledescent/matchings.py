@@ -102,10 +102,13 @@ def mk_matching(
 ) -> PerfectMatching:
     """Validate a matching given as vertex pairs and build its partner list."""
     try:
-        supp = tuple(sorted(set(support)))
+        listed = tuple(support)
+        supp = tuple(sorted(set(listed)))
         positive = all(v >= 1 for v in supp)
     except TypeError:
         raise ValueError(f"support must be a collection of integers: {support!r}") from None
+    if len(supp) != len(listed):
+        raise ValueError(f"support lists a value twice: {support!r}")
     if not positive:
         raise ValueError("support must contain positive integers")
     bottom = {i: 2 * slot for slot, i in enumerate(supp, 1)}

@@ -4,11 +4,13 @@ Exhaustive verification suites behind the ``verify`` CLI command.
 Each check gives (passed, detail) at a size n; a suite is a set of
 checks, each with its own size cap chosen so that the whole battery stays
 desk-scale.  A plain check computes its outcome on its own.  A walk check
-folds it off records that one walk of its size keeps for every check that
-reads them: the involution checks of one size share one walk of S_n, and
-the bijection checks one walk of the signed objects and one of the Callan
-matchings.  Each walk of a size is one task, so tasks are independent and
-a suite can fan out over a process pool, largest sizes first.
+reads records that one walk of its size keeps for every check that reads
+them: the involution checks of one size share one walk of S_n, and the
+bijection checks one walk of the signed objects and one of the Callan
+matchings.  Each plain check and each walk of a size is one task, so tasks
+are independent and a suite can fan out over a process pool, largest sizes
+first; every walk task returns its records, and the caller folds each walk
+check off them.
 
 Informational checks never fail: they attach their findings to the
 summary's notes (used for the downline formula, whose textbook global
@@ -432,22 +434,6 @@ def _fold_phi_preservation(n: int, w: _PermWalk) -> tuple[bool, str]:
     return True, f"{moved} permutations moved"
 
 
-_PERM_FOLDS = {
-    "psi-involution": _fold_psi_involution,
-    "psi-fixed-weight": _fold_psi_fixed_weight,
-    "varphi-involution": _fold_varphi_involution,
-    "phi-preservation": _fold_phi_preservation,
-}
-
-
-def _walk_perm_folds(n: int) -> dict[str, tuple[bool, str]]:
-    """Walk S_n and fold each involution check of size n off it, in this
-    process.  The records (about 1 MB at n = 8) would be cheap to send, but
-    the folds take longer than the round trip."""
-    w = _walk_perms(n)
-    return {c: fold(n, w) for c, fold in _PERM_FOLDS.items() if CHECKS[c].min_n <= n}
-
-
 # ---------------------------------------------------------------------------
 # Bijection checks from two walks per size.
 #
@@ -641,8 +627,9 @@ def _fold_downline_global_report(
 @dataclass(frozen=True)
 class Check:
     """A check at size n.  With no ``walks``, ``fn(n, seed)`` gives its
-    (passed, detail); otherwise ``fn(n, *records)`` folds it off what the
-    named walks of size n (see ``_WALKS``) return."""
+    (passed, detail) in the task that runs it; otherwise the caller gives
+    it as ``fn(n, *records)``, folded off what the named walks of size n
+    (see ``_WALKS``) return."""
 
     fn: Callable[..., tuple[bool, str]]
     min_n: int
@@ -653,58 +640,52 @@ class Check:
 
 _PERMS, _BIJ = ("perms",), ("signed", "callan")  # the walks of the walk checks
 
-CHECKS: dict[str, Check] = {
-    "closed-form-all": Check(_check_closed_form, 2, 8),
-    "closed-form-derangement": Check(partial(_check_closed_form, derangements=True), 2, 8),
-    "recurrence-all": Check(_check_recurrence, 1, 8),
-    "recurrence-derangement": Check(partial(_check_recurrence, derangements=True), 2, 8),
-    "cdes-poly-all": Check(_check_cdes_poly, 1, 8),
-    "cdes-poly-derangement": Check(partial(_check_cdes_poly, derangements=True), 1, 8),
-    "sequence-cross-check": Check(_check_sequence_cross, 1, 12),
-    "poly-ring-axioms": Check(_check_poly_axioms, 1, 1),
-    "psi-involution": Check(lambda n, folds: folds["psi-involution"], 2, 8, _PERMS),
-    "psi-fixed-weight": Check(lambda n, folds: folds["psi-fixed-weight"], 2, 8, _PERMS),
-    "varphi-involution": Check(lambda n, folds: folds["varphi-involution"], 2, 8, _PERMS),
-    "phi-preservation": Check(lambda n, folds: folds["phi-preservation"], 1, 8, _PERMS),
-    "count-callan": Check(_fold_counts, 1, 7, _BIJ),
-    "count-callan-no-vertical": Check(partial(_fold_counts, derangements=True), 1, 7, _BIJ),
-    "gamma-image": Check(_fold_gamma_image, 1, _IMAGE_CAP, _BIJ),
-    "theta-image": Check(_fold_theta_image, 1, _IMAGE_CAP, _BIJ),
-    "gamma-roundtrip": Check(_fold_gamma_roundtrip, 1, 7, _BIJ),
-    "theta-roundtrip": Check(_fold_theta_roundtrip, 1, 7, _BIJ),
-    "statistic-transport": Check(_fold_transport, 1, 7, _BIJ),
-    "derangement-restriction": Check(_fold_derangement_restriction, 1, _IMAGE_CAP, _BIJ),
-    "downline-per-cycle": Check(_fold_downline_per_cycle, 1, 7, _BIJ),
-    "downline-global-report": Check(_fold_downline_global_report, 1, 7, _BIJ, informational=True),
+# suite -> check id -> check, in the order the suite runs its checks
+_SUITE_CHECKS: dict[str, dict[str, Check]] = {
+    "theorem-p": {
+        "closed-form-all": Check(_check_closed_form, 2, 8),
+        "closed-form-derangement": Check(partial(_check_closed_form, derangements=True), 2, 8),
+    },
+    "lemmas": {
+        "recurrence-all": Check(_check_recurrence, 1, 8),
+        "recurrence-derangement": Check(partial(_check_recurrence, derangements=True), 2, 8),
+    },
+    "theorem-b": {
+        "cdes-poly-all": Check(_check_cdes_poly, 1, 8),
+        "cdes-poly-derangement": Check(partial(_check_cdes_poly, derangements=True), 1, 8),
+        "sequence-cross-check": Check(_check_sequence_cross, 1, 12),
+    },
+    "identities": {
+        **{
+            f"identity-{i}": Check(partial(_check_identity, identity_id=i), min_n, 8)
+            for i, min_n in sp.IDENTITY_MIN_N.items()
+        },
+        "poly-ring-axioms": Check(_check_poly_axioms, 1, 1),
+    },
+    "involutions": {
+        "psi-involution": Check(_fold_psi_involution, 2, 8, _PERMS),
+        "psi-fixed-weight": Check(_fold_psi_fixed_weight, 2, 8, _PERMS),
+        "varphi-involution": Check(_fold_varphi_involution, 2, 8, _PERMS),
+        "phi-preservation": Check(_fold_phi_preservation, 1, 8, _PERMS),
+    },
+    "bijections": {
+        "count-callan": Check(_fold_counts, 1, 7, _BIJ),
+        "count-callan-no-vertical": Check(partial(_fold_counts, derangements=True), 1, 7, _BIJ),
+        "gamma-image": Check(_fold_gamma_image, 1, _IMAGE_CAP, _BIJ),
+        "theta-image": Check(_fold_theta_image, 1, _IMAGE_CAP, _BIJ),
+        "gamma-roundtrip": Check(_fold_gamma_roundtrip, 1, 7, _BIJ),
+        "theta-roundtrip": Check(_fold_theta_roundtrip, 1, 7, _BIJ),
+        "statistic-transport": Check(_fold_transport, 1, 7, _BIJ),
+        "derangement-restriction": Check(_fold_derangement_restriction, 1, _IMAGE_CAP, _BIJ),
+        "downline-per-cycle": Check(_fold_downline_per_cycle, 1, 7, _BIJ),
+        "downline-global-report": Check(
+            _fold_downline_global_report, 1, 7, _BIJ, informational=True
+        ),
+    },
 }
 
-for _id, _min in sp.IDENTITY_MIN_N.items():
-    CHECKS[f"identity-{_id}"] = Check(partial(_check_identity, identity_id=_id), _min, 8)
-
-SUITES: dict[str, tuple[str, ...]] = {
-    "theorem-p": ("closed-form-all", "closed-form-derangement"),
-    "lemmas": ("recurrence-all", "recurrence-derangement"),
-    "theorem-b": ("cdes-poly-all", "cdes-poly-derangement", "sequence-cross-check"),
-    "identities": tuple(f"identity-{i}" for i in sp.IDENTITY_IDS) + ("poly-ring-axioms",),
-    "involutions": (
-        "psi-involution",
-        "psi-fixed-weight",
-        "varphi-involution",
-        "phi-preservation",
-    ),
-    "bijections": (
-        "count-callan",
-        "count-callan-no-vertical",
-        "gamma-image",
-        "theta-image",
-        "gamma-roundtrip",
-        "theta-roundtrip",
-        "statistic-transport",
-        "derangement-restriction",
-        "downline-per-cycle",
-        "downline-global-report",
-    ),
-}
+CHECKS: dict[str, Check] = {c: ch for checks in _SUITE_CHECKS.values() for c, ch in checks.items()}
+SUITES: dict[str, tuple[str, ...]] = {s: tuple(checks) for s, checks in _SUITE_CHECKS.items()}
 SUITES["all"] = tuple(CHECKS)
 
 
@@ -722,7 +703,7 @@ def _plan(suite: str, n_max: int | None) -> list[tuple[str, int]]:
     return tasks
 
 
-_WALKS = {"perms": _walk_perm_folds, "signed": _walk_signed, "callan": _walk_callan}
+_WALKS = {"perms": _walk_perms, "signed": _walk_signed, "callan": _walk_callan}
 
 
 def _tasks(plan: list[tuple[str, int]], seed: int) -> dict[tuple[str, int], tuple]:

@@ -4,10 +4,12 @@ exhaustive enumeration at its stated size cap and time budget.  Each test
 prints one pass/fail line (run ``pytest tests/test_acceptance.py -v -s``).
 """
 
+import json
 import resource
 import time
 from pathlib import Path
 
+from cycledescent import cli
 from cycledescent.bijections import enumerate_negative_cdes, gamma, gamma_inv, theta, theta_inv
 from cycledescent.involutions import psi, psi_fixed_set, varphi, varphi_fixed_point
 from cycledescent.matchings import MVertex, edge_class, enumerate_matchings, match_stats
@@ -239,12 +241,19 @@ def test_criterion_09_golden_tables():
     _finish("criterion-9 golden tables byte-exact", 10, start, failures)
 
 
-def test_criterion_10_full_verification_run():
+def test_criterion_10_full_verification_run(capsys):
+    # the serial `verify all --json` run, byte for byte against its golden
     start = time.perf_counter()
-    summary = run_verification("all")
-    failures = [(f.check_id, f.n, f.detail) for f in summary.failures]
+    code = cli.main(["verify", "all", "--json"])
+    out = capsys.readouterr().out
+    summary = json.loads(out)
+    failures = [(f["check"], f["n"], f["witness"]) for f in summary["failures"]]
+    if code != 0:
+        failures.append(f"exit code {code}")
+    if out != (GOLDEN / "verify_all.json").read_bytes().decode():
+        failures.append("output differs from golden/verify_all.json")
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024**2
     if peak_gb >= 10:
         failures.append(f"peak memory {peak_gb:.1f} GiB")
-    print(f"verify all: {summary.checks_run} checks, peak rss {peak_gb:.2f} GiB")
+    print(f"verify all: {summary['checks_run']} checks, peak rss {peak_gb:.2f} GiB")
     _finish("criterion-10 full verification sweep", 300, start, failures)

@@ -73,6 +73,12 @@ def test_walks_send_no_matchings(n):
     assert set(signed.images) == set(callan.targets) == set(verify._IMAGE_CHECKS)
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_perm_walk_sends_no_permutations(n):
+    # the records of a walk of S_n go back to the caller, which folds them
+    assert b"Permutation" not in pickle.dumps(verify._walk_perms(n))
+
+
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 15), (4, 105), (5, 945)])
 def test_key_tells_every_matching_apart(n, count):
     keys = {verify._key(m) for m in mt.enumerate_matchings(n)}

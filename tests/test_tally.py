@@ -1,15 +1,16 @@
-"""The shared tally of S_n against naive loops, and the one-walk guarantee.
+"""The shared tally of S_n against naive loops, and the walks of S_n per size.
 
 Every brute-force sum in ``statpolys`` reads one tally per size.  These
 tests recompute each sum with a loop over the family's own enumeration
-stream, written here, and check that a verification run enumerates each
-S_n once.
+stream, written here, and count the walks of each S_n that a verification
+run makes.
 """
 
 from collections import Counter
 
 import pytest
 
+from cycledescent import perms
 from cycledescent import statpolys as sp
 from cycledescent.perms import FAMILIES, enumerate_permutations, statistics
 from cycledescent.poly import ONE, MultiPoly
@@ -114,10 +115,17 @@ def test_past_the_cap_is_refused_before_any_walk(walks):
     assert not walks
 
 
-def test_verification_walks_each_size_once(walks):
+def test_verification_walks_s_n_twice_per_size(walks, monkeypatch):
+    # every walk of S_n goes through perms._all_perms; the five suites make
+    # two per size: the tally of statpolys, read by every brute-force sum,
+    # and the walk of verify that the involution checks fold their laws off
+    walked = Counter()
+    real_all = perms._all_perms
+    monkeypatch.setattr(perms, "_all_perms", lambda n: walked.update([n]) or real_all(n))
     for suite in ("theorem-p", "lemmas", "theorem-b", "identities", "involutions"):
         assert run_verification(suite, n_max=6).exit_code == 0, suite
     assert walks == Counter({("all", n): 1 for n in range(1, 7)})
+    assert walked == Counter({n: 2 for n in range(1, 7)})
     sp.statistic_poly.cache_clear()
     sp.cdes_distribution_brute(6)
     assert walks[("all", 6)] == 2

@@ -207,6 +207,7 @@ def test_permutation_from_cycles_accepts_any_rotation():
         ([1], [(("a", 0), (1, 1))]),  # string coordinate
         ([1], [((None, 0), (1, 1))]),
         ([1], [7]),
+        ([1, 1], [((1, 0), (1, 1))]),  # repeated support value
     ],
 )
 def test_mk_matching_rejects(support, edges):
