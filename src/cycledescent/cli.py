@@ -35,18 +35,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     caps = ", ".join(f"{s} <= {suite_cap(s)}" for s in SUITES)
-    brute, rounds, images = (
-        CHECKS[c].cap for c in ("closed-form-all", "gamma-roundtrip", "gamma-image")
+    tally, cdes, walk, rounds, images = (
+        CHECKS[c].cap
+        for c in (
+            "closed-form-all", "cdes-poly-all", "psi-involution", "gamma-roundtrip", "gamma-image"
+        )
     )
     p_verify = sub.add_parser(
         "verify",
         help="run an exhaustive verification suite",
         description=(
             "Run one verification suite.  Without --n-max every check runs up"
-            f" to its own documented cap (suite caps: {caps}; brute-force"
-            f" checks run to n <= {brute}, matching enumeration and round trips to"
-            f" n <= {rounds}, image-set equality to n <= {images}).  An --n-max beyond"
-            " the suite cap is refused rather than truncated."
+            f" to its own documented cap (suite caps: {caps}; closed forms,"
+            f" recurrences and signed identities run to n <= {tally}, the cdes"
+            f" distribution to n <= {cdes}, the involution laws to n <= {walk},"
+            f" matching enumeration and round trips to n <= {rounds}, image-set"
+            f" equality to n <= {images}).  An --n-max beyond the suite cap is"
+            " refused rather than truncated."
         ),
     )
     p_verify.add_argument("suite", choices=sorted(SUITES))

@@ -31,7 +31,6 @@ from typing import Iterator, Sequence
 
 from .perms import (
     Permutation,
-    hat,
     permutation_from_cycles,
     standard_cycles,
     statistics,
@@ -73,11 +72,7 @@ def last_top_descent(p: Permutation) -> int | None:
     Returns the entry a_j itself (not its position) for the last j with
     a_j > a_{j+1} in ``hat(p)``; None when the flattening is increasing.
     """
-    word = hat(p)
-    for j in range(len(word) - 2, -1, -1):
-        if word[j] > word[j + 1]:
-            return word[j]
-    return None
+    return p._top  # found by the cycle walk that reads the flattening
 
 
 def phi_map(p: Permutation) -> InvolutionOutcome:

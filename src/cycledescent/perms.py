@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -46,19 +45,43 @@ __all__ = [
 Word = tuple[int, ...]
 
 
+class _Derived:
+    """One of the four values that one cycle walk derives from a word.
+
+    A non-data descriptor: the first read of any of them runs
+    ``_cycle_walk`` once and stores all four in the instance ``__dict__``,
+    which shadows the descriptors from then on.  Unlike
+    ``functools.cached_property`` before Python 3.12, a miss takes no lock.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, p: Permutation | None, owner: type | None = None) -> object:
+        if p is None:
+            return self
+        cache = p.__dict__
+        cache["_cycles"], cache["_stats"], cache["_flat"], cache["_top"] = _cycle_walk(p.word)
+        return cache[self.name]
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of [n] in one-line notation; ``word[i-1] = pi(i)``.
 
     The public constructor validates its word.  Code in this package that
     has already proven a word to be a permutation builds it with
-    :meth:`_trusted` instead.  The standard cycles and the statistics are
-    computed by one cycle walk on first use and cached on the instance, as
-    is the flattening; the caches take no part in equality, hashing,
-    ``repr`` or pickling.
+    :meth:`_trusted` instead.  The standard cycles, the statistics, the
+    flattening and the last top-descent are computed together by one cycle
+    walk on first use of any of them and cached on the instance; the cache
+    takes no part in equality, hashing, ``repr`` or pickling.
     """
 
     word: tuple[int, ...]
+    _cycles = _Derived()
+    _stats = _Derived()
+    _flat = _Derived()
+    _top = _Derived()
 
     def __post_init__(self) -> None:
         word = tuple(self.word)
@@ -75,14 +98,6 @@ class Permutation:
         p = object.__new__(cls)
         object.__setattr__(p, "word", word)
         return p
-
-    @cached_property
-    def _walk(self) -> tuple[CycleDecomposition, StatRecord]:
-        return _cycle_walk(self.word)
-
-    @cached_property
-    def _hat(self) -> Word:
-        return tuple(itertools.chain.from_iterable(self._walk[0].cycles))
 
     def __getstate__(self) -> dict:
         return {"word": self.word}
@@ -260,39 +275,50 @@ def permutation_from_cycles(cycles: Iterable[Sequence[int]], n: int) -> Permutat
     return Permutation._trusted(tuple(word))
 
 
-def _cycle_walk(word: tuple[int, ...]) -> tuple[CycleDecomposition, StatRecord]:
-    """Standard cycles and statistics of a permutation word, in one walk.
+def _cycle_walk(
+    word: tuple[int, ...]
+) -> tuple[CycleDecomposition, StatRecord, Word, int | None]:
+    """Standard cycles, statistics, flattening and last top-descent of a
+    permutation word, in one walk.
 
     Following pi from each cycle minimum c_1: c_1 is an excedance unless it
     is fixed; every later c_j with pi(c_j) > c_j is an excedance, and with
     c_1 < pi(c_j) < c_j an interior cycle descent; the last element, whose
-    image is c_1, is neither.
+    image is c_1, is neither.  The walk reads the flattening in order: its
+    descents are the cycle descents and the cycle ends above the next
+    cycle's minimum, and the last of them is the last top-descent.
     """
     n = len(word)
     seen = [False] * (n + 1)
+    flat: list[int] = []
     cycles: list[tuple[int, ...]] = []
     exc = fix = 0
     cdes: list[int] = []
+    top = None
     for start in range(1, n + 1):
         if seen[start]:
             continue
+        if flat and flat[-1] > start:
+            top = flat[-1]
+        first = len(flat)
+        flat.append(start)
         v = word[start - 1]
         if v == start:
             fix += 1
             cycles.append((start,))
             continue
         exc += 1
-        cyc = [start]
         while v != start:
             seen[v] = True
-            cyc.append(v)
+            flat.append(v)
             nxt = word[v - 1]
             if nxt > v:
                 exc += 1
             elif nxt != start:
                 cdes.append(v)
+                top = v
             v = nxt
-        cycles.append(tuple(cyc))
+        cycles.append(tuple(flat[first:]))
     stats = StatRecord(
         exc=exc,
         fix=fix,
@@ -301,12 +327,12 @@ def _cycle_walk(word: tuple[int, ...]) -> tuple[CycleDecomposition, StatRecord]:
         cdes_set=frozenset(cdes),
         inv1=cycles[0][-1] if cycles else 0,
     )
-    return CycleDecomposition._trusted(tuple(cycles)), stats
+    return CycleDecomposition._trusted(tuple(cycles)), stats, tuple(flat), top
 
 
 def standard_cycles(p: Permutation) -> CycleDecomposition:
     """Standard cycle decomposition: smallest-first cycles, increasing minima."""
-    return p._walk[0]
+    return p._cycles
 
 
 def cycle_string(p: Permutation) -> str:
@@ -314,7 +340,7 @@ def cycle_string(p: Permutation) -> str:
 
 
 def statistics(p: Permutation) -> StatRecord:
-    return p._walk[1]
+    return p._stats
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -338,7 +364,7 @@ def red(entries: Sequence[int]) -> Permutation:
 
 def hat(p: Permutation) -> Word:
     """Flattening of the standard cycle decomposition (parentheses erased)."""
-    return p._hat
+    return p._flat
 
 
 # ---------------------------------------------------------------------------

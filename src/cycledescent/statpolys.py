@@ -11,14 +11,16 @@ that position:
 
 Everything here is exact integer arithmetic; brute-force sums are the
 oracle and the recurrences are the fast path checked against it.  Every
-brute-force sum reads one tally of S_n per size, built by a naive walk
-and keyed by (exc, fix, cyc, cdes, position of 1, last entry).
+brute-force sum reads one tally of S_n per size, keyed by (exc, fix, cyc,
+cdes, position of 1, last entry) and built by inserting 1, ..., n into the
+cycle form, which reaches every permutation of [n] and reads each key off
+the insertion in O(1).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -87,10 +89,62 @@ def _key(p: Permutation) -> _Key:
 
 @lru_cache(maxsize=None)
 def _tally(n: int) -> tuple[tuple[_Key, int], ...]:
-    """How many permutations of [n] carry each key: the one naive walk of
-    S_n that every brute-force sum here reads."""
+    """How many permutations of [n] carry each key: the one tally of S_n
+    that every brute-force sum here reads.
+
+    Built depth first over the cycle form, inserting m = 1, 2, ..., n: m is
+    either a new fixed point or goes right after some a < m, and every leaf
+    is one permutation of [n].  With b = pi(a), inserting m after a sets
+    pi(a) = m and pi(m) = b, so each statistic changes by a term read off
+    a and b alone:
+
+    - exc gains 1 - [b > a], since a -> m ascends and m -> b descends;
+    - fix loses [b == a];
+    - cdes is unchanged when b is the minimum of a's cycle (m becomes the
+      cycle's last element), else it gains 1 - [a > b]: m is a new interior
+      descent and a, followed now by m, no longer is one;
+    - pi^-1(1) becomes m when b == 1, and pi(n) is b at the last level.
+
+    A new fixed point adds 1 to fix and to cyc and is its own pi(n).
+    """
     check_cap("brute force", n)
-    return tuple(Counter(map(_key, enumerate_permutations("all", n))).items())
+    if n == 0:
+        return ((_Key(0, 0, 0, 0, 0, 0), 1),)
+    succ = [0] * (n + 1)  # succ[a] = pi(a) on the values inserted so far
+    low = [0] * (n + 1)  # low[a] = the minimum of a's cycle
+    counts: defaultdict[tuple[int, ...], int] = defaultdict(int)
+
+    def grow(m: int, exc: int, fix: int, cyc: int, cdes: int, inv1: int) -> None:
+        if m == n:
+            for a in range(1, n):
+                b = succ[a]
+                counts[
+                    exc + (b <= a),
+                    fix - (b == a),
+                    cyc,
+                    cdes + (b != low[a] and b > a),
+                    n if b == 1 else inv1,
+                    b,
+                ] += 1
+            counts[exc, fix + 1, cyc + 1, cdes, inv1, n] += 1
+            return
+        for a in range(1, m):
+            b = succ[a]
+            succ[a], succ[m], low[m] = m, b, low[a]
+            grow(
+                m + 1,
+                exc + (b <= a),
+                fix - (b == a),
+                cyc,
+                cdes + (b != low[a] and b > a),
+                m if b == 1 else inv1,
+            )
+            succ[a] = b
+        succ[m] = low[m] = m
+        grow(m + 1, exc, fix + 1, cyc + 1, cdes, inv1)
+
+    grow(1, 0, 0, 0, 0, 1)  # 1 is at position 1 until some m goes before it
+    return tuple((_Key(*key), count) for key, count in counts.items())
 
 
 # family of perms.FAMILIES -> membership test on (key, i)
@@ -137,7 +191,7 @@ def statistic_poly(n: int, i: int, derangements: bool = False) -> MultiPoly:
     return _weighted_sum(family, n, _weight_statistic, i)
 
 
-# Empties the tally, so the next brute-force sum of any size walks S_n
+# Empties the tally, so the next brute-force sum of any size builds it
 # afresh; benchmarks call it to time a cold sum.
 statistic_poly.cache_clear = _tally.cache_clear  # type: ignore[attr-defined]
 

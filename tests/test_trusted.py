@@ -1,21 +1,23 @@
 """The trusted construction paths against naive oracles, and the public
 entry points against bad input.
 
-Values built inside the package skip validation and compute their cycles
-and statistics in one cached walk, and cache their flattening.  These tests
-check both against a cycle walk written here, independent of the package,
-and check that the caches leave equality, hashing, ``repr`` and pickling
-alone.  Values from
-outside still go through full validation at the public constructors and
-parsers, and the CLI turns every rejection into exit status 2.
+Values built inside the package skip validation and compute their cycles,
+statistics, flattening and last top-descent in one cached walk.  These
+tests check them against a cycle walk written here, independent of the
+package, and check that the cache leaves equality, hashing, ``repr`` and
+pickling alone.  Values from outside still go through full validation at
+the public constructors and parsers, and the CLI turns every rejection into
+exit status 2.
 """
 
 import io
 import itertools
 import pickle
+import re
 
 import pytest
 
+from cycledescent import perms
 from cycledescent.bijections import (
     SignedPermutation,
     enumerate_negative_cdes,
@@ -26,6 +28,7 @@ from cycledescent.bijections import (
 )
 from cycledescent.caps import CAPS
 from cycledescent.cli import main
+from cycledescent.involutions import last_top_descent
 from cycledescent.matchings import matching_from_json_dict, mk_matching
 from cycledescent.perms import (
     FAMILIES,
@@ -71,6 +74,14 @@ def naive_stats(word):
     )
 
 
+def naive_top_descent(flat):
+    """The entry at the last descent of a flattening, by a scan from the end."""
+    for j in range(len(flat) - 2, -1, -1):
+        if flat[j] > flat[j + 1]:
+            return flat[j]
+    return None
+
+
 def family_streams(n):
     for family in FAMILIES:
         if family.endswith("_i"):
@@ -88,6 +99,7 @@ def check_trusted(p):
     assert standard_cycles(p).cycles == cycles
     assert statistics(p) == stats
     assert hat(p) == tuple(v for c in cycles for v in c)
+    assert last_top_descent(p) == naive_top_descent(hat(p))
     # the caches are filled now; they must not show in any of these
     assert fresh == p and hash(fresh) == hash(p)
     assert repr(p) == repr(fresh) == f"Permutation({p.word!r})"
@@ -110,7 +122,23 @@ def test_cache_is_per_instance_and_stable():
     assert standard_cycles(p) is first
     assert statistics(p) is statistics(p)
     assert hat(p) is hat(p) == (1, 3, 4, 2, 5, 7, 6)
+    assert last_top_descent(p) == 7
     assert str(first) == "(1 3 4 2)(5 7)(6)"
+
+
+@pytest.mark.parametrize("read", [standard_cycles, statistics, hat, last_top_descent])
+def test_one_cycle_walk_fills_the_whole_cache(monkeypatch, read):
+    walks = []
+    real = perms._cycle_walk
+    monkeypatch.setattr(perms, "_cycle_walk", lambda word: walks.append(word) or real(word))
+    p = Permutation((3, 1, 4, 2, 7, 6, 5))
+    read(p)
+    for other in (standard_cycles, statistics, hat, last_top_descent):
+        other(p)
+    assert walks == [p.word]
+    assert set(vars(p)) == {"word", "_cycles", "_stats", "_flat", "_top"}
+    # read on the class, a cached name gives its descriptor
+    assert Permutation._top is vars(Permutation)["_top"]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -162,23 +190,35 @@ def test_cycle_decomposition_rejects(cycles):
         CycleDecomposition(cycles)
 
 
+# (cycles, n, the refusal that the CLI prints for them)
+REFUSED_CYCLES = [
+    ([(1, 2), (2, 3)], 3, "cycles do not cover 1..3 exactly once: 4 elements, missing []"),
+    # overlapping, yet every slot consistent
+    ([(1, 2), (2, 1)], 2, "cycles do not cover 1..2 exactly once: 4 elements, missing []"),
+    # the same cycle twice
+    ([(1, 2), (1, 2)], 2, "cycles do not cover 1..2 exactly once: 4 elements, missing []"),
+    # repeated inside one cycle
+    ([(1, 2, 1)], 2, "cycles do not cover 1..2 exactly once: 3 elements, missing []"),
+    ([(1, 4), (2,), (3,)], 3, "cycle element outside 1..3: (1, 4)"),  # above n
+    ([(0, 1), (2,)], 2, "cycle element outside 1..2: (0, 1)"),  # below 1
+    ([(-1, 1), (2,)], 2, "cycle element outside 1..2: (-1, 1)"),
+    ([(1, 2)], 3, "cycles do not cover 1..3 exactly once: 2 elements, missing [3]"),
+    ([(1, 2), ()], 2, "empty cycle"),
+    ([(1,)], 0, "cycle element outside 1..0: (1,)"),
+    ([(1, 2.5)], 2, "cycle element outside 1..2: (1, 2.5)"),  # not an int
+    # n elements, but one of them 0, which names the last slot as an index
+    ([(0, 1)], 2, "cycle element outside 1..2: (0, 1)"),
+]
+
+
 @pytest.mark.parametrize(
-    "cycles, n",
-    [
-        ([(1, 2), (2, 3)], 3),  # overlapping
-        ([(1, 2), (2, 1)], 2),  # overlapping, yet every slot consistent
-        ([(1, 2), (1, 2)], 2),  # the same cycle twice
-        ([(1, 2, 1)], 2),  # repeated inside one cycle
-        ([(1, 4), (2,), (3,)], 3),  # above n
-        ([(0, 1), (2,)], 2),  # below 1
-        ([(-1, 1), (2,)], 2),
-        ([(1, 2)], 3),  # missing 3
-        ([(1, 2), ()], 2),  # empty cycle
-        ([(1,)], 0),
-    ],
+    "cycles, n, message",
+    REFUSED_CYCLES,
+    # a case is named by its position and n, not by its message
+    ids=[f"cycles{k}-{n}" for k, (_, n, _) in enumerate(REFUSED_CYCLES)],
 )
-def test_permutation_from_cycles_rejects(cycles, n):
-    with pytest.raises(ValueError):
+def test_permutation_from_cycles_rejects(cycles, n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         permutation_from_cycles(cycles, n)
 
 

@@ -15,10 +15,10 @@ def test_suites_cover_all_checks():
 
 
 def test_suite_caps():
-    assert suite_cap("theorem-p") == 8
-    assert suite_cap("lemmas") == 8
+    assert suite_cap("theorem-p") == 9
+    assert suite_cap("lemmas") == 9
     assert suite_cap("theorem-b") == 12
-    assert suite_cap("identities") == 8
+    assert suite_cap("identities") == 9
     assert suite_cap("involutions") == 8
     assert suite_cap("bijections") == 7
 
@@ -42,7 +42,7 @@ def test_unknown_suite_and_bad_nmax():
     with pytest.raises(ValueError):
         run_verification("nope")
     with pytest.raises(ValueError):
-        run_verification("lemmas", n_max=9)
+        run_verification("lemmas", n_max=10)
     with pytest.raises(ValueError):
         run_verification("lemmas", n_max=0)
 
