@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .caps import check_cap
-from .matchings import PerfectMatching, _component_walks, _walk, is_callan
+from .matchings import PerfectMatching, is_callan
 from .perms import (
     Permutation,
     _parse_form,
@@ -57,7 +57,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SignedPermutation:
-    """A permutation plus the set of values carrying sign -1."""
+    """A permutation plus the set of values carrying sign -1.
+
+    The public constructor checks that ``neg`` is a set of ints in 1..n.
+    Code in this package that has already built a valid ``neg`` wraps it
+    with :meth:`_trusted` instead: :func:`enumerate_negative_cdes`, whose
+    signs are cycle descents, and :func:`gamma_inv`/:func:`theta_inv`,
+    whose signs are read off the slots of a support checked to be 1..n.
+    """
 
     perm: Permutation
     neg: frozenset[int]
@@ -69,6 +76,14 @@ class SignedPermutation:
         # a value that only equals an integer (3.0, True) names no value
         if not all(type(v) is int for v in self.neg):
             raise ValueError(f"negative values must be integers: {set(self.neg)}")
+
+    @classmethod
+    def _trusted(cls, perm: Permutation, neg: frozenset[int]) -> SignedPermutation:
+        """Wrap a frozenset of ints already known to lie in 1..perm.n."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "perm", perm)
+        object.__setattr__(s, "neg", neg)
+        return s
 
     @property
     def n(self) -> int:
@@ -110,7 +125,7 @@ def enumerate_negative_cdes(
         descents = sorted(statistics(p).cdes_set)
         for mask in range(1 << len(descents)):
             chosen = frozenset(d for k, d in enumerate(descents) if mask >> k & 1)
-            yield SignedPermutation(perm=p, neg=chosen)
+            yield SignedPermutation._trusted(p, chosen)
 
 
 def _cut(cycle: Sequence[int], neg: frozenset[int]) -> list[list[int]]:
@@ -156,26 +171,25 @@ def _theta_partners(cycle: Sequence[int], neg: frozenset[int], partner: list[int
     edges are therefore built on the cycle's own values, with the cycle
     minimum in the role of 1.  The signs must be cycle descents.
     """
-
-    def join(a: int, b: int) -> None:
-        partner[a] = b
-        partner[b] = a
-
     seq = _cut(cycle, neg)
     for block in seq:
         for a, b in zip(block, block[1:]):
-            join(2 * a, 2 * b + 1)  # downline (a, 0)-(b, 1)
+            # downline (a, 0)-(b, 1)
+            partner[2 * a] = 2 * b + 1
+            partner[2 * b + 1] = 2 * a
     for idx in range(1, len(seq)):  # joins block idx to block idx+1 (1-based)
         cur, nxt = seq[idx - 1], seq[idx]
         if idx % 2 == 1:
-            join(2 * cur[-1], 2 * nxt[-1])
+            a, b = 2 * cur[-1], 2 * nxt[-1]
         else:
-            join(2 * cur[0] + 1, 2 * nxt[0] + 1)
+            a, b = 2 * cur[0] + 1, 2 * nxt[0] + 1
+        partner[a] = b
+        partner[b] = a
     last = seq[-1]
-    if len(seq) % 2 == 1:
-        join(2 * cycle[0] + 1, 2 * last[-1])
-    else:
-        join(2 * cycle[0] + 1, 2 * last[0] + 1)
+    a = 2 * cycle[0] + 1
+    b = 2 * last[-1] if len(seq) % 2 == 1 else 2 * last[0] + 1
+    partner[a] = b
+    partner[b] = a
 
 
 def theta(sp: SignedPermutation) -> PerfectMatching:
@@ -198,26 +212,31 @@ def theta(sp: SignedPermutation) -> PerfectMatching:
     return PerfectMatching(support=tuple(range(1, sp.n + 1)), partner=tuple(partner))
 
 
-def _unfold(start: int, keys: list[int]) -> tuple[list[int], list[int]]:
+def _unfold(partner: Sequence[int], start: int, seen: list[bool]) -> tuple[list[int], list[int]]:
     """Cycle and negative values that ``theta`` maps to one component.
 
-    ``start`` is the component's smallest index, in the role of 1, and
-    ``keys`` is the walk from it (:func:`~cycledescent.matchings._walk`) in
-    a Callan matching of 1..n.  Deleting the edge at (start, 1) and
-    identifying the two rows leaves that walk as a path from start.  Bars
-    go after every path step that crosses an arc (and at the end); each
-    bar-delimited block, sorted decreasingly, becomes a run of the cycle,
-    with the block minimum positive and the rest negative.
+    ``start`` is the component's smallest index, in the role of 1, of a
+    Callan matching of 1..n with partner list ``partner``.  The walk leaves
+    start by its bottom vertex and follows its edge; it leaves each index
+    it enters by that index's other vertex, marking it in ``seen``, until
+    it comes back to the top vertex of start.  Deleting the edge at
+    (start, 1) and identifying the two rows leaves that walk as a path from
+    start.  Bars go after every path step that crosses an arc (and at the
+    end); each bar-delimited block, sorted decreasingly, becomes a run of
+    the cycle, with the block minimum positive and the rest negative.
     """
     runs: list[list[int]] = []
     block = [start]
-    out_row = 0  # the walk leaves start by its bottom vertex
-    for key in keys:
-        if key & 1 == out_row:  # both ends in one row: an arc
+    out, close = 2 * start, 2 * start + 1
+    while (key := partner[out]) != close:
+        i = key >> 1
+        seen[i] = True
+        if (key ^ out) & 1 == 0:  # both ends in one row: an arc
             runs.append(block)
-            block = []
-        block.append(key >> 1)
-        out_row = (key & 1) ^ 1  # and leaves each index by its other vertex
+            block = [i]
+        else:
+            block.append(i)
+        out = key ^ 1
     runs.append(block)
     cycle: list[int] = []
     neg: list[int] = []
@@ -235,11 +254,11 @@ def theta_inv(m: PerfectMatching) -> SignedPermutation:
         raise ValueError("support must be exactly 1..l")
     if not is_callan(m):
         raise ValueError("matching has uplines")
-    cycle, neg = _unfold(1, _walk(m.partner, 1))
+    cycle, neg = _unfold(m.partner, 1, [False] * (l + 1))
     if len(cycle) != l:
         raise ValueError("matching is not connected")
     perm = permutation_from_cycles([cycle], l)
-    return SignedPermutation(perm=perm, neg=frozenset(neg))
+    return SignedPermutation._trusted(perm, frozenset(neg))
 
 
 def gamma(sp: SignedPermutation) -> PerfectMatching:
@@ -271,12 +290,14 @@ def gamma_inv(m: PerfectMatching) -> SignedPermutation:
         raise ValueError("matching has uplines")
     cycles: list[list[int]] = []
     neg: list[int] = []
-    for start, keys in _component_walks(m):
-        cycle, cycle_neg = _unfold(start, keys)
-        cycles.append(cycle)
-        neg.extend(cycle_neg)
+    seen = [False] * (n + 1)
+    for start in range(1, n + 1):
+        if not seen[start]:
+            cycle, cycle_neg = _unfold(m.partner, start, seen)
+            cycles.append(cycle)
+            neg.extend(cycle_neg)
     perm = permutation_from_cycles(cycles, n)
-    return SignedPermutation(perm=perm, neg=frozenset(neg))
+    return SignedPermutation._trusted(perm, frozenset(neg))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,14 @@ is 2i + row.  partner[k] is the key matched to key k; keys 0 and 1 are
 unused and hold 0.  A partner list is canonical, so equality and hashing
 read it and the support.  The edge list is a view: each edge is
 (smaller vertex, larger vertex), in order of the smaller vertex.
+
+Edge classes are read off key parity.  An edge between keys k < q is an
+arc when k and q have the same parity.  Otherwise, for even k (a bottom
+vertex) it is a vertical when q = k + 1 and an upline when q is larger,
+and for odd k (a top vertex) it is a downline.  The kernels below
+(:func:`match_stats`, :func:`is_callan` and the filters of
+:func:`enumerate_matchings`) count or refuse edges by these integer tests;
+:func:`edge_class` names the class of one edge.
 """
 
 from __future__ import annotations
@@ -169,49 +177,61 @@ class MatchStats:
     com: int
 
 
-def _walk(partner: Sequence[int], slot: int) -> list[int]:
-    """Keys entered on the walk around the component of ``slot``.
-
-    The walk leaves ``slot`` by its bottom vertex and follows its edge; it
-    leaves each slot it enters by that slot's other vertex, until it comes
-    back to the top vertex of ``slot``, whose key is not listed.  Every
-    other slot of the component is entered exactly once.
-    """
-    keys: list[int] = []
-    out, close = 2 * slot, 2 * slot + 1
-    while (key := partner[out]) != close:
-        keys.append(key)
-        out = key ^ 1
-    return keys
-
-
 def _component_walks(m: PerfectMatching) -> Iterator[tuple[int, list[int]]]:
-    """(smallest slot, :func:`_walk` from it) per component, by smallest slot."""
+    """(smallest slot, keys entered on the walk from it) per component, by
+    smallest slot.
+
+    The walk leaves the smallest slot by its bottom vertex and follows its
+    edge; it leaves each slot it enters by that slot's other vertex, until
+    it comes back to the top vertex of the smallest slot, whose key is not
+    listed.  Every other slot of the component is entered exactly once.
+    """
+    partner = m.partner
     seen = [False] * (m.n + 1)
     for start in range(1, m.n + 1):
         if not seen[start]:
-            keys = _walk(m.partner, start)
-            for k in keys:
-                seen[k >> 1] = True
+            keys: list[int] = []
+            out, close = 2 * start, 2 * start + 1
+            while (key := partner[out]) != close:
+                keys.append(key)
+                seen[key >> 1] = True
+                out = key ^ 1
             yield start, keys
 
 
 def match_stats(m: PerfectMatching) -> MatchStats:
-    kinds = {"arc": 0, "upline": 0, "downline": 0, "vertical": 0}
-    for k, q in enumerate(m.partner):
-        if k < q:
-            kinds[_edge_kind(k, q)] += 1
+    # every edge between the rows has one bottom end, an even key k: its
+    # partner q is a bottom key (an arc) or a top key, q = k + 1 for a
+    # vertical, larger for an upline, smaller for a downline; the vertices
+    # that no such edge covers pair up in arcs, as many in each row
+    up = down = ver = 0
+    partner = m.partner
+    for k in range(2, len(partner), 2):
+        q = partner[k]
+        if q & 1:
+            if q == k + 1:
+                ver += 1
+            elif q > k:
+                up += 1
+            else:
+                down += 1
     return MatchStats(
-        arc=kinds["arc"],
-        up=kinds["upline"],
-        down=kinds["downline"],
-        ver=kinds["vertical"],
+        arc=m.n - up - down - ver,
+        up=up,
+        down=down,
+        ver=ver,
         com=sum(1 for _ in _component_walks(m)),
     )
 
 
 def is_callan(m: PerfectMatching) -> bool:
-    return all(_edge_kind(k, q) != "upline" for k, q in enumerate(m.partner) if k < q)
+    # an upline joins a bottom key k to a top key above k + 1
+    partner = m.partner
+    for k in range(2, len(partner), 2):
+        q = partner[k]
+        if q & 1 and q > k + 1:
+            return False
+    return True
 
 
 def components(m: PerfectMatching) -> list[PerfectMatching]:
@@ -249,6 +269,10 @@ def enumerate_matchings(n: int, flt: str = "all") -> Iterator[PerfectMatching]:
     check_cap("matching enumeration", n)
     support = tuple(range(1, n + 1))
     refused = _REFUSED[flt]
+    # an even key a and an odd key b > a make a vertical when b = a + 1 and
+    # an upline when b > a + 1; from an even a, the filter refuses the odd
+    # keys from a + gap on (a gap past the last key refuses none)
+    gap = 1 if "vertical" in refused else 3 if "upline" in refused else 2 * n + 2
     # every path to a leaf writes every key, so no choice needs undoing
     partner = [0] * (2 * n + 2)
 
@@ -257,9 +281,10 @@ def enumerate_matchings(n: int, flt: str = "all") -> Iterator[PerfectMatching]:
             yield PerfectMatching(support=support, partner=tuple(partner))
             return
         a = free[0]
+        refuse_from = 2 * n + 2 if a & 1 else a + gap  # an odd a makes arcs and downlines
         for k in range(1, len(free)):
             b = free[k]
-            if _edge_kind(a, b) in refused:
+            if b & 1 and b >= refuse_from:
                 continue
             partner[a], partner[b] = b, a
             yield from rec(free[1:k] + free[k + 1 :])

@@ -259,18 +259,27 @@ def permutation_from_cycles(cycles: Iterable[Sequence[int]], n: int) -> Permutat
     for cyc in cycles:
         if not cyc:
             raise ValueError("empty cycle")
-        if min(cyc) < 1 or max(cyc) > n:
-            raise ValueError(f"cycle element outside 1..{n}: {tuple(cyc)}")
+        try:
+            if min(cyc) < 1 or max(cyc) > n:
+                raise ValueError(f"cycle element outside 1..{n}: {tuple(cyc)}")
+            for a, b in zip(cyc, cyc[1:]):
+                word[a - 1] = b
+            word[cyc[-1] - 1] = cyc[0]
+        except TypeError:
+            # 'a' does not compare with an int, and 2.0 indexes no slot
+            raise ValueError(f"cycle elements must be integers: {cyc!r}") from None
         count += len(cyc)
-        for a, b in zip(cyc, cyc[1:]):
-            word[a - 1] = b
-        word[cyc[-1] - 1] = cyc[0]
     # n in-range elements leave no slot empty only if they are distinct
     if count != n or 0 in word:
         uncovered = [i + 1 for i, v in enumerate(word) if v == 0]
         raise ValueError(
             f"cycles do not cover 1..{n} exactly once: {count} elements,"
             f" missing {uncovered}"
+        )
+    # every element is also a value of the word; True would fill a slot
+    if not {int}.issuperset(map(type, word)):
+        raise ValueError(
+            f"cycle elements must be integers: {[v for v in word if type(v) is not int]}"
         )
     return Permutation._trusted(tuple(word))
 

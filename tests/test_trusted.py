@@ -5,9 +5,11 @@ Values built inside the package skip validation and compute their cycles,
 statistics, flattening and last top-descent in one cached walk.  These
 tests check them against a cycle walk written here, independent of the
 package, and check that the cache leaves equality, hashing, ``repr`` and
-pickling alone.  Values from outside still go through full validation at
-the public constructors and parsers, and the CLI turns every rejection into
-exit status 2.
+pickling alone.  The signed permutations that the enumeration and the
+inverse maps build without validation must be the values the public
+constructor builds.  Values from outside still go through full validation
+at the public constructors and parsers, and the CLI turns every rejection
+into exit status 2.
 """
 
 import io
@@ -22,9 +24,11 @@ from cycledescent.bijections import (
     SignedPermutation,
     enumerate_negative_cdes,
     gamma,
+    gamma_inv,
     parse_signed,
     signed_from_json_dict,
     theta,
+    theta_inv,
 )
 from cycledescent.caps import CAPS
 from cycledescent.cli import main
@@ -152,6 +156,23 @@ def test_gamma_and_theta_emit_canonical_matchings(n):
             assert t == m
 
 
+def check_trusted_signed(s):
+    assert type(s.neg) is frozenset and all(type(v) is int for v in s.neg)
+    public = SignedPermutation(Permutation(s.perm.word), set(s.neg))
+    assert s == public and hash(s) == hash(public)
+    assert repr(s) == repr(public)
+    assert pickle.dumps(s) == pickle.dumps(public)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_trusted_signed_permutations_match_the_public_constructor(n):
+    for s in enumerate_negative_cdes(n):
+        check_trusted_signed(s)
+        check_trusted_signed(gamma_inv(gamma(s)))
+        if statistics(s.perm).cyc == 1:
+            check_trusted_signed(theta_inv(theta(s)))
+
+
 # ---------------------------------------------------------------------------
 # Public entry points keep rejecting bad values.
 
@@ -208,6 +229,10 @@ REFUSED_CYCLES = [
     ([(1, 2.5)], 2, "cycle element outside 1..2: (1, 2.5)"),  # not an int
     # n elements, but one of them 0, which names the last slot as an index
     ([(0, 1)], 2, "cycle element outside 1..2: (0, 1)"),
+    # values that are not ints, in range or only equal to one
+    ([(1, 2.0)], 2, "cycle elements must be integers: (1, 2.0)"),
+    ([(1, "a")], 2, "cycle elements must be integers: (1, 'a')"),
+    ([(True, 2)], 2, "cycle elements must be integers: [True]"),
 ]
 
 
@@ -220,6 +245,42 @@ REFUSED_CYCLES = [
 def test_permutation_from_cycles_rejects(cycles, n, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         permutation_from_cycles(cycles, n)
+
+
+def test_permutation_from_cycles_refuses_each_bad_cycle_of_an_iterator():
+    cycles = iter([(2,), (1, "a")])
+    with pytest.raises(ValueError, match=r"^cycle elements must be integers: \(1, 'a'\)$"):
+        permutation_from_cycles(cycles, 2)
+
+
+UPLINES = mk_matching([1, 2], [((1, 0), (2, 1)), ((1, 1), (2, 0))])
+TWO_VERTICALS = mk_matching([1, 2], [((1, 0), (1, 1)), ((2, 0), (2, 1))])
+SHIFTED = mk_matching([2], [((2, 0), (2, 1))])
+EMPTY = mk_matching([], [])
+
+
+@pytest.mark.parametrize(
+    "invert, m, message",
+    [
+        (gamma_inv, SHIFTED, "support must be exactly 1..n"),
+        (gamma_inv, UPLINES, "matching has uplines"),
+        (theta_inv, SHIFTED, "support must be exactly 1..l"),
+        (theta_inv, EMPTY, "support must be exactly 1..l"),
+        (theta_inv, UPLINES, "matching has uplines"),
+        (theta_inv, TWO_VERTICALS, "matching is not connected"),
+    ],
+    ids=[
+        "gamma-support",
+        "gamma-uplines",
+        "theta-support",
+        "theta-empty",
+        "theta-uplines",
+        "theta-disconnected",
+    ],
+)
+def test_inverse_maps_refuse_with_their_texts(invert, m, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        invert(m)
 
 
 def test_permutation_from_cycles_accepts_any_rotation():
