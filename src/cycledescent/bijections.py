@@ -122,9 +122,12 @@ def enumerate_negative_cdes(
     check_cap("signed enumeration", n)
     family = "derangements" if flt == "derangement" else "all"
     for p in enumerate_permutations(family, n):
-        descents = sorted(statistics(p).cdes_set)
-        for mask in range(1 << len(descents)):
-            chosen = frozenset(d for k, d in enumerate(descents) if mask >> k & 1)
+        # doubling over the sorted descents: subset k holds descent j
+        # exactly when bit j of k is set
+        subsets = [frozenset()]
+        for d in sorted(statistics(p).cdes_set):
+            subsets += [s | {d} for s in subsets]
+        for chosen in subsets:
             yield SignedPermutation._trusted(p, chosen)
 
 

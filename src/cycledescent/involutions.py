@@ -75,6 +75,31 @@ def last_top_descent(p: Permutation) -> int | None:
     return p._top  # found by the cycle walk that reads the flattening
 
 
+def _swapped(p: Permutation, a: int, b: int) -> Permutation:
+    """``p`` with the values at positions a and b exchanged.
+
+    Exchanging pi(a) and pi(b) splits their common cycle in two, or joins
+    their two cycles into one; either way the word is still a permutation.
+    """
+    word = list(p.word)
+    word[a - 1], word[b - 1] = word[b - 1], word[a - 1]
+    return Permutation._trusted(tuple(word))
+
+
+def _rewired(p: Permutation, *cycles: Sequence[int]) -> Permutation:
+    """``p`` with the entries of the given cycles re-pointed along them.
+
+    The cycles must cover exactly the elements of the cycles of ``p`` they
+    replace, so the word is still a permutation.
+    """
+    word = list(p.word)
+    for cyc in cycles:
+        for a, b in zip(cyc, cyc[1:]):
+            word[a - 1] = b
+        word[cyc[-1] - 1] = cyc[0]
+    return Permutation._trusted(tuple(word))
+
+
 def phi_map(p: Permutation) -> InvolutionOutcome:
     """Split or merge cycles at the last top-descent.
 
@@ -86,24 +111,21 @@ def phi_map(p: Permutation) -> InvolutionOutcome:
     split leaves the top-descent ending a cycle, so it is no longer a cycle
     descent and cdes falls by one; a merge puts it back inside a cycle and
     cdes rises by one.
+
+    Either move re-points two entries of the word: the top-descent qv
+    exchanges its value with the last element of its own cycle (a split)
+    or of the following cycle (a merge).
     """
     qv = last_top_descent(p)
     if qv is None:
         raise ValueError("map undefined: the flattened cycle word is increasing")
-    cycles = list(standard_cycles(p).cycles)
+    cycles = standard_cycles(p).cycles
     k = next(k for k, cyc in enumerate(cycles) if qv in cyc)
-    cyc = cycles[k]
-    pos = cyc.index(qv)
-    if pos == len(cyc) - 1:
+    if cycles[k][-1] == qv:
         # the last top-descent is never the global last entry, so a
         # following cycle always exists here
-        merged = cyc + cycles[k + 1]
-        new_cycles = cycles[:k] + [merged] + cycles[k + 2 :]
-        tag, delta = "phi-merge", 1
-    else:
-        new_cycles = cycles[:k] + [cyc[: pos + 1], cyc[pos + 1 :]] + cycles[k + 1 :]
-        tag, delta = "phi-split", -1
-    return InvolutionOutcome(permutation_from_cycles(new_cycles, p.n), tag, delta)
+        return InvolutionOutcome(_swapped(p, qv, cycles[k + 1][-1]), "phi-merge", 1)
+    return InvolutionOutcome(_swapped(p, qv, cycles[k][-1]), "phi-split", -1)
 
 
 def m_index(p: Permutation) -> int | None:
@@ -124,7 +146,14 @@ def m_index(p: Permutation) -> int | None:
 
 
 def psi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
-    """Sign-reversing involution on {pi in S_n : pi(i) = 1}."""
+    """Sign-reversing involution on {pi in S_n : pi(i) = 1}.
+
+    Away from its fixed points each branch re-points two entries of the
+    word: the phi branches those of ``phi_map``; ``psi-case1`` exchanges
+    pi(1) with pi(c_{m-1}), detaching c_1 .. c_{m-1} from the cycle
+    (1, c_1, .., c_l) of 1; ``psi-case2`` exchanges pi(1) with the value at
+    the last element of the last cycle, splicing that cycle in after the 1.
+    """
     if n < 2:
         raise ValueError("involution defined for n >= 2")
     if p.n != n or not 1 <= i <= n:
@@ -149,18 +178,12 @@ def psi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
         # these are exactly the fixed points, and exist only for i = n
         return InvolutionOutcome(p, "fixed", 0)
     if m >= 2:
-        # detach the increasing prefix c_1 .. c_{m-1} as a cycle of its own
-        new_first = (1,) + first[m:]
-        detached = first[1:m]
-        new_cycles = [new_first, detached, *cycles[1:]]
-        tag, delta = "psi-case1", -1
-    else:
-        # splice the last cycle into the first, right after the 1
-        last = cycles[-1]
-        new_first = (1,) + last + first[1:]
-        new_cycles = [new_first, *cycles[1:-1]]
-        tag, delta = "psi-case2", 1
-    return InvolutionOutcome(permutation_from_cycles(new_cycles, n), tag, delta)
+        # detach the increasing prefix c_1 .. c_{m-1} as a cycle of its own:
+        # 1 now goes to c_m and c_{m-1} back to c_1
+        return InvolutionOutcome(_swapped(p, 1, first[m - 1]), "psi-case1", -1)
+    # splice the last cycle into the first, right after the 1: 1 now goes
+    # to the last cycle's minimum and its last element where 1 went
+    return InvolutionOutcome(_swapped(p, 1, cycles[-1][-1]), "psi-case2", 1)
 
 
 def _consecutive_block_cycles(values: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
@@ -242,6 +265,10 @@ def varphi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
       that element is moved behind C's tail first.
     - otherwise: split C at its longest staircase-shaped proper prefix
       into two cycles (the mirror images of the two merge variants).
+
+    A merge re-points the entries of the merged cycle and a split those of
+    C; the new cycles are slices of the old, and every other entry of the
+    word stays as it is.
     """
     if p.n != n:
         raise ValueError(f"size mismatch: n={n}, perm of size {p.n}")
@@ -272,8 +299,7 @@ def varphi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
                 last[top - 1],
                 *prev[1:],
             )
-        image = permutation_from_cycles([*cycles[:-2], merged], n)
-        return InvolutionOutcome(image, "varphi-merge", 1)
+        return InvolutionOutcome(_rewired(p, merged), "varphi-merge", 1)
 
     # longest staircase-shaped proper prefix; prefixes of length 2 and 3
     # always qualify, and the property is hereditary, so scan upward
@@ -290,5 +316,4 @@ def varphi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
         rest = last[1:cut]
     else:
         rest = (*last[1:top], last[cut - 1], *last[top : cut - 1])
-    image = permutation_from_cycles([*cycles[:-1], head, rest], n)
-    return InvolutionOutcome(image, "varphi-split", -1)
+    return InvolutionOutcome(_rewired(p, head, rest), "varphi-split", -1)

@@ -215,13 +215,18 @@ def match_stats(m: PerfectMatching) -> MatchStats:
                 up += 1
             else:
                 down += 1
-    return MatchStats(
-        arc=m.n - up - down - ver,
-        up=up,
-        down=down,
-        ver=ver,
-        com=sum(1 for _ in _component_walks(m)),
-    )
+    # the walks of _component_walks, marking the slots they enter and
+    # keeping no keys
+    com = 0
+    seen = [False] * (m.n + 1)
+    for start in range(1, m.n + 1):
+        if not seen[start]:
+            com += 1
+            out, close = 2 * start, 2 * start + 1
+            while (key := partner[out]) != close:
+                seen[key >> 1] = True
+                out = key ^ 1
+    return MatchStats(arc=m.n - up - down - ver, up=up, down=down, ver=ver, com=com)
 
 
 def is_callan(m: PerfectMatching) -> bool:

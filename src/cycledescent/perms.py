@@ -250,9 +250,12 @@ def permutation_from_cycles(cycles: Iterable[Sequence[int]], n: int) -> Permutat
     """Build a permutation of [n] from disjoint cycles (any rotation per cycle).
 
     The cycles must cover 1..n exactly once; anything else raises
-    ValueError.  This check is what lets every map that builds its image
-    from cycles (``psi``, ``varphi``, ``phi_map``, ``theta_inv``) return a
-    proven permutation without sorting it again.
+    ValueError.  This check is what lets the maps that build their image
+    from cycles (``theta_inv``, ``gamma_inv``, the parsers, the fixed sets
+    of ``involutions``) return a proven permutation without sorting it
+    again.  ``psi``, ``varphi`` and ``phi_map`` do not call it: each
+    re-points a few entries of a copy of their input's word along cycles
+    cut from its own.
     """
     word = [0] * n
     count = 0

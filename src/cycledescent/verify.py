@@ -171,12 +171,14 @@ def _check_poly_axioms(n: int, seed: int) -> tuple[bool, str]:
 # with no second walk.  For each map whose domain holds the object it records
 # the rank of the image, the branch tag and the cdes delta the branch
 # states.  A rank is two lookups, of the word's head and tail in tables built
-# once per n.  Where ``psi`` takes a phi branch, its outcome is the ``phi_map``
-# call for that object, so the split/merge image is built once per object of
-# phi's domain.  An image is itself an object of S_n with a record of its own,
-# so each fold reads the involution law, exc preservation and the tag pairing
-# off the records, in the order and with the texts of a check that maps every
-# image back, and no image is mapped or walked again.  A stated delta that
+# once per n; a word that is not a permutation has none, so an image the maps
+# build wrongly can alias no object.  Where ``psi`` takes a phi branch, its
+# outcome is the ``phi_map`` call for that object, so the split/merge image is
+# built once per object of phi's domain.  An image is itself an object of S_n
+# with a record of its own, so each fold reads the involution law, exc
+# preservation and the tag pairing off the records, in the order and with the
+# texts of a check that maps every image back, and no image is mapped or
+# walked again.  A stated delta that
 # differs from the walked one is reported only once every other law has
 # held.  The signed sums of (-1)^cdes x^exc that psi and varphi collapse to the
 # weight of their fixed points are read off the same exc and cdes records, so
@@ -196,31 +198,41 @@ def _code_pairs(pairs: dict[str, str]) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _rank_tables(n: int) -> tuple[int, int, dict, dict]:
-    """Split point h = n // 2, (n - h)!, and the ranks of heads and tails.
+def _rank_tables(n: int) -> tuple[int, dict]:
+    """Split point h = n // 2 and the ranks of heads and tails.
 
     The lexicographic rank of a word of S_n is the rank of its head w[:h]
     among the h-arrangements of 1..n, times (n - h)!, plus the rank of its
-    tail w[h:] among the arrangements of its own values.  At n = 8 each
-    table holds 1,680 words.
+    tail w[h:] among the arrangements of its own values.  Each head maps to
+    its scaled rank and the table of tails that hold exactly the values it
+    leaves out, so a word that is not a permutation finds no tail.  At
+    n = 8 the heads and the tails number 1,680 each.
     """
     h = n // 2
     values = range(1, n + 1)
-    heads = {w: r for r, w in enumerate(permutations(values, h))}
     tails = {
-        w: r
+        frozenset(rest): {w: r for r, w in enumerate(permutations(rest))}
         for rest in combinations(values, n - h)
-        for r, w in enumerate(permutations(rest))
     }
-    return h, factorial(n - h), heads, tails
+    scale = factorial(n - h)
+    heads = {
+        w: (r * scale, tails[frozenset(values).difference(w)])
+        for r, w in enumerate(permutations(values, h))
+    }
+    return h, heads
 
 
 def _rank(word: tuple[int, ...], n: int) -> int:
-    """The lexicographic rank of a word in S_n; -1 for a word of another size."""
+    """The lexicographic rank of a word in S_n; -1 for any word that is not
+    a permutation of 1..n."""
     if len(word) != n:
         return -1
-    h, scale, heads, tails = _rank_tables(n)
-    return heads[word[:h]] * scale + tails[word[h:]]
+    h, heads = _rank_tables(n)
+    try:
+        base, tails = heads[word[:h]]
+        return base + tails[word[h:]]
+    except KeyError:
+        return -1
 
 
 def _unrank(r: int, n: int) -> Permutation:

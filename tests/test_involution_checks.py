@@ -14,7 +14,7 @@ object of its domain and that the suite walks S_n once per size.
 
 from collections import Counter
 from dataclasses import replace
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -327,6 +327,17 @@ def test_psi_fixed_set_of_the_wrong_size(monkeypatch):
     )
 
 
+def test_psi_image_that_is_no_permutation(monkeypatch):
+    # psi(5, 2, A) is 5 1 3 4 2; this trusted word repeats 5 and 1 but has
+    # the same head and a tail of the same pattern, so a rank read off the
+    # two halves alone would alias it to the true image and the check
+    # would pass
+    bad = Permutation._trusted((5, 1, 4, 5, 1))
+    assert psi2(A).image == W((5, 1, 3, 4, 2))
+    _patch(monkeypatch, "psi", {A: replace(psi2(A), image=bad)})
+    assert fold("psi-involution", N) == (False, "i=2, pi=2 1 3 4 5: not an involution")
+
+
 def test_varphi_signed_sum_off_its_closed_form(monkeypatch):
     real = sp.alternating_closed_form
 
@@ -435,6 +446,15 @@ def test_rank_is_the_stream_index(n):
 def test_rank_refuses_words_outside_the_family():
     assert verify._rank((2, 1, 3), 4) == -1
     assert verify._rank((1, 2, 3, 4, 5), 4) == -1
+    # head and tail each an arrangement of distinct values, but not together
+    assert verify._rank((1, 2, 3, 4, 1, 2, 3, 4), 8) == -1
+
+
+@pytest.mark.parametrize("n", range(0, 6))
+def test_rank_refuses_every_word_that_is_no_permutation(n):
+    for word in product(range(n + 2), repeat=n):
+        want = list_rank(word, n) if sorted(word) == list(range(1, n + 1)) else -1
+        assert verify._rank(word, n) == want, word
 
 
 def list_rank(word, n):

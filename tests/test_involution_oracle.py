@@ -1,0 +1,128 @@
+"""psi, varphi and phi_map against naive oracles, on every object of S_n.
+
+Each map builds its image by re-pointing a few entries of a copy of the
+input's word.  The oracles here choose the branch from the definitions
+(the flattening, the index m, the staircase shape by its pattern) and
+rebuild the image from the whole list of the input's cycles through
+``permutation_from_cycles``, which checks that they cover 1..n once.
+"""
+
+import os
+
+import pytest
+
+from cycledescent import involutions as iv
+from cycledescent.perms import (
+    enumerate_permutations,
+    hat,
+    permutation_from_cycles,
+    red,
+    standard_cycles,
+    statistics,
+)
+
+# Tier-1 runs n <= 7 (5,040 objects at n = 7); CI runs n = 9 (362,880,
+# one size past the verify cap) as a step of its own with
+# INVOLUTION_ORACLE_SIZES=9.
+ORACLE_SIZES = [
+    int(n) for n in os.environ.get("INVOLUTION_ORACLE_SIZES", "0 1 2 3 4 5 6 7").split()
+]
+
+
+def naive_top(p):
+    """The last entry of the flattening above its successor; None if none."""
+    flat = hat(p)
+    tops = [a for a, b in zip(flat, flat[1:]) if a > b]
+    return tops[-1] if tops else None
+
+
+def naive_phi(p):
+    qv = naive_top(p)
+    cycles = [list(c) for c in standard_cycles(p).cycles]
+    k = next(k for k, cyc in enumerate(cycles) if qv in cyc)
+    cyc = cycles[k]
+    pos = cyc.index(qv)
+    if pos == len(cyc) - 1:
+        new_cycles = cycles[:k] + [cyc + cycles[k + 1]] + cycles[k + 2 :]
+        tag, delta = "phi-merge", 1
+    else:
+        new_cycles = cycles[:k] + [cyc[: pos + 1], cyc[pos + 1 :]] + cycles[k + 1 :]
+        tag, delta = "phi-split", -1
+    return permutation_from_cycles(new_cycles, p.n), tag, delta
+
+
+def naive_m(p):
+    """The least j with c_j not the largest value left out of c_{j+1}.."""
+    tail = standard_cycles(p).cycles[0][1:]
+    for j in range(1, len(tail) + 1):
+        if tail[j - 1] != max(set(range(1, p.n + 1)) - set(tail[j:])):
+            return j
+    return None
+
+
+def naive_psi(n, p):
+    qv = naive_top(p)
+    cycles = [list(c) for c in standard_cycles(p).cycles]
+    first = cycles[0]
+    if statistics(p).inv1 == 1:
+        return (p, "fixed", 0) if qv is None else naive_phi(p)
+    if qv is not None and qv not in first:
+        return naive_phi(p)
+    m = naive_m(p)
+    if m is None:
+        return p, "fixed", 0
+    if m >= 2:
+        new_cycles = [[1, *first[m:]], first[1:m], *cycles[1:]]
+        tag, delta = "psi-case1", -1
+    else:
+        new_cycles = [[1, *cycles[-1], *first[1:]], *cycles[1:-1]]
+        tag, delta = "psi-case2", 1
+    return permutation_from_cycles(new_cycles, n), tag, delta
+
+
+def staircase(seq):
+    """Order-isomorphic to 1, .., r-1, s, s-1, .., r for some r (s >= 2)."""
+    s = len(seq)
+    pattern = red(seq).word
+    return s >= 2 and any(
+        pattern == (*range(1, r), *range(s, r - 1, -1)) for r in range(1, s + 1)
+    )
+
+
+def naive_varphi(n, p):
+    cycles = [list(c) for c in standard_cycles(p).cycles]
+    last = cycles[-1]
+    if staircase(last):
+        if len(cycles) == 1:
+            return p, "fixed", 0
+        prev = cycles[-2]
+        top = last.index(max(last))
+        if prev[1] < last[top - 1]:
+            merged = [prev[0], *last, *prev[1:]]
+        else:
+            merged = [prev[0], *last[: top - 1], *last[top:], last[top - 1], *prev[1:]]
+        return permutation_from_cycles([*cycles[:-2], merged], n), "varphi-merge", 1
+    cut = max(c for c in range(2, len(last)) if staircase(last[:c]))
+    top = last.index(max(last[:cut]))
+    head = [last[0], *last[cut:]]
+    if last[cut] < last[top - 1]:
+        rest = last[1:cut]
+    else:
+        rest = [*last[1:top], last[cut - 1], *last[top : cut - 1]]
+    return permutation_from_cycles([*cycles[:-1], head, rest], n), "varphi-split", -1
+
+
+def outcome(out):
+    return out.image, out.case_tag, out.delta_cdes
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_maps_match_naive_cycle_rebuild(n):
+    for p in enumerate_permutations("all", n):
+        s = statistics(p)
+        if n >= 2:
+            assert outcome(iv.psi(n, s.inv1, p)) == naive_psi(n, p), p
+            if not s.fix:
+                assert outcome(iv.varphi(n, s.inv1, p)) == naive_varphi(n, p), p
+        if naive_top(p) is not None:
+            assert outcome(iv.phi_map(p)) == naive_phi(p), p
