@@ -1,8 +1,10 @@
 """CLI outputs diffed byte for byte with their goldens.
 
 The matching goldens cover the three output formats (text, JSON, SVG), the
-two enumeration filters that list matchings, a diagram on a sparse support
-with every edge class and the text diagram of a signed input.  The others
+two enumeration filters that list matchings, two diagrams on sparse
+supports with every edge class (SVG, and SVG and text of one with uplines
+and three-digit indices), the text diagram of a signed input, and the JSON
+and SVG of gamma on a 50-cycle.  The others
 pin the text report of a verify suite with notes, the text and JSON of a
 signed enumeration, the JSON of both inverse maps, and the refusal of SVG
 output for a signed result.  Each command runs twice: through ``main`` in
@@ -23,6 +25,12 @@ from cycledescent.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 SIGNED = "(1+ 6- 3+ 4+)(2+ 8- 7+)(5+)"
+# one 50-cycle, every other cycle descent negative
+SIGNED_50 = (
+    "(1+ 25+ 50+ 22+ 47- 19+ 44+ 16+ 41- 13+ 38+ 10+ 35- 7+ 32+ 4+ 29- 26- 23+"
+    " 48+ 20+ 45- 17+ 42+ 14+ 39- 11+ 36+ 8+ 33- 5+ 30+ 2+ 27+ 24+ 49- 21+ 46+"
+    " 18+ 43- 15+ 40+ 12+ 37- 9+ 34+ 6+ 31- 3+ 28+)"
+)
 
 # golden file -> (arguments, golden file fed on stdin or None): the one list
 # of golden commands.  A golden ending in .err is the error line of a
@@ -39,6 +47,14 @@ CASES = {
     "diagram_signed.txt": (
         ["diagram", "--input", "(1+ 6- 4- 3+ 2+ 8- 7- 5+)", "--format", "text"], None
     ),
+    "diagram_upline.svg": (
+        ["diagram", "--input", "-", "--format", "svg"], "diagram_upline_input.json"
+    ),
+    "diagram_upline.txt": (
+        ["diagram", "--input", "-", "--format", "text"], "diagram_upline_input.json"
+    ),
+    "map_gamma_50.json": (["map", "gamma", "--input", SIGNED_50, "--format", "json"], None),
+    "map_gamma_50.svg": (["map", "gamma", "--input", SIGNED_50, "--format", "svg"], None),
     "verify_bijections_3.txt": (["verify", "bijections", "--n-max", "3"], None),
     "enum_ncdp_3.jsonl": (["enum", "ncdp", "--n", "3", "--format", "json"], None),
     "enum_ncdp_3.txt": (["enum", "ncdp", "--n", "3"], None),
@@ -60,6 +76,10 @@ MATCHING = (
     "map_gamma.svg",
     "diagram_sparse.svg",
     "diagram_signed.txt",
+    "diagram_upline.svg",
+    "diagram_upline.txt",
+    "map_gamma_50.json",
+    "map_gamma_50.svg",
 )
 REFUSAL = "map_gamma_inv_svg.err"
 OTHER = tuple(f for f in CASES if f not in MATCHING and f != REFUSAL)

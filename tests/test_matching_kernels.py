@@ -8,11 +8,15 @@ vertex-based classification of ``matching_oracle`` and with an unfold
 written here from the component walks.
 """
 
+import json
 import os
+import random
 
 import pytest
 
+import matching_oracle as oracle
 from cycledescent.bijections import SignedPermutation, gamma_inv
+from cycledescent.diagrams import render_svg, render_text
 from cycledescent.matchings import (
     MATCHING_FILTERS,
     MVertex,
@@ -21,10 +25,11 @@ from cycledescent.matchings import (
     enumerate_matchings,
     is_callan,
     match_stats,
+    matching_from_json_dict,
+    matching_to_json_dict,
+    mk_matching,
 )
 from cycledescent.perms import Permutation
-
-from matching_oracle import naive_stats
 
 # Tier-1 runs n <= 6 (10,395 matchings at n = 6); CI runs n = 7 (135,135)
 # as a step of its own with KERNEL_ORACLE_SIZES=7.
@@ -39,7 +44,7 @@ def test_kernels_match_naive_classification(n):
     assert set(NAIVE_REFUSED) == set(MATCHING_FILTERS)
     kept = {flt: [] for flt in MATCHING_FILTERS}
     for m in enumerate_matchings(n):
-        kinds, supports = naive_stats(m)
+        kinds, supports = oracle.naive_stats(m)
         stats = match_stats(m)
         assert (stats.arc, stats.up, stats.down, stats.ver, stats.com) == (
             kinds["arc"], kinds["upline"], kinds["downline"], kinds["vertical"], len(supports)
@@ -82,3 +87,38 @@ def naive_gamma_inv(m):
 def test_gamma_inv_matches_naive_unfold(n):
     for m in enumerate_matchings(n, "callan"):
         assert gamma_inv(m) == naive_gamma_inv(m)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_json_round_trip_of_every_matching(n):
+    for m in enumerate_matchings(n):
+        assert matching_from_json_dict(matching_to_json_dict(m)) == m
+
+
+def assert_emitters_match_oracle(m):
+    assert json.dumps(matching_to_json_dict(m)) == json.dumps(oracle.matching_to_json_dict(m))
+    assert render_text(m) == oracle.render_text(m)
+    assert render_svg(m) == oracle.render_svg(m)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_emitters_match_vertex_oracle(n):
+    for m in enumerate_matchings(n):
+        assert_emitters_match_oracle(m)
+
+
+def seeded_sparse_matchings(count=200, seed=19):
+    """Random matchings of random sparse supports inside 1..200."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        support = rng.sample(range(1, 201), rng.randint(1, 40))
+        vertices = [[i, row] for i in support for row in (0, 1)]
+        rng.shuffle(vertices)
+        yield mk_matching(support, zip(vertices[::2], vertices[1::2]))
+
+
+def test_emitters_match_vertex_oracle_on_sparse_supports():
+    matchings = list(seeded_sparse_matchings())
+    assert sum(not is_callan(m) for m in matchings) > 100  # uplines are drawn
+    for m in matchings:
+        assert_emitters_match_oracle(m)

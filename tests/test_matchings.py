@@ -167,3 +167,86 @@ def test_mk_matching_refuses_non_integer_support():
     for support in ([2.0, 1], [True, 2]):
         with pytest.raises(ValueError, match="support must be a collection of integers"):
             mk_matching(support, [((1, 0), (1, 1)), ((2, 0), (2, 1))])
+
+
+# support, edges, the exact refusal: one case per check of mk_matching, in
+# the order the checks run, and inputs with two faults, of which the
+# earlier check speaks
+REFUSALS = {
+    "support-not-a-collection": (5, [], "support must be a collection of integers: 5"),
+    "support-not-comparable": (
+        [1, "a"], [], "support must be a collection of integers: [1, 'a']"
+    ),
+    "support-twice": ([1, 1], [], "support lists a value twice: [1, 1]"),
+    "support-not-positive": ([0, 1], [], "support must contain positive integers"),
+    "edge-not-a-pair": ([1], [[[1, 0]]], "edge must be a pair of vertices: [[1, 0]]"),
+    "edge-not-a-sequence": ([1], [5], "edge must be a pair of vertices: 5"),
+    "vertex-not-int-a": (
+        [1], [[[1.5, 0], [1, 1]]], "vertex must be an [index, row] pair of integers: [1.5, 0]"
+    ),
+    "vertex-not-int-b": (
+        [1], [[[1, 0], [1, True]]], "vertex must be an [index, row] pair of integers: [1, True]"
+    ),
+    "vertex-not-a-pair-b": (
+        [1], [[[1, 0], [1]]], "vertex must be an [index, row] pair of integers: [1]"
+    ),
+    "vertex-not-int-a-before-b": (
+        [1], [[[1, "0"], [1.5, 1]]], "vertex must be an [index, row] pair of integers: [1, '0']"
+    ),
+    "vertex-not-int-b-before-outside-a": (
+        [1], [[[5, 0], [1, 1.0]]], "vertex must be an [index, row] pair of integers: [1, 1.0]"
+    ),
+    "self-pair": ([1], [[[1, 0], [1, 0]]], "vertex paired with itself: MVertex(index=1, row=0)"),
+    "self-pair-before-outside": (
+        [1], [[[5, 0], [5, 0]]], "vertex paired with itself: MVertex(index=5, row=0)"
+    ),
+    "outside-a": (
+        [1], [[[2, 0], [1, 1]]], "vertex outside the support rows: MVertex(index=2, row=0)"
+    ),
+    "outside-b-row": (
+        [1], [[[1, 0], [1, 2]]], "vertex outside the support rows: MVertex(index=1, row=2)"
+    ),
+    "outside-a-before-covered-b": (
+        [1, 2],
+        [[[1, 0], [1, 1]], [[3, 0], [1, 1]]],
+        "vertex outside the support rows: MVertex(index=3, row=0)",
+    ),
+    "covered-twice-a": (
+        [1, 2],
+        [[[1, 0], [1, 1]], [[1, 0], [2, 1]]],
+        "vertex covered twice: MVertex(index=1, row=0)",
+    ),
+    "covered-twice-b": (
+        [1, 2],
+        [[[1, 0], [1, 1]], [[2, 0], [1, 1]]],
+        "vertex covered twice: MVertex(index=1, row=1)",
+    ),
+    "covered-twice-a-before-outside-b": (
+        [1, 2],
+        [[[1, 0], [1, 1]], [[1, 1], [2, 5]]],
+        "vertex covered twice: MVertex(index=1, row=1)",
+    ),
+    "uncovered": (
+        [1, 2],
+        [[[1, 0], [1, 1]]],
+        "uncovered vertices: [MVertex(index=2, row=0), MVertex(index=2, row=1)]",
+    ),
+    "support-equal-to-ints": (
+        [2.0, 1],
+        [[[1, 0], [1, 1]], [[2, 0], [2, 1]]],
+        "support must be a collection of integers: [2.0, 1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case_id", list(REFUSALS))
+def test_mk_matching_refusal_text(case_id):
+    support, edges, text = REFUSALS[case_id]
+    with pytest.raises(ValueError) as exc:
+        mk_matching(support, edges)
+    assert str(exc.value) == text
+    # matching JSON comes in through the same checks
+    if isinstance(support, list):
+        with pytest.raises(ValueError) as exc:
+            matching_from_json_dict({"support": support, "edges": edges})
+        assert str(exc.value) == text
