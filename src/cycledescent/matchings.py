@@ -16,16 +16,24 @@ index of rank r in the support sits in slot r + 1, and the vertex
 a sparse support costs no more than 1..n, and on the support 1..n the key
 is 2i + row.  partner[k] is the key matched to key k; keys 0 and 1 are
 unused and hold 0.  A partner list is canonical, so equality and hashing
-read it and the support.  The edge list is a view: each edge is
-(smaller vertex, larger vertex), in order of the smaller vertex.
+read it and the support.
 
 Edge classes are read off key parity.  An edge between keys k < q is an
 arc when k and q have the same parity.  Otherwise, for even k (a bottom
 vertex) it is a vertical when q = k + 1 and an upline when q is larger,
 and for odd k (a top vertex) it is a downline.  The kernels below
 (:func:`match_stats`, :func:`is_callan` and the filters of
-:func:`enumerate_matchings`) count or refuse edges by these integer tests;
-:func:`edge_class` names the class of one edge.
+:func:`enumerate_matchings`) count or refuse edges by these integer tests.
+
+Matchings are read and written off their keys too.  :func:`mk_matching`
+enters each edge's two keys in one pass over the edges, and the emitters
+(``str``, :func:`matching_to_json_dict` and the renderers of ``diagrams``)
+go over the key pairs k < q of the partner list, in key order, reading the
+vertex (support[(k >> 1) - 1], k & 1) and the class off each key.  The
+``edges`` view of ``MVertex`` pairs, each edge (smaller vertex, larger
+vertex) in order of the smaller vertex, and :func:`edge_class`, which
+names the class of one such edge, are kept for callers; the package itself
+reads neither.
 """
 
 from __future__ import annotations
@@ -87,66 +95,89 @@ class PerfectMatching:
         )
 
     def __str__(self) -> str:
-        return " ".join(f"({a.index},{a.row})-({b.index},{b.row})" for a, b in self.edges)
+        supp = self.support
+        return " ".join(
+            f"({supp[(k >> 1) - 1]},{k & 1})-({supp[(q >> 1) - 1]},{q & 1})"
+            for k, q in _keyed_edges(self)
+        )
 
 
 def _key_vertex(support: tuple[int, ...], key: int) -> MVertex:
     return MVertex(support[(key >> 1) - 1], key & 1)
 
 
-def _vertex(v: Sequence[int] | MVertex) -> MVertex:
-    try:
-        index, row = v
-    except (TypeError, ValueError):
-        index = row = None
-    # 1.5, "1" and True are refused, not read as another vertex
-    if type(index) is not int or type(row) is not int:
-        raise ValueError(f"vertex must be an [index, row] pair of integers: {v!r}")
-    return MVertex(index, row)
+def _keyed_edges(m: PerfectMatching) -> Iterator[tuple[int, int]]:
+    """The keys k < q of each edge, in the order of the edges view.
+
+    The emitters read these instead of ``MVertex`` pairs: key k is the
+    vertex (support[(k >> 1) - 1], k & 1), and ``_edge_kind(k, q)`` names
+    the edge's class.
+    """
+    return ((k, q) for k, q in enumerate(m.partner) if k < q)
+
+
+_NOT_A_VERTEX = "vertex must be an [index, row] pair of integers: "
 
 
 def mk_matching(
     support: Iterable[int], edges: Iterable[Sequence[Sequence[int] | MVertex]]
 ) -> PerfectMatching:
-    """Validate a matching given as vertex pairs and build its partner list."""
+    """Validate a matching given as vertex pairs and build its partner list.
+
+    One pass per edge unpacks both vertices, checks that their values are
+    ``int`` (1.5, "1" and True are refused, not read as another vertex),
+    looks up their slots and enters their keys; an ``MVertex`` is built only
+    to word a refusal.
+    """
     try:
         listed = tuple(support)
-        supp = tuple(sorted(set(listed)))
-        positive = all(v >= 1 for v in supp)
     except TypeError:
-        raise ValueError(f"support must be a collection of integers: {support!r}") from None
+        listed = None
+    # JSON reads 1e400 as inf: a float is refused here, not named as a vertex
+    if listed is None or not all(type(v) is int for v in listed):
+        raise ValueError(f"support must be a collection of integers: {support!r}")
+    supp = tuple(sorted(set(listed)))
     if len(supp) != len(listed):
         raise ValueError(f"support lists a value twice: {support!r}")
-    if not positive:
+    if supp and supp[0] < 1:
         raise ValueError("support must contain positive integers")
     bottom = {i: 2 * slot for slot, i in enumerate(supp, 1)}
     partner = [0] * (2 * len(supp) + 2)
-
-    def key(v: MVertex) -> int:
-        if v.index not in bottom or v.row not in (0, 1):
-            raise ValueError(f"vertex outside the support rows: {v}")
-        k = bottom[v.index] + v.row
-        if partner[k]:
-            raise ValueError(f"vertex covered twice: {v}")
-        return k
-
     for pair in edges:
         try:
             a, b = pair
         except (TypeError, ValueError):
             raise ValueError(f"edge must be a pair of vertices: {pair!r}") from None
-        a, b = _vertex(a), _vertex(b)
-        if a == b:
-            raise ValueError(f"vertex paired with itself: {a}")
-        ka, kb = key(a), key(b)
+        try:
+            i, r = a
+        except (TypeError, ValueError):
+            i = r = None
+        if type(i) is not int or type(r) is not int:
+            raise ValueError(f"{_NOT_A_VERTEX}{a!r}")
+        try:
+            j, s = b
+        except (TypeError, ValueError):
+            j = s = None
+        if type(j) is not int or type(s) is not int:
+            raise ValueError(f"{_NOT_A_VERTEX}{b!r}")
+        if i == j and r == s:
+            raise ValueError(f"vertex paired with itself: {MVertex(i, r)}")
+        ka = bottom.get(i)
+        if ka is None or r not in (0, 1):
+            raise ValueError(f"vertex outside the support rows: {MVertex(i, r)}")
+        ka += r
+        if partner[ka]:
+            raise ValueError(f"vertex covered twice: {MVertex(i, r)}")
+        kb = bottom.get(j)
+        if kb is None or s not in (0, 1):
+            raise ValueError(f"vertex outside the support rows: {MVertex(j, s)}")
+        kb += s
+        if partner[kb]:
+            raise ValueError(f"vertex covered twice: {MVertex(j, s)}")
         partner[ka], partner[kb] = kb, ka
-    missing = [_key_vertex(supp, k) for k in range(2, len(partner)) if not partner[k]]
-    if missing:
+    if partner.count(0) > 2:  # keys 0 and 1 are unused
+        missing = [_key_vertex(supp, k) for k in range(2, len(partner)) if not partner[k]]
         raise ValueError(f"uncovered vertices: {missing}")
-    # 2.0 and True pass the checks above, as they equal the ints 2 and 1 that
-    # edges name; the edge view prints support values, so they must be ints
-    if not all(type(v) is int for v in supp):
-        raise ValueError(f"support must be a collection of integers: {support!r}")
     return PerfectMatching(support=supp, partner=tuple(partner))
 
 
@@ -298,9 +329,13 @@ def enumerate_matchings(n: int, flt: str = "all") -> Iterator[PerfectMatching]:
 
 
 def matching_to_json_dict(m: PerfectMatching) -> dict:
+    supp = m.support
     return {
-        "support": list(m.support),
-        "edges": [[[a.index, a.row], [b.index, b.row]] for a, b in m.edges],
+        "support": list(supp),
+        "edges": [
+            [[supp[(k >> 1) - 1], k & 1], [supp[(q >> 1) - 1], q & 1]]
+            for k, q in _keyed_edges(m)
+        ],
     }
 
 

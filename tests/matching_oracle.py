@@ -2,10 +2,10 @@
 
 ``naive_stats`` reads each edge's class off its two vertices and counts
 components by a union-find over indices, so it shares no code with the
-partner-key arithmetic of ``matchings``.  ``matching_to_json_dict``,
-``render_text`` and ``render_svg`` are the emitters as they were before
-they read partner keys: they walk the ``edges`` view of ``MVertex`` pairs
-and name each edge with ``edge_class``.
+partner-key arithmetic of ``matchings``.  ``matching_str``,
+``matching_to_json_dict``, ``render_text`` and ``render_svg`` are the
+emitters as they were before they read partner keys: they walk the
+``edges`` view of ``MVertex`` pairs and name each edge with ``edge_class``.
 """
 
 from cycledescent.matchings import PerfectMatching, edge_class, is_callan
@@ -36,6 +36,10 @@ def naive_stats(m):
     for i in m.support:
         groups.setdefault(find(i), []).append(i)
     return kinds, sorted(tuple(g) for g in groups.values())
+
+
+def matching_str(m: PerfectMatching) -> str:
+    return " ".join(f"({a.index},{a.row})-({b.index},{b.row})" for a, b in m.edges)
 
 
 def matching_to_json_dict(m: PerfectMatching) -> dict:

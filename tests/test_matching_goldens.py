@@ -4,10 +4,10 @@ The matching goldens cover the three output formats (text, JSON, SVG), the
 two enumeration filters that list matchings, two diagrams on sparse
 supports with every edge class (SVG, and SVG and text of one with uplines
 and three-digit indices), the text diagram of a signed input, and the JSON
-and SVG of gamma on a 50-cycle.  The others
-pin the text report of a verify suite with notes, the text and JSON of a
-signed enumeration, the JSON of both inverse maps, and the refusal of SVG
-output for a signed result.  Each command runs twice: through ``main`` in
+and SVG of gamma on a 50-cycle.  The others pin the text report of a
+verify suite with notes, the text and JSON of a signed enumeration, the
+JSON of both inverse maps, and the refusal of SVG output for a signed
+result.  Each command runs twice: through ``main`` in
 this process, and as ``python -m cycledescent.cli`` in a fresh one, with
 the same arguments and the same file on stdin.
 """

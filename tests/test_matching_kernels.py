@@ -1,11 +1,14 @@
-"""The key-arithmetic matching kernels against naive oracles, exhaustively.
+"""The key-arithmetic matching code against naive oracles, exhaustively.
 
 ``match_stats``, ``is_callan`` and the filters of ``enumerate_matchings``
-read each edge's class off the parity of its partner keys, and
-``gamma_inv`` unfolds each component in the loop that walks it.  These
+read each edge's class off the parity of its partner keys, ``gamma_inv``
+unfolds each component in the loop that walks it, and the string, JSON,
+text and SVG emitters read vertices and classes off the keys.  These
 tests compare them, over every matching of {1..n} x {0, 1}, with the
-vertex-based classification of ``matching_oracle`` and with an unfold
-written here from the component walks.
+vertex-based classification and emitters of ``matching_oracle`` and with
+an unfold written here from the component walks; the emitters also on
+seeded matchings of sparse supports.  Every matching also survives a JSON
+round trip through ``mk_matching``.
 """
 
 import json
@@ -96,6 +99,7 @@ def test_json_round_trip_of_every_matching(n):
 
 
 def assert_emitters_match_oracle(m):
+    assert str(m) == oracle.matching_str(m)
     assert json.dumps(matching_to_json_dict(m)) == json.dumps(oracle.matching_to_json_dict(m))
     assert render_text(m) == oracle.render_text(m)
     assert render_svg(m) == oracle.render_svg(m)

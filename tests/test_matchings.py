@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -231,6 +232,14 @@ REFUSALS = {
         [[[1, 0], [1, 1]]],
         "uncovered vertices: [MVertex(index=2, row=0), MVertex(index=2, row=1)]",
     ),
+    # a value that is not an int is refused before the slot table is built:
+    # JSON reads 1e400 as inf, and none of these is named as a vertex
+    "support-inf": ([math.inf], [], "support must be a collection of integers: [inf]"),
+    "support-fraction": ([1.5], [], "support must be a collection of integers: [1.5]"),
+    "support-bool-equal-to-a-value": (
+        [1, True], [], "support must be a collection of integers: [1, True]"
+    ),
+    "support-bool-below-1": ([False], [], "support must be a collection of integers: [False]"),
     "support-equal-to-ints": (
         [2.0, 1],
         [[[1, 0], [1, 1]], [[2, 0], [2, 1]]],
@@ -250,3 +259,9 @@ def test_mk_matching_refusal_text(case_id):
         with pytest.raises(ValueError) as exc:
             matching_from_json_dict({"support": support, "edges": edges})
         assert str(exc.value) == text
+
+
+def test_json_number_out_of_float_range_is_refused_as_support():
+    with pytest.raises(ValueError) as exc:
+        matching_from_json_dict(json.loads('{"support": [1e400], "edges": []}'))
+    assert str(exc.value) == "support must be a collection of integers: [inf]"
