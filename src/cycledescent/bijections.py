@@ -336,8 +336,10 @@ def signed_to_json_dict(sp: SignedPermutation) -> dict:
 
 def signed_from_json_dict(data: dict) -> SignedPermutation:
     try:
-        word = tuple(data["one_line"])
-        neg = frozenset(data["neg"])
+        one_line, negatives = data["one_line"], data["neg"]
+        if not isinstance(one_line, list) or not isinstance(negatives, list):
+            raise ValueError("signed permutation JSON 'one_line' and 'neg' must be lists")
+        word, neg = tuple(one_line), frozenset(negatives)
         n = data.get("n", len(word))
     except (TypeError, KeyError) as exc:
         raise ValueError(f"signed permutation JSON needs 'one_line' and 'neg': {exc}") from None

@@ -352,6 +352,10 @@ def test_parse_signed_rejects(text):
         {"one_line": 5, "neg": []},
         {"one_line": [1]},
         [1, 2],
+        # fields that are not arrays
+        {"one_line": "", "neg": {}},
+        {"one_line": [2, 1, 3], "neg": {}},
+        {"one_line": [3, 1, 2], "neg": "3"},
     ],
 )
 def test_signed_from_json_dict_rejects(data):
@@ -369,6 +373,7 @@ def test_signed_from_json_dict_rejects(data):
         ["map", "gamma-inv", "--input", '{"support":[1],"edges":[[[1.5,0],[1.9,1]]]}'],
         ["map", "gamma-inv", "--input", '{"support":[1],"edges":[[["1",0],[true,1]]]}'],
         ["map", "gamma", "--input", '{"one_line":[1,"a"],"neg":[]}'],
+        ["map", "gamma", "--input", '{"one_line": "", "neg": {}}'],
         ["verify", "lemmas", "--n-max", "2", "--jobs", "-3"],
         ["verify", "lemmas", "--n-max", "2", "--jobs", "0"],
         # sparse cycle text is refused before anything of its largest value is built
