@@ -1,9 +1,10 @@
 """
 Exhaustive verification suites behind the ``verify`` CLI command.
 
-Each check gives (passed, detail) at a size n; a suite is a set of
-checks, each with its own size cap chosen so that the whole battery stays
-desk-scale.  A plain check computes its outcome on its own.  A walk check
+Each check gives its first failure at a size n, as a witness text, or
+None when it holds; a suite is a set of checks, each with its own size
+cap chosen so that the whole battery stays desk-scale.  A plain check
+computes its outcome on its own.  A walk check
 reads records that one walk of its size keeps for every check that reads
 them: the involution checks of one size share one walk of S_n, and the
 bijection checks one walk of the signed objects and one of the Callan
@@ -12,8 +13,8 @@ are independent and a suite can fan out over a process pool, largest sizes
 first; every walk task returns its records, and the caller folds each walk
 check off them.
 
-Informational checks never fail: they attach their findings to the
-summary's notes (used for the downline formula, whose textbook global
+Informational checks never fail: they return a note text, which goes to
+the summary's notes (used for the downline formula, whose textbook global
 form is known not to survive beyond connected matchings).
 """
 
@@ -84,57 +85,57 @@ class VerificationSummary:
 
 
 # ---------------------------------------------------------------------------
-# Check bodies.  Signature: fn(n, seed) -> (passed, detail).
+# Check bodies.  Signature: fn(n, seed) -> the first failure, or None.
 
 
-def _check_closed_form(n: int, seed: int, derangements: bool = False) -> tuple[bool, str]:
+def _check_closed_form(n: int, seed: int, derangements: bool = False) -> str | None:
     if derangements and not sp.statistic_poly(n, 1, derangements=True).is_zero():
-        return False, "i=1: expected the empty sum"
+        return "i=1: expected the empty sum"
     for i in range(2 if derangements else 1, n + 1):
         brute = sp.statistic_poly(n, i, derangements).substitute(y=-1, q=1)
         closed = sp.alternating_closed_form(n, i, derangements)
         if brute != closed:
-            return False, f"i={i}: enumerated {brute}, closed form {closed}"
-    return True, f"{n} positions match"
+            return f"i={i}: enumerated {brute}, closed form {closed}"
+    return None
 
 
-def _check_recurrence(n: int, seed: int, derangements: bool = False) -> tuple[bool, str]:
+def _check_recurrence(n: int, seed: int, derangements: bool = False) -> str | None:
     table = sp.recurrence_table(n, derangements)
     for i in range(1, n + 1):
         brute = sp.statistic_poly(n, i, derangements).substitute(q=1, t=1)
         if table.entries[i] != brute:
-            return False, f"i={i}: recurrence {table.entries[i]}, enumerated {brute}"
-    return True, f"{n} table cells match"
+            return f"i={i}: recurrence {table.entries[i]}, enumerated {brute}"
+    return None
 
 
-def _check_cdes_poly(n: int, seed: int, derangements: bool = False) -> tuple[bool, str]:
+def _check_cdes_poly(n: int, seed: int, derangements: bool = False) -> str | None:
     rec = sp.cdes_distribution_rec(n, derangements)
     brute = sp.cdes_distribution_brute(n, derangements)
     if rec != brute:
-        return False, f"recurrence {rec}, enumerated {brute}"
-    return True, f"distribution {rec}"
+        return f"recurrence {rec}, enumerated {brute}"
+    return None
 
 
-def _check_sequence_cross(n: int, seed: int) -> tuple[bool, str]:
+def _check_sequence_cross(n: int, seed: int) -> str | None:
     a = sp.klazar_count(n)
     b = sp.cdes_distribution_rec(n).substitute(y=2).as_int()
     if a != b:
-        return False, f"integer recurrence {a}, polynomial recurrence at y=2 gives {b}"
+        return f"integer recurrence {a}, polynomial recurrence at y=2 gives {b}"
     c = sp.b20_count(n)
     d = sp.cdes_distribution_rec(n, derangements=True).substitute(y=2).as_int()
     if c != d:
-        return False, f"derangement recurrences disagree: {c} vs {d}"
-    return True, f"counts {a} and {c}"
+        return f"derangement recurrences disagree: {c} vs {d}"
+    return None
 
 
-def _check_identity(n: int, seed: int, identity_id: str) -> tuple[bool, str]:
+def _check_identity(n: int, seed: int, identity_id: str) -> str | None:
     report = sp.identity_check(identity_id, n)
     if report.passed:
-        return True, f"lhs = rhs = {report.rhs}"
+        return None
     detail = f"lhs {report.lhs}, rhs {report.rhs}"
     if report.witness:
         detail += f"; witness {report.witness}"
-    return False, detail
+    return detail
 
 
 def _random_poly(rng: random.Random) -> MultiPoly:
@@ -145,20 +146,20 @@ def _random_poly(rng: random.Random) -> MultiPoly:
     return MultiPoly(terms)
 
 
-def _check_poly_axioms(n: int, seed: int) -> tuple[bool, str]:
+def _check_poly_axioms(n: int, seed: int) -> str | None:
     rng = random.Random(seed)
     for trial in range(60):
         a, b, c = (_random_poly(rng) for _ in range(3))
         if (a + b) + c != a + (b + c) or a * b != b * a:
-            return False, f"trial {trial}: ring axiom broken"
+            return f"trial {trial}: ring axiom broken"
         if a * (b + c) != a * b + a * c:
-            return False, f"trial {trial}: distributivity broken"
+            return f"trial {trial}: distributivity broken"
         binding = {"x": rng.randint(-3, 3), "y": rng.randint(-3, 3)}
         lhs = (a * b + c).substitute(**binding)
         rhs = a.substitute(**binding) * b.substitute(**binding) + c.substitute(**binding)
         if lhs != rhs:
-            return False, f"trial {trial}: substitution does not commute"
-    return True, "60 random trials"
+            return f"trial {trial}: substitution does not commute"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +317,7 @@ def _false_claim(
     return None
 
 
-def _fold_psi_involution(n: int, w: _PermWalk) -> tuple[bool, str]:
-    total = 0
+def _fold_psi_involution(n: int, w: _PermWalk) -> str | None:
     false_claim = None
     pairs = _code_pairs(_PSI_PAIRS)
     img, tag, delta, exc, pos1 = w.psi.img, w.psi.tag, w.psi.delta, w.exc, w.pos1
@@ -325,33 +325,30 @@ def _fold_psi_involution(n: int, w: _PermWalk) -> tuple[bool, str]:
         expected_fixed = iv.psi_fixed_set(n, i)
         seen_fixed = set()
         for k in _one_at(pos1, i):
-            total += 1
             j = img[k]
             if j < 0 or pos1[j] != i or img[j] != k:
-                return False, f"i={i}, pi={_unrank(k, n)}: not an involution"
+                return f"i={i}, pi={_unrank(k, n)}: not an involution"
             if exc[j] != exc[k]:
-                return False, f"i={i}, pi={_unrank(k, n)}: excedances not preserved"
+                return f"i={i}, pi={_unrank(k, n)}: excedances not preserved"
             if tag[k] == _FIXED:
                 if delta[k] != 0 or j != k:
-                    return False, f"i={i}, pi={_unrank(k, n)}: bad fixed point"
+                    return f"i={i}, pi={_unrank(k, n)}: bad fixed point"
                 seen_fixed.add(k)
             else:
                 if abs(delta[k]) != 1:
-                    return False, f"i={i}, pi={_unrank(k, n)}: cdes delta {delta[k]}"
+                    return f"i={i}, pi={_unrank(k, n)}: cdes delta {delta[k]}"
                 if tag[j] != pairs[tag[k]]:
-                    return False, (
+                    return (
                         f"i={i}, pi={_unrank(k, n)}: branch {_TAGS[tag[k] - 1]}"
                         f" paired with {_TAGS[tag[j] - 1]}"
                     )
         if seen_fixed != {_rank(q.word, n) for q in expected_fixed}:
-            return False, f"i={i}: fixed set mismatch ({len(seen_fixed)} found)"
+            return f"i={i}: fixed set mismatch ({len(seen_fixed)} found)"
         want = 0 if 1 < i < n else 2 ** (n - 2)
         if len(expected_fixed) != want:
-            return False, f"i={i}: fixed set has size {len(expected_fixed)}, want {want}"
+            return f"i={i}: fixed set has size {len(expected_fixed)}, want {want}"
         false_claim = false_claim or _false_claim(n, w, w.psi, _one_at(pos1, i), f"i={i}, ")
-    if false_claim:
-        return False, false_claim
-    return True, f"{total} applications across {n} positions"
+    return false_claim
 
 
 def _signed_sum(w: _PermWalk, ranks: Iterable[int]) -> MultiPoly:
@@ -363,26 +360,23 @@ def _signed_sum(w: _PermWalk, ranks: Iterable[int]) -> MultiPoly:
     return MultiPoly(counts)
 
 
-def _fold_psi_fixed_weight(n: int, w: _PermWalk) -> tuple[bool, str]:
+def _fold_psi_fixed_weight(n: int, w: _PermWalk) -> str | None:
     for i in range(1, n + 1):
         enumerated = _signed_sum(w, _one_at(w.pos1, i))
         fixed = []
         for p in iv.psi_fixed_set(n, i):
             k = _rank(p.word, n)
             if w.cdes[k]:
-                return False, f"i={i}: fixed point {p} has a cycle descent"
+                return f"i={i}: fixed point {p} has a cycle descent"
             fixed.append(k)
         fixed_weight = _signed_sum(w, fixed)
         closed = sp.alternating_closed_form(n, i).substitute(t=1)
         if not (enumerated == fixed_weight == closed):
-            return False, (
-                f"i={i}: enumerated {enumerated}, fixed set {fixed_weight}, closed {closed}"
-            )
-    return True, f"{n} positions collapse"
+            return f"i={i}: enumerated {enumerated}, fixed set {fixed_weight}, closed {closed}"
+    return None
 
 
-def _fold_varphi_involution(n: int, w: _PermWalk) -> tuple[bool, str]:
-    total = 0
+def _fold_varphi_involution(n: int, w: _PermWalk) -> str | None:
     false_claim = None
     pairs = _code_pairs(_VARPHI_PAIRS)
     img, tag, delta, exc, pos1 = w.varphi.img, w.varphi.tag, w.varphi.delta, w.exc, w.pos1
@@ -392,59 +386,51 @@ def _fold_varphi_involution(n: int, w: _PermWalk) -> tuple[bool, str]:
         for k in _one_at(pos1, i):
             if not tag[k]:
                 continue  # not a derangement
-            total += 1
             j = img[k]
             if j < 0 or pos1[j] != i or not tag[j] or img[j] != k:
-                return False, f"i={i}, pi={_unrank(k, n)}: not an involution"
+                return f"i={i}, pi={_unrank(k, n)}: not an involution"
             if exc[j] != exc[k]:
-                return False, f"i={i}, pi={_unrank(k, n)}: excedances not preserved"
+                return f"i={i}, pi={_unrank(k, n)}: excedances not preserved"
             if tag[k] == _FIXED:
                 fixed_seen.append(k)
                 if delta[k] != 0:
-                    return False, f"i={i}, pi={_unrank(k, n)}: fixed point with cdes delta"
+                    return f"i={i}, pi={_unrank(k, n)}: fixed point with cdes delta"
             else:
                 if abs(delta[k]) != 1:
-                    return False, f"i={i}, pi={_unrank(k, n)}: cdes delta {delta[k]}"
+                    return f"i={i}, pi={_unrank(k, n)}: cdes delta {delta[k]}"
                 if tag[j] != pairs[tag[k]]:
-                    return False, f"i={i}, pi={_unrank(k, n)}: branch pairing broken"
+                    return f"i={i}, pi={_unrank(k, n)}: branch pairing broken"
         if fixed_seen != [_rank(fp.word, n)]:
             found = {_unrank(k, n) for k in fixed_seen}
-            return False, f"i={i}: fixed set {found}, expected {{{fp}}}"
+            return f"i={i}: fixed set {found}, expected {{{fp}}}"
         signed_sum = _signed_sum(w, (k for k in _one_at(pos1, i) if tag[k]))
         closed = sp.alternating_closed_form(n, i, derangements=True).substitute(t=1)
         if signed_sum != closed:
-            return False, f"i={i}: signed sum {signed_sum}, closed {closed}"
+            return f"i={i}: signed sum {signed_sum}, closed {closed}"
         false_claim = false_claim or _false_claim(n, w, w.varphi, _one_at(pos1, i), f"i={i}, ")
-    if false_claim:
-        return False, false_claim
-    return True, f"{total} applications across {n - 1} positions"
+    return false_claim
 
 
-def _fold_phi_preservation(n: int, w: _PermWalk) -> tuple[bool, str]:
+def _fold_phi_preservation(n: int, w: _PermWalk) -> str | None:
     img, tag, delta, exc, hat_rank, top = (
         w.phi.img, w.phi.tag, w.phi.delta, w.exc, w.hat_rank, w.top
     )
     pairs = _code_pairs(_PHI_PAIRS)
-    moved = 0
     for k in range(len(tag)):
         if not tag[k]:
             continue  # increasing flattening: phi is undefined
-        moved += 1
         j = img[k]
         if j < 0 or hat_rank[j] != hat_rank[k]:
-            return False, f"pi={_unrank(k, n)}: flattened word changed"
+            return f"pi={_unrank(k, n)}: flattened word changed"
         if top[j] != top[k]:
-            return False, f"pi={_unrank(k, n)}: top-descent changed"
+            return f"pi={_unrank(k, n)}: top-descent changed"
         if exc[j] != exc[k]:
-            return False, f"pi={_unrank(k, n)}: excedances changed"
+            return f"pi={_unrank(k, n)}: excedances changed"
         if abs(delta[k]) != 1:
-            return False, f"pi={_unrank(k, n)}: cdes delta {delta[k]}"
+            return f"pi={_unrank(k, n)}: cdes delta {delta[k]}"
         if img[j] != k or tag[j] != pairs[tag[k]]:
-            return False, f"pi={_unrank(k, n)}: split/merge pairing broken"
-    false_claim = _false_claim(n, w, w.phi, range(len(tag)), "")
-    if false_claim:
-        return False, false_claim
-    return True, f"{moved} permutations moved"
+            return f"pi={_unrank(k, n)}: split/merge pairing broken"
+    return _false_claim(n, w, w.phi, range(len(tag)), "")
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +497,8 @@ def _walk_signed(n: int) -> _SignedWalk:
             w.holds += 1
         else:
             w.cyclic_fails += pstats.cyc == 1
-            first.setdefault("downline-global-report", str(s))
+            if "downline-global-report" not in first:
+                first["downline-global-report"] = str(s)
         if pstats.cyc == 1:
             w.cyclic += 1
             t = bj.theta(s)
@@ -556,81 +543,59 @@ def _walk_callan(n: int) -> _CallanWalk:
     return w
 
 
-def _law(s: _SignedWalk, check_id: str, passing: str) -> tuple[bool, str]:
-    """The outcome of a law the signed walk reads on its own."""
-    failure = s.first.get(check_id)
-    return (False, failure) if failure else (True, passing)
+def _law(n: int, s: _SignedWalk, c: _CallanWalk, check_id: str) -> str | None:
+    """The first failure of a law the signed walk reads on its own."""
+    return s.first.get(check_id)
 
 
 def _fold_counts(
     n: int, s: _SignedWalk, c: _CallanWalk, derangements: bool = False
-) -> tuple[bool, str]:
+) -> str | None:
     if derangements:
         m_count, rec, signed = c.no_vertical, sp.b20_count(n), s.derangements
     else:
         m_count, rec, signed = c.count, sp.klazar_count(n), s.count
     if not (m_count == rec == signed):
-        return False, f"matchings {m_count}, recurrence {rec}, signed perms {signed}"
-    return True, f"all three give {rec}"
+        return f"matchings {m_count}, recurrence {rec}, signed perms {signed}"
+    return None
 
 
-def _fold_gamma_image(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
+def _fold_gamma_image(n: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
     image, target = s.images["gamma-image"], c.targets["gamma-image"]
     if len(image) // n != s.count:
-        return False, f"gamma not injective: {s.count} inputs, {len(image) // n} images"
+        return f"gamma not injective: {s.count} inputs, {len(image) // n} images"
     if image != target:
-        return False, f"image has {len(image) // n} matchings, target {len(target) // n}"
-    return True, f"bijection on {s.count} objects"
+        return f"image has {len(image) // n} matchings, target {len(target) // n}"
+    return None
 
 
-def _fold_theta_image(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
+def _fold_theta_image(n: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
     image, target = s.images["theta-image"], c.targets["theta-image"]
     if len(image) // n != s.cyclic:
-        return False, f"theta not injective on {s.cyclic} inputs"
+        return f"theta not injective on {s.cyclic} inputs"
     if image != target:
-        return False, f"image has {len(image) // n} matchings, target {len(target) // n}"
-    return True, f"bijection on {s.cyclic} cyclic objects"
+        return f"image has {len(image) // n} matchings, target {len(target) // n}"
+    return None
 
 
-def _fold_derangement_restriction(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
+def _fold_derangement_restriction(n: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
     image, target = s.images["derangement-restriction"], c.targets["derangement-restriction"]
     images, targets = len(image) // n, len(target) // n
     if images != s.derangements or image != target:
-        return False, f"{s.derangements} inputs, {images} images, {targets} targets"
-    return True, f"bijection on {s.derangements} derangement objects"
+        return f"{s.derangements} inputs, {images} images, {targets} targets"
+    return None
 
 
-def _fold_gamma_roundtrip(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
-    failure = s.first.get("gamma-roundtrip") or c.reverse_trip
-    if failure:
-        return False, failure
-    return True, f"{s.count} signed permutations and as many matchings"
+def _fold_gamma_roundtrip(n: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
+    return s.first.get("gamma-roundtrip") or c.reverse_trip
 
 
-def _fold_theta_roundtrip(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
-    return _law(s, "theta-roundtrip", f"{s.cyclic} cyclic signed permutations")
-
-
-def _fold_transport(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
-    return _law(s, "statistic-transport", f"components/verticals match on {s.count} objects")
-
-
-def _fold_downline_per_cycle(n: int, s: _SignedWalk, c: _CallanWalk) -> tuple[bool, str]:
-    return _law(
-        s, "downline-per-cycle", f"{s.cyclic} cyclic inputs satisfy the per-cycle form"
-    )
-
-
-def _fold_downline_global_report(
-    n: int, s: _SignedWalk, c: _CallanWalk
-) -> tuple[bool, str]:
+def _fold_downline_global_report(n: int, s: _SignedWalk, c: _CallanWalk) -> str:
     msg = f"row-of-partner form holds for {s.holds}/{s.count} signed permutations"
     if s.holds < s.count:
         first = s.first["downline-global-report"]
-        msg += f"; {s.cyclic_fails} failing inputs are cyclic; first failure {first}"
-    else:
-        msg += "; no failures"
-    return True, msg
+        return msg + f"; {s.cyclic_fails} failing inputs are cyclic; first failure {first}"
+    return msg + "; no failures"
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +605,12 @@ def _fold_downline_global_report(
 @dataclass(frozen=True)
 class Check:
     """A check at size n.  With no ``walks``, ``fn(n, seed)`` gives its
-    (passed, detail) in the task that runs it; otherwise the caller gives
-    it as ``fn(n, *records)``, folded off what the named walks of size n
-    (see ``_WALKS``) return."""
+    first failure, or None, in the task that runs it; otherwise the caller
+    gives it as ``fn(n, *records)``, folded off what the named walks of
+    size n (see ``_WALKS``) return.  An informational check gives its note
+    text instead."""
 
-    fn: Callable[..., tuple[bool, str]]
+    fn: Callable[..., str | None]
     min_n: int
     cap: int
     walks: tuple[str, ...] = ()
@@ -687,10 +653,10 @@ _SUITE_CHECKS: dict[str, dict[str, Check]] = {
         "gamma-image": Check(_fold_gamma_image, 1, _IMAGE_CAP, _BIJ),
         "theta-image": Check(_fold_theta_image, 1, _IMAGE_CAP, _BIJ),
         "gamma-roundtrip": Check(_fold_gamma_roundtrip, 1, 7, _BIJ),
-        "theta-roundtrip": Check(_fold_theta_roundtrip, 1, 7, _BIJ),
-        "statistic-transport": Check(_fold_transport, 1, 7, _BIJ),
+        "theta-roundtrip": Check(partial(_law, check_id="theta-roundtrip"), 1, 7, _BIJ),
+        "statistic-transport": Check(partial(_law, check_id="statistic-transport"), 1, 7, _BIJ),
         "derangement-restriction": Check(_fold_derangement_restriction, 1, _IMAGE_CAP, _BIJ),
-        "downline-per-cycle": Check(_fold_downline_per_cycle, 1, 7, _BIJ),
+        "downline-per-cycle": Check(partial(_law, check_id="downline-per-cycle"), 1, 7, _BIJ),
         "downline-global-report": Check(
             _fold_downline_global_report, 1, 7, _BIJ, informational=True
         ),
@@ -775,12 +741,10 @@ def run_verification(
     for check_id, n in plan:
         check = CHECKS[check_id]
         if check.walks:
-            passed, detail = check.fn(n, *(results[walk, n] for walk in check.walks))
+            detail = check.fn(n, *(results[walk, n] for walk in check.walks))
         else:
-            passed, detail = results[check_id, n]
-        outcome = CheckOutcome(check_id, n, passed, detail)
-        if check.informational:
-            summary.notes.append(outcome)
-        elif not passed:
-            summary.failures.append(outcome)
+            detail = results[check_id, n]
+        if detail is not None:
+            outcomes = summary.notes if check.informational else summary.failures
+            outcomes.append(CheckOutcome(check_id, n, check.informational, detail))
     return summary

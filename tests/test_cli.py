@@ -170,7 +170,7 @@ def test_verify_reports_failures_in_text(capsys, monkeypatch):
     monkeypatch.setitem(
         verify_mod.CHECKS,
         "cdes-poly-all",
-        verify_mod.Check(lambda n, seed: (False, "forced failure"), 1, 2),
+        verify_mod.Check(lambda n, seed: "forced failure", 1, 2),
     )
     code, out, _ = run(capsys, "verify", "theorem-b", "--n-max", "2")
     assert code == 1

@@ -1,7 +1,9 @@
 import pytest
 
 from cycledescent.verify import (
+    _WALKS,
     CHECKS,
+    DEFAULT_SEED,
     SUITES,
     run_verification,
     suite_cap,
@@ -36,6 +38,26 @@ def test_bijections_suite_small():
     assert summary.exit_code == 0
     assert summary.notes, "the downline report should be emitted"
     assert all(n.check_id == "downline-global-report" for n in summary.notes)
+    assert all(n.passed is True for n in summary.notes)
+
+
+def test_every_check_returns_none_or_its_note_at_small_sizes():
+    # a plain check runs on its own; a walk check folds off walk records
+    # built once per size, as run_verification builds them
+    records = {}
+    for check_id, check in CHECKS.items():
+        for n in range(check.min_n, min(check.cap, 4) + 1):
+            if check.walks:
+                for walk in check.walks:
+                    if (walk, n) not in records:
+                        records[walk, n] = _WALKS[walk](n)
+                out = check.fn(n, *(records[walk, n] for walk in check.walks))
+            else:
+                out = check.fn(n, DEFAULT_SEED)
+            if check_id == "downline-global-report":
+                assert isinstance(out, str), (check_id, n, out)
+            else:
+                assert out is None, (check_id, n, out)
 
 
 def test_unknown_suite_and_bad_nmax():
@@ -67,11 +89,12 @@ def test_failures_set_exit_code(monkeypatch):
     from cycledescent.verify import Check
 
     monkeypatch.setitem(
-        CHECKS, "cdes-poly-all", Check(lambda n, seed: (False, "forced failure"), 1, 2)
+        CHECKS, "cdes-poly-all", Check(lambda n, seed: "forced failure", 1, 2)
     )
     summary = run_verification("theorem-b", n_max=2)
     assert summary.exit_code == 1
     assert any(f.detail == "forced failure" for f in summary.failures)
+    assert all(f.passed is False for f in summary.failures)
     data = summary.to_json_dict()
     assert data["failures"][0]["witness"] == "forced failure"
 
