@@ -16,13 +16,16 @@ check off them.
 Informational checks never fail: they return a note text, which goes to
 the summary's notes (used for the downline formula, whose textbook global
 form is known not to survive beyond connected matchings).
+
+The process pool, and with it ``multiprocessing``, is imported only when a
+run starts more than one worker; serial runs, and plans of at most one
+task, never load it.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, permutations
@@ -697,6 +700,14 @@ def _tasks(plan: list[tuple[str, int]], seed: int) -> dict[tuple[str, int], tupl
         for walk in walks:
             tasks.setdefault((walk, n), (_WALKS[walk], n))
     return tasks
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A ``concurrent.futures`` process pool, imported on first call, so that
+    ``multiprocessing`` loads only in runs that start more than one worker."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def run_verification(

@@ -3,12 +3,13 @@
 The parsers must invert the formatters at sizes no enumeration reaches,
 and no text over the notation's own alphabet may make ``stats`` or
 ``map gamma`` fail other than with exit status 2 and an ``error:`` line.
-Beyond the exhaustive caps of ``verify``, ``psi`` and ``varphi`` keep
-their involution laws, ``gamma``/``theta`` invert and carry the statistics
-over.  Matching JSON, valid or broken, never makes ``map`` or ``diagram``
-print a traceback, and the key-based matching statistics agree with a
-naive oracle on Callan and non-Callan matchings.  Every test is
-derandomized, so a run is reproducible.
+Beyond the exhaustive caps of ``verify``, ``psi``, ``varphi`` and
+``phi_map`` keep their involution laws, ``gamma``/``theta`` invert and
+carry the statistics over.  Matching JSON and signed-permutation JSON,
+valid or broken, never make ``map`` or ``diagram`` print a traceback, and
+the key-based matching statistics agree with a naive oracle on Callan and
+non-Callan matchings.  Every test is derandomized, so a run is
+reproducible.
 """
 
 import contextlib
@@ -21,9 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycledescent import bijections as bj
-from cycledescent.bijections import SignedPermutation, format_signed, parse_signed
+from cycledescent.bijections import (
+    SignedPermutation,
+    format_signed,
+    parse_signed,
+    signed_to_json_dict,
+)
 from cycledescent.cli import main
-from cycledescent.involutions import psi, varphi
+from cycledescent.involutions import phi_map, psi, varphi
 from cycledescent.matchings import (
     MVertex,
     components,
@@ -47,8 +53,8 @@ SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=1
 
 
 @st.composite
-def permutations(draw, max_n=200):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def permutations(draw, max_n=200, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     return Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
 
 
@@ -166,6 +172,40 @@ def test_varphi_involution_law_beyond_the_cap(p):
     )
 
 
+def naive_phi_stats(p):
+    """(flattening, last top-descent, exc, cdes) of p, read off cycles
+    walked here: each from its minimum, in increasing order of minima."""
+    seen, cycles = set(), []
+    for start in range(1, p.n + 1):
+        cyc, v = [], start
+        while v not in seen:
+            seen.add(v)
+            cyc.append(v)
+            v = p.word[v - 1]
+        if cyc:
+            cycles.append(cyc)
+    flat = [v for cyc in cycles for v in cyc]
+    tops = [a for a, b in zip(flat, flat[1:]) if a > b]
+    exc = sum(v > i for i, v in enumerate(p.word, start=1))
+    cdes = sum(a > b for cyc in cycles for a, b in zip(cyc, cyc[1:]))
+    return flat, tops[-1] if tops else None, exc, cdes
+
+
+# verify checks phi_map on all of S_n up to n = 8; these sizes lie beyond
+@settings(SEEDED, max_examples=300)
+@given(
+    permutations(min_n=9, max_n=12).filter(lambda p: naive_phi_stats(p)[1] is not None)
+)
+def test_phi_map_laws_beyond_the_cap(p):
+    flat, top, exc, cdes = naive_phi_stats(p)
+    out = phi_map(p)
+    assert (out.case_tag, out.delta_cdes) in (("phi-split", -1), ("phi-merge", 1))
+    assert naive_phi_stats(out.image) == (flat, top, exc, cdes + out.delta_cdes)
+    back = phi_map(out.image)
+    assert back.image == p
+    assert back.case_tag == PAIRS[out.case_tag]
+
+
 @SEEDED
 @given(negative_cdes())
 def test_gamma_roundtrip_beyond_the_cap(s):
@@ -249,6 +289,48 @@ def test_cli_matching_json_fuzz_exits_0_1_or_2(text):
     ):
         code, out, err = _run(argv)
         assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+            assert "error: " in err
+
+
+JSON_JUNK = st.one_of(
+    JUNK, st.lists(JUNK, max_size=2), st.dictionaries(st.text(max_size=2), JUNK, max_size=2)
+)
+
+
+@st.composite
+def signed_json(draw):
+    """Signed-permutation JSON text, valid or broken in one field."""
+    data = signed_to_json_dict(draw(negative_cdes(permutations(max_n=8))))
+    key = draw(st.sampled_from((None, "n", "one_line", "neg")))
+    if key is not None:
+        value = data[key]
+        fault = draw(st.sampled_from(("drop", "junk", "entry", "extra")))
+        if fault == "drop":
+            del data[key]
+        elif fault == "junk":
+            data[key] = draw(JSON_JUNK)
+        elif key == "n":  # off by one either way
+            data[key] = value + draw(st.sampled_from((-1, 1)))
+        elif fault == "entry" and value:
+            value[draw(st.integers(0, len(value) - 1))] = draw(JSON_JUNK)
+        else:
+            value.append(draw(JSON_JUNK))
+    return json.dumps(data)
+
+
+@settings(SEEDED, max_examples=300)
+@given(signed_json())
+def test_cli_signed_json_fuzz_exits_0_or_2(text):
+    for argv in (
+        ["map", "gamma", "--input", text],
+        ["map", "theta", "--input", text],
+        ["diagram", "--input", text],
+    ):
+        code, out, err = _run(argv)
+        assert code in (0, 2)
         assert "Traceback" not in err
         if code == 2:
             assert out == ""
