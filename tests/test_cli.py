@@ -271,3 +271,22 @@ def test_one_process_answers_after_refusals(capsys):
     capsys.readouterr()
     assert run(capsys, "map", "gamma", "--input", "(1- 2+)")[0] == 2
     assert run(capsys, *stats) == first
+
+
+HELP_GOLDEN = Path(__file__).parent / "golden" / "help.txt"
+HELP_COMMANDS = ([], ["verify"], ["table"], ["seq"], ["enum"], ["map"], ["diagram"], ["stats"])
+
+
+def test_help_matches_golden(capsys, monkeypatch):
+    # argparse wraps help to the terminal width it reads from COLUMNS; the
+    # verify help prints the size caps
+    monkeypatch.setenv("COLUMNS", "80")
+    parts = []
+    for command in HELP_COMMANDS:
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--help"])
+        assert exit_info.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        parts.append(f"$ cycledescent {' '.join([*command, '--help'])}\n{out}")
+    assert "\n".join(parts) == HELP_GOLDEN.read_text()
