@@ -1,8 +1,9 @@
 """
-The size caps: the largest n that each exhaustive stream, table and CLI
-enumeration accepts.  Every guard reads this one table and refuses an
-overlarge size before it allocates anything.  (The per-check caps of
-``verify`` live in its check registry.)
+The size caps: the largest n that each exhaustive stream, table, CLI
+enumeration and verify check accepts.  This table is the one place a size
+bound is written.  Every guard reads it and refuses an overlarge size before
+it allocates anything, and every check of ``verify`` takes its cap from the
+entry that bounds what it reads.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ CAPS: dict[str, int] = {
     "involution tables": 8,  # psi/varphi are verified exhaustively to 8
     "sequence recurrences": 20,  # `seq b21`, `seq b20`
     "CLI matching enumeration": 7,  # `enum callan|matchings`, `seq mn`
+    "cdes distribution": 8,  # verify's cdes-poly checks
+    "sequence cross-check": 12,  # verify's two integer recurrences against cdes-poly at y=2
+    "image sets": 6,  # verify compares the image and target sets of the walks
 }
 
 

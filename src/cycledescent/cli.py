@@ -24,7 +24,7 @@ from .caps import CAPS, check_cap
 from .perms import cycle_string, parse_permutation, statistics
 from .reftables import emit_table
 from .statpolys import b20_count, klazar_count
-from .verify import CHECKS, DEFAULT_SEED, SUITES, run_verification, suite_cap
+from .verify import DEFAULT_SEED, SUITES, run_verification, suite_cap
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,22 +35,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     caps = ", ".join(f"{s} <= {suite_cap(s)}" for s in SUITES)
-    tally, cdes, walk, rounds, images = (
-        CHECKS[c].cap
-        for c in (
-            "closed-form-all", "cdes-poly-all", "psi-involution", "gamma-roundtrip", "gamma-image"
-        )
-    )
     p_verify = sub.add_parser(
         "verify",
         help="run an exhaustive verification suite",
         description=(
             "Run one verification suite.  Without --n-max every check runs up"
             f" to its own documented cap (suite caps: {caps}; closed forms,"
-            f" recurrences and signed identities run to n <= {tally}, the cdes"
-            f" distribution to n <= {cdes}, the involution laws to n <= {walk},"
-            f" matching enumeration and round trips to n <= {rounds}, image-set"
-            f" equality to n <= {images}).  An --n-max beyond the suite cap is"
+            f" recurrences and signed identities run to n <= {CAPS['brute force']},"
+            f" the cdes distribution to n <= {CAPS['cdes distribution']}, the"
+            f" involution laws to n <= {CAPS['involution tables']}, matching"
+            " enumeration and round trips to n <="
+            f" {CAPS['signed enumeration']}, image-set equality to n <="
+            f" {CAPS['image sets']}).  An --n-max beyond the suite cap is"
             " refused rather than truncated."
         ),
     )

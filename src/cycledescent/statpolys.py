@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .caps import CAPS, check_cap
+from .caps import check_cap
 from .perms import (
     Permutation,
     cycle_string,
@@ -35,7 +35,6 @@ from .perms import (
 from .poly import ONE, T, X, Y, ZERO, MultiPoly
 
 __all__ = [
-    "BRUTE_CAP",
     "PolyTable",
     "IdentityReport",
     "statistic_poly",
@@ -49,8 +48,6 @@ __all__ = [
     "IDENTITY_MIN_N",
     "identity_check",
 ]
-
-BRUTE_CAP = CAPS["brute force"]
 
 
 @dataclass

@@ -2,9 +2,9 @@
 Exhaustive verification suites behind the ``verify`` CLI command.
 
 Each check gives its first failure at a size n, as a witness text, or
-None when it holds; a suite is a set of checks, each with its own size
-cap chosen so that the whole battery stays desk-scale.  A plain check
-computes its outcome on its own.  A walk check
+None when it holds; a suite is a set of checks, each capped by the entry of
+``caps.CAPS`` that bounds what it reads, so that the whole battery stays
+desk-scale.  A plain check computes its outcome on its own.  A walk check
 reads records that one walk of its size keeps for every check that reads
 them: the involution checks of one size share one walk of S_n, and the
 bijection checks one walk of the signed objects and one of the Callan
@@ -36,6 +36,7 @@ from . import bijections as bj
 from . import involutions as iv
 from . import matchings as mt
 from . import statpolys as sp
+from .caps import CAPS
 from .perms import Permutation, enumerate_permutations, hat, statistics
 from .poly import MultiPoly
 
@@ -55,7 +56,6 @@ DEFAULT_SEED = 20260809
 class CheckOutcome:
     check_id: str
     n: int
-    passed: bool
     detail: str
 
 
@@ -444,11 +444,11 @@ def _fold_phi_preservation(n: int, w: _PermWalk) -> str | None:
 # the permutation statistics of every object, and theta, theta_inv and
 # match_stats of every cyclic object.  ``_walk_callan(n)`` walks the Callan
 # matchings of size n once and runs the reverse round trip on its own.  A
-# walk keeps counts, the first failure of each law it reads and, up to the
-# image cap, its image or target sets in the form of ``_exact``, cheap to
-# send.  Each bijection check is a fold of its outcome off the two walks.
+# walk keeps counts, the first failure of each law it reads and, up to
+# ``CAPS["image sets"]``, its image or target sets in the form of
+# ``_exact``, cheap to send.  Each bijection check is a fold of its outcome
+# off the two walks.
 
-_IMAGE_CAP = 6  # the largest size whose image and target sets are compared
 _IMAGE_CHECKS = ("gamma-image", "theta-image", "derangement-restriction")
 
 
@@ -483,7 +483,7 @@ class _CallanWalk:
 def _walk_signed(n: int) -> _SignedWalk:
     w = _SignedWalk()
     first = w.first
-    images = {c: set() for c in _IMAGE_CHECKS} if n <= _IMAGE_CAP else {}
+    images = {c: set() for c in _IMAGE_CHECKS} if n <= CAPS["image sets"] else {}
     for s in bj.enumerate_negative_cdes(n):
         pstats = statistics(s.perm)  # cached on the Permutation its sign sets share
         w.count += 1
@@ -527,7 +527,7 @@ def _walk_signed(n: int) -> _SignedWalk:
 
 def _walk_callan(n: int) -> _CallanWalk:
     w = _CallanWalk()
-    targets = {c: set() for c in _IMAGE_CHECKS} if n <= _IMAGE_CAP else {}
+    targets = {c: set() for c in _IMAGE_CHECKS} if n <= CAPS["image sets"] else {}
     for m in mt.enumerate_matchings(n, "callan"):
         w.count += 1
         # (i, 0)-(i, 1) is a vertical: key 2i partnered with key 2i + 1
@@ -621,47 +621,60 @@ class Check:
 
 
 _PERMS, _BIJ = ("perms",), ("signed", "callan")  # the walks of the walk checks
+# the caps that several checks share, each the entry that bounds what they read
+_TALLY, _CDES = CAPS["brute force"], CAPS["cdes distribution"]
+_INVOLUTIONS, _SIGNED, _IMAGES = (
+    CAPS["involution tables"], CAPS["signed enumeration"], CAPS["image sets"]
+)
 
 # suite -> check id -> check, in the order the suite runs its checks
 _SUITE_CHECKS: dict[str, dict[str, Check]] = {
     "theorem-p": {
-        "closed-form-all": Check(_check_closed_form, 2, 9),
-        "closed-form-derangement": Check(partial(_check_closed_form, derangements=True), 2, 9),
+        "closed-form-all": Check(_check_closed_form, 2, _TALLY),
+        "closed-form-derangement": Check(
+            partial(_check_closed_form, derangements=True), 2, _TALLY
+        ),
     },
     "lemmas": {
-        "recurrence-all": Check(_check_recurrence, 1, 9),
-        "recurrence-derangement": Check(partial(_check_recurrence, derangements=True), 2, 9),
+        "recurrence-all": Check(_check_recurrence, 1, _TALLY),
+        "recurrence-derangement": Check(partial(_check_recurrence, derangements=True), 2, _TALLY),
     },
     "theorem-b": {
-        "cdes-poly-all": Check(_check_cdes_poly, 1, 8),
-        "cdes-poly-derangement": Check(partial(_check_cdes_poly, derangements=True), 1, 8),
-        "sequence-cross-check": Check(_check_sequence_cross, 1, 12),
+        "cdes-poly-all": Check(_check_cdes_poly, 1, _CDES),
+        "cdes-poly-derangement": Check(partial(_check_cdes_poly, derangements=True), 1, _CDES),
+        "sequence-cross-check": Check(_check_sequence_cross, 1, CAPS["sequence cross-check"]),
     },
     "identities": {
         **{
-            f"identity-{i}": Check(partial(_check_identity, identity_id=i), min_n, 9)
+            f"identity-{i}": Check(partial(_check_identity, identity_id=i), min_n, _TALLY)
             for i, min_n in sp.IDENTITY_MIN_N.items()
         },
-        "poly-ring-axioms": Check(_check_poly_axioms, 1, 1),
+        "poly-ring-axioms": Check(_check_poly_axioms, 1, 1),  # random polynomials, no size to cap
     },
     "involutions": {
-        "psi-involution": Check(_fold_psi_involution, 2, 8, _PERMS),
-        "psi-fixed-weight": Check(_fold_psi_fixed_weight, 2, 8, _PERMS),
-        "varphi-involution": Check(_fold_varphi_involution, 2, 8, _PERMS),
-        "phi-preservation": Check(_fold_phi_preservation, 1, 8, _PERMS),
+        "psi-involution": Check(_fold_psi_involution, 2, _INVOLUTIONS, _PERMS),
+        "psi-fixed-weight": Check(_fold_psi_fixed_weight, 2, _INVOLUTIONS, _PERMS),
+        "varphi-involution": Check(_fold_varphi_involution, 2, _INVOLUTIONS, _PERMS),
+        "phi-preservation": Check(_fold_phi_preservation, 1, _INVOLUTIONS, _PERMS),
     },
     "bijections": {
-        "count-callan": Check(_fold_counts, 1, 7, _BIJ),
-        "count-callan-no-vertical": Check(partial(_fold_counts, derangements=True), 1, 7, _BIJ),
-        "gamma-image": Check(_fold_gamma_image, 1, _IMAGE_CAP, _BIJ),
-        "theta-image": Check(_fold_theta_image, 1, _IMAGE_CAP, _BIJ),
-        "gamma-roundtrip": Check(_fold_gamma_roundtrip, 1, 7, _BIJ),
-        "theta-roundtrip": Check(partial(_law, check_id="theta-roundtrip"), 1, 7, _BIJ),
-        "statistic-transport": Check(partial(_law, check_id="statistic-transport"), 1, 7, _BIJ),
-        "derangement-restriction": Check(_fold_derangement_restriction, 1, _IMAGE_CAP, _BIJ),
-        "downline-per-cycle": Check(partial(_law, check_id="downline-per-cycle"), 1, 7, _BIJ),
+        "count-callan": Check(_fold_counts, 1, _SIGNED, _BIJ),
+        "count-callan-no-vertical": Check(
+            partial(_fold_counts, derangements=True), 1, _SIGNED, _BIJ
+        ),
+        "gamma-image": Check(_fold_gamma_image, 1, _IMAGES, _BIJ),
+        "theta-image": Check(_fold_theta_image, 1, _IMAGES, _BIJ),
+        "gamma-roundtrip": Check(_fold_gamma_roundtrip, 1, _SIGNED, _BIJ),
+        "theta-roundtrip": Check(partial(_law, check_id="theta-roundtrip"), 1, _SIGNED, _BIJ),
+        "statistic-transport": Check(
+            partial(_law, check_id="statistic-transport"), 1, _SIGNED, _BIJ
+        ),
+        "derangement-restriction": Check(_fold_derangement_restriction, 1, _IMAGES, _BIJ),
+        "downline-per-cycle": Check(
+            partial(_law, check_id="downline-per-cycle"), 1, _SIGNED, _BIJ
+        ),
         "downline-global-report": Check(
-            _fold_downline_global_report, 1, 7, _BIJ, informational=True
+            _fold_downline_global_report, 1, _SIGNED, _BIJ, informational=True
         ),
     },
 }
@@ -757,5 +770,5 @@ def run_verification(
             detail = results[check_id, n]
         if detail is not None:
             outcomes = summary.notes if check.informational else summary.failures
-            outcomes.append(CheckOutcome(check_id, n, check.informational, detail))
+            outcomes.append(CheckOutcome(check_id, n, detail))
     return summary

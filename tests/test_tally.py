@@ -14,6 +14,7 @@ import pytest
 
 from cycledescent import perms
 from cycledescent import statpolys as sp
+from cycledescent.caps import CAPS
 from cycledescent.perms import FAMILIES, enumerate_permutations, statistics
 from cycledescent.poly import ONE, MultiPoly
 from cycledescent.verify import run_verification
@@ -118,7 +119,7 @@ def test_empty_permutation_sums_to_one():
 
 
 def test_past_the_cap_is_refused_before_any_walk(walks):
-    n = sp.BRUTE_CAP + 1
+    n = CAPS["brute force"] + 1
     with pytest.raises(ValueError, match="capped"):
         sp.statistic_poly(n, 1)
     with pytest.raises(ValueError, match="capped"):
