@@ -18,6 +18,14 @@ bijection explicitly:
   support.  Components map to cycles (com = cyc) and verticals to fixed
   points (ver = fix).
 
+Each of the four maps is a public function that validates its input and
+then calls a core that trusts it: ``_gamma_core``/``_theta_core`` take
+standard cycles (one cycle for theta) and a negative set and give a
+partner list, and ``_gamma_inv_core``/``_theta_inv_core`` give them back
+from a partner list.  The public maps are for input from outside; the
+bijection walks of ``verify``, which build their inputs themselves, call
+the cores.
+
 Notation: ``(1+ 6- 4- 3+ 2+ 8- 7- 5+)`` writes a signed cycle; an omitted
 sign means +.
 """
@@ -63,7 +71,10 @@ class SignedPermutation:
     Code in this package that has already built a valid ``neg`` wraps it
     with :meth:`_trusted` instead: :func:`enumerate_negative_cdes`, whose
     signs are cycle descents, and :func:`gamma_inv`/:func:`theta_inv`,
-    whose signs are read off the slots of a support checked to be 1..n.
+    whose signs their cores read off the slots of a support checked to be
+    1..n.  The cores themselves build no signed permutation: the walks of
+    ``verify`` compare what they give with the standard cycles and ``neg``
+    of the enumerated objects.
     """
 
     perm: Permutation
@@ -195,6 +206,13 @@ def _theta_partners(cycle: Sequence[int], neg: frozenset[int], partner: list[int
     partner[b] = a
 
 
+def _theta_core(cycle: Sequence[int], neg: frozenset[int]) -> tuple[int, ...]:
+    """Partner list of ``theta`` on one standard cycle of 1..len(cycle)."""
+    partner = [0] * (2 * len(cycle) + 2)
+    _theta_partners(cycle, neg, partner)
+    return tuple(partner)
+
+
 def theta(sp: SignedPermutation) -> PerfectMatching:
     """Connected Callan matching of a cyclic negative-cdes permutation.
 
@@ -210,12 +228,14 @@ def theta(sp: SignedPermutation) -> PerfectMatching:
     cycles = standard_cycles(sp.perm).cycles
     if len(cycles) != 1:
         raise ValueError(f"not cyclic: {len(cycles)} cycles")
-    partner = [0] * (2 * sp.n + 2)
-    _theta_partners(cycles[0], sp.neg, partner)
-    return PerfectMatching(support=tuple(range(1, sp.n + 1)), partner=tuple(partner))
+    return PerfectMatching(
+        support=tuple(range(1, sp.n + 1)), partner=_theta_core(cycles[0], sp.neg)
+    )
 
 
-def _unfold(partner: Sequence[int], start: int, seen: list[bool]) -> tuple[list[int], list[int]]:
+def _unfold(
+    partner: Sequence[int], start: int, seen: list[bool]
+) -> tuple[tuple[int, ...], list[int]]:
     """Cycle and negative values that ``theta`` maps to one component.
 
     ``start`` is the component's smallest index, in the role of 1, of a
@@ -247,7 +267,13 @@ def _unfold(partner: Sequence[int], start: int, seen: list[bool]) -> tuple[list[
         run.sort(reverse=True)
         cycle.extend(run)
         neg.extend(run[:-1])
-    return cycle, neg
+    return tuple(cycle), neg
+
+
+def _theta_inv_core(partner: Sequence[int]) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Cycle and negative set that ``theta`` maps to the component of slot 1."""
+    cycle, neg = _unfold(partner, 1, [False] * (len(partner) >> 1))
+    return cycle, frozenset(neg)
 
 
 def theta_inv(m: PerfectMatching) -> SignedPermutation:
@@ -257,11 +283,20 @@ def theta_inv(m: PerfectMatching) -> SignedPermutation:
         raise ValueError("support must be exactly 1..l")
     if not is_callan(m):
         raise ValueError("matching has uplines")
-    cycle, neg = _unfold(m.partner, 1, [False] * (l + 1))
+    cycle, neg = _theta_inv_core(m.partner)
     if len(cycle) != l:
         raise ValueError("matching is not connected")
-    perm = permutation_from_cycles([cycle], l)
-    return SignedPermutation._trusted(perm, frozenset(neg))
+    return SignedPermutation._trusted(permutation_from_cycles([cycle], l), neg)
+
+
+def _gamma_core(
+    cycles: Sequence[Sequence[int]], neg: frozenset[int], n: int
+) -> tuple[int, ...]:
+    """Partner list of ``gamma`` on the standard cycles of a permutation of 1..n."""
+    partner = [0] * (2 * n + 2)
+    for cyc in cycles:
+        _theta_partners(cyc, neg, partner)
+    return tuple(partner)
 
 
 def gamma(sp: SignedPermutation) -> PerfectMatching:
@@ -274,10 +309,27 @@ def gamma(sp: SignedPermutation) -> PerfectMatching:
     """
     if not is_negative_cdes(sp):
         raise ValueError("negative signs are not all cycle descents")
-    partner = [0] * (2 * sp.n + 2)
-    for cyc in standard_cycles(sp.perm).cycles:
-        _theta_partners(cyc, sp.neg, partner)
-    return PerfectMatching(support=tuple(range(1, sp.n + 1)), partner=tuple(partner))
+    partner = _gamma_core(standard_cycles(sp.perm).cycles, sp.neg, sp.n)
+    return PerfectMatching(support=tuple(range(1, sp.n + 1)), partner=partner)
+
+
+def _gamma_inv_core(
+    partner: Sequence[int],
+) -> tuple[tuple[tuple[int, ...], ...], frozenset[int]]:
+    """Standard cycles and negative set that ``gamma`` maps to a partner list.
+
+    Each component, found from its smallest slot, is unfolded once; the
+    cycles come out smallest-first, by increasing minima.
+    """
+    cycles: list[tuple[int, ...]] = []
+    neg: list[int] = []
+    seen = [False] * (len(partner) >> 1)
+    for start in range(1, len(seen)):
+        if not seen[start]:
+            cycle, cycle_neg = _unfold(partner, start, seen)
+            cycles.append(cycle)
+            neg.extend(cycle_neg)
+    return tuple(cycles), frozenset(neg)
 
 
 def gamma_inv(m: PerfectMatching) -> SignedPermutation:
@@ -291,16 +343,8 @@ def gamma_inv(m: PerfectMatching) -> SignedPermutation:
         raise ValueError("support must be exactly 1..n")
     if not is_callan(m):
         raise ValueError("matching has uplines")
-    cycles: list[list[int]] = []
-    neg: list[int] = []
-    seen = [False] * (n + 1)
-    for start in range(1, n + 1):
-        if not seen[start]:
-            cycle, cycle_neg = _unfold(m.partner, start, seen)
-            cycles.append(cycle)
-            neg.extend(cycle_neg)
-    perm = permutation_from_cycles(cycles, n)
-    return SignedPermutation._trusted(perm, frozenset(neg))
+    cycles, neg = _gamma_inv_core(m.partner)
+    return SignedPermutation._trusted(permutation_from_cycles(cycles, n), neg)
 
 
 # ---------------------------------------------------------------------------

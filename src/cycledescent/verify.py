@@ -37,7 +37,7 @@ from . import involutions as iv
 from . import matchings as mt
 from . import statpolys as sp
 from .caps import CAPS
-from .perms import Permutation, enumerate_permutations, hat, statistics
+from .perms import Permutation, enumerate_permutations, hat, standard_cycles, statistics
 from .poly import MultiPoly
 
 __all__ = [
@@ -439,13 +439,21 @@ def _fold_phi_preservation(n: int, w: _PermWalk) -> str | None:
 # ---------------------------------------------------------------------------
 # Bijection checks from two walks per size.
 #
-# ``_walk_signed(n)`` walks the negative cdes permutations of size n once:
-# it computes gamma, gamma_inv of the image, match_stats of the image and
-# the permutation statistics of every object, and theta, theta_inv and
-# match_stats of every cyclic object.  ``_walk_callan(n)`` walks the Callan
-# matchings of size n once and runs the reverse round trip on its own.  A
-# walk keeps counts, the first failure of each law it reads and, up to
-# ``CAPS["image sets"]``, its image or target sets in the form of
+# Both walks call the trusted cores of the maps in ``bijections``, which
+# read and give plain data (standard cycles and a negative set, or a
+# partner list) and skip the validation the public maps keep for outside
+# input.  ``_walk_signed(n)`` walks the negative cdes permutations of size
+# n once: for every object it runs the gamma core on the cached standard
+# cycles, the inverse core on the image and match_stats of the image, and
+# for every cyclic object the theta core, its inverse and match_stats.  A
+# forward trip holds when the inverse core gives back the object's cycles
+# and negative set.  ``_walk_callan(n)`` walks the Callan matchings of size
+# n once and runs the reverse round trip on its own: it unfolds each
+# partner list and checks that the gamma core rebuilds it.  Each trip is
+# compared with the enumerated object, so no permutation is rebuilt from
+# cycles, and cycles that cover no permutation are a failed trip, not bad
+# input.  A walk keeps counts, the first failure of each law it reads and,
+# up to ``CAPS["image sets"]``, its image or target sets in the form of
 # ``_exact``, cheap to send.  Each bijection check is a fold of its outcome
 # off the two walks.
 
@@ -480,15 +488,21 @@ class _CallanWalk:
         self.targets: dict[str, bytes] = {}  # image check id -> target set, up to the cap
 
 
+def _matching(partner: tuple[int, ...]) -> mt.PerfectMatching:
+    """The matching of 1..n with a partner list of 2n + 2 keys that a core built."""
+    return mt.PerfectMatching(support=tuple(range(1, len(partner) >> 1)), partner=partner)
+
+
 def _walk_signed(n: int) -> _SignedWalk:
     w = _SignedWalk()
     first = w.first
     images = {c: set() for c in _IMAGE_CHECKS} if n <= CAPS["image sets"] else {}
     for s in bj.enumerate_negative_cdes(n):
-        pstats = statistics(s.perm)  # cached on the Permutation its sign sets share
+        # cached on the Permutation its sign sets share
+        pstats, cycles = statistics(s.perm), standard_cycles(s.perm).cycles
         w.count += 1
-        m = bj.gamma(s)
-        if bj.gamma_inv(m) != s:
+        m = _matching(bj._gamma_core(cycles, s.neg, n))
+        if bj._gamma_inv_core(m.partner) != (cycles, s.neg):
             first.setdefault("gamma-roundtrip", f"round trip broke at {s}")
         stats = mt.match_stats(m)
         if stats.com != pstats.cyc or stats.ver != pstats.fix:
@@ -504,8 +518,8 @@ def _walk_signed(n: int) -> _SignedWalk:
                 first["downline-global-report"] = str(s)
         if pstats.cyc == 1:
             w.cyclic += 1
-            t = bj.theta(s)
-            if bj.theta_inv(t) != s:
+            t = _matching(bj._theta_core(cycles[0], s.neg))
+            if bj._theta_inv_core(t.partner) != (cycles[0], s.neg):
                 first.setdefault("theta-roundtrip", f"round trip broke at {s}")
             down = mt.match_stats(t).down
             bump = 1 if mt._edge_kind(3, t.partner[3]) == "downline" else 0  # key 3 is (1, 1)
@@ -533,7 +547,8 @@ def _walk_callan(n: int) -> _CallanWalk:
         # (i, 0)-(i, 1) is a vertical: key 2i partnered with key 2i + 1
         vertical_free = all(m.partner[k] != k + 1 for k in range(2, 2 * n + 2, 2))
         w.no_vertical += vertical_free
-        if bj.gamma(bj.gamma_inv(m)) != m and w.reverse_trip is None:
+        cycles, neg = bj._gamma_inv_core(m.partner)
+        if bj._gamma_core(cycles, neg, n) != m.partner and w.reverse_trip is None:
             w.reverse_trip = f"reverse round trip broke at {m}"
         if targets:
             key = _key(m)

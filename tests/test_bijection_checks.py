@@ -1,11 +1,13 @@
 """Fault injection into the ten ``bijections`` checks of ``verify``.
 
 Each case replaces one fast path (``klazar_count``, ``b20_count``,
-``gamma``, ``theta``, ``gamma_inv``, ``theta_inv`` or ``match_stats``) by
-one that is wrong at a chosen object, runs ``verify bijections --n-max 3``
-through the CLI and compares every failure it reports, and the downline
-note at n = 3, with recorded texts.  The texts print signed permutations
-and matchings, so they also pin ``str`` of both.
+``match_stats``, the component unfold ``_unfold``, or a core of ``gamma``,
+``theta``, ``gamma_inv`` or ``theta_inv``, which the walks call in place of
+the validating public maps) by one that is wrong at a chosen object, runs
+``verify bijections --n-max 3`` through the CLI and compares every failure
+it reports, and the downline note at n = 3, with recorded texts.  The
+texts print signed permutations and matchings, so they also pin ``str`` of
+both.
 """
 
 import json
@@ -17,15 +19,17 @@ from cycledescent import bijections as bj
 from cycledescent import matchings as mt
 from cycledescent import statpolys as sp
 from cycledescent.cli import main
+from cycledescent.perms import standard_cycles
 from cycledescent.verify import SUITES
 
 REAL = {
     "klazar_count": sp.klazar_count,
     "b20_count": sp.b20_count,
-    "gamma": bj.gamma,
-    "theta": bj.theta,
-    "gamma_inv": bj.gamma_inv,
-    "theta_inv": bj.theta_inv,
+    "_gamma_core": bj._gamma_core,
+    "_theta_core": bj._theta_core,
+    "_gamma_inv_core": bj._gamma_inv_core,
+    "_theta_inv_core": bj._theta_inv_core,
+    "_unfold": bj._unfold,
     "match_stats": mt.match_stats,
 }
 HOME = {"klazar_count": sp, "b20_count": sp, "match_stats": mt}
@@ -36,38 +40,57 @@ S0, S1, S2 = P("(1+ 2+ 3+)"), P("(1+ 3+ 2+)"), P("(1+ 3- 2+)")
 FOREIGN = P("(1+ 4- 2+ 3+)")
 
 
+def plain(name, s):
+    """The plain data the core ``name`` reads or gives for s: the standard
+    cycles (the one cycle for theta), the negative set and, for gamma, n."""
+    cycles = standard_cycles(s.perm).cycles
+    return (cycles, s.neg, s.n) if name == "_gamma_core" else (cycles[0], s.neg)
+
+
 def collide(name, a, b):
-    """``name`` sends b where it sends a."""
+    """The core ``name`` sends b where it sends a."""
     real = REAL[name]
-    return lambda s: real(a) if s == b else real(s)
+    return lambda *args: real(*plain(name, a)) if args == plain(name, b) else real(*args)
 
 
 def foreign(name, a):
-    """``name`` sends a to the image of FOREIGN."""
+    """The core ``name`` sends a to the image of FOREIGN."""
     real = REAL[name]
-    return lambda s: real(FOREIGN) if s == a else real(s)
+    return lambda *args: real(*plain(name, FOREIGN)) if args == plain(name, a) else real(*args)
 
 
 def second_call_wrong(m0):
-    """``gamma_inv`` is right on m0 once, then drops its signs."""
-    real, calls = REAL["gamma_inv"], []
+    """The core of ``gamma_inv`` is right on m0 once, then drops its signs."""
+    real, calls = REAL["_gamma_inv_core"], []
 
-    def fake(m):
-        if m == m0:
-            calls.append(m)
+    def fake(partner):
+        if partner == m0.partner:
+            calls.append(partner)
             if len(calls) == 2:
-                return bj.SignedPermutation(perm=real(m).perm, neg=frozenset())
-        return real(m)
+                return real(partner)[0], frozenset()
+        return real(partner)
 
     return fake
 
 
 def drop_signs(s0):
-    real = REAL["theta_inv"]
+    real = REAL["_theta_inv_core"]
 
-    def fake(m):
-        out = real(m)
-        return bj.SignedPermutation(perm=out.perm, neg=frozenset()) if out == s0 else out
+    def fake(partner):
+        cycle, neg = real(partner)
+        return (cycle, frozenset()) if (cycle, neg) == plain("_theta_core", s0) else (cycle, neg)
+
+    return fake
+
+
+def repeat_in_3_cycles():
+    """``_unfold`` gives each 3-cycle with its second value in place of its
+    third, which no permutation has as a cycle."""
+    real = REAL["_unfold"]
+
+    def fake(partner, start, seen):
+        cycle, neg = real(partner, start, seen)
+        return (cycle[:2] + cycle[1:2] if len(cycle) == 3 else cycle), neg
 
     return fake
 
@@ -97,7 +120,7 @@ CASES = {
         None,
     ),
     "gamma-collides": (
-        "gamma", lambda: collide("gamma", S0, S1),
+        "_gamma_core", lambda: collide("_gamma_core", S0, S1),
         [
             ("gamma-image", 3, "gamma not injective: 7 inputs, 6 images"),
             ("gamma-roundtrip", 3, "round trip broke at (1+ 3+ 2+)"),
@@ -106,7 +129,7 @@ CASES = {
         None,
     ),
     "gamma-leaves-the-target": (
-        "gamma", lambda: foreign("gamma", S2),
+        "_gamma_core", lambda: foreign("_gamma_core", S2),
         [
             ("gamma-image", 3, "image has 7 matchings, target 7"),
             ("gamma-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
@@ -115,7 +138,7 @@ CASES = {
         None,
     ),
     "theta-collides": (
-        "theta", lambda: collide("theta", S0, S1),
+        "_theta_core", lambda: collide("_theta_core", S0, S1),
         [
             ("theta-image", 3, "theta not injective on 3 inputs"),
             ("theta-roundtrip", 3, "round trip broke at (1+ 3+ 2+)"),
@@ -123,7 +146,7 @@ CASES = {
         None,
     ),
     "theta-leaves-the-target": (
-        "theta", lambda: foreign("theta", S2),
+        "_theta_core", lambda: foreign("_theta_core", S2),
         [
             ("theta-image", 3, "image has 3 matchings, target 3"),
             ("theta-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
@@ -131,7 +154,7 @@ CASES = {
         None,
     ),
     "gamma-inv-reverse": (
-        "gamma_inv", lambda: second_call_wrong(REAL["gamma"](S2)),
+        "_gamma_inv_core", lambda: second_call_wrong(bj.gamma(S2)),
         [
             (
                 "gamma-roundtrip", 3,
@@ -141,8 +164,18 @@ CASES = {
         None,
     ),
     "theta-inv": (
-        "theta_inv", lambda: drop_signs(S2),
+        "_theta_inv_core", lambda: drop_signs(S2),
         [("theta-roundtrip", 3, "round trip broke at (1+ 3- 2+)")],
+        None,
+    ),
+    # a fault in the code the walks run is a failing check (exit 1), not
+    # bad input (exit 2)
+    "unfold-repeats-a-value": (
+        "_unfold", repeat_in_3_cycles,
+        [
+            ("gamma-roundtrip", 3, "round trip broke at (1+ 2+ 3+)"),
+            ("theta-roundtrip", 3, "round trip broke at (1+ 2+ 3+)"),
+        ],
         None,
     ),
     "match-stats-com": (

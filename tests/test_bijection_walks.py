@@ -1,9 +1,9 @@
 """The ``bijections`` suite walks each stream of a size once.
 
 Its ten checks read their outcomes off one walk of the negative cdes
-permutations and one walk of the Callan matchings per size, so gamma runs
-once per signed object (the forward round trip, the images, the
-statistics) and once per Callan matching (the reverse round trip).  The
+permutations and one walk of the Callan matchings per size, so the core
+of gamma runs once per signed object (the forward round trip, the images,
+the statistics) and once per Callan matching (the reverse round trip).  The
 two walks of a size are two tasks at every size, and what they send back
 holds their image and target sets in an exact form of plain bytes.
 """
@@ -21,7 +21,7 @@ from cycledescent.verify import run_verification
 
 def test_each_stream_is_walked_once_per_size(monkeypatch):
     real_signed, real_matchings, real_gamma = (
-        bj.enumerate_negative_cdes, mt.enumerate_matchings, bj.gamma
+        bj.enumerate_negative_cdes, mt.enumerate_matchings, bj._gamma_core
     )
     signed, matchings, images = [], [], []
 
@@ -33,13 +33,13 @@ def test_each_stream_is_walked_once_per_size(monkeypatch):
         matchings.append((n, flt))
         return real_matchings(n, flt)
 
-    def gamma(s):
-        images.append(s)
-        return real_gamma(s)
+    def gamma_core(cycles, neg, n):
+        images.append((cycles, neg))
+        return real_gamma(cycles, neg, n)
 
     monkeypatch.setattr(bj, "enumerate_negative_cdes", walk_signed)
     monkeypatch.setattr(mt, "enumerate_matchings", walk_matchings)
-    monkeypatch.setattr(bj, "gamma", gamma)
+    monkeypatch.setattr(bj, "_gamma_core", gamma_core)
     summary = run_verification("bijections", n_max=6)
     assert summary.exit_code == 0
     assert sorted(signed) == [(n, "all") for n in range(1, 7)]

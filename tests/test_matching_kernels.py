@@ -8,7 +8,10 @@ tests compare them, over every matching of {1..n} x {0, 1}, with the
 vertex-based classification and emitters of ``matching_oracle`` and with
 an unfold written here from the component walks; the emitters also on
 seeded matchings of sparse supports.  Every matching also survives a JSON
-round trip through ``mk_matching``.
+round trip through ``mk_matching``.  The cores of gamma, theta and their
+inverses, which the ``verify`` walks call without the public maps'
+validation, give what the public maps give on every signed object and
+every Callan matching of size n.
 """
 
 import json
@@ -18,7 +21,18 @@ import random
 import pytest
 
 import matching_oracle as oracle
-from cycledescent.bijections import SignedPermutation, gamma_inv
+from cycledescent.bijections import (
+    SignedPermutation,
+    _gamma_core,
+    _gamma_inv_core,
+    _theta_core,
+    _theta_inv_core,
+    enumerate_negative_cdes,
+    gamma,
+    gamma_inv,
+    theta,
+    theta_inv,
+)
 from cycledescent.diagrams import render_svg, render_text
 from cycledescent.matchings import (
     MATCHING_FILTERS,
@@ -32,7 +46,7 @@ from cycledescent.matchings import (
     matching_to_json_dict,
     mk_matching,
 )
-from cycledescent.perms import Permutation
+from cycledescent.perms import Permutation, standard_cycles
 
 # Tier-1 runs n <= 6 (10,395 matchings at n = 6); CI runs n = 7 (135,135)
 # as a step of its own with KERNEL_ORACLE_SIZES=7.
@@ -90,6 +104,21 @@ def naive_gamma_inv(m):
 def test_gamma_inv_matches_naive_unfold(n):
     for m in enumerate_matchings(n, "callan"):
         assert gamma_inv(m) == naive_gamma_inv(m)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_cores_match_the_public_maps(n):
+    for s in enumerate_negative_cdes(n):
+        cycles = standard_cycles(s.perm).cycles
+        assert _gamma_core(cycles, s.neg, n) == gamma(s).partner
+        if len(cycles) == 1:
+            assert _theta_core(cycles[0], s.neg) == theta(s).partner
+    for m in enumerate_matchings(n, "callan"):
+        back = gamma_inv(m)
+        assert _gamma_inv_core(m.partner) == (standard_cycles(back.perm).cycles, back.neg)
+        if match_stats(m).com == 1:
+            back = theta_inv(m)
+            assert _theta_inv_core(m.partner) == (standard_cycles(back.perm).cycles[0], back.neg)
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)
