@@ -184,24 +184,37 @@ def _theta_partners(cycle: Sequence[int], neg: frozenset[int], partner: list[int
     with the order-preserving relabelling of the cycle onto 1..len; the
     edges are therefore built on the cycle's own values, with the cycle
     minimum in the role of 1.  The signs must be cycle descents.
+
+    One pass over the cycle writes every edge, with no block lists: a
+    negative value continues its block, so the step from it to the next
+    value is a downline, and a positive value closes its block, which
+    joins the block before it by the arc of step 2.  The pass keeps only
+    the head (maximum) and tail (minimum) of the last closed block and the
+    head of the open one.  The first block is the cycle minimum alone.
     """
-    seq = _cut(cycle, neg)
-    for block in seq:
-        for a, b in zip(block, block[1:]):
-            # downline (a, 0)-(b, 1)
-            partner[2 * a] = 2 * b + 1
-            partner[2 * b + 1] = 2 * a
-    for idx in range(1, len(seq)):  # joins block idx to block idx+1 (1-based)
-        cur, nxt = seq[idx - 1], seq[idx]
-        if idx % 2 == 1:
-            a, b = 2 * cur[-1], 2 * nxt[-1]
+    it = iter(cycle)
+    head = tail = prev = next(it)  # the last closed block, and the value read last
+    odd = True  # whether the count k of closed blocks is odd
+    top = 0  # head of the open block; 0 (no value) when none is open
+    for v in it:
+        if top:  # prev is negative: downline (prev, 0)-(v, 1)
+            partner[2 * prev] = 2 * v + 1
+            partner[2 * v + 1] = 2 * prev
         else:
-            a, b = 2 * cur[0] + 1, 2 * nxt[0] + 1
-        partner[a] = b
-        partner[b] = a
-    last = seq[-1]
+            top = v
+        if v not in neg:
+            if odd:  # block k to block k + 1: the minima for odd k, else the maxima
+                a, b = 2 * tail, 2 * v
+            else:
+                a, b = 2 * head + 1, 2 * top + 1
+            partner[a] = b
+            partner[b] = a
+            head, tail, top, odd = top, v, 0, not odd
+        prev = v
+    # step 3 closes at the minimum's top vertex: to the last block's
+    # minimum after an odd count of blocks, else to its maximum
     a = 2 * cycle[0] + 1
-    b = 2 * last[-1] if len(seq) % 2 == 1 else 2 * last[0] + 1
+    b = 2 * tail if odd else 2 * head + 1
     partner[a] = b
     partner[b] = a
 
@@ -246,27 +259,30 @@ def _unfold(
     (start, 1) and identifying the two rows leaves that walk as a path from
     start.  Bars go after every path step that crosses an arc (and at the
     end); each bar-delimited block, sorted decreasingly, becomes a run of
-    the cycle, with the block minimum positive and the rest negative.
+    the cycle, with the block minimum positive and the rest negative.  The
+    walk sorts each block and appends it to the cycle at the arc that
+    closes it, so no list of blocks is kept.
     """
-    runs: list[list[int]] = []
+    cycle: list[int] = []
+    neg: list[int] = []
     block = [start]
     out, close = 2 * start, 2 * start + 1
     while (key := partner[out]) != close:
         i = key >> 1
         seen[i] = True
         if (key ^ out) & 1 == 0:  # both ends in one row: an arc
-            runs.append(block)
+            block.sort(reverse=True)
+            cycle += block
+            neg += block
+            neg.pop()  # the block minimum is positive
             block = [i]
         else:
             block.append(i)
         out = key ^ 1
-    runs.append(block)
-    cycle: list[int] = []
-    neg: list[int] = []
-    for run in runs:
-        run.sort(reverse=True)
-        cycle.extend(run)
-        neg.extend(run[:-1])
+    block.sort(reverse=True)
+    cycle += block
+    neg += block
+    neg.pop()
     return tuple(cycle), neg
 
 

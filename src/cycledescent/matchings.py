@@ -237,6 +237,7 @@ def match_stats(m: PerfectMatching) -> MatchStats:
     # that no such edge covers pair up in arcs, as many in each row
     up = down = ver = 0
     partner = m.partner
+    n = (len(partner) >> 1) - 1  # a partner list holds 2n + 2 keys
     for k in range(2, len(partner), 2):
         q = partner[k]
         if q & 1:
@@ -249,15 +250,15 @@ def match_stats(m: PerfectMatching) -> MatchStats:
     # the walks of _component_walks, marking the slots they enter and
     # keeping no keys
     com = 0
-    seen = [False] * (m.n + 1)
-    for start in range(1, m.n + 1):
+    seen = [False] * (n + 1)
+    for start in range(1, n + 1):
         if not seen[start]:
             com += 1
             out, close = 2 * start, 2 * start + 1
             while (key := partner[out]) != close:
                 seen[key >> 1] = True
                 out = key ^ 1
-    return MatchStats(arc=m.n - up - down - ver, up=up, down=down, ver=ver, com=com)
+    return MatchStats(arc=n - up - down - ver, up=up, down=down, ver=ver, com=com)
 
 
 def is_callan(m: PerfectMatching) -> bool:

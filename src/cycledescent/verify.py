@@ -445,17 +445,21 @@ def _fold_phi_preservation(n: int, w: _PermWalk) -> str | None:
 # input.  ``_walk_signed(n)`` walks the negative cdes permutations of size
 # n once: for every object it runs the gamma core on the cached standard
 # cycles, the inverse core on the image and match_stats of the image, and
-# for every cyclic object the theta core, its inverse and match_stats.  A
-# forward trip holds when the inverse core gives back the object's cycles
-# and negative set.  ``_walk_callan(n)`` walks the Callan matchings of size
-# n once and runs the reverse round trip on its own: it unfolds each
-# partner list and checks that the gamma core rebuilds it.  Each trip is
-# compared with the enumerated object, so no permutation is rebuilt from
-# cycles, and cycles that cover no permutation are a failed trip, not bad
-# input.  A walk keeps counts, the first failure of each law it reads and,
-# up to ``CAPS["image sets"]``, its image or target sets in the form of
-# ``_exact``, cheap to send.  Each bijection check is a fold of its outcome
-# off the two walks.
+# for every cyclic object the theta core and its inverse.  On a cyclic
+# object theta's partner list is gamma's, so the per-cycle downline form
+# reads the match_stats of the gamma image; only a theta image that
+# differs from it is measured again.  The cores write each cycle's edges,
+# and unfold each component, in one pass.  A forward trip holds when the
+# inverse core gives back the object's cycles and negative set.
+# ``_walk_callan(n)`` walks the Callan matchings of size n once and runs
+# the reverse round trip on its own: it unfolds each partner list and
+# checks that the gamma core rebuilds it.  Each trip is compared with the
+# enumerated object, so no permutation is rebuilt from cycles, and cycles
+# that cover no permutation are a failed trip, not bad input.  A walk
+# keeps counts, the first failure of each law it reads and, up to
+# ``CAPS["image sets"]``, its image or target sets in the form of
+# ``_exact``, cheap to send.  Each bijection check is a fold of its
+# outcome off the two walks.
 
 _IMAGE_CHECKS = ("gamma-image", "theta-image", "derangement-restriction")
 
@@ -521,7 +525,9 @@ def _walk_signed(n: int) -> _SignedWalk:
             t = _matching(bj._theta_core(cycles[0], s.neg))
             if bj._theta_inv_core(t.partner) != (cycles[0], s.neg):
                 first.setdefault("theta-roundtrip", f"round trip broke at {s}")
-            down = mt.match_stats(t).down
+            # theta and gamma agree on a cyclic object, so its theta image is
+            # measured again only when the two cores disagree
+            down = stats.down if t.partner == m.partner else mt.match_stats(t).down
             bump = 1 if mt._edge_kind(3, t.partner[3]) == "downline" else 0  # key 3 is (1, 1)
             if down != len(s.neg) + bump:
                 first.setdefault(

@@ -6,9 +6,15 @@ partner-key arithmetic of ``matchings``.  ``matching_str``,
 ``matching_to_json_dict``, ``render_text`` and ``render_svg`` are the
 emitters as they were before they read partner keys: they walk the
 ``edges`` view of ``MVertex`` pairs and name each edge with ``edge_class``.
+``naive_theta`` and ``naive_gamma`` follow the paper's steps 1-3 for
+``theta`` literally on cycles read off the one-line word: a cycle of 1..l
+is cut into block lists, its edges are made as ``MVertex`` pairs and
+``mk_matching`` builds the matching; ``naive_gamma`` first relabels each
+cycle onto 1..len and maps the edges of its image back onto the cycle's
+values.  They share no code with ``bijections``.
 """
 
-from cycledescent.matchings import PerfectMatching, edge_class, is_callan
+from cycledescent.matchings import MVertex, PerfectMatching, edge_class, is_callan, mk_matching
 
 
 def naive_stats(m):
@@ -36,6 +42,67 @@ def naive_stats(m):
     for i in m.support:
         groups.setdefault(find(i), []).append(i)
     return kinds, sorted(tuple(g) for g in groups.values())
+
+
+def naive_cycles(word):
+    """The cycles of a one-line word, each from its minimum, by increasing minima."""
+    cycles, seen = [], set()
+    for start in range(1, len(word) + 1):
+        if start not in seen:
+            cycle, v = [], start
+            while v not in seen:
+                seen.add(v)
+                cycle.append(v)
+                v = word[v - 1]
+            cycles.append(cycle)
+    return cycles
+
+
+def naive_theta_edges(cycle, neg):
+    """Steps 1-3 of theta on a cycle of 1..l from 1, as ``MVertex`` pairs."""
+    blocks, block = [], []
+    for v in cycle:
+        block.append(v)
+        if v not in neg:  # a bar after each positive value
+            blocks.append(block)
+            block = []
+    edges = []
+    for b in blocks:  # step 1: (b_j, 0)-(b_{j+1}, 1) inside each block
+        edges += [(MVertex(x, 0), MVertex(y, 1)) for x, y in zip(b, b[1:])]
+    for k in range(1, len(blocks)):  # step 2: block k to block k + 1
+        this, nxt = blocks[k - 1], blocks[k]
+        if k % 2:
+            edges.append((MVertex(min(this), 0), MVertex(min(nxt), 0)))
+        else:
+            edges.append((MVertex(max(this), 1), MVertex(max(nxt), 1)))
+    last = blocks[-1]  # step 3: close at (1, 1)
+    if len(blocks) % 2:
+        edges.append((MVertex(1, 1), MVertex(min(last), 0)))
+    else:
+        edges.append((MVertex(1, 1), MVertex(max(last), 1)))
+    return edges
+
+
+def naive_theta(s):
+    """theta of a cyclic signed permutation of 1..n."""
+    (cycle,) = naive_cycles(s.perm.word)
+    return mk_matching(range(1, s.n + 1), naive_theta_edges(cycle, s.neg))
+
+
+def naive_gamma(s):
+    """gamma as theta on each cycle, relabelled onto 1..len and back."""
+    edges = []
+    for cycle in naive_cycles(s.perm.word):
+        values = sorted(cycle)
+        rank = {v: r for r, v in enumerate(values, 1)}
+        small = [rank[v] for v in cycle]
+        small_neg = {rank[v] for v in cycle if v in s.neg}
+        theta_image = mk_matching(range(1, len(cycle) + 1), naive_theta_edges(small, small_neg))
+        edges += [
+            (MVertex(values[a.index - 1], a.row), MVertex(values[b.index - 1], b.row))
+            for a, b in theta_image.edges
+        ]
+    return mk_matching(range(1, s.n + 1), edges)
 
 
 def matching_str(m: PerfectMatching) -> str:

@@ -11,7 +11,9 @@ seeded matchings of sparse supports.  Every matching also survives a JSON
 round trip through ``mk_matching``.  The cores of gamma, theta and their
 inverses, which the ``verify`` walks call without the public maps'
 validation, give what the public maps give on every signed object and
-every Callan matching of size n.
+every Callan matching of size n; the forward cores also give what the
+naive steps 1-3 of ``matching_oracle`` give, which the public maps, calling
+those same cores, cannot show.
 """
 
 import json
@@ -119,6 +121,15 @@ def test_cores_match_the_public_maps(n):
         if match_stats(m).com == 1:
             back = theta_inv(m)
             assert _theta_inv_core(m.partner) == (standard_cycles(back.perm).cycles[0], back.neg)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_forward_cores_match_the_naive_steps(n):
+    for s in enumerate_negative_cdes(n):
+        cycles = standard_cycles(s.perm).cycles
+        assert _gamma_core(cycles, s.neg, n) == oracle.naive_gamma(s).partner
+        if len(cycles) == 1:
+            assert _theta_core(cycles[0], s.neg) == oracle.naive_theta(s).partner
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)

@@ -5,16 +5,18 @@ and no text over the notation's own alphabet may make ``stats`` or
 ``map gamma`` fail other than with exit status 2 and an ``error:`` line.
 Beyond the exhaustive caps of ``verify``, ``psi``, ``varphi`` and
 ``phi_map`` keep their involution laws, ``gamma``/``theta`` invert and
-carry the statistics over.  Matching JSON and signed-permutation JSON,
-valid or broken, never make ``map`` or ``diagram`` print a traceback, and
-the key-based matching statistics agree with a naive oracle on Callan and
-non-Callan matchings.  Every test is derandomized, so a run is
-reproducible.
+carry the statistics over, and ``theta`` gives what the naive steps of
+``matching_oracle`` give on cyclic objects of 8 to 300 values.  Matching
+JSON and signed-permutation JSON, valid or broken, never make ``map`` or
+``diagram`` print a traceback, and the key-based matching statistics
+agree with a naive oracle on Callan and non-Callan matchings.  Every test
+is derandomized or draws from a fixed seed, so a run is reproducible.
 """
 
 import contextlib
 import io
 import json
+import random
 import time
 from unittest import mock
 
@@ -47,7 +49,7 @@ from cycledescent.perms import (
     statistics,
 )
 
-from matching_oracle import naive_stats
+from matching_oracle import naive_stats, naive_theta
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -216,6 +218,23 @@ def test_gamma_roundtrip_beyond_the_cap(s):
 @given(negative_cdes(cyclic()))
 def test_theta_roundtrip_beyond_the_cap(s):
     assert bj.theta_inv(bj.theta(s)) == s
+
+
+def test_theta_matches_the_naive_steps_at_map_sizes():
+    # the sizes of the map requests the CLI benchmark sends, where the
+    # exhaustive checks of verify and of the kernel oracles never reach
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(8, 300)
+        rest = list(range(2, n + 1))
+        rng.shuffle(rest)
+        p = permutation_from_cycles([(1, *rest)], n)
+        s = SignedPermutation(
+            perm=p, neg=frozenset(d for d in statistics(p).cdes_set if rng.random() < 0.5)
+        )
+        m = bj.theta(s)
+        assert m == naive_theta(s)
+        assert bj.theta_inv(m) == s
 
 
 # ---------------------------------------------------------------------------
