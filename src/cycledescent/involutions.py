@@ -21,6 +21,16 @@ Three layers of machinery:
   last cycle in two, keyed on whether that cycle is "staircase shaped"
   (an increasing run followed by the decreasing run of all larger
   elements, like the fixed point itself).
+
+Each of the three maps is a public function that checks its arguments and
+then calls a core that trusts them: ``_phi_core``, ``_psi_core`` and
+``_varphi_core`` read a word, its standard cycles and, for phi and psi, its
+last top-descent, and give the image word, the branch tag and the stated
+cdes delta; ``_psi_core`` calls ``_phi_core`` on its phi branches.  The
+public maps are for input from outside and wrap the result in an
+``InvolutionOutcome``.  The walk of S_n in ``verify``, which reads the
+cycles and the top-descent of every object off one ``perms._walk_word``,
+calls the cores.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from typing import Iterator, Sequence
 
 from .perms import (
     Permutation,
+    Word,
     permutation_from_cycles,
     standard_cycles,
     statistics,
@@ -46,6 +57,9 @@ __all__ = [
     "varphi",
     "varphi_fixed_point",
 ]
+
+# What a core gives: the image word, the branch tag and the stated delta.
+_Image = tuple[Word, str, int]
 
 
 @dataclass(frozen=True)
@@ -66,6 +80,11 @@ class InvolutionOutcome:
     delta_cdes: int
 
 
+def _outcome(image: Word, case_tag: str, delta_cdes: int) -> InvolutionOutcome:
+    """Wrap what a core gives; its image word is a permutation."""
+    return InvolutionOutcome(Permutation._trusted(image), case_tag, delta_cdes)
+
+
 def last_top_descent(p: Permutation) -> int | None:
     """The value at the last descent of the flattened cycle word, if any.
 
@@ -75,29 +94,42 @@ def last_top_descent(p: Permutation) -> int | None:
     return p._top  # found by the cycle walk that reads the flattening
 
 
-def _swapped(p: Permutation, a: int, b: int) -> Permutation:
-    """``p`` with the values at positions a and b exchanged.
+def _swapped(word: Word, a: int, b: int) -> Word:
+    """``word`` with the values at positions a and b exchanged.
 
     Exchanging pi(a) and pi(b) splits their common cycle in two, or joins
     their two cycles into one; either way the word is still a permutation.
     """
-    word = list(p.word)
-    word[a - 1], word[b - 1] = word[b - 1], word[a - 1]
-    return Permutation._trusted(tuple(word))
+    out = list(word)
+    out[a - 1], out[b - 1] = out[b - 1], out[a - 1]
+    return tuple(out)
 
 
-def _rewired(p: Permutation, *cycles: Sequence[int]) -> Permutation:
-    """``p`` with the entries of the given cycles re-pointed along them.
+def _rewired(word: Word, *cycles: Sequence[int]) -> Word:
+    """``word`` with the entries of the given cycles re-pointed along them.
 
-    The cycles must cover exactly the elements of the cycles of ``p`` they
-    replace, so the word is still a permutation.
+    The cycles must cover exactly the elements of the cycles of ``word``
+    they replace, so the result is still a permutation.
     """
-    word = list(p.word)
+    out = list(word)
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:]):
-            word[a - 1] = b
-        word[cyc[-1] - 1] = cyc[0]
-    return Permutation._trusted(tuple(word))
+            out[a - 1] = b
+        out[cyc[-1] - 1] = cyc[0]
+    return tuple(out)
+
+
+def _phi_core(word: Word, cycles: tuple[Word, ...], top: int) -> _Image:
+    """``phi_map`` of the permutation ``word``, whose standard cycles are
+    ``cycles`` and whose last top-descent is ``top``; nothing is checked."""
+    for k, cyc in enumerate(cycles):
+        if top in cyc:
+            break
+    if cyc[-1] == top:
+        # the last top-descent is never the global last entry, so a
+        # following cycle always exists here
+        return _swapped(word, top, cycles[k + 1][-1]), "phi-merge", 1
+    return _swapped(word, top, cyc[-1]), "phi-split", -1
 
 
 def phi_map(p: Permutation) -> InvolutionOutcome:
@@ -119,23 +151,16 @@ def phi_map(p: Permutation) -> InvolutionOutcome:
     qv = last_top_descent(p)
     if qv is None:
         raise ValueError("map undefined: the flattened cycle word is increasing")
-    cycles = standard_cycles(p).cycles
-    k = next(k for k, cyc in enumerate(cycles) if qv in cyc)
-    if cycles[k][-1] == qv:
-        # the last top-descent is never the global last entry, so a
-        # following cycle always exists here
-        return InvolutionOutcome(_swapped(p, qv, cycles[k + 1][-1]), "phi-merge", 1)
-    return InvolutionOutcome(_swapped(p, qv, cycles[k][-1]), "phi-split", -1)
+    return _outcome(*_phi_core(p.word, standard_cycles(p).cycles, qv))
 
 
-def m_index(p: Permutation) -> int | None:
-    """The least j >= 1 such that, in the cycle (1, c_1, ..., c_l)
-    containing 1, c_j is not the largest element once the tail c_{j+1}..
-    is removed from consideration; None when no j qualifies."""
-    tail = standard_cycles(p).cycles[0][1:]  # c_1 .. c_l
+def _m_index(n: int, first: Word) -> int | None:
+    """``m_index`` of a permutation of [n] whose cycle containing 1 is
+    ``first``."""
+    tail = first[1:]  # c_1 .. c_l
     excluded: set[int] = set()
     m = None
-    cur_max = p.n
+    cur_max = n
     for j in range(len(tail), 0, -1):
         while cur_max in excluded:
             cur_max -= 1
@@ -143,6 +168,40 @@ def m_index(p: Permutation) -> int | None:
             m = j
         excluded.add(tail[j - 1])
     return m
+
+
+def m_index(p: Permutation) -> int | None:
+    """The least j >= 1 such that, in the cycle (1, c_1, ..., c_l)
+    containing 1, c_j is not the largest element once the tail c_{j+1}..
+    is removed from consideration; None when no j qualifies."""
+    return _m_index(p.n, standard_cycles(p).cycles[0])
+
+
+def _psi_core(n: int, i: int, word: Word, cycles: tuple[Word, ...], top: int | None) -> _Image:
+    """``psi(n, i, .)`` of the permutation ``word`` of [n], which has
+    pi(i) = 1, standard cycles ``cycles`` and last top-descent ``top``;
+    nothing is checked."""
+    if i == 1:
+        if top is None:
+            return word, "fixed", 0
+        return _phi_core(word, cycles, top)
+
+    first = cycles[0]
+    if top is not None and top not in first:
+        return _phi_core(word, cycles, top)
+
+    m = _m_index(n, first)
+    if m is None:
+        # increasing-staircase first cycle ending at n, increasing rest:
+        # these are exactly the fixed points, and exist only for i = n
+        return word, "fixed", 0
+    if m >= 2:
+        # detach the increasing prefix c_1 .. c_{m-1} as a cycle of its own:
+        # 1 now goes to c_m and c_{m-1} back to c_1
+        return _swapped(word, 1, first[m - 1]), "psi-case1", -1
+    # splice the last cycle into the first, right after the 1: 1 now goes
+    # to the last cycle's minimum and its last element where 1 went
+    return _swapped(word, 1, cycles[-1][-1]), "psi-case2", 1
 
 
 def psi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
@@ -160,30 +219,9 @@ def psi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
         raise ValueError(f"bad arguments: n={n}, i={i}, perm of size {p.n}")
     if p.word[i - 1] != 1:
         raise ValueError(f"{p} does not place the value 1 at position {i}")
-
-    qv = last_top_descent(p)
-    if i == 1:
-        if qv is None:
-            return InvolutionOutcome(p, "fixed", 0)
-        return phi_map(p)
-
-    cycles = standard_cycles(p).cycles
-    first = cycles[0]
-    if qv is not None and qv not in first:
-        return phi_map(p)
-
-    m = m_index(p)
-    if m is None:
-        # increasing-staircase first cycle ending at n, increasing rest:
-        # these are exactly the fixed points, and exist only for i = n
-        return InvolutionOutcome(p, "fixed", 0)
-    if m >= 2:
-        # detach the increasing prefix c_1 .. c_{m-1} as a cycle of its own:
-        # 1 now goes to c_m and c_{m-1} back to c_1
-        return InvolutionOutcome(_swapped(p, 1, first[m - 1]), "psi-case1", -1)
-    # splice the last cycle into the first, right after the 1: 1 now goes
-    # to the last cycle's minimum and its last element where 1 went
-    return InvolutionOutcome(_swapped(p, 1, cycles[-1][-1]), "psi-case2", 1)
+    return _outcome(
+        *_psi_core(n, i, p.word, standard_cycles(p).cycles, last_top_descent(p))
+    )
 
 
 def _consecutive_block_cycles(values: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
@@ -253,6 +291,47 @@ def varphi_fixed_point(n: int, i: int) -> Permutation:
     return permutation_from_cycles([cycle], n)
 
 
+def _varphi_core(word: Word, cycles: tuple[Word, ...]) -> _Image:
+    """``varphi`` of the derangement ``word``, whose standard cycles are
+    ``cycles``; nothing is checked."""
+    last = cycles[-1]
+    s = len(last)
+
+    if _staircase(last):
+        if len(cycles) == 1:
+            return word, "fixed", 0
+        prev = cycles[-2]
+        top = last.index(max(last))  # 0-based position of the maximum
+        if prev[1] < last[top - 1]:
+            merged = (prev[0], *last, *prev[1:])
+        else:
+            merged = (
+                prev[0],
+                *last[: top - 1],
+                *last[top:],
+                last[top - 1],
+                *prev[1:],
+            )
+        return _rewired(word, merged), "varphi-merge", 1
+
+    # longest staircase-shaped proper prefix; prefixes of length 2 and 3
+    # always qualify, and the property is hereditary, so scan upward
+    cut = 3
+    for length in range(4, s):
+        if _staircase(last[:length]):
+            cut = length
+        else:
+            break
+    top = last[:cut].index(max(last[:cut]))
+    after = last[cut]
+    head = (last[0], *last[cut:])
+    if after < last[top - 1]:
+        rest = last[1:cut]
+    else:
+        rest = (*last[1:top], last[cut - 1], *last[top : cut - 1])
+    return _rewired(word, head, rest), "varphi-split", -1
+
+
 def varphi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
     """Sign-reversing involution on derangements with pi(i) = 1.
 
@@ -276,44 +355,6 @@ def varphi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
         raise ValueError(f"index out of range: i={i}, n={n}")
     if p.word[i - 1] != 1:
         raise ValueError(f"{p} does not place the value 1 at position {i}")
-    stats = statistics(p)
-    if stats.fix:
+    if statistics(p).fix:
         raise ValueError(f"{p} is not a derangement")
-
-    cycles = standard_cycles(p).cycles
-    last = cycles[-1]
-    s = len(last)
-
-    if _staircase(last):
-        if len(cycles) == 1:
-            return InvolutionOutcome(p, "fixed", 0)
-        prev = cycles[-2]
-        top = last.index(max(last))  # 0-based position of the maximum
-        if prev[1] < last[top - 1]:
-            merged = (prev[0], *last, *prev[1:])
-        else:
-            merged = (
-                prev[0],
-                *last[: top - 1],
-                *last[top:],
-                last[top - 1],
-                *prev[1:],
-            )
-        return InvolutionOutcome(_rewired(p, merged), "varphi-merge", 1)
-
-    # longest staircase-shaped proper prefix; prefixes of length 2 and 3
-    # always qualify, and the property is hereditary, so scan upward
-    cut = 3
-    for length in range(4, s):
-        if _staircase(last[:length]):
-            cut = length
-        else:
-            break
-    top = last[:cut].index(max(last[:cut]))
-    after = last[cut]
-    head = (last[0], *last[cut:])
-    if after < last[top - 1]:
-        rest = last[1:cut]
-    else:
-        rest = (*last[1:top], last[cut - 1], *last[top : cut - 1])
-    return InvolutionOutcome(_rewired(p, head, rest), "varphi-split", -1)
+    return _outcome(*_varphi_core(p.word, standard_cycles(p).cycles))

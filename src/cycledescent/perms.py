@@ -46,12 +46,16 @@ Word = tuple[int, ...]
 
 
 class _Derived:
-    """One of the four values that one cycle walk derives from a word.
+    """One of the four cached values of a ``Permutation``: its standard
+    cycles, statistics, flattening and last top-descent.
 
     A non-data descriptor: the first read of any of them runs
-    ``_cycle_walk`` once and stores all four in the instance ``__dict__``,
-    which shadows the descriptors from then on.  Unlike
+    ``_cycle_walk`` once, which wraps the plain data of one
+    ``_walk_word`` of the word, and stores all four in the instance
+    ``__dict__``, which shadows the descriptors from then on.  Unlike
     ``functools.cached_property`` before Python 3.12, a miss takes no lock.
+    Code that needs only the plain data, like the walk of S_n in
+    ``verify``, calls ``_walk_word`` and fills no cache.
     """
 
     def __set_name__(self, owner: type, name: str) -> None:
@@ -287,11 +291,11 @@ def permutation_from_cycles(cycles: Iterable[Sequence[int]], n: int) -> Permutat
     return Permutation._trusted(tuple(word))
 
 
-def _cycle_walk(
+def _walk_word(
     word: tuple[int, ...]
-) -> tuple[CycleDecomposition, StatRecord, Word, int | None]:
-    """Standard cycles, statistics, flattening and last top-descent of a
-    permutation word, in one walk.
+) -> tuple[tuple[Word, ...], int, int, list[int], Word, int | None]:
+    """Standard cycles, exc, fix, cycle-descent elements, flattening and
+    last top-descent of a permutation word, in one walk, as plain data.
 
     Following pi from each cycle minimum c_1: c_1 is an excedance unless it
     is fixed; every later c_j with pi(c_j) > c_j is an excedance, and with
@@ -299,11 +303,16 @@ def _cycle_walk(
     image is c_1, is neither.  The walk reads the flattening in order: its
     descents are the cycle descents and the cycle ends above the next
     cycle's minimum, and the last of them is the last top-descent.
+
+    The word must be a permutation of 1..len(word); nothing is checked.
+    The walk of S_n in ``verify`` calls this core directly and hands its
+    cycles and top-descent to the cores of ``involutions``, so no object
+    of that walk builds a ``StatRecord`` or a ``CycleDecomposition``.
     """
     n = len(word)
     seen = [False] * (n + 1)
     flat: list[int] = []
-    cycles: list[tuple[int, ...]] = []
+    cycles: list[Word] = []
     exc = fix = 0
     cdes: list[int] = []
     top = None
@@ -331,6 +340,17 @@ def _cycle_walk(
                 top = v
             v = nxt
         cycles.append(tuple(flat[first:]))
+    return tuple(cycles), exc, fix, cdes, tuple(flat), top
+
+
+def _cycle_walk(
+    word: tuple[int, ...]
+) -> tuple[CycleDecomposition, StatRecord, Word, int | None]:
+    """The four cached values of a ``Permutation``: its standard cycles,
+    statistics, flattening and last top-descent, wrapped from one
+    ``_walk_word`` of its word.  ``_Derived`` calls it on the first read
+    of any of them."""
+    cycles, exc, fix, cdes, flat, top = _walk_word(word)
     stats = StatRecord(
         exc=exc,
         fix=fix,
@@ -339,7 +359,7 @@ def _cycle_walk(
         cdes_set=frozenset(cdes),
         inv1=cycles[0][-1] if cycles else 0,
     )
-    return CycleDecomposition._trusted(tuple(cycles)), stats, tuple(flat), top
+    return CycleDecomposition._trusted(cycles), stats, flat, top
 
 
 def standard_cycles(p: Permutation) -> CycleDecomposition:

@@ -35,9 +35,10 @@ from typing import Callable, Iterable, Iterator
 from . import bijections as bj
 from . import involutions as iv
 from . import matchings as mt
+from . import perms
 from . import statpolys as sp
 from .caps import CAPS
-from .perms import Permutation, enumerate_permutations, hat, standard_cycles, statistics
+from .perms import Permutation, enumerate_permutations, standard_cycles, statistics
 from .poly import MultiPoly
 
 __all__ = [
@@ -171,23 +172,27 @@ def _check_poly_axioms(n: int, seed: int) -> str | None:
 # Pass 1 (``_walk_perms``) keys every object of S_n by its lexicographic rank,
 # its index in the walk, and records its exc and cdes, the position of 1, the
 # rank of its flattening and its last top-descent, all read off one naive
-# cycle walk of the object, cached on it, so ``psi`` and ``phi_map`` read them
-# with no second walk.  For each map whose domain holds the object it records
-# the rank of the image, the branch tag and the cdes delta the branch
-# states.  A rank is two lookups, of the word's head and tail in tables built
-# once per n; a word that is not a permutation has none, so an image the maps
-# build wrongly can alias no object.  Where ``psi`` takes a phi branch, its
-# outcome is the ``phi_map`` call for that object, so the split/merge image is
-# built once per object of phi's domain.  An image is itself an object of S_n
-# with a record of its own, so each fold reads the involution law, exc
-# preservation and the tag pairing off the records, in the order and with the
-# texts of a check that maps every image back, and no image is mapped or
-# walked again.  A stated delta that
-# differs from the walked one is reported only once every other law has
-# held.  The signed sums of (-1)^cdes x^exc that psi and varphi collapse to the
-# weight of their fixed points are read off the same exc and cdes records, so
-# these checks read no tally of ``statpolys`` and the walk is the one pass
-# over S_n they make.
+# cycle walk of its word (``perms._walk_word``), which gives plain data and
+# caches nothing on the object.  The walk hands the word, its standard cycles
+# and its top-descent to the trusted cores of ``psi``, ``varphi`` and
+# ``phi_map``, which skip the argument checks the public maps keep for
+# outside input and give an image word, a branch tag and a delta; no
+# ``Permutation`` is built for an image.  For each map whose domain holds the
+# object it records the rank of the image word, the branch tag and the cdes
+# delta the branch states.  A rank is two lookups, of the word's head and
+# tail in tables built once per n; a word that is not a permutation has none,
+# so an image the cores build wrongly can alias no object.  Where ``psi``
+# takes a phi branch, its result is the phi core's for that object, so the
+# split/merge image is built once per object of phi's domain.  An image is
+# itself an object of S_n with a record of its own, so each fold reads the
+# involution law, exc preservation and the tag pairing off the records, in
+# the order and with the texts of a check that maps every image back, and no
+# image is mapped or walked again.  A stated delta that differs from the
+# walked one is reported only once every other law has held.  The signed
+# sums of (-1)^cdes x^exc that psi and varphi collapse to the weight of their
+# fixed points are read off the same exc and cdes records, so these checks
+# read no tally of ``statpolys`` and the walk is the one pass over S_n they
+# make.
 
 _PHI_PAIRS = {"phi-split": "phi-merge", "phi-merge": "phi-split"}
 _PSI_PAIRS = {**_PHI_PAIRS, "psi-case1": "psi-case2", "psi-case2": "psi-case1"}
@@ -269,32 +274,34 @@ class _PermWalk:
 
 
 def _walk_perms(n: int) -> _PermWalk:
-    """Pass 1: one naive walk of S_n, calling ``psi`` (n >= 2), ``varphi``
-    (derangements) and ``phi_map`` (a top-descent exists) once per object."""
+    """Pass 1: one naive walk of S_n, calling the cores of ``psi``
+    (n >= 2), ``varphi`` (derangements) and ``phi_map`` (a top-descent
+    exists) once per object."""
     w = _PermWalk(factorial(n))
-
-    def record(maps: _MapRecords, k: int, out: iv.InvolutionOutcome) -> None:
-        maps.img[k] = _rank(out.image.word, n)
-        maps.tag[k] = _TAG_CODE[out.case_tag]
-        maps.delta[k] = out.delta_cdes
-
+    # read off their modules once per walk, so that a test can patch them
+    walk, psi, varphi, phi = perms._walk_word, iv._psi_core, iv._varphi_core, iv._phi_core
     for k, p in enumerate(enumerate_permutations("all", n)):
-        s = statistics(p)
-        w.exc[k], w.cdes[k], w.pos1[k] = s.exc, s.cdes, s.inv1
-        w.hat_rank[k] = _rank(hat(p), n)
+        word = p.word
+        cycles, exc, fix, cdes, flat, top = walk(word)
+        i = cycles[0][-1]  # the last element of the cycle of 1 goes to 1
+        w.exc[k], w.cdes[k], w.pos1[k] = exc, len(cdes), i
+        w.hat_rank[k] = _rank(flat, n)
         out = None
         if n >= 2:
-            out = iv.psi(n, s.inv1, p)
-            record(w.psi, k, out)
-        if not s.fix:
-            record(w.varphi, k, iv.varphi(n, s.inv1, p))
-        qv = iv.last_top_descent(p)
-        if qv is not None:
-            w.top[k] = qv
-            # psi's phi branches return the phi_map call for this object
-            if out is None or out.case_tag not in _PHI_PAIRS:
-                out = iv.phi_map(p)
-            record(w.phi, k, out)
+            out = image, tag, delta = psi(n, i, word, cycles, top)
+            w.psi.img[k], w.psi.tag[k], w.psi.delta[k] = _rank(image, n), _TAG_CODE[tag], delta
+        if not fix:
+            image, tag, delta = varphi(word, cycles)
+            w.varphi.img[k], w.varphi.tag[k], w.varphi.delta[k] = (
+                _rank(image, n), _TAG_CODE[tag], delta
+            )
+        if top is not None:
+            w.top[k] = top
+            # psi's phi branches return the phi core's result for this object
+            if out is None or out[1] not in _PHI_PAIRS:
+                out = phi(word, cycles, top)
+            image, tag, delta = out
+            w.phi.img[k], w.phi.tag[k], w.phi.delta[k] = _rank(image, n), _TAG_CODE[tag], delta
     return w
 
 

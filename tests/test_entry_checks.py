@@ -7,6 +7,7 @@ point, an input it must refuse and the text of the refusal.
 import pytest
 
 from cycledescent import bijections as bj
+from cycledescent import involutions as iv
 from cycledescent import matchings as mt
 from cycledescent import perms
 from cycledescent import statpolys as sp
@@ -64,3 +65,78 @@ def test_input_is_refused(case_id):
     call, text = CASES[case_id]
     with pytest.raises(ValueError, match=text):
         call()
+
+
+W = perms.Permutation
+
+# The public involutions check their arguments and then call cores that
+# trust them, so each refusal text, and which of two faults is named
+# first, is pinned whole.
+INVOLUTION_CASES = {
+    "psi-small-n": (lambda: iv.psi(1, 1, W((1,))), "involution defined for n >= 2"),
+    "psi-small-n-before-size": (
+        lambda: iv.psi(1, 1, W((1, 2))),
+        "involution defined for n >= 2",
+    ),
+    "psi-wrong-size": (
+        lambda: iv.psi(3, 1, W((1, 2))),
+        "bad arguments: n=3, i=1, perm of size 2",
+    ),
+    "psi-wrong-size-before-no-1": (
+        lambda: iv.psi(3, 2, W((1, 2))),
+        "bad arguments: n=3, i=2, perm of size 2",
+    ),
+    "psi-index-below-1": (
+        lambda: iv.psi(3, 0, W((1, 2, 3))),
+        "bad arguments: n=3, i=0, perm of size 3",
+    ),
+    "psi-index-above-n": (
+        lambda: iv.psi(3, 4, W((1, 2, 3))),
+        "bad arguments: n=3, i=4, perm of size 3",
+    ),
+    "psi-no-1-at-i": (
+        lambda: iv.psi(3, 2, W((1, 2, 3))),
+        "1 2 3 does not place the value 1 at position 2",
+    ),
+    "varphi-wrong-size": (
+        lambda: iv.varphi(3, 2, W((2, 1))),
+        "size mismatch: n=3, perm of size 2",
+    ),
+    "varphi-wrong-size-before-index": (
+        lambda: iv.varphi(3, 5, W((2, 1))),
+        "size mismatch: n=3, perm of size 2",
+    ),
+    "varphi-index-1": (
+        lambda: iv.varphi(3, 1, W((1, 3, 2))),
+        "index out of range: i=1, n=3",
+    ),
+    "varphi-index-above-n": (
+        lambda: iv.varphi(3, 4, W((2, 3, 1))),
+        "index out of range: i=4, n=3",
+    ),
+    "varphi-no-1-at-i": (
+        lambda: iv.varphi(3, 2, W((2, 3, 1))),
+        "2 3 1 does not place the value 1 at position 2",
+    ),
+    "varphi-no-1-at-i-before-fixed-point": (
+        lambda: iv.varphi(3, 2, W((1, 2, 3))),
+        "1 2 3 does not place the value 1 at position 2",
+    ),
+    "varphi-not-derangement": (
+        lambda: iv.varphi(3, 2, W((2, 1, 3))),
+        "2 1 3 is not a derangement",
+    ),
+    "phi-increasing-flattening": (
+        # (1)(2 3) flattens to 1 2 3
+        lambda: iv.phi_map(W((1, 3, 2))),
+        "map undefined: the flattened cycle word is increasing",
+    ),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(INVOLUTION_CASES))
+def test_involution_input_is_refused(case_id):
+    call, text = INVOLUTION_CASES[case_id]
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == text

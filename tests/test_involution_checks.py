@@ -1,14 +1,15 @@
 """Fault injection into the psi, varphi and phi checks of ``verify``.
 
-Each case wraps ``psi``, ``varphi`` or ``phi_map`` so that it breaks one
-law at one chosen object, runs the check, and compares its verdict with
-the text a check that maps every image back prints for the same fault.
-The cases where such a check cannot report (it raises on an image outside
+Each case wraps the core of ``psi``, ``varphi`` or ``phi_map``, which the
+walk of S_n calls in place of the public map, so that it breaks one law
+at one chosen object, runs the check, and compares its verdict with the
+text a check that maps every image back prints for the same fault.  The
+cases where such a check cannot report (it raises on an image outside
 the family, or never compares the stated delta with a walk) are marked.
 
 The involution checks fold their laws and signed sums off one walk of
 S_n, which keys every object by its lexicographic rank; the tests at the
-end pin down the ranks, the walk order, that each map is called once per
+end pin down the ranks, the walk order, that each core is called once per
 object of its domain and that the suite walks S_n once per size.
 """
 
@@ -23,9 +24,14 @@ from cycledescent import perms
 from cycledescent import statpolys as sp
 from cycledescent import verify
 from cycledescent.involutions import InvolutionOutcome
-from cycledescent.perms import Permutation, enumerate_permutations, statistics
+from cycledescent.perms import Permutation, enumerate_permutations, standard_cycles, statistics
 
-REAL = {"psi": iv.psi, "varphi": iv.varphi, "phi_map": iv.phi_map}
+# the core of each public map, which the walk of S_n calls in its place
+CORE = {"psi": "_psi_core", "varphi": "_varphi_core", "phi_map": "_phi_core"}
+REAL = {name: getattr(iv, core) for name, core in CORE.items()}
+# where each core reads the word of its object: (n, i, word, cycles, top),
+# (word, cycles) and (word, cycles, top)
+WORD_AT = {"psi": 2, "varphi": 0, "phi_map": 0}
 N = 5
 W = Permutation
 
@@ -36,26 +42,29 @@ def fold(check, n):
 
 
 def _patch(monkeypatch, name, table):
-    """Let ``iv.<name>`` give ``table[p]`` for the objects p in ``table``."""
-    real = REAL[name]
+    """Let the core of the map ``name`` give the image word, tag and delta
+    of ``table[p]`` for the objects p in ``table``."""
+    real, at = REAL[name], WORD_AT[name]
+    plain = {p.word: (out.image.word, out.case_tag, out.delta_cdes) for p, out in table.items()}
 
     def wrapper(*args):
-        override = table.get(args[-1])
+        override = plain.get(args[at])
         return real(*args) if override is None else override
 
-    monkeypatch.setattr(iv, name, wrapper)
+    monkeypatch.setattr(iv, CORE[name], wrapper)
 
 
+# the true outcomes, read off the public maps before any core is patched
 def psi2(p):
-    return REAL["psi"](N, 2, p)
+    return iv.psi(N, 2, p)
 
 
 def varphi2(p):
-    return REAL["varphi"](N, 2, p)
+    return iv.varphi(N, 2, p)
 
 
 def phi(p):
-    return REAL["phi_map"](p)
+    return iv.phi_map(p)
 
 
 def swap(f, a, b):
@@ -347,12 +356,16 @@ def test_varphi_signed_sum_off_its_closed_form(monkeypatch):
 
 
 def test_phi_top_descent_changed(monkeypatch):
-    # a last top-descent that lies about one word, whose flattening stays put
-    real = iv.last_top_descent
-    liar = W((1, 3, 2))
-    monkeypatch.setattr(
-        iv, "last_top_descent", lambda p: 2 if p == liar else real(p)
-    )
+    # a cycle walk that lies about the last top-descent of one word, whose
+    # flattening stays put
+    real = perms._walk_word
+    liar = (1, 3, 2)
+
+    def walk(word):
+        out = real(word)
+        return (*out[:-1], 2) if word == liar else out
+
+    monkeypatch.setattr(perms, "_walk_word", walk)
     assert fold("phi-preservation", 3) == "pi=1 3 2: top-descent changed"
 
 
@@ -372,13 +385,13 @@ def test_one_walk_and_one_map_call_per_object(monkeypatch, check, name):
     n = 6
     walked = list(enumerate_permutations("all", n))
     walks, calls = [], []
-    real_walk, real_map = perms._cycle_walk, REAL[name]
-    monkeypatch.setattr(perms, "_cycle_walk", lambda w: walks.append(w) or real_walk(w))
-    monkeypatch.setattr(iv, name, lambda *a: calls.append(a[-1]) or real_map(*a))
+    real_walk, real_core, at = perms._walk_word, REAL[name], WORD_AT[name]
+    monkeypatch.setattr(perms, "_walk_word", lambda w: walks.append(w) or real_walk(w))
+    monkeypatch.setattr(iv, CORE[name], lambda *a: calls.append(a[at]) or real_core(*a))
     assert fold(check, n) is None
     # every walk is of an object of the stream, none of an image
     assert sorted(walks) == sorted(p.word for p in walked)
-    assert calls == [p for p in walked if DOMAIN[name](p)]
+    assert calls == [p.word for p in walked if DOMAIN[name](p)]
 
 
 def test_involutions_suite_walks_s_n_once_per_size(monkeypatch):
@@ -393,17 +406,17 @@ def test_involutions_suite_walks_s_n_once_per_size(monkeypatch):
             calls[name, *a] += 1
             return real(*a)
 
-        monkeypatch.setattr(iv, name, counted)
+        monkeypatch.setattr(iv, CORE[name], counted)
     summary = verify.run_verification("involutions", n_max=6)
     assert summary.checks_run == 21 and not summary.failures
     assert walked == Counter(range(1, 7))
     want = Counter()
     for n in range(1, 7):
         for p in enumerate_permutations("all", n):
-            s = statistics(p)
-            want["psi", n, s.inv1, p] += n >= 2
-            want["varphi", n, s.inv1, p] += s.fix == 0
-            want["phi_map", p] += DOMAIN["phi_map"](p)
+            s, cycles, top = statistics(p), standard_cycles(p).cycles, iv.last_top_descent(p)
+            want["psi", n, s.inv1, p.word, cycles, top] += n >= 2
+            want["varphi", p.word, cycles] += s.fix == 0
+            want["phi_map", p.word, cycles, top] += top is not None
     assert calls == want
 
 

@@ -5,6 +5,9 @@ input's word.  The oracles here choose the branch from the definitions
 (the flattening, the index m, the staircase shape by its pattern) and
 rebuild the image from the whole list of the input's cycles through
 ``permutation_from_cycles``, which checks that they cover 1..n once.
+The trusted cores that the walk of S_n in ``verify`` calls, and the
+cycle walk core ``perms._walk_word`` that feeds them, are compared with
+the public maps and the cached walk of each object.
 """
 
 import os
@@ -12,6 +15,7 @@ import os
 import pytest
 
 from cycledescent import involutions as iv
+from cycledescent import perms
 from cycledescent.perms import (
     enumerate_permutations,
     hat,
@@ -126,3 +130,28 @@ def test_maps_match_naive_cycle_rebuild(n):
                 assert outcome(iv.varphi(n, s.inv1, p)) == naive_varphi(n, p), p
         if naive_top(p) is not None:
             assert outcome(iv.phi_map(p)) == naive_phi(p), p
+
+
+def plain(out):
+    return out.image.word, out.case_tag, out.delta_cdes
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_cores_match_the_public_maps_and_the_cached_walk(n):
+    # the walk of S_n in verify feeds the cores the plain data of one
+    # _walk_word; the public maps check their input and wrap the same cores
+    for p in enumerate_permutations("all", n):
+        cycles, exc, fix, cdes, flat, top = perms._walk_word(p.word)
+        s = statistics(p)
+        assert (cycles, exc, fix, len(cdes), frozenset(cdes), flat, top) == (
+            standard_cycles(p).cycles, s.exc, s.fix, s.cdes, s.cdes_set, hat(p),
+            iv.last_top_descent(p),
+        ), p
+        if n >= 2:
+            i = cycles[0][-1]
+            assert i == s.inv1, p
+            assert iv._psi_core(n, i, p.word, cycles, top) == plain(iv.psi(n, i, p)), p
+            if not fix:
+                assert iv._varphi_core(p.word, cycles) == plain(iv.varphi(n, i, p)), p
+        if top is not None:
+            assert iv._phi_core(p.word, cycles, top) == plain(iv.phi_map(p)), p
