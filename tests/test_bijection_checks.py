@@ -1,9 +1,9 @@
 """Fault injection into the ten ``bijections`` checks of ``verify``.
 
 Each case replaces one fast path (``klazar_count``, ``b20_count``,
-``match_stats``, the component unfold ``_unfold``, or a core of ``gamma``,
-``theta``, ``gamma_inv`` or ``theta_inv``, which the walks call in place of
-the validating public maps) by one that is wrong at a chosen object, runs
+``match_stats``, the component unfold ``_unfold``, the stream of signed
+objects, or a core of ``gamma``, ``theta``, ``gamma_inv`` or ``theta_inv``,
+which the walks call in place of the validating public maps) by one that is wrong at a chosen object, runs
 ``verify bijections --n-max 3`` through the CLI and compares every failure
 it reports, and the downline note at n = 3, with recorded texts.  The
 texts print signed permutations and matchings, so they also pin ``str`` of
@@ -31,6 +31,7 @@ REAL = {
     "_theta_inv_core": bj._theta_inv_core,
     "_unfold": bj._unfold,
     "match_stats": mt.match_stats,
+    "enumerate_negative_cdes": bj.enumerate_negative_cdes,
 }
 HOME = {"klazar_count": sp, "b20_count": sp, "match_stats": mt}
 
@@ -101,6 +102,19 @@ def bump_stat(field, n):
     def fake(m):
         out = real(m)
         return replace(out, **{field: getattr(out, field) + 1}) if m.n == n else out
+
+    return fake
+
+
+def repeat_a_derangement(s0):
+    """The stream of signed objects gives s0 twice."""
+    real = REAL["enumerate_negative_cdes"]
+
+    def fake(n, flt="all"):
+        for s in real(n, flt):
+            yield s
+            if s == s0:
+                yield s
 
     return fake
 
@@ -191,6 +205,26 @@ CASES = {
         [("downline-per-cycle", 3, "(1+ 2+ 3+): down=2, neg=0, bump=1")],
         "row-of-partner form holds for 2/7 signed permutations;"
         " 3 failing inputs are cyclic; first failure (1+ 2+)(3+)",
+    ),
+    # the fixed points of pi go to the vertical edges of gamma(pi)
+    "match-stats-ver": (
+        "match_stats", lambda: bump_stat("ver", 2),
+        [("statistic-transport", 2, "(1+)(2+): com=2 cyc=2 ver=3 fix=2")],
+        None,
+    ),
+    # one derangement twice: its image is not new, so the image set still
+    # equals the target set, and only the count of inputs shows the fault
+    "derangement-given-twice": (
+        "enumerate_negative_cdes", lambda: repeat_a_derangement(S2),
+        [
+            ("count-callan", 3, "matchings 7, recurrence 7, signed perms 8"),
+            ("count-callan-no-vertical", 3, "matchings 3, recurrence 3, signed perms 4"),
+            ("gamma-image", 3, "gamma not injective: 8 inputs, 7 images"),
+            ("theta-image", 3, "theta not injective on 4 inputs"),
+            ("derangement-restriction", 3, "4 inputs, 3 images, 3 targets"),
+        ],
+        "row-of-partner form holds for 6/8 signed permutations;"
+        " 0 failing inputs are cyclic; first failure (1+)(2+)(3+)",
     ),
 }
 UNFAULTED_NOTE = (

@@ -98,6 +98,13 @@ def psi_fixed_set_with_a_cycle_descent():
     return lambda n, i: real(n, i) | {Permutation((3, 1, 2))} if (n, i) == (3, 1) else real(n, i)
 
 
+def psi_fixed_set_without_a_point():
+    # (1)(2 3) leaves the fixed set of psi(3, 1, .): no cycle descent shows
+    # it, only the weight of what is left
+    real = REAL["psi_fixed_set"]
+    return lambda n, i: real(n, i) - {Permutation((1, 3, 2))} if (n, i) == (3, 1) else real(n, i)
+
+
 def signed_sni_unsigned():
     # the weight of signed-sni without its sign (-1)^cdes; signed-sn keeps
     # the real weight in its own row
@@ -211,6 +218,13 @@ CASES = {
         [
             ("psi-involution", 3, "i=1: fixed set mismatch (2 found)"),
             ("psi-fixed-weight", 3, "i=1: fixed point 3 1 2 has a cycle descent"),
+        ],
+    ),
+    "psi-fixed-point-missing": (
+        "involutions", iv, "psi_fixed_set", psi_fixed_set_without_a_point,
+        [
+            ("psi-involution", 3, "i=1: fixed set mismatch (2 found)"),
+            ("psi-fixed-weight", 3, "i=1: enumerated x + 1, fixed set 1, closed x + 1"),
         ],
     ),
     "psi-fixed-weight-closed-form": (
