@@ -32,9 +32,9 @@ sign means +.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._records import FrozenRecord, set_field
 from .caps import check_cap
 from .matchings import PerfectMatching, is_callan
 from .perms import (
@@ -63,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(FrozenRecord):
     """A permutation plus the set of values carrying sign -1.
 
     The public constructor checks that ``neg`` is a set of ints in 1..n.
@@ -77,11 +76,13 @@ class SignedPermutation:
     of the enumerated objects.
     """
 
+    __slots__ = __match_args__ = ("perm", "neg")
     perm: Permutation
     neg: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "neg", frozenset(self.neg))
+    def __init__(self, perm: Permutation, neg: frozenset[int]) -> None:
+        set_field(self, "perm", perm)
+        set_field(self, "neg", frozenset(neg))
         if not self.neg <= frozenset(range(1, self.perm.n + 1)):
             raise ValueError(f"negative values outside 1..{self.perm.n}: {set(self.neg)}")
         # a value that only equals an integer (3.0, True) names no value
@@ -92,8 +93,8 @@ class SignedPermutation:
     def _trusted(cls, perm: Permutation, neg: frozenset[int]) -> SignedPermutation:
         """Wrap a frozenset of ints already known to lie in 1..perm.n."""
         s = object.__new__(cls)
-        object.__setattr__(s, "perm", perm)
-        object.__setattr__(s, "neg", neg)
+        set_field(s, "perm", perm)
+        set_field(s, "neg", neg)
         return s
 
     @property
@@ -104,11 +105,14 @@ class SignedPermutation:
         return format_signed(self)
 
 
-@dataclass(frozen=True)
-class BlockSeq:
+class BlockSeq(FrozenRecord):
     """Cycle blocks cut after each positive value; blocks are decreasing."""
 
+    __slots__ = __match_args__ = ("blocks",)
     blocks: tuple[tuple[int, ...], ...]
+
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]) -> None:
+        set_field(self, "blocks", blocks)
 
     def __str__(self) -> str:
         return "|" + "|".join("".join(str(v) for v in b) for b in self.blocks) + "|"

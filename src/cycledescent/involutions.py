@@ -35,10 +35,10 @@ calls the cores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from ._records import FrozenRecord, set_field
 from .perms import (
     Permutation,
     Word,
@@ -62,8 +62,7 @@ __all__ = [
 _Image = tuple[Word, str, int]
 
 
-@dataclass(frozen=True)
-class InvolutionOutcome:
+class InvolutionOutcome(FrozenRecord):
     """Image of one involution application plus branch bookkeeping.
 
     ``case_tag`` records which branch fired: ``fixed``, ``phi-split``,
@@ -75,9 +74,15 @@ class InvolutionOutcome:
     value against a naive walk of every image up to its size cap.
     """
 
+    __slots__ = __match_args__ = ("image", "case_tag", "delta_cdes")
     image: Permutation
     case_tag: str
     delta_cdes: int
+
+    def __init__(self, image: Permutation, case_tag: str, delta_cdes: int) -> None:
+        set_field(self, "image", image)
+        set_field(self, "case_tag", case_tag)
+        set_field(self, "delta_cdes", delta_cdes)
 
 
 def _outcome(image: Word, case_tag: str, delta_cdes: int) -> InvolutionOutcome:

@@ -38,10 +38,10 @@ reads neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from ._records import FrozenRecord, set_field
 from .caps import check_cap
 
 __all__ = [
@@ -69,17 +69,23 @@ class MVertex(NamedTuple):
 Edge = tuple[MVertex, MVertex]
 
 
-@dataclass(frozen=True)
-class PerfectMatching:
+class PerfectMatching(FrozenRecord):
     """A partition of support x {0, 1} into unordered pairs.
 
     The constructor trusts its arguments: a matching from outside comes in
     through :func:`mk_matching` or :func:`matching_from_json_dict`, which
-    validate it and build its partner list.
+    validate it and build its partner list.  The ``edges`` view is cached
+    in the instance ``__dict__`` and takes no part in equality, hashing,
+    ``repr`` or pickling.
     """
 
+    __match_args__ = ("support", "partner")
     support: tuple[int, ...]
     partner: tuple[int, ...]
+
+    def __init__(self, support: tuple[int, ...], partner: tuple[int, ...]) -> None:
+        set_field(self, "support", support)
+        set_field(self, "partner", partner)
 
     @property
     def n(self) -> int:
@@ -199,13 +205,20 @@ def edge_class(edge: Edge) -> str:
     return _edge_kind(2 * a.index + a.row, 2 * b.index + b.row)
 
 
-@dataclass(frozen=True)
-class MatchStats:
+class MatchStats(FrozenRecord):
+    __slots__ = __match_args__ = ("arc", "up", "down", "ver", "com")
     arc: int
     up: int
     down: int
     ver: int
     com: int
+
+    def __init__(self, arc: int, up: int, down: int, ver: int, com: int) -> None:
+        set_field(self, "arc", arc)
+        set_field(self, "up", up)
+        set_field(self, "down", down)
+        set_field(self, "ver", ver)
+        set_field(self, "com", com)
 
 
 def _component_walks(m: PerfectMatching) -> Iterator[tuple[int, list[int]]]:

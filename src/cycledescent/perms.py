@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+from ._records import Frozen, FrozenRecord, set_field
 
 __all__ = [
     "Permutation",
@@ -69,27 +70,28 @@ class _Derived:
         return cache[self.name]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A permutation of [n] in one-line notation; ``word[i-1] = pi(i)``.
 
     The public constructor validates its word.  Code in this package that
     has already proven a word to be a permutation builds it with
     :meth:`_trusted` instead.  The standard cycles, the statistics, the
     flattening and the last top-descent are computed together by one cycle
-    walk on first use of any of them and cached on the instance; the cache
-    takes no part in equality, hashing, ``repr`` or pickling.
+    walk on first use of any of them and cached in the instance
+    ``__dict__``, beside ``word``; the cache takes no part in equality,
+    hashing, ``repr`` or pickling.  Frozen: its hash is that of ``(word,)``.
     """
 
+    __match_args__ = ("word",)
     word: tuple[int, ...]
     _cycles = _Derived()
     _stats = _Derived()
     _flat = _Derived()
     _top = _Derived()
 
-    def __post_init__(self) -> None:
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
+    def __init__(self, word: tuple[int, ...]) -> None:
+        word = tuple(word)
+        set_field(self, "word", word)
         n = len(word)
         # a value that only equals an integer (3.0, True) names no position
         ints = all(type(v) is int for v in word)
@@ -100,8 +102,16 @@ class Permutation:
     def _trusted(cls, word: tuple[int, ...]) -> Permutation:
         """Wrap a tuple already known to be a permutation of 1..len(word)."""
         p = object.__new__(cls)
-        object.__setattr__(p, "word", word)
+        set_field(p, "word", word)
         return p
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.word == other.word
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
 
     def __getstate__(self) -> dict:
         return {"word": self.word}
@@ -117,16 +127,17 @@ class Permutation:
         return f"Permutation({self.word!r})"
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(FrozenRecord):
     """Disjoint cycles, each smallest-first, ordered by increasing minima."""
 
+    __slots__ = __match_args__ = ("cycles",)
     cycles: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, cycles: tuple[tuple[int, ...], ...]) -> None:
+        set_field(self, "cycles", cycles)
         try:
             cycles = tuple(tuple(c) for c in self.cycles)
-            object.__setattr__(self, "cycles", cycles)
+            set_field(self, "cycles", cycles)
             seen: set[int] = set()
             prev_min = 0
             for cyc in cycles:
@@ -154,7 +165,7 @@ class CycleDecomposition:
     def _trusted(cls, cycles: tuple[tuple[int, ...], ...]) -> CycleDecomposition:
         """Wrap cycles already known to be in standard form."""
         d = object.__new__(cls)
-        object.__setattr__(d, "cycles", cycles)
+        set_field(d, "cycles", cycles)
         return d
 
     @property
@@ -173,20 +184,30 @@ class CycleDecomposition:
         return "".join("(" + " ".join(str(v) for v in c) + ")" for c in self.cycles)
 
 
-@dataclass(frozen=True)
-class StatRecord:
+class StatRecord(FrozenRecord):
     """Classical statistics of one permutation.
 
     ``inv1`` is the position of the value 1, i.e. pi^{-1}(1).  ``cdes_set``
     collects the cycle-descent elements themselves (not their positions).
     """
 
+    __slots__ = __match_args__ = ("exc", "fix", "cyc", "cdes", "cdes_set", "inv1")
     exc: int
     fix: int
     cyc: int
     cdes: int
     cdes_set: frozenset[int]
     inv1: int
+
+    def __init__(
+        self, exc: int, fix: int, cyc: int, cdes: int, cdes_set: frozenset[int], inv1: int
+    ) -> None:
+        set_field(self, "exc", exc)
+        set_field(self, "fix", fix)
+        set_field(self, "cyc", cyc)
+        set_field(self, "cdes", cdes)
+        set_field(self, "cdes_set", cdes_set)
+        set_field(self, "inv1", inv1)
 
 
 # Cycle notation, signed or not.  A form is a bare one-line word or one or

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
+from ._records import Record
 from .caps import check_cap
 from .perms import (
     Permutation,
@@ -50,22 +50,42 @@ __all__ = [
 ]
 
 
-@dataclass
-class PolyTable:
+class PolyTable(Record):
     """Polynomials indexed by the position i of the value 1, i = 1..n."""
 
+    __slots__ = __match_args__ = ("n", "entries")
     n: int
     entries: dict[int, MultiPoly]
 
+    def __init__(self, n: int, entries: dict[int, MultiPoly]) -> None:
+        self.n = n
+        self.entries = entries
 
-@dataclass
-class IdentityReport:
+
+class IdentityReport(Record):
+    __slots__ = __match_args__ = ("identity_id", "n", "passed", "lhs", "rhs", "witness")
     identity_id: str
     n: int
     passed: bool
     lhs: MultiPoly
     rhs: MultiPoly
-    witness: str | None = None
+    witness: str | None
+
+    def __init__(
+        self,
+        identity_id: str,
+        n: int,
+        passed: bool,
+        lhs: MultiPoly,
+        rhs: MultiPoly,
+        witness: str | None = None,
+    ) -> None:
+        self.identity_id = identity_id
+        self.n = n
+        self.passed = passed
+        self.lhs = lhs
+        self.rhs = rhs
+        self.witness = witness
 
 
 class _Key(NamedTuple):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, permutations
 from math import factorial
@@ -37,6 +36,7 @@ from . import involutions as iv
 from . import matchings as mt
 from . import perms
 from . import statpolys as sp
+from ._records import FrozenRecord, Record, set_field
 from .caps import CAPS
 from .perms import Permutation, enumerate_permutations, standard_cycles, statistics
 from .poly import MultiPoly
@@ -53,21 +53,44 @@ __all__ = [
 DEFAULT_SEED = 20260809
 
 
-@dataclass
-class CheckOutcome:
+class CheckOutcome(Record):
+    __slots__ = __match_args__ = ("check_id", "n", "detail")
     check_id: str
     n: int
     detail: str
 
+    def __init__(self, check_id: str, n: int, detail: str) -> None:
+        self.check_id = check_id
+        self.n = n
+        self.detail = detail
 
-@dataclass
-class VerificationSummary:
+
+class VerificationSummary(Record):
+    """The outcome of a run; ``failures`` and ``notes`` default to fresh lists."""
+
+    __slots__ = __match_args__ = ("suite", "n_lo", "n_hi", "checks_run", "failures", "notes")
     suite: str
     n_lo: int
     n_hi: int
     checks_run: int
-    failures: list[CheckOutcome] = field(default_factory=list)
-    notes: list[CheckOutcome] = field(default_factory=list)
+    failures: list[CheckOutcome]
+    notes: list[CheckOutcome]
+
+    def __init__(
+        self,
+        suite: str,
+        n_lo: int,
+        n_hi: int,
+        checks_run: int,
+        failures: list[CheckOutcome] | None = None,
+        notes: list[CheckOutcome] | None = None,
+    ) -> None:
+        self.suite = suite
+        self.n_lo = n_lo
+        self.n_hi = n_hi
+        self.checks_run = checks_run
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
 
     @property
     def exit_code(self) -> int:
@@ -633,19 +656,33 @@ def _fold_downline_global_report(n: int, s: _SignedWalk, c: _CallanWalk) -> str:
 # Suite wiring.
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(FrozenRecord):
     """A check at size n.  With no ``walks``, ``fn(n, seed)`` gives its
     first failure, or None, in the task that runs it; otherwise the caller
     gives it as ``fn(n, *records)``, folded off what the named walks of
     size n (see ``_WALKS``) return.  An informational check gives its note
     text instead."""
 
+    __slots__ = __match_args__ = ("fn", "min_n", "cap", "walks", "informational")
     fn: Callable[..., str | None]
     min_n: int
     cap: int
-    walks: tuple[str, ...] = ()
-    informational: bool = False
+    walks: tuple[str, ...]
+    informational: bool
+
+    def __init__(
+        self,
+        fn: Callable[..., str | None],
+        min_n: int,
+        cap: int,
+        walks: tuple[str, ...] = (),
+        informational: bool = False,
+    ) -> None:
+        set_field(self, "fn", fn)
+        set_field(self, "min_n", min_n)
+        set_field(self, "cap", cap)
+        set_field(self, "walks", walks)
+        set_field(self, "informational", informational)
 
 
 _PERMS, _BIJ = ("perms",), ("signed", "callan")  # the walks of the walk checks

@@ -11,10 +11,10 @@ both.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
+from records import replaced
 from cycledescent import bijections as bj
 from cycledescent import matchings as mt
 from cycledescent import statpolys as sp
@@ -101,7 +101,7 @@ def bump_stat(field, n):
 
     def fake(m):
         out = real(m)
-        return replace(out, **{field: getattr(out, field) + 1}) if m.n == n else out
+        return replaced(out, **{field: getattr(out, field) + 1}) if m.n == n else out
 
     return fake
 

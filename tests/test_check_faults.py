@@ -12,10 +12,10 @@ that get one operation wrong, so no other check sees the fault.
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
+from records import replaced
 from cycledescent import bijections as bj
 from cycledescent import involutions as iv
 from cycledescent import matchings as mt
@@ -278,7 +278,7 @@ def test_downline_report_without_failures(monkeypatch, capsys):
 
     def fits(m):
         bump = 0 if m.partner[3] & 1 else 1  # key 3 is (1, 1)
-        return replace(real(m), down=len(bj.gamma_inv(m).neg) + bump)
+        return replaced(real(m), down=len(bj.gamma_inv(m).neg) + bump)
 
     monkeypatch.setattr(mt, "match_stats", fits)
     code = main(["verify", "bijections", "--n-max", "3", "--json"])

@@ -1,36 +1,43 @@
-"""Which calls load the process pool, each asked of a fresh interpreter.
+"""Which calls load the process pool and the dataclass machinery, each asked
+of a fresh interpreter.
 
 Every CLI call pays the import of what it loads.  Only a verification run
 that starts more than one worker needs ``concurrent.futures.process`` and
 ``multiprocessing``; importing the package, ``stats``, ``map``, a serial
 ``verify`` and a plan too small for a second worker must leave both out of
-``sys.modules``.
+``sys.modules``.  No call needs ``dataclasses``, or the ``inspect`` and
+``ast`` it loads: the value classes are written by hand, and every call
+must leave all three out too.
 """
 
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 POOL = ("concurrent.futures.process", "multiprocessing")
+DATACLASSES = ("dataclasses", "inspect", "ast")
+WATCHED = POOL + DATACLASSES
 
 # runs one call with its output swallowed, then prints its status and the
-# pool modules it left loaded
+# watched modules it left loaded
 PROBE = """
 import contextlib, io, sys
 with contextlib.redirect_stdout(io.StringIO()):
     {call}
-print(status, *[m for m in {pool!r} if m in sys.modules])
+print(status, *[m for m in {watched!r} if m in sys.modules])
 """
 
 
-def loaded_pool_modules(call):
-    """(status, pool modules loaded) after ``call`` in a fresh interpreter."""
+@lru_cache(maxsize=None)
+def loaded_modules(call):
+    """(status, watched modules loaded) after ``call`` in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(call=call, pool=POOL)],
+        [sys.executable, "-c", PROBE.format(call=call, watched=WATCHED)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -45,7 +52,7 @@ def cli(*argv):
     return f"from cycledescent.cli import main; status = main({list(argv)!r})"
 
 
-@pytest.mark.parametrize(
+CALLS = pytest.mark.parametrize(
     "call",
     [
         "import cycledescent, cycledescent.cli; status = 0",
@@ -57,8 +64,18 @@ def cli(*argv):
     ],
     ids=["import", "stats", "map-gamma", "verify-serial", "verify-empty-plan"],
 )
+
+
+@CALLS
 def test_call_leaves_the_pool_unloaded(call):
-    assert loaded_pool_modules(call) == (0, [])
+    status, modules = loaded_modules(call)
+    assert (status, [m for m in modules if m in POOL]) == (0, [])
+
+
+@CALLS
+def test_call_leaves_dataclasses_unloaded(call):
+    status, modules = loaded_modules(call)
+    assert (status, [m for m in modules if m in DATACLASSES]) == (0, [])
 
 
 def test_pooled_run_loads_the_pool():
@@ -66,4 +83,4 @@ def test_pooled_run_loads_the_pool():
         "from cycledescent.verify import run_verification; "
         "status = run_verification('theorem-p', n_max=3, jobs=2).exit_code"
     )
-    assert loaded_pool_modules(call) == (0, list(POOL))
+    assert loaded_modules(call) == (0, list(POOL))

@@ -14,11 +14,11 @@ object of its domain and that the suite walks S_n once per size.
 """
 
 from collections import Counter
-from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
 
+from records import replaced
 from cycledescent import involutions as iv
 from cycledescent import perms
 from cycledescent import statpolys as sp
@@ -68,7 +68,7 @@ def phi(p):
 
 
 def swap(f, a, b):
-    return {a: replace(f(a), image=f(b).image), b: replace(f(b), image=f(a).image)}
+    return {a: replaced(f(a), image=f(b).image), b: replaced(f(b), image=f(a).image)}
 
 
 def fixed_pair(a, f):
@@ -108,22 +108,22 @@ CASES = {
     ),
     "psi-delta-2": (
         "psi-involution", "psi",
-        lambda: {A: replace(psi2(A), delta_cdes=2)},
+        lambda: {A: replaced(psi2(A), delta_cdes=2)},
         "i=2, pi=2 1 3 4 5: cdes delta 2",
     ),
     "psi-delta-0": (
         "psi-involution", "psi",
-        lambda: {A: replace(psi2(A), delta_cdes=0)},
+        lambda: {A: replaced(psi2(A), delta_cdes=0)},
         "i=2, pi=2 1 3 4 5: cdes delta 0",
     ),
     "psi-delta-sign": (
         "psi-involution", "psi",
-        lambda: {A: replace(psi2(A), delta_cdes=-psi2(A).delta_cdes)},
+        lambda: {A: replaced(psi2(A), delta_cdes=-psi2(A).delta_cdes)},
         False,
     ),
     "psi-tag": (
         "psi-involution", "psi",
-        lambda: {A: replace(psi2(A), case_tag="psi-case1")},
+        lambda: {A: replaced(psi2(A), case_tag="psi-case1")},
         "i=2, pi=2 1 3 4 5: branch psi-case1 paired with psi-case1",
     ),
     "psi-extra-fixed": (
@@ -138,7 +138,7 @@ CASES = {
     ),
     "psi-fixed-moved": (
         "psi-involution", "psi",
-        lambda: {A: replace(psi2(A), case_tag="fixed", delta_cdes=0)},
+        lambda: {A: replaced(psi2(A), case_tag="fixed", delta_cdes=0)},
         "i=2, pi=2 1 3 4 5: bad fixed point",
     ),
     "psi-fixed-delta": (
@@ -172,7 +172,7 @@ CASES = {
     ),
     "psi-out-of-family": (
         "psi-involution", "psi",
-        lambda: {A: replace(psi2(A), image=W((1, 2, 3, 4, 5)))},
+        lambda: {A: replaced(psi2(A), image=W((1, 2, 3, 4, 5)))},
         None,
     ),
     "varphi-swap": (
@@ -182,7 +182,7 @@ CASES = {
     ),
     "varphi-delta-2": (
         "varphi-involution", "varphi",
-        lambda: {D: replace(varphi2(D), delta_cdes=2)},
+        lambda: {D: replaced(varphi2(D), delta_cdes=2)},
         "i=2, pi=2 1 4 5 3: cdes delta 2",
     ),
     "varphi-exc": (
@@ -196,12 +196,12 @@ CASES = {
     ),
     "varphi-delta-sign": (
         "varphi-involution", "varphi",
-        lambda: {D: replace(varphi2(D), delta_cdes=-varphi2(D).delta_cdes)},
+        lambda: {D: replaced(varphi2(D), delta_cdes=-varphi2(D).delta_cdes)},
         False,
     ),
     "varphi-tag": (
         "varphi-involution", "varphi",
-        lambda: {D: replace(varphi2(D), case_tag="varphi-split")},
+        lambda: {D: replaced(varphi2(D), case_tag="varphi-split")},
         "i=2, pi=2 1 4 5 3: branch pairing broken",
     ),
     "varphi-extra-fixed": (
@@ -236,12 +236,12 @@ CASES = {
     ),
     "varphi-not-derangement": (
         "varphi-involution", "varphi",
-        lambda: {D: replace(varphi2(D), image=W((2, 1, 3, 4, 5)))},
+        lambda: {D: replaced(varphi2(D), image=W((2, 1, 3, 4, 5)))},
         None,
     ),
     "varphi-1-elsewhere": (
         "varphi-involution", "varphi",
-        lambda: {D: replace(varphi2(D), image=W((5, 4, 1, 2, 3)))},
+        lambda: {D: replaced(varphi2(D), image=W((5, 4, 1, 2, 3)))},
         None,
     ),
     "phi-swap": (
@@ -251,37 +251,37 @@ CASES = {
     ),
     "phi-hat": (
         "phi-preservation", "phi_map",
-        lambda: {PA: replace(phi(PA), image=PC)},
+        lambda: {PA: replaced(phi(PA), image=PC)},
         "pi=1 2 5 3 4: flattened word changed",
     ),
     "phi-exc": (
         "phi-preservation", "phi_map",
-        lambda: {PA: replace(phi(PA), image=SAME_HAT)},
+        lambda: {PA: replaced(phi(PA), image=SAME_HAT)},
         "pi=1 2 5 3 4: excedances changed",
     ),
     "phi-delta-2": (
         "phi-preservation", "phi_map",
-        lambda: {PA: replace(phi(PA), delta_cdes=2)},
+        lambda: {PA: replaced(phi(PA), delta_cdes=2)},
         "pi=1 2 5 3 4: cdes delta 2",
     ),
     "phi-delta-sign": (
         "phi-preservation", "phi_map",
-        lambda: {PA: replace(phi(PA), delta_cdes=1)},
+        lambda: {PA: replaced(phi(PA), delta_cdes=1)},
         False,
     ),
     "phi-tag": (
         "phi-preservation", "phi_map",
-        lambda: {PA: replace(phi(PA), case_tag="phi-merge")},
+        lambda: {PA: replaced(phi(PA), case_tag="phi-merge")},
         "pi=1 2 5 3 4: split/merge pairing broken",
     ),
     "phi-self": (
         "phi-preservation", "phi_map",
-        lambda: {PA: replace(phi(PA), image=PA)},
+        lambda: {PA: replaced(phi(PA), image=PA)},
         "pi=1 2 5 3 4: split/merge pairing broken",
     ),
     "phi-wrong-size": (
         "phi-preservation", "phi_map",
-        lambda: {PA: replace(phi(PA), image=W((1, 2, 4, 3)))},
+        lambda: {PA: replaced(phi(PA), image=W((1, 2, 4, 3)))},
         "pi=1 2 5 3 4: flattened word changed",
     ),
 }
@@ -340,7 +340,7 @@ def test_psi_image_that_is_no_permutation(monkeypatch):
     # would pass
     bad = Permutation._trusted((5, 1, 4, 5, 1))
     assert psi2(A).image == W((5, 1, 3, 4, 2))
-    _patch(monkeypatch, "psi", {A: replace(psi2(A), image=bad)})
+    _patch(monkeypatch, "psi", {A: replaced(psi2(A), image=bad)})
     assert fold("psi-involution", N) == "i=2, pi=2 1 3 4 5: not an involution"
 
 
