@@ -6,15 +6,16 @@ order, and writes its own ``__init__``; these bases give it what a
 dataclass would: a repr of its fields, ``==`` (same class, equal fields)
 and pickling by a call of the constructor.  A frozen class refuses
 assignment and deletion with an ``AttributeError`` and hashes as the tuple
-of its fields; the others are unhashable.  The package does not use
-``dataclasses``: it loads ``inspect`` and ``ast``, and it compiles each
-class's methods at import, which together took about a third of a one-shot
-CLI call's import.
+of its fields; the others are unhashable.  A class keeps its fields in
+``__slots__``, unless it caches values in an instance ``__dict__``.  The
+package does not use ``dataclasses``: it loads ``inspect`` and ``ast``, and
+it compiles each class's methods at import, which together took about a
+quarter of a one-shot CLI call's import.
 """
 
 from __future__ import annotations
 
-__all__ = ["Record", "FrozenRecord", "Frozen", "set_field"]
+__all__ = ["Record", "FrozenRecord", "set_field"]
 
 # how a frozen class's own code writes a field
 set_field = object.__setattr__
@@ -42,22 +43,18 @@ class Record:
         return self.__class__, self._fields()
 
 
-class Frozen:
-    """Refuses assignment and deletion, as a frozen dataclass does."""
+class FrozenRecord(Record):
+    """A record hashed as the tuple of its fields, which refuses assignment
+    and deletion as a frozen dataclass does; its own code writes a field
+    with ``set_field``."""
 
     __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class FrozenRecord(Frozen, Record):
-    """A frozen record, hashed as the tuple of its fields."""
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())

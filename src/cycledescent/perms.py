@@ -22,7 +22,7 @@ import itertools
 import re
 from typing import Iterable, Iterator, Sequence
 
-from ._records import Frozen, FrozenRecord, set_field
+from ._records import FrozenRecord, set_field
 
 __all__ = [
     "Permutation",
@@ -70,7 +70,7 @@ class _Derived:
         return cache[self.name]
 
 
-class Permutation(Frozen):
+class Permutation(FrozenRecord):
     """A permutation of [n] in one-line notation; ``word[i-1] = pi(i)``.
 
     The public constructor validates its word.  Code in this package that
@@ -78,8 +78,8 @@ class Permutation(Frozen):
     :meth:`_trusted` instead.  The standard cycles, the statistics, the
     flattening and the last top-descent are computed together by one cycle
     walk on first use of any of them and cached in the instance
-    ``__dict__``, beside ``word``; the cache takes no part in equality,
-    hashing, ``repr`` or pickling.  Frozen: its hash is that of ``(word,)``.
+    ``__dict__``; the cache takes no part in equality, hashing, ``repr`` or
+    pickling.
     """
 
     __match_args__ = ("word",)
@@ -104,17 +104,6 @@ class Permutation(Frozen):
         p = object.__new__(cls)
         set_field(p, "word", word)
         return p
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.word == other.word
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.word,))
-
-    def __getstate__(self) -> dict:
-        return {"word": self.word}
 
     @property
     def n(self) -> int:
