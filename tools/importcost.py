@@ -8,21 +8,21 @@ each package import by run.py's reference time over the reference import
 timed just before it.  The package is copied to a temporary directory with
 no ``__pycache__`` and every child runs with ``PYTHONDONTWRITEBYTECODE=1``,
 so each import compiles the package as in a fresh checkout.  A third
-interpreter per round runs the import under ``-X importtime``.  It prints:
+interpreter per round runs the import under ``-X importtime``.  Over
+``PAIRS`` rounds it prints:
 
 - the median raw and scaled import time;
 - the median self time of each module the import loads, largest first,
   with the package's and the standard library's totals;
 - the standard-library modules the import loads.
 
-    python tools/importcost.py [--pairs N] [--top K]
+    python tools/importcost.py
 
 Standard library only.  Not run by CI: the figures depend on the host.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import statistics as st
@@ -37,6 +37,7 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 from run import IMPORT_SNIPPET, REFERENCE_IMPORT, REFERENCE_IMPORT_S  # noqa: E402
 
 PACKAGE_IMPORT = "cycledescent, cycledescent.cli"
+PAIRS = 9  # rounds of fresh interpreters
 
 
 def child(args: list[str], src: str) -> subprocess.CompletedProcess:
@@ -72,11 +73,7 @@ def self_times(src: str) -> dict[str, int]:
     return times
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--pairs", type=int, default=11, help="rounds of fresh interpreters")
-    parser.add_argument("--top", type=int, default=25, help="modules listed by self time")
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(
             ROOT / "src" / "cycledescent",
@@ -85,7 +82,7 @@ def main(argv: list[str]) -> int:
         )
         timed(REFERENCE_IMPORT, tmp)  # warm the file cache
         raw, scaled, reference, selves = [], [], [], []
-        for _ in range(args.pairs):
+        for _ in range(PAIRS):
             reference_s = timed(REFERENCE_IMPORT, tmp)
             seconds = timed(PACKAGE_IMPORT, tmp)
             reference.append(reference_s)
@@ -94,7 +91,7 @@ def main(argv: list[str]) -> int:
             selves.append(self_times(tmp))
     print(
         f"import {PACKAGE_IMPORT}: median raw {st.median(raw):.4f} s,"
-        f" scaled {st.median(scaled):.4f} s over {args.pairs} pairs"
+        f" scaled {st.median(scaled):.4f} s over {PAIRS} pairs"
         f" (reference import median {st.median(reference):.4f} s)"
     )
     names = {name for times in selves for name in times}
@@ -103,12 +100,12 @@ def main(argv: list[str]) -> int:
     stdlib = sorted(names - ours)
     for label, group in (("package", ours), ("standard library", stdlib)):
         print(f"self time, {label}: {sum(median_us[name] for name in group) / 1000:.1f} ms")
-    print(f"median self time per module (us), largest {args.top}:")
-    for name in sorted(names, key=lambda name: -median_us[name])[: args.top]:
+    print("median self time per module (us):")
+    for name in sorted(names, key=lambda name: -median_us[name]):
         print(f"{median_us[name]:>9.0f}  {name}")
     print(f"standard-library modules loaded ({len(stdlib)}): {', '.join(stdlib)}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
