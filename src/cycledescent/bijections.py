@@ -24,7 +24,10 @@ standard cycles (one cycle for theta) and a negative set and give a
 partner list, and ``_gamma_inv_core``/``_theta_inv_core`` give them back
 from a partner list.  The public maps are for input from outside; the
 bijection walks of ``verify``, which build their inputs themselves, call
-the cores.
+the cores.  Likewise ``enumerate_negative_cdes`` wraps a core stream,
+``_negative_cdes_core``, that gives each permutation as a word, its
+standard cycles and fixed points and the negative sets that sign it, and
+the signed walk reads that stream.
 
 Notation: ``(1+ 6- 4- 3+ 2+ 8- 7- 5+)`` writes a signed cycle; an omitted
 sign means +.
@@ -32,6 +35,7 @@ sign means +.
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterator, Sequence
 
 from ._records import FrozenRecord, set_field
@@ -39,8 +43,9 @@ from .caps import check_cap
 from .matchings import PerfectMatching, is_callan
 from .perms import (
     Permutation,
+    Word,
     _parse_form,
-    enumerate_permutations,
+    _walk_word,
     permutation_from_cycles,
     standard_cycles,
     statistics,
@@ -71,9 +76,10 @@ class SignedPermutation(FrozenRecord):
     with :meth:`_trusted` instead: :func:`enumerate_negative_cdes`, whose
     signs are cycle descents, and :func:`gamma_inv`/:func:`theta_inv`,
     whose signs their cores read off the slots of a support checked to be
-    1..n.  The cores themselves build no signed permutation: the walks of
-    ``verify`` compare what they give with the standard cycles and ``neg``
-    of the enumerated objects.
+    1..n, and ``verify``, which wraps a word and a negative set of the
+    core stream only to name a witness.  The cores themselves build no
+    signed permutation: the walks of ``verify`` compare what they give
+    with the standard cycles and negative sets of that stream.
     """
 
     __slots__ = __match_args__ = ("perm", "neg")
@@ -123,6 +129,34 @@ def is_negative_cdes(sp: SignedPermutation) -> bool:
     return sp.neg <= statistics(sp.perm).cdes_set
 
 
+def _negative_cdes_core(
+    n: int, flt: str = "all"
+) -> Iterator[tuple[Word, tuple[Word, ...], int, list[frozenset[int]]]]:
+    """The objects of :func:`enumerate_negative_cdes` as plain data, one
+    permutation at a time, in its order and with its refusals.
+
+    Each item is a word, its standard cycles and fixed-point count from one
+    ``_walk_word``, and the negative sets that sign it, in the order of the
+    stream.  ``enumerate_negative_cdes`` wraps each pair of word and set in
+    a ``SignedPermutation``; the signed walk of ``verify`` reads them as
+    they are.
+    """
+    if flt not in ("all", "derangement"):
+        raise ValueError(f"unknown filter: {flt!r}")
+    check_cap("signed enumeration", n)
+    derangements = flt == "derangement"
+    for word in permutations(range(1, n + 1)):
+        cycles, _, fix, cdes, _, _ = _walk_word(word)
+        if fix and derangements:
+            continue
+        # doubling over the sorted descents: subset k holds descent j
+        # exactly when bit j of k is set
+        subsets = [frozenset()]
+        for d in sorted(cdes):
+            subsets += [s | {d} for s in subsets]
+        yield word, cycles, fix, subsets
+
+
 def enumerate_negative_cdes(
     n: int, flt: str = "all"
 ) -> Iterator[SignedPermutation]:
@@ -132,16 +166,8 @@ def enumerate_negative_cdes(
     lexicographic order; for each, sign subsets count up in binary over
     the sorted descent values.
     """
-    if flt not in ("all", "derangement"):
-        raise ValueError(f"unknown filter: {flt!r}")
-    check_cap("signed enumeration", n)
-    family = "derangements" if flt == "derangement" else "all"
-    for p in enumerate_permutations(family, n):
-        # doubling over the sorted descents: subset k holds descent j
-        # exactly when bit j of k is set
-        subsets = [frozenset()]
-        for d in sorted(statistics(p).cdes_set):
-            subsets += [s | {d} for s in subsets]
+    for word, _, _, subsets in _negative_cdes_core(n, flt):
+        p = Permutation._trusted(word)
         for chosen in subsets:
             yield SignedPermutation._trusted(p, chosen)
 

@@ -243,13 +243,18 @@ def _component_walks(m: PerfectMatching) -> Iterator[tuple[int, list[int]]]:
             yield start, keys
 
 
-def match_stats(m: PerfectMatching) -> MatchStats:
+def _match_stats_core(partner: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """(arc, up, down, ver, com) of the matching with partner list ``partner``.
+
+    :func:`match_stats` wraps this in a ``MatchStats``; the bijection walks
+    of ``verify``, which hold partner lists and no matchings, call it
+    directly.
+    """
     # every edge between the rows has one bottom end, an even key k: its
     # partner q is a bottom key (an arc) or a top key, q = k + 1 for a
     # vertical, larger for an upline, smaller for a downline; the vertices
     # that no such edge covers pair up in arcs, as many in each row
     up = down = ver = 0
-    partner = m.partner
     n = (len(partner) >> 1) - 1  # a partner list holds 2n + 2 keys
     for k in range(2, len(partner), 2):
         q = partner[k]
@@ -271,7 +276,11 @@ def match_stats(m: PerfectMatching) -> MatchStats:
             while (key := partner[out]) != close:
                 seen[key >> 1] = True
                 out = key ^ 1
-    return MatchStats(arc=n - up - down - ver, up=up, down=down, ver=ver, com=com)
+    return n - up - down - ver, up, down, ver, com
+
+
+def match_stats(m: PerfectMatching) -> MatchStats:
+    return MatchStats(*_match_stats_core(m.partner))
 
 
 def is_callan(m: PerfectMatching) -> bool:
@@ -304,20 +313,19 @@ _REFUSED = {"all": (), "callan": ("upline",), "callan_no_vertical": ("upline", "
 MATCHING_FILTERS = tuple(_REFUSED)
 
 
-def enumerate_matchings(n: int, flt: str = "all") -> Iterator[PerfectMatching]:
-    """Stream the perfect matchings of {1..n} x {0, 1}, deterministically.
+def _matchings_core(n: int, flt: str = "all") -> Iterator[tuple[int, ...]]:
+    """The partner lists of the matchings of :func:`enumerate_matchings`,
+    in its order, each a fresh tuple of 2n + 2 keys on the support 1..n.
 
-    The generator always pairs the smallest uncovered vertex, so the
-    output order is lexicographic in the sequence of partner choices.
-    The ``callan`` filter prunes on the first upline, ``callan_no_vertical``
-    additionally on verticals; growth is (2n-1)!! unfiltered.
+    The arguments are checked when it is called, before the stream starts.
+    ``enumerate_matchings`` wraps each partner list in a ``PerfectMatching``;
+    the Callan walk of ``verify`` reads them as they are.
     """
     if flt not in MATCHING_FILTERS:
         raise ValueError(f"unknown filter: {flt!r}")
     if n < 0:
         raise ValueError("negative size")
     check_cap("matching enumeration", n)
-    support = tuple(range(1, n + 1))
     refused = _REFUSED[flt]
     # an even key a and an odd key b > a make a vertical when b = a + 1 and
     # an upline when b > a + 1; from an even a, the filter refuses the odd
@@ -326,9 +334,9 @@ def enumerate_matchings(n: int, flt: str = "all") -> Iterator[PerfectMatching]:
     # every path to a leaf writes every key, so no choice needs undoing
     partner = [0] * (2 * n + 2)
 
-    def rec(free: tuple[int, ...]) -> Iterator[PerfectMatching]:
+    def rec(free: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if not free:
-            yield PerfectMatching(support=support, partner=tuple(partner))
+            yield tuple(partner)
             return
         a = free[0]
         refuse_from = 2 * n + 2 if a & 1 else a + gap  # an odd a makes arcs and downlines
@@ -339,7 +347,21 @@ def enumerate_matchings(n: int, flt: str = "all") -> Iterator[PerfectMatching]:
             partner[a], partner[b] = b, a
             yield from rec(free[1:k] + free[k + 1 :])
 
-    yield from rec(tuple(range(2, 2 * n + 2)))
+    return rec(tuple(range(2, 2 * n + 2)))
+
+
+def enumerate_matchings(n: int, flt: str = "all") -> Iterator[PerfectMatching]:
+    """Stream the perfect matchings of {1..n} x {0, 1}, deterministically.
+
+    The generator always pairs the smallest uncovered vertex, so the
+    output order is lexicographic in the sequence of partner choices.
+    The ``callan`` filter prunes on the first upline, ``callan_no_vertical``
+    additionally on verticals; growth is (2n-1)!! unfiltered.
+    """
+    partners = _matchings_core(n, flt)
+    support = tuple(range(1, n + 1))
+    for partner in partners:
+        yield PerfectMatching(support=support, partner=partner)
 
 
 def matching_to_json_dict(m: PerfectMatching) -> dict:

@@ -86,6 +86,11 @@ class MultiPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
+    def __reduce__(self) -> tuple:
+        # a constructor call on the term dict pickles under every protocol;
+        # the default reads no state from a class with __slots__ below 2
+        return type(self), (self._terms,)
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":

@@ -38,7 +38,7 @@ from . import perms
 from . import statpolys as sp
 from ._records import FrozenRecord, Record, set_field
 from .caps import CAPS
-from .perms import Permutation, enumerate_permutations, standard_cycles, statistics
+from .perms import Permutation, enumerate_permutations
 from .poly import MultiPoly
 
 __all__ = [
@@ -469,35 +469,40 @@ def _fold_phi_preservation(n: int, w: _PermWalk) -> str | None:
 # ---------------------------------------------------------------------------
 # Bijection checks from two walks per size.
 #
-# Both walks call the trusted cores of the maps in ``bijections``, which
-# read and give plain data (standard cycles and a negative set, or a
-# partner list) and skip the validation the public maps keep for outside
-# input.  ``_walk_signed(n)`` walks the negative cdes permutations of size
-# n once: for every object it runs the gamma core on the cached standard
-# cycles, the inverse core on the image and match_stats of the image, and
-# for every cyclic object the theta core and its inverse.  On a cyclic
-# object theta's partner list is gamma's, so the per-cycle downline form
-# reads the match_stats of the gamma image; only a theta image that
-# differs from it is measured again.  The cores write each cycle's edges,
-# and unfold each component, in one pass.  A forward trip holds when the
-# inverse core gives back the object's cycles and negative set.
-# ``_walk_callan(n)`` walks the Callan matchings of size n once and runs
-# the reverse round trip on its own: it unfolds each partner list and
-# checks that the gamma core rebuilds it.  Each trip is compared with the
-# enumerated object, so no permutation is rebuilt from cycles, and cycles
-# that cover no permutation are a failed trip, not bad input.  A walk
-# keeps counts, the first failure of each law it reads and, up to
-# ``CAPS["image sets"]``, its image or target sets in the form of
-# ``_exact``, cheap to send.  Each bijection check is a fold of its
-# outcome off the two walks.
+# Both walks read plain data from start to end and call the trusted cores
+# of ``bijections`` and ``matchings``, which read and give plain data
+# (standard cycles and a negative set, a partner list, or the edge counts
+# of one) and skip the validation the public maps keep for outside input.
+# No ``SignedPermutation``, ``PerfectMatching`` or ``MatchStats`` is built
+# for an object; one is built only to word a failure or the downline note.
+# ``_walk_signed(n)`` walks the core stream of the negative cdes
+# permutations of size n once, which gives each word with its standard
+# cycles, its fixed points and the negative sets that sign it: for every
+# signed object it runs the gamma core, the inverse core on the image and
+# the statistics core on the image, and for every cyclic object the theta
+# core and its inverse.  On a cyclic object theta's partner list is
+# gamma's, so the per-cycle downline form reads the statistics of the
+# gamma image; only a theta image that differs from it is measured again.
+# The cores write each cycle's edges, and unfold each component, in one
+# pass.  A forward trip holds when the inverse core gives back the
+# object's cycles and negative set.  ``_walk_callan(n)`` walks the partner
+# lists of the Callan matchings of size n once and runs the reverse round
+# trip on its own: it unfolds each partner list and checks that the gamma
+# core rebuilds it.  Each trip is compared with the enumerated object, so
+# no permutation is rebuilt from cycles, and cycles that cover no
+# permutation are a failed trip, not bad input.  A walk keeps counts, the
+# first failure of each law it reads and, up to ``CAPS["image sets"]``, its
+# image or target sets in the form of ``_exact``, cheap to send.  Each
+# bijection check is a fold of its outcome off the two walks.
 
 _IMAGE_CHECKS = ("gamma-image", "theta-image", "derangement-restriction")
 
 
-def _key(m: mt.PerfectMatching) -> bytes:
-    """The partner of the first vertex of each edge of m, in key order: n
-    bytes that tell m from every other matching on its support."""
-    return bytes(q for k, q in enumerate(m.partner) if k < q)
+def _key(partner: tuple[int, ...]) -> bytes:
+    """The partner of the first vertex of each edge of a matching of 1..n,
+    read off its partner list, in key order: n bytes that tell it from
+    every other matching of 1..n."""
+    return bytes(q for k, q in enumerate(partner) if k < q)
 
 
 def _exact(keys: set[bytes]) -> bytes:
@@ -522,55 +527,65 @@ class _CallanWalk:
         self.targets: dict[str, bytes] = {}  # image check id -> target set, up to the cap
 
 
-def _matching(partner: tuple[int, ...]) -> mt.PerfectMatching:
-    """The matching of 1..n with a partner list of 2n + 2 keys that a core built."""
-    return mt.PerfectMatching(support=tuple(range(1, len(partner) >> 1)), partner=partner)
+def _signed(word: tuple[int, ...], neg: frozenset[int]) -> bj.SignedPermutation:
+    """The signed object of a word and a negative set; used only to name a
+    witness."""
+    return bj.SignedPermutation._trusted(Permutation._trusted(word), neg)
 
 
 def _walk_signed(n: int) -> _SignedWalk:
     w = _SignedWalk()
     first = w.first
     images = {c: set() for c in _IMAGE_CHECKS} if n <= CAPS["image sets"] else {}
-    for s in bj.enumerate_negative_cdes(n):
-        # cached on the Permutation its sign sets share
-        pstats, cycles = statistics(s.perm), standard_cycles(s.perm).cycles
-        w.count += 1
-        m = _matching(bj._gamma_core(cycles, s.neg, n))
-        if bj._gamma_inv_core(m.partner) != (cycles, s.neg):
-            first.setdefault("gamma-roundtrip", f"round trip broke at {s}")
-        stats = mt.match_stats(m)
-        if stats.com != pstats.cyc or stats.ver != pstats.fix:
-            first.setdefault("statistic-transport", (
-                f"{s}: com={stats.com} cyc={pstats.cyc}"
-                f" ver={stats.ver} fix={pstats.fix}"
-            ))
-        if stats.down == len(s.neg) + (0 if m.partner[3] & 1 else 1):  # key 3 is (1, 1)
-            w.holds += 1
-        else:
-            w.cyclic_fails += pstats.cyc == 1
-            if "downline-global-report" not in first:
-                first["downline-global-report"] = str(s)
-        if pstats.cyc == 1:
-            w.cyclic += 1
-            t = _matching(bj._theta_core(cycles[0], s.neg))
-            if bj._theta_inv_core(t.partner) != (cycles[0], s.neg):
-                first.setdefault("theta-roundtrip", f"round trip broke at {s}")
-            # theta and gamma agree on a cyclic object, so its theta image is
-            # measured again only when the two cores disagree
-            down = stats.down if t.partner == m.partner else mt.match_stats(t).down
-            bump = 1 if mt._edge_kind(3, t.partner[3]) == "downline" else 0  # key 3 is (1, 1)
-            if down != len(s.neg) + bump:
-                first.setdefault(
-                    "downline-per-cycle", f"{s}: down={down}, neg={len(s.neg)}, bump={bump}"
-                )
+    # read off their modules once per walk, so that a test can patch them
+    stream, stats_of = bj._negative_cdes_core, mt._match_stats_core
+    gamma, gamma_inv = bj._gamma_core, bj._gamma_inv_core
+    theta, theta_inv = bj._theta_core, bj._theta_inv_core
+    for word, cycles, fix, negs in stream(n):
+        cyc = len(cycles)
+        w.count += len(negs)
+        if cyc == 1:
+            w.cyclic += len(negs)
+        if not fix:
+            w.derangements += len(negs)
+        for neg in negs:
+            partner = gamma(cycles, neg, n)
+            if gamma_inv(partner) != (cycles, neg):
+                first.setdefault("gamma-roundtrip", f"round trip broke at {_signed(word, neg)}")
+            _, _, down, ver, com = stats_of(partner)
+            if com != cyc or ver != fix:
+                first.setdefault("statistic-transport", (
+                    f"{_signed(word, neg)}: com={com} cyc={cyc} ver={ver} fix={fix}"
+                ))
+            if down == len(neg) + (0 if partner[3] & 1 else 1):  # key 3 is (1, 1)
+                w.holds += 1
+            else:
+                w.cyclic_fails += cyc == 1
+                if "downline-global-report" not in first:
+                    first["downline-global-report"] = str(_signed(word, neg))
+            if cyc == 1:
+                t = theta(cycles[0], neg)
+                if theta_inv(t) != (cycles[0], neg):
+                    first.setdefault(
+                        "theta-roundtrip", f"round trip broke at {_signed(word, neg)}"
+                    )
+                # theta and gamma agree on a cyclic object, so its theta image is
+                # measured again only when the two cores disagree
+                if t != partner:
+                    down = stats_of(t)[2]
+                bump = 1 if mt._edge_kind(3, t[3]) == "downline" else 0  # key 3 is (1, 1)
+                if down != len(neg) + bump:
+                    first.setdefault(
+                        "downline-per-cycle",
+                        f"{_signed(word, neg)}: down={down}, neg={len(neg)}, bump={bump}",
+                    )
+                if images:
+                    images["theta-image"].add(_key(t))
             if images:
-                images["theta-image"].add(_key(t))
-        w.derangements += pstats.fix == 0
-        if images:
-            key = _key(m)
-            images["gamma-image"].add(key)
-            if pstats.fix == 0:
-                images["derangement-restriction"].add(key)
+                key = _key(partner)
+                images["gamma-image"].add(key)
+                if not fix:
+                    images["derangement-restriction"].add(key)
     w.images = {c: _exact(keys) for c, keys in images.items()}
     return w
 
@@ -578,18 +593,22 @@ def _walk_signed(n: int) -> _SignedWalk:
 def _walk_callan(n: int) -> _CallanWalk:
     w = _CallanWalk()
     targets = {c: set() for c in _IMAGE_CHECKS} if n <= CAPS["image sets"] else {}
-    for m in mt.enumerate_matchings(n, "callan"):
+    # read off their modules once per walk, so that a test can patch them
+    stream, stats_of = mt._matchings_core, mt._match_stats_core
+    gamma, gamma_inv = bj._gamma_core, bj._gamma_inv_core
+    for partner in stream(n, "callan"):
         w.count += 1
         # (i, 0)-(i, 1) is a vertical: key 2i partnered with key 2i + 1
-        vertical_free = all(m.partner[k] != k + 1 for k in range(2, 2 * n + 2, 2))
+        vertical_free = all(partner[k] != k + 1 for k in range(2, 2 * n + 2, 2))
         w.no_vertical += vertical_free
-        cycles, neg = bj._gamma_inv_core(m.partner)
-        if bj._gamma_core(cycles, neg, n) != m.partner and w.reverse_trip is None:
+        cycles, neg = gamma_inv(partner)
+        if gamma(cycles, neg, n) != partner and w.reverse_trip is None:
+            m = mt.PerfectMatching(support=tuple(range(1, n + 1)), partner=partner)
             w.reverse_trip = f"reverse round trip broke at {m}"
         if targets:
-            key = _key(m)
+            key = _key(partner)
             targets["gamma-image"].add(key)
-            if mt.match_stats(m).com == 1:
+            if stats_of(partner)[4] == 1:
                 targets["theta-image"].add(key)
             if vertical_free:
                 targets["derangement-restriction"].add(key)

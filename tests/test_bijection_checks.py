@@ -1,9 +1,10 @@
 """Fault injection into the ten ``bijections`` checks of ``verify``.
 
-Each case replaces one fast path (``klazar_count``, ``b20_count``,
-``match_stats``, the component unfold ``_unfold``, the stream of signed
-objects, or a core of ``gamma``, ``theta``, ``gamma_inv`` or ``theta_inv``,
-which the walks call in place of the validating public maps) by one that is wrong at a chosen object, runs
+Each case replaces one fast path (``klazar_count``, ``b20_count``, the
+core of ``match_stats``, the component unfold ``_unfold``, the core stream
+of signed objects, or a core of ``gamma``, ``theta``, ``gamma_inv`` or
+``theta_inv``, which the walks call in place of the validating public maps
+and the object streams) by one that is wrong at a chosen object, runs
 ``verify bijections --n-max 3`` through the CLI and compares every failure
 it reports, and the downline note at n = 3, with recorded texts.  The
 texts print signed permutations and matchings, so they also pin ``str`` of
@@ -14,7 +15,6 @@ import json
 
 import pytest
 
-from records import replaced
 from cycledescent import bijections as bj
 from cycledescent import matchings as mt
 from cycledescent import statpolys as sp
@@ -30,10 +30,11 @@ REAL = {
     "_gamma_inv_core": bj._gamma_inv_core,
     "_theta_inv_core": bj._theta_inv_core,
     "_unfold": bj._unfold,
-    "match_stats": mt.match_stats,
-    "enumerate_negative_cdes": bj.enumerate_negative_cdes,
+    "_match_stats_core": mt._match_stats_core,
+    "_negative_cdes_core": bj._negative_cdes_core,
 }
-HOME = {"klazar_count": sp, "b20_count": sp, "match_stats": mt}
+HOME = {"klazar_count": sp, "b20_count": sp, "_match_stats_core": mt}
+STATS = ("arc", "up", "down", "ver", "com")  # the fields the stats core gives, in order
 
 P = bj.parse_signed
 S0, S1, S2 = P("(1+ 2+ 3+)"), P("(1+ 3+ 2+)"), P("(1+ 3- 2+)")
@@ -97,24 +98,25 @@ def repeat_in_3_cycles():
 
 
 def bump_stat(field, n):
-    real = REAL["match_stats"]
+    """The stats core counts one more of ``field`` on every matching of size n."""
+    real, j = REAL["_match_stats_core"], STATS.index(field)
 
-    def fake(m):
-        out = real(m)
-        return replaced(out, **{field: getattr(out, field) + 1}) if m.n == n else out
+    def fake(partner):
+        out = real(partner)
+        return out[:j] + (out[j] + 1,) + out[j + 1 :] if len(partner) == 2 * n + 2 else out
 
     return fake
 
 
 def repeat_a_derangement(s0):
-    """The stream of signed objects gives s0 twice."""
-    real = REAL["enumerate_negative_cdes"]
+    """The core stream of signed objects gives s0 twice."""
+    real = REAL["_negative_cdes_core"]
 
     def fake(n, flt="all"):
-        for s in real(n, flt):
-            yield s
-            if s == s0:
-                yield s
+        for word, cycles, fix, negs in real(n, flt):
+            if word == s0.perm.word:
+                negs = [x for neg in negs for x in ([neg, neg] if neg == s0.neg else [neg])]
+            yield word, cycles, fix, negs
 
     return fake
 
@@ -193,7 +195,7 @@ CASES = {
         None,
     ),
     "match-stats-com": (
-        "match_stats", lambda: bump_stat("com", 2),
+        "_match_stats_core", lambda: bump_stat("com", 2),
         [
             ("theta-image", 2, "image has 1 matchings, target 0"),
             ("statistic-transport", 2, "(1+)(2+): com=3 cyc=2 ver=2 fix=2"),
@@ -201,21 +203,21 @@ CASES = {
         None,
     ),
     "match-stats-down": (
-        "match_stats", lambda: bump_stat("down", 3),
+        "_match_stats_core", lambda: bump_stat("down", 3),
         [("downline-per-cycle", 3, "(1+ 2+ 3+): down=2, neg=0, bump=1")],
         "row-of-partner form holds for 2/7 signed permutations;"
         " 3 failing inputs are cyclic; first failure (1+ 2+)(3+)",
     ),
     # the fixed points of pi go to the vertical edges of gamma(pi)
     "match-stats-ver": (
-        "match_stats", lambda: bump_stat("ver", 2),
+        "_match_stats_core", lambda: bump_stat("ver", 2),
         [("statistic-transport", 2, "(1+)(2+): com=2 cyc=2 ver=3 fix=2")],
         None,
     ),
     # one derangement twice: its image is not new, so the image set still
     # equals the target set, and only the count of inputs shows the fault
     "derangement-given-twice": (
-        "enumerate_negative_cdes", lambda: repeat_a_derangement(S2),
+        "_negative_cdes_core", lambda: repeat_a_derangement(S2),
         [
             ("count-callan", 3, "matchings 7, recurrence 7, signed perms 8"),
             ("count-callan-no-vertical", 3, "matchings 3, recurrence 3, signed perms 4"),

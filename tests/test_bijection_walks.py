@@ -21,7 +21,7 @@ from cycledescent.verify import run_verification
 
 def test_each_stream_is_walked_once_per_size(monkeypatch):
     real_signed, real_matchings, real_gamma = (
-        bj.enumerate_negative_cdes, mt.enumerate_matchings, bj._gamma_core
+        bj._negative_cdes_core, mt._matchings_core, bj._gamma_core
     )
     signed, matchings, images = [], [], []
 
@@ -37,14 +37,14 @@ def test_each_stream_is_walked_once_per_size(monkeypatch):
         images.append((cycles, neg))
         return real_gamma(cycles, neg, n)
 
-    monkeypatch.setattr(bj, "enumerate_negative_cdes", walk_signed)
-    monkeypatch.setattr(mt, "enumerate_matchings", walk_matchings)
+    monkeypatch.setattr(bj, "_negative_cdes_core", walk_signed)
+    monkeypatch.setattr(mt, "_matchings_core", walk_matchings)
     monkeypatch.setattr(bj, "_gamma_core", gamma_core)
     summary = run_verification("bijections", n_max=6)
     assert summary.exit_code == 0
     assert sorted(signed) == [(n, "all") for n in range(1, 7)]
     assert sorted(matchings) == [(n, "callan") for n in range(1, 7)]
-    objects = sum(1 for n in range(1, 7) for _ in real_signed(n))
+    objects = sum(len(negs) for n in range(1, 7) for *_, negs in real_signed(n))
     callan = sum(1 for n in range(1, 7) for _ in real_matchings(n, "callan"))
     assert len(images) == objects + callan
 
@@ -81,13 +81,13 @@ def test_perm_walk_sends_no_permutations(n):
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 15), (4, 105), (5, 945)])
 def test_key_tells_every_matching_apart(n, count):
-    keys = {verify._key(m) for m in mt.enumerate_matchings(n)}
+    keys = {verify._key(m.partner) for m in mt.enumerate_matchings(n)}
     assert len(keys) == count and {len(key) for key in keys} == {n}
 
 
 def test_exact_form_is_the_set():
-    everything = [verify._key(m) for m in mt.enumerate_matchings(4)]
-    callan = [verify._key(m) for m in mt.enumerate_matchings(4, "callan")]
+    everything = [verify._key(m.partner) for m in mt.enumerate_matchings(4)]
+    callan = [verify._key(m.partner) for m in mt.enumerate_matchings(4, "callan")]
     other = next(key for key in everything if key not in callan)
     shuffled = callan * 2
     random.Random(1).shuffle(shuffled)

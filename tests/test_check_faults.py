@@ -5,17 +5,17 @@ recurrence table, the cdes recurrence, an integer count or an identity's
 right-hand side) by one that is wrong at one size, runs a suite through the
 CLI and compares every failure it reports with recorded texts.  The
 brute-force sums these checks compare against are left alone, except where
-a case breaks a brute-force sum, a fixed set, a weight or ``match_stats`` on
-purpose, to reach a return that no fast path can.  The poly-ring-axioms
-cases draw the check's random polynomials as subclasses of ``MultiPoly``
-that get one operation wrong, so no other check sees the fault.
+a case breaks a brute-force sum, a fixed set, a weight or the core of
+``match_stats`` on purpose, to reach a return that no fast path can.  The
+poly-ring-axioms cases draw the check's random polynomials as subclasses
+of ``MultiPoly`` that get one operation wrong, so no other check sees the
+fault.
 """
 
 import json
 
 import pytest
 
-from records import replaced
 from cycledescent import bijections as bj
 from cycledescent import involutions as iv
 from cycledescent import matchings as mt
@@ -34,7 +34,7 @@ REAL = {
     "statistic_poly": sp.statistic_poly,
     "_IDENTITY_SPECS": sp._IDENTITY_SPECS,
     "psi_fixed_set": iv.psi_fixed_set,
-    "match_stats": mt.match_stats,
+    "_match_stats_core": mt._match_stats_core,
     "_random_poly": verify._random_poly,
 }
 X = MultiPoly.monomial(1, ex=1)
@@ -271,16 +271,18 @@ def test_fault_is_reported_with_its_exact_text(case, monkeypatch, capsys):
 
 
 def test_downline_report_without_failures(monkeypatch, capsys):
-    # a match_stats whose downline count always fits the row-of-partner form
+    # a stats core whose downline count always fits the row-of-partner form
     # (it reads the form off gamma_inv of the matching); the per-cycle form,
-    # which reads the same match_stats on the images of theta, then fails
-    real = REAL["match_stats"]
+    # which reads the same core on the images of theta, then fails
+    real = REAL["_match_stats_core"]
 
-    def fits(m):
-        bump = 0 if m.partner[3] & 1 else 1  # key 3 is (1, 1)
-        return replaced(real(m), down=len(bj.gamma_inv(m).neg) + bump)
+    def fits(partner):
+        arc, up, _, ver, com = real(partner)
+        bump = 0 if partner[3] & 1 else 1  # key 3 is (1, 1)
+        m = mt.PerfectMatching(support=tuple(range(1, len(partner) >> 1)), partner=partner)
+        return arc, up, len(bj.gamma_inv(m).neg) + bump, ver, com
 
-    monkeypatch.setattr(mt, "match_stats", fits)
+    monkeypatch.setattr(mt, "_match_stats_core", fits)
     code = main(["verify", "bijections", "--n-max", "3", "--json"])
     data = json.loads(capsys.readouterr().out)
     assert [(f["check"], f["n"], f["witness"]) for f in data["failures"]] == [

@@ -13,7 +13,11 @@ inverses, which the ``verify`` walks call without the public maps'
 validation, give what the public maps give on every signed object and
 every Callan matching of size n; the forward cores also give what the
 naive steps 1-3 of ``matching_oracle`` give, which the public maps, calling
-those same cores, cannot show.
+those same cores, cannot show.  The core stream of signed objects gives
+each permutation's cached cycles and fixed points and every subset of its
+cycle descents, and the two bijection walks of ``verify``, which read those
+plain streams and partner lists, keep the same records as the object-based
+walks of ``walk_oracle``.
 """
 
 import json
@@ -23,10 +27,13 @@ import random
 import pytest
 
 import matching_oracle as oracle
+import walk_oracle
+from cycledescent import verify
 from cycledescent.bijections import (
     SignedPermutation,
     _gamma_core,
     _gamma_inv_core,
+    _negative_cdes_core,
     _theta_core,
     _theta_inv_core,
     enumerate_negative_cdes,
@@ -35,6 +42,7 @@ from cycledescent.bijections import (
     theta,
     theta_inv,
 )
+from cycledescent.caps import CAPS
 from cycledescent.diagrams import render_svg, render_text
 from cycledescent.matchings import (
     MATCHING_FILTERS,
@@ -48,7 +56,7 @@ from cycledescent.matchings import (
     matching_to_json_dict,
     mk_matching,
 )
-from cycledescent.perms import Permutation, standard_cycles
+from cycledescent.perms import Permutation, enumerate_permutations, standard_cycles, statistics
 
 # Tier-1 runs n <= 6 (10,395 matchings at n = 6); CI runs n = 7 (135,135)
 # as a step of its own with KERNEL_ORACLE_SIZES=7.
@@ -130,6 +138,34 @@ def test_forward_cores_match_the_naive_steps(n):
         assert _gamma_core(cycles, s.neg, n) == oracle.naive_gamma(s).partner
         if len(cycles) == 1:
             assert _theta_core(cycles[0], s.neg) == oracle.naive_theta(s).partner
+
+
+@pytest.mark.parametrize("flt", ["all", "derangement"])
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_signed_stream_core_reads_each_permutation(n, flt):
+    family = "derangements" if flt == "derangement" else "all"
+    want = []
+    for p in enumerate_permutations(family, n):
+        stats = statistics(p)
+        # every subset of the cycle descents, in the order of the stream
+        subsets = [frozenset()]
+        for d in sorted(stats.cdes_set):
+            subsets += [s | {d} for s in subsets]
+        want.append((p.word, standard_cycles(p).cycles, stats.fix, subsets))
+    assert list(_negative_cdes_core(n, flt)) == want
+
+
+# the walks read key 3, the top vertex of slot 1, so they start at n = 1
+@pytest.mark.parametrize("n", [n for n in ORACLE_SIZES if n >= 1])
+def test_walks_keep_the_records_of_the_object_walks(n):
+    signed, callan = verify._walk_signed(n), verify._walk_callan(n)
+    # every field: the counts, the first failures, the reverse trip and the
+    # image and target sets as exact bytes
+    assert vars(signed) == vars(walk_oracle.walk_signed(n))
+    assert vars(callan) == vars(walk_oracle.walk_callan(n))
+    assert set(signed.images) == set(callan.targets) == (
+        set(verify._IMAGE_CHECKS) if n <= CAPS["image sets"] else set()
+    )
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -126,3 +128,12 @@ def test_only_integers_mix_with_polynomials():
         X + "1"
     with pytest.raises(TypeError, match="cannot treat float as a polynomial"):
         X * 1.5
+
+
+@pytest.mark.parametrize("protocol", range(0, pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_round_trip_under_every_protocol(protocol):
+    for p in (ZERO, ONE, 3 * X**2 * Y - Q * T + 7, (X - Y) ** 5):
+        back = pickle.loads(pickle.dumps(p, protocol))
+        assert type(back) is MultiPoly
+        assert back == p and hash(back) == hash(p) and repr(back) == repr(p)
+        assert copy.copy(p) == p and copy.deepcopy(p) == p

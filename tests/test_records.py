@@ -195,8 +195,7 @@ def test_hash(cls):
             hash(record)
 
 
-# protocols 0 and 1 cannot pickle a ``MultiPoly``, whose state is a slot
-@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("protocol", range(0, pickle.HIGHEST_PROTOCOL + 1))
 def test_pickle_round_trip(cls, protocol):
     _, values, text, _ = RECORDS[cls]
     back = pickle.loads(pickle.dumps(build(cls, values), protocol))
