@@ -270,17 +270,23 @@ def test_fault_is_reported_with_its_exact_text(case, monkeypatch, capsys):
     assert code == 1
 
 
+def global_form_down(partner):
+    """The downline count that fits the row-of-partner form, read off
+    gamma_inv of the matching with this partner list."""
+    bump = 0 if partner[3] & 1 else 1  # key 3 is (1, 1)
+    m = mt.PerfectMatching(support=tuple(range(1, len(partner) >> 1)), partner=partner)
+    return len(bj.gamma_inv(m).neg) + bump
+
+
 def test_downline_report_without_failures(monkeypatch, capsys):
-    # a stats core whose downline count always fits the row-of-partner form
-    # (it reads the form off gamma_inv of the matching); the per-cycle form,
-    # which reads the same core on the images of theta, then fails
+    # a stats core whose downline count always fits the row-of-partner form;
+    # the per-cycle form, which reads the same core on the images of theta,
+    # then fails
     real = REAL["_match_stats_core"]
 
     def fits(partner):
         arc, up, _, ver, com = real(partner)
-        bump = 0 if partner[3] & 1 else 1  # key 3 is (1, 1)
-        m = mt.PerfectMatching(support=tuple(range(1, len(partner) >> 1)), partner=partner)
-        return arc, up, len(bj.gamma_inv(m).neg) + bump, ver, com
+        return arc, up, global_form_down(partner), ver, com
 
     monkeypatch.setattr(mt, "_match_stats_core", fits)
     code = main(["verify", "bijections", "--n-max", "3", "--json"])
@@ -294,5 +300,28 @@ def test_downline_report_without_failures(monkeypatch, capsys):
             f"row-of-partner form holds for {k}/{k} signed permutations; no failures",
         )
         for n, k in [(1, 1), (2, 2), (3, 7)]
+    ]
+    assert code == 1
+
+
+def test_downline_report_names_the_signed_object_that_fails(monkeypatch, capsys):
+    # the form fits every object but (1+ 3- 2+), the second sign set of its
+    # permutation, so the note must name that set and not the first one
+    real, odd_one = REAL["_match_stats_core"], bj.gamma(bj.parse_signed("(1+ 3- 2+)")).partner
+
+    def fits_but_one(partner):
+        arc, up, _, ver, com = real(partner)
+        return arc, up, global_form_down(partner) + (partner == odd_one), ver, com
+
+    monkeypatch.setattr(mt, "_match_stats_core", fits_but_one)
+    code = main(["verify", "bijections", "--n-max", "3", "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert [(f["check"], f["n"], f["witness"]) for f in data["failures"]] == [
+        ("downline-per-cycle", 1, "(1+): down=1, neg=0, bump=0"),
+        ("downline-per-cycle", 3, "(1+ 3- 2+): down=2, neg=1, bump=0"),
+    ]
+    assert [r["text"] for r in data["notes"] if r["n"] == 3] == [
+        "row-of-partner form holds for 6/7 signed permutations;"
+        " 1 failing inputs are cyclic; first failure (1+ 3- 2+)"
     ]
     assert code == 1
