@@ -14,7 +14,10 @@ oracle and the recurrences are the fast path checked against it.  Every
 brute-force sum reads one tally of S_n per size, keyed by (exc, fix, cyc,
 cdes, position of 1, last entry) and built by inserting 1, ..., n into the
 cycle form, which reaches every permutation of [n] and reads each key off
-the insertion in O(1).
+the insertion in O(1).  Each public sum checks its arguments and hands
+``_tally(n)`` to a private core that reads only the tally it is given;
+``verify`` builds the tally as a walk and calls the cores on it, so no
+module but this one reads the tally's keys.
 """
 
 from __future__ import annotations
@@ -99,13 +102,16 @@ class _Key(NamedTuple):
     last: int  # pi(n); 0 for the empty permutation
 
 
+Tally = tuple[tuple[_Key, int], ...]  # (key, how many permutations carry it)
+
+
 def _key(p: Permutation) -> _Key:
     s = statistics(p)
     return _Key(s.exc, s.fix, s.cyc, s.cdes, s.inv1, p.word[-1] if p.word else 0)
 
 
 @lru_cache(maxsize=None)
-def _tally(n: int) -> tuple[tuple[_Key, int], ...]:
+def _tally(n: int) -> Tally:
     """How many permutations of [n] carry each key: the one tally of S_n
     that every brute-force sum here reads.
 
@@ -176,11 +182,11 @@ Term = tuple[int, tuple[int, int, int, int]]  # (sign, exponents of x, y, q, t)
 Weight = Callable[[_Key], Term]
 
 
-def _weighted_sum(family: str, n: int, weight: Weight, i: int | None = None) -> MultiPoly:
-    """Sum of ``weight`` = (sign, exponents) over a family, read off the tally."""
+def _weighted_sum(family: str, tally: Tally, weight: Weight, i: int | None = None) -> MultiPoly:
+    """Sum of ``weight`` = (sign, exponents) over a family, read off a tally."""
     in_family = _IN_FAMILY[family]
     counts: dict[tuple[int, int, int, int], int] = {}
-    for key, count in _tally(n):
+    for key, count in tally:
         if in_family(key, i):
             sign, exps = weight(key)
             counts[exps] = counts.get(exps, 0) + sign * count
@@ -204,8 +210,13 @@ def statistic_poly(n: int, i: int, derangements: bool = False) -> MultiPoly:
     """
     if not 1 <= i <= n:
         raise ValueError(f"index out of range: i={i}, n={n}")
+    return _statistic_poly(_tally(n), i, derangements)
+
+
+def _statistic_poly(tally: Tally, i: int, derangements: bool = False) -> MultiPoly:
+    """The core of :func:`statistic_poly`, read off the tally of its size."""
     family = "derangements_one_at_i" if derangements else "one_at_i"
-    return _weighted_sum(family, n, _weight_statistic, i)
+    return _weighted_sum(family, tally, _weight_statistic, i)
 
 
 # Empties the tally, so the next brute-force sum of any size builds it
@@ -280,7 +291,12 @@ def alternating_closed_form(n: int, i: int, derangements: bool = False) -> Multi
 
 def cdes_distribution_brute(n: int, derangements: bool = False) -> MultiPoly:
     """Sum of y^cdes over all permutations (or all derangements) of [n]."""
-    return _weighted_sum("derangements" if derangements else "all", n, _weight_cdes)
+    return _cdes_distribution_brute(_tally(n), derangements)
+
+
+def _cdes_distribution_brute(tally: Tally, derangements: bool = False) -> MultiPoly:
+    """The core of :func:`cdes_distribution_brute`, read off the tally of its size."""
+    return _weighted_sum("derangements" if derangements else "all", tally, _weight_cdes)
 
 
 def cdes_distribution_rec(n: int, derangements: bool = False) -> MultiPoly:
@@ -443,11 +459,16 @@ def identity_check(identity_id: str, n: int) -> IdentityReport:
     """
     if identity_id not in _IDENTITY_SPECS:
         raise ValueError(f"unknown identity id: {identity_id!r}")
-    family, weight, rhs_fn, min_n = _IDENTITY_SPECS[identity_id]
+    min_n = _IDENTITY_SPECS[identity_id][3]
     if n < min_n:
         raise ValueError(f"identity {identity_id!r} needs n >= {min_n}")
+    return _identity_check(_tally(n), identity_id, n)
 
-    lhs = _weighted_sum(family, n, weight)
+
+def _identity_check(tally: Tally, identity_id: str, n: int) -> IdentityReport:
+    """The core of :func:`identity_check`, read off the tally of size n."""
+    family, weight, rhs_fn, _ = _IDENTITY_SPECS[identity_id]
+    lhs = _weighted_sum(family, tally, weight)
     rhs = rhs_fn(n)
     passed = lhs == rhs
     witness = None

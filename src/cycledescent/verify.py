@@ -4,14 +4,15 @@ Exhaustive verification suites behind the ``verify`` CLI command.
 Each check gives its first failure at a size n, as a witness text, or
 None when it holds; a suite is a set of checks, each capped by the entry of
 ``caps.CAPS`` that bounds what it reads, so that the whole battery stays
-desk-scale.  A plain check computes its outcome on its own.  A walk check
-reads records that one walk of its size keeps for every check that reads
-them: the involution checks of one size share one walk of S_n, and the
-bijection checks one walk of the signed objects and one of the Callan
-matchings.  Each plain check and each walk of a size is one task, so tasks
-are independent and a suite can fan out over a process pool, largest sizes
-first; every walk task returns its records, and the caller folds each walk
-check off them.
+desk-scale.  Every check is a fold: it reads the records that one walk of
+its size keeps for every check that reads them.  The brute-force checks of
+one size (closed forms, recurrences, cdes polynomials, signed identities)
+share the tally of S_n that ``statpolys`` keeps, the involution checks one
+walk of S_n, and the bijection checks one walk of the signed objects and
+one of the Callan matchings; the sequence cross-check and the ring axioms
+read no walk.  Each walk of a size is one task, so tasks are independent
+and a run can fan out over a process pool, largest sizes first; every task
+returns its records, and the caller folds each check off them.
 
 Informational checks never fail: they return a note text, which goes to
 the summary's notes (used for the downline formula, whose textbook global
@@ -112,32 +113,40 @@ class VerificationSummary(Record):
 
 
 # ---------------------------------------------------------------------------
-# Check bodies.  Signature: fn(n, seed) -> the first failure, or None.
+# Folds off the tally of S_n, the record of the walk ``tally``: they hand it
+# to the cores of ``statpolys``, which alone read its keys.  The sequence
+# cross-check and the ring axioms read no walk.
 
 
-def _check_closed_form(n: int, seed: int, derangements: bool = False) -> str | None:
-    if derangements and not sp.statistic_poly(n, 1, derangements=True).is_zero():
+def _fold_closed_form(
+    n: int, seed: int, tally: sp.Tally, derangements: bool = False
+) -> str | None:
+    if derangements and not sp._statistic_poly(tally, 1, derangements=True).is_zero():
         return "i=1: expected the empty sum"
     for i in range(2 if derangements else 1, n + 1):
-        brute = sp.statistic_poly(n, i, derangements).substitute(y=-1, q=1)
+        brute = sp._statistic_poly(tally, i, derangements).substitute(y=-1, q=1)
         closed = sp.alternating_closed_form(n, i, derangements)
         if brute != closed:
             return f"i={i}: enumerated {brute}, closed form {closed}"
     return None
 
 
-def _check_recurrence(n: int, seed: int, derangements: bool = False) -> str | None:
+def _fold_recurrence(
+    n: int, seed: int, tally: sp.Tally, derangements: bool = False
+) -> str | None:
     table = sp.recurrence_table(n, derangements)
     for i in range(1, n + 1):
-        brute = sp.statistic_poly(n, i, derangements).substitute(q=1, t=1)
+        brute = sp._statistic_poly(tally, i, derangements).substitute(q=1, t=1)
         if table.entries[i] != brute:
             return f"i={i}: recurrence {table.entries[i]}, enumerated {brute}"
     return None
 
 
-def _check_cdes_poly(n: int, seed: int, derangements: bool = False) -> str | None:
+def _fold_cdes_poly(
+    n: int, seed: int, tally: sp.Tally, derangements: bool = False
+) -> str | None:
     rec = sp.cdes_distribution_rec(n, derangements)
-    brute = sp.cdes_distribution_brute(n, derangements)
+    brute = sp._cdes_distribution_brute(tally, derangements)
     if rec != brute:
         return f"recurrence {rec}, enumerated {brute}"
     return None
@@ -155,8 +164,8 @@ def _check_sequence_cross(n: int, seed: int) -> str | None:
     return None
 
 
-def _check_identity(n: int, seed: int, identity_id: str) -> str | None:
-    report = sp.identity_check(identity_id, n)
+def _fold_identity(n: int, seed: int, tally: sp.Tally, identity_id: str) -> str | None:
+    report = sp._identity_check(tally, identity_id, n)
     if report.passed:
         return None
     detail = f"lhs {report.lhs}, rhs {report.rhs}"
@@ -350,7 +359,7 @@ def _false_claim(
     return None
 
 
-def _fold_psi_involution(n: int, w: _PermWalk) -> str | None:
+def _fold_psi_involution(n: int, seed: int, w: _PermWalk) -> str | None:
     false_claim = None
     pairs = _code_pairs(_PSI_PAIRS)
     img, tag, delta, exc, pos1 = w.psi.img, w.psi.tag, w.psi.delta, w.exc, w.pos1
@@ -393,7 +402,7 @@ def _signed_sum(w: _PermWalk, ranks: Iterable[int]) -> MultiPoly:
     return MultiPoly(counts)
 
 
-def _fold_psi_fixed_weight(n: int, w: _PermWalk) -> str | None:
+def _fold_psi_fixed_weight(n: int, seed: int, w: _PermWalk) -> str | None:
     for i in range(1, n + 1):
         enumerated = _signed_sum(w, _one_at(w.pos1, i))
         fixed = []
@@ -409,7 +418,7 @@ def _fold_psi_fixed_weight(n: int, w: _PermWalk) -> str | None:
     return None
 
 
-def _fold_varphi_involution(n: int, w: _PermWalk) -> str | None:
+def _fold_varphi_involution(n: int, seed: int, w: _PermWalk) -> str | None:
     false_claim = None
     pairs = _code_pairs(_VARPHI_PAIRS)
     img, tag, delta, exc, pos1 = w.varphi.img, w.varphi.tag, w.varphi.delta, w.exc, w.pos1
@@ -444,7 +453,7 @@ def _fold_varphi_involution(n: int, w: _PermWalk) -> str | None:
     return false_claim
 
 
-def _fold_phi_preservation(n: int, w: _PermWalk) -> str | None:
+def _fold_phi_preservation(n: int, seed: int, w: _PermWalk) -> str | None:
     img, tag, delta, exc, hat_rank, top = (
         w.phi.img, w.phi.tag, w.phi.delta, w.exc, w.hat_rank, w.top
     )
@@ -616,13 +625,13 @@ def _walk_callan(n: int) -> _CallanWalk:
     return w
 
 
-def _law(n: int, s: _SignedWalk, c: _CallanWalk, check_id: str) -> str | None:
+def _law(n: int, seed: int, s: _SignedWalk, c: _CallanWalk, check_id: str) -> str | None:
     """The first failure of a law the signed walk reads on its own."""
     return s.first.get(check_id)
 
 
 def _fold_counts(
-    n: int, s: _SignedWalk, c: _CallanWalk, derangements: bool = False
+    n: int, seed: int, s: _SignedWalk, c: _CallanWalk, derangements: bool = False
 ) -> str | None:
     if derangements:
         m_count, rec, signed = c.no_vertical, sp.b20_count(n), s.derangements
@@ -633,7 +642,7 @@ def _fold_counts(
     return None
 
 
-def _fold_gamma_image(n: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
+def _fold_gamma_image(n: int, seed: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
     image, target = s.images["gamma-image"], c.targets["gamma-image"]
     if len(image) // n != s.count:
         return f"gamma not injective: {s.count} inputs, {len(image) // n} images"
@@ -642,7 +651,7 @@ def _fold_gamma_image(n: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
     return None
 
 
-def _fold_theta_image(n: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
+def _fold_theta_image(n: int, seed: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
     image, target = s.images["theta-image"], c.targets["theta-image"]
     if len(image) // n != s.cyclic:
         return f"theta not injective on {s.cyclic} inputs"
@@ -651,7 +660,9 @@ def _fold_theta_image(n: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
     return None
 
 
-def _fold_derangement_restriction(n: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
+def _fold_derangement_restriction(
+    n: int, seed: int, s: _SignedWalk, c: _CallanWalk
+) -> str | None:
     image, target = s.images["derangement-restriction"], c.targets["derangement-restriction"]
     images, targets = len(image) // n, len(target) // n
     if images != s.derangements or image != target:
@@ -659,11 +670,13 @@ def _fold_derangement_restriction(n: int, s: _SignedWalk, c: _CallanWalk) -> str
     return None
 
 
-def _fold_gamma_roundtrip(n: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
+def _fold_gamma_roundtrip(n: int, seed: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
     return s.first.get("gamma-roundtrip") or c.reverse_trip
 
 
-def _fold_downline_global_report(n: int, s: _SignedWalk, c: _CallanWalk) -> str:
+def _fold_downline_global_report(
+    n: int, seed: int, s: _SignedWalk, c: _CallanWalk
+) -> str:
     msg = f"row-of-partner form holds for {s.holds}/{s.count} signed permutations"
     if s.holds < s.count:
         first = s.first["downline-global-report"]
@@ -676,11 +689,10 @@ def _fold_downline_global_report(n: int, s: _SignedWalk, c: _CallanWalk) -> str:
 
 
 class Check(FrozenRecord):
-    """A check at size n.  With no ``walks``, ``fn(n, seed)`` gives its
-    first failure, or None, in the task that runs it; otherwise the caller
-    gives it as ``fn(n, *records)``, folded off what the named walks of
-    size n (see ``_WALKS``) return.  An informational check gives its note
-    text instead."""
+    """A check at size n, given as ``fn(n, seed, *records)`` in the calling
+    process: its first failure, or None, folded off what the named walks of
+    size n (see ``_WALKS``) return.  A check of no walks reads no record.
+    An informational check gives its note text instead."""
 
     __slots__ = __match_args__ = ("fn", "min_n", "cap", "walks", "informational")
     fn: Callable[..., str | None]
@@ -704,9 +716,10 @@ class Check(FrozenRecord):
         set_field(self, "informational", informational)
 
 
-_PERMS, _BIJ = ("perms",), ("signed", "callan")  # the walks of the walk checks
+# the walks that the checks read
+_TALLY, _PERMS, _BIJ = ("tally",), ("perms",), ("signed", "callan")
 # the caps that several checks share, each the entry that bounds what they read
-_TALLY, _CDES = CAPS["brute force"], CAPS["cdes distribution"]
+_BRUTE, _CDES = CAPS["brute force"], CAPS["cdes distribution"]
 _INVOLUTIONS, _SIGNED, _IMAGES = (
     CAPS["involution tables"], CAPS["signed enumeration"], CAPS["image sets"]
 )
@@ -714,23 +727,27 @@ _INVOLUTIONS, _SIGNED, _IMAGES = (
 # suite -> check id -> check, in the order the suite runs its checks
 _SUITE_CHECKS: dict[str, dict[str, Check]] = {
     "theorem-p": {
-        "closed-form-all": Check(_check_closed_form, 2, _TALLY),
+        "closed-form-all": Check(_fold_closed_form, 2, _BRUTE, _TALLY),
         "closed-form-derangement": Check(
-            partial(_check_closed_form, derangements=True), 2, _TALLY
+            partial(_fold_closed_form, derangements=True), 2, _BRUTE, _TALLY
         ),
     },
     "lemmas": {
-        "recurrence-all": Check(_check_recurrence, 1, _TALLY),
-        "recurrence-derangement": Check(partial(_check_recurrence, derangements=True), 2, _TALLY),
+        "recurrence-all": Check(_fold_recurrence, 1, _BRUTE, _TALLY),
+        "recurrence-derangement": Check(
+            partial(_fold_recurrence, derangements=True), 2, _BRUTE, _TALLY
+        ),
     },
     "theorem-b": {
-        "cdes-poly-all": Check(_check_cdes_poly, 1, _CDES),
-        "cdes-poly-derangement": Check(partial(_check_cdes_poly, derangements=True), 1, _CDES),
+        "cdes-poly-all": Check(_fold_cdes_poly, 1, _CDES, _TALLY),
+        "cdes-poly-derangement": Check(
+            partial(_fold_cdes_poly, derangements=True), 1, _CDES, _TALLY
+        ),
         "sequence-cross-check": Check(_check_sequence_cross, 1, CAPS["sequence cross-check"]),
     },
     "identities": {
         **{
-            f"identity-{i}": Check(partial(_check_identity, identity_id=i), min_n, _TALLY)
+            f"identity-{i}": Check(partial(_fold_identity, identity_id=i), min_n, _BRUTE, _TALLY)
             for i, min_n in sp.IDENTITY_MIN_N.items()
         },
         "poly-ring-axioms": Check(_check_poly_axioms, 1, 1),  # random polynomials, no size to cap
@@ -782,19 +799,20 @@ def _plan(suite: str, n_max: int | None) -> list[tuple[str, int]]:
     return tasks
 
 
-_WALKS = {"perms": _walk_perms, "signed": _walk_signed, "callan": _walk_callan}
+# walk -> its function of n; the tally goes through the cache of ``statpolys``,
+# so that the suites of one process build each tally once
+_WALKS = {
+    "tally": sp._tally, "perms": _walk_perms, "signed": _walk_signed, "callan": _walk_callan
+}
 
 
-def _tasks(plan: list[tuple[str, int]], seed: int) -> dict[tuple[str, int], tuple]:
-    """The tasks of a plan as (function, *arguments), keyed, in plan order:
-    (check, n) for a check without walks, and (walk, n) for each walk of
-    size n that a planned check reads, shared by all such checks."""
+def _tasks(plan: list[tuple[str, int]]) -> dict[tuple[str, int], tuple]:
+    """The tasks of a plan as (function, n), keyed (walk, n) in plan order:
+    one for each walk of size n that a planned check reads, shared by all
+    such checks."""
     tasks: dict[tuple[str, int], tuple] = {}
     for check_id, n in plan:
-        walks = CHECKS[check_id].walks
-        if not walks:
-            tasks[check_id, n] = (CHECKS[check_id].fn, n, seed)
-        for walk in walks:
+        for walk in CHECKS[check_id].walks:
             tasks.setdefault((walk, n), (_WALKS[walk], n))
     return tasks
 
@@ -829,7 +847,7 @@ def run_verification(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     plan = _plan(suite, n_max)
-    tasks = _tasks(plan, seed)
+    tasks = _tasks(plan)
     # the pool starts all its workers at the first submit, so no more than tasks
     workers = min(jobs, len(tasks))
     if workers > 1:
@@ -848,10 +866,7 @@ def run_verification(
     )
     for check_id, n in plan:
         check = CHECKS[check_id]
-        if check.walks:
-            detail = check.fn(n, *(results[walk, n] for walk in check.walks))
-        else:
-            detail = results[check_id, n]
+        detail = check.fn(n, seed, *(results[walk, n] for walk in check.walks))
         if detail is not None:
             outcomes = summary.notes if check.informational else summary.failures
             outcomes.append(CheckOutcome(check_id, n, detail))

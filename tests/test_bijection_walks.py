@@ -59,7 +59,7 @@ def test_parallel_bijections_match_serial():
 
 
 def test_signed_and_callan_walks_are_two_tasks_at_every_size():
-    tasks = verify._tasks(verify._plan("all", None), verify.DEFAULT_SEED)
+    tasks = verify._tasks(verify._plan("all", None))
     walks = {key for key in tasks if key[0] in ("signed", "callan", "bijections")}
     assert walks == {(walk, n) for walk in ("signed", "callan") for n in range(1, 8)}
     assert all(tasks[walk, n][1:] == (n,) for walk, n in walks)

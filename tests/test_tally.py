@@ -14,6 +14,7 @@ import pytest
 
 from cycledescent import perms
 from cycledescent import statpolys as sp
+from cycledescent import verify
 from cycledescent.caps import CAPS
 from cycledescent.perms import FAMILIES, enumerate_permutations, statistics
 from cycledescent.poly import ONE, MultiPoly
@@ -110,7 +111,7 @@ def test_every_family_selects_its_stream(n):
     for family in sp._IN_FAMILY:
         for i in range(1, n + 1) if family.endswith("_i") else [None]:
             naive = naive_sum(family, n, full_key, i)
-            assert sp._weighted_sum(family, n, key_weight, i) == naive, (family, n, i)
+            assert sp._weighted_sum(family, sp._tally(n), key_weight, i) == naive, (family, n, i)
 
 
 def test_empty_permutation_sums_to_one():
@@ -133,10 +134,29 @@ def test_past_the_cap_is_refused_before_any_walk(walks):
     assert not walks
 
 
+def test_tally_folds_read_their_record_not_the_cache(monkeypatch):
+    # a fold that read the tally through the cache, or through a public sum,
+    # would build it again in the caller of a pooled run
+    tallies = {n: sp._tally(n) for n in range(1, 7)}
+    sp.statistic_poly.cache_clear()
+
+    def refused(n):
+        raise AssertionError(f"the tally of S_{n} was read off the cache")
+
+    monkeypatch.setattr(sp, "_tally", refused)
+    readers = {c: check for c, check in verify.CHECKS.items() if check.walks == ("tally",)}
+    assert len(readers) == 13
+    for check_id, check in readers.items():
+        for n in range(check.min_n, 7):
+            assert check.fn(n, verify.DEFAULT_SEED, tallies[n]) is None, (check_id, n)
+
+
 def test_verification_walks_s_n_once_per_size(walks, monkeypatch):
     # every walk of S_n goes through perms._all_perms; the five suites make
     # one per size, the walk of verify that the involution checks fold their
-    # laws off, and build the tally of statpolys once per size with no walk
+    # laws off.  The walk "tally" of verify, which the brute-force checks
+    # fold off, goes through the cache of statpolys: the four suites that
+    # read it build it once per size between them, and it walks no S_n
     walked = Counter()
     real_all = perms._all_perms
     monkeypatch.setattr(perms, "_all_perms", lambda n: walked.update([n]) or real_all(n))

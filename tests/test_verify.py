@@ -6,11 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from cycledescent import statpolys as sp
 from cycledescent.verify import (
     _WALKS,
     CHECKS,
     DEFAULT_SEED,
     SUITES,
+    _plan,
+    _tasks,
     run_verification,
     suite_cap,
 )
@@ -107,22 +110,42 @@ def test_bijections_suite_small():
 
 
 def test_every_check_returns_none_or_its_note_at_small_sizes():
-    # a plain check runs on its own; a walk check folds off walk records
-    # built once per size, as run_verification builds them
+    # every check folds off walk records built once per size, as
+    # run_verification builds them
     records = {}
     for check_id, check in CHECKS.items():
         for n in range(check.min_n, min(check.cap, 4) + 1):
-            if check.walks:
-                for walk in check.walks:
-                    if (walk, n) not in records:
-                        records[walk, n] = _WALKS[walk](n)
-                out = check.fn(n, *(records[walk, n] for walk in check.walks))
-            else:
-                out = check.fn(n, DEFAULT_SEED)
+            for walk in check.walks:
+                if (walk, n) not in records:
+                    records[walk, n] = _WALKS[walk](n)
+            out = check.fn(n, DEFAULT_SEED, *(records[walk, n] for walk in check.walks))
             if check_id == "downline-global-report":
                 assert isinstance(out, str), (check_id, n, out)
             else:
                 assert out is None, (check_id, n, out)
+
+
+# the checks that read the tally of S_n: every brute-force sum of statpolys
+TALLY_READERS = {
+    *SUITES["theorem-p"],
+    *SUITES["lemmas"],
+    "cdes-poly-all",
+    "cdes-poly-derangement",
+    *(f"identity-{i}" for i in sp.IDENTITY_IDS),
+}
+
+
+def test_tasks_are_walks_only():
+    tasks = _tasks(_plan("all", None))
+    sizes = {"tally": range(1, 10), "perms": range(1, 9), "signed": range(1, 8),
+             "callan": range(1, 8)}
+    assert set(tasks) == {(walk, n) for walk, ns in sizes.items() for n in ns}
+    assert len(tasks) == 31
+    # a tally reader of size n reads ("tally", n), which the cache of
+    # statpolys builds once per process
+    assert {c for c, check in CHECKS.items() if check.walks == ("tally",)} == TALLY_READERS
+    assert _WALKS["tally"] is sp._tally
+    assert all(tasks[walk, n] == (_WALKS[walk], n) for walk, n in tasks)
 
 
 def test_unknown_suite_and_bad_nmax():
@@ -163,6 +186,17 @@ def test_failures_set_exit_code(monkeypatch):
     assert data["failures"][0]["witness"] == "forced failure"
 
 
+def test_every_check_gets_the_seed_of_its_run(monkeypatch):
+    from cycledescent.verify import Check
+
+    monkeypatch.setitem(CHECKS, "cdes-poly-all", Check(lambda n, seed: f"seed {seed}", 1, 2))
+    summary = run_verification("theorem-b", n_max=2, seed=7)
+    assert [(f.check_id, f.n, f.detail) for f in summary.failures] == [
+        ("cdes-poly-all", 1, "seed 7"),
+        ("cdes-poly-all", 2, "seed 7"),
+    ]
+
+
 def test_jobs_beyond_the_task_count_start_one_worker_per_task(monkeypatch):
     # a fake pool that runs each call inline: no worker process starts
     from concurrent.futures import Future
@@ -190,8 +224,8 @@ def test_jobs_beyond_the_task_count_start_one_worker_per_task(monkeypatch):
             return future
 
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
-    serial = run_verification("theorem-p", n_max=2)
-    pooled = run_verification("theorem-p", n_max=2, jobs=10_000)
+    serial = run_verification("theorem-p", n_max=3)
+    pooled = run_verification("theorem-p", n_max=3, jobs=10_000)
     assert workers == [len(submits)]
     assert pooled.to_json_dict() == serial.to_json_dict()
     # an empty plan (no theorem-p check starts below n = 2) runs without a pool
