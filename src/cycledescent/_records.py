@@ -7,10 +7,11 @@ dataclass would: a repr of its fields, ``==`` (same class, equal fields)
 and pickling by a call of the constructor.  A frozen class refuses
 assignment and deletion with an ``AttributeError`` and hashes as the tuple
 of its fields; the others are unhashable.  A class keeps its fields in
-``__slots__``, unless it caches values in an instance ``__dict__``.  The
-package does not use ``dataclasses``: it loads ``inspect`` and ``ast``, and
-it compiles each class's methods at import, which together took about a
-quarter of a one-shot CLI call's import.
+``__slots__``, so that no instance has a ``__dict__``: a value holds its
+fields and nothing else.  The package does not use ``dataclasses``: it
+loads ``inspect`` and ``ast``, and it compiles each class's methods at
+import, which together took about a quarter of a one-shot CLI call's
+import.
 """
 
 from __future__ import annotations

@@ -20,11 +20,12 @@ bijection explicitly:
 
 Each of the four maps is a public function that validates its input and
 then calls a core that trusts it: ``_gamma_core``/``_theta_core`` take
-standard cycles (one cycle for theta) and a negative set and give a
-partner list, and ``_gamma_inv_core``/``_theta_inv_core`` give them back
-from a partner list.  The public maps are for input from outside; the
-bijection walks of ``verify``, which build their inputs themselves, call
-the cores.  Likewise ``enumerate_negative_cdes`` wraps a core stream,
+standard cycles (one cycle for theta), which the public maps read off one
+``perms._walk_word`` of the word, and a negative set and give a partner
+list, and ``_gamma_inv_core``/``_theta_inv_core`` give them back from a
+partner list.  The public maps are for input from outside; the bijection
+walks of ``verify``, which build their inputs themselves, call the cores.
+Likewise ``enumerate_negative_cdes`` wraps a core stream,
 ``_negative_cdes_core``, that gives each permutation as a word, its
 standard cycles and fixed points and the negative sets that sign it, and
 the signed walk reads that stream.
@@ -47,8 +48,6 @@ from .perms import (
     _parse_form,
     _walk_word,
     permutation_from_cycles,
-    standard_cycles,
-    statistics,
 )
 
 __all__ = [
@@ -126,7 +125,16 @@ class BlockSeq(FrozenRecord):
 
 def is_negative_cdes(sp: SignedPermutation) -> bool:
     """True when every negative value is a cycle descent of the permutation."""
-    return sp.neg <= statistics(sp.perm).cdes_set
+    return sp.neg.issubset(_walk_word(sp.perm.word)[3])
+
+
+def _negative_cdes_cycles(sp: SignedPermutation) -> tuple[Word, ...]:
+    """The standard cycles of ``sp`` off one walk of its word, which
+    refuses it unless every negative value is a cycle descent."""
+    cycles, _, _, cdes, _, _ = _walk_word(sp.perm.word)
+    if not sp.neg.issubset(cdes):
+        raise ValueError("negative signs are not all cycle descents")
+    return cycles
 
 
 def _negative_cdes_core(
@@ -143,6 +151,8 @@ def _negative_cdes_core(
     """
     if flt not in ("all", "derangement"):
         raise ValueError(f"unknown filter: {flt!r}")
+    if n < 0:
+        raise ValueError("negative size")
     check_cap("signed enumeration", n)
     derangements = flt == "derangement"
     for word in permutations(range(1, n + 1)):
@@ -266,9 +276,7 @@ def theta(sp: SignedPermutation) -> PerfectMatching:
     vertical) to the last block's minimum when the block count is odd, a
     top arc to its maximum when even.
     """
-    if not is_negative_cdes(sp):
-        raise ValueError("negative signs are not all cycle descents")
-    cycles = standard_cycles(sp.perm).cycles
+    cycles = _negative_cdes_cycles(sp)
     if len(cycles) != 1:
         raise ValueError(f"not cyclic: {len(cycles)} cycles")
     return PerfectMatching(
@@ -353,9 +361,7 @@ def gamma(sp: SignedPermutation) -> PerfectMatching:
     travelling with the values), and the edge sets are united.  Components
     correspond to cycles and vertical lines to fixed points.
     """
-    if not is_negative_cdes(sp):
-        raise ValueError("negative signs are not all cycle descents")
-    partner = _gamma_core(standard_cycles(sp.perm).cycles, sp.neg, sp.n)
+    partner = _gamma_core(_negative_cdes_cycles(sp), sp.neg, sp.n)
     return PerfectMatching(support=tuple(range(1, sp.n + 1)), partner=partner)
 
 
@@ -398,7 +404,7 @@ def gamma_inv(m: PerfectMatching) -> SignedPermutation:
 
 def format_signed(sp: SignedPermutation) -> str:
     parts = []
-    for cyc in standard_cycles(sp.perm).cycles:
+    for cyc in _walk_word(sp.perm.word)[0]:
         inner = " ".join(f"{v}{'-' if v in sp.neg else '+'}" for v in cyc)
         parts.append(f"({inner})")
     return "".join(parts)

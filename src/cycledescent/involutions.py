@@ -27,10 +27,11 @@ then calls a core that trusts them: ``_phi_core``, ``_psi_core`` and
 ``_varphi_core`` read a word, its standard cycles and, for phi and psi, its
 last top-descent, and give the image word, the branch tag and the stated
 cdes delta; ``_psi_core`` calls ``_phi_core`` on its phi branches.  The
-public maps are for input from outside and wrap the result in an
+public maps are for input from outside: each reads what its core needs
+off one ``perms._walk_word`` of its input and wraps the result in an
 ``InvolutionOutcome``.  The walk of S_n in ``verify``, which reads the
-cycles and the top-descent of every object off one ``perms._walk_word``,
-calls the cores.
+cycles and the top-descent of every object off that same walk, calls the
+cores.
 """
 
 from __future__ import annotations
@@ -39,13 +40,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from ._records import FrozenRecord, set_field
-from .perms import (
-    Permutation,
-    Word,
-    permutation_from_cycles,
-    standard_cycles,
-    statistics,
-)
+from .perms import Permutation, Word, _walk_word, permutation_from_cycles
 
 __all__ = [
     "InvolutionOutcome",
@@ -96,7 +91,7 @@ def last_top_descent(p: Permutation) -> int | None:
     Returns the entry a_j itself (not its position) for the last j with
     a_j > a_{j+1} in ``hat(p)``; None when the flattening is increasing.
     """
-    return p._top  # found by the cycle walk that reads the flattening
+    return _walk_word(p.word)[5]  # the cycle walk reads the flattening
 
 
 def _swapped(word: Word, a: int, b: int) -> Word:
@@ -153,10 +148,10 @@ def phi_map(p: Permutation) -> InvolutionOutcome:
     exchanges its value with the last element of its own cycle (a split)
     or of the following cycle (a merge).
     """
-    qv = last_top_descent(p)
+    cycles, _, _, _, _, qv = _walk_word(p.word)
     if qv is None:
         raise ValueError("map undefined: the flattened cycle word is increasing")
-    return _outcome(*_phi_core(p.word, standard_cycles(p).cycles, qv))
+    return _outcome(*_phi_core(p.word, cycles, qv))
 
 
 def _m_index(n: int, first: Word) -> int | None:
@@ -179,7 +174,7 @@ def m_index(p: Permutation) -> int | None:
     """The least j >= 1 such that, in the cycle (1, c_1, ..., c_l)
     containing 1, c_j is not the largest element once the tail c_{j+1}..
     is removed from consideration; None when no j qualifies."""
-    return _m_index(p.n, standard_cycles(p).cycles[0])
+    return _m_index(p.n, _walk_word(p.word)[0][0])
 
 
 def _psi_core(n: int, i: int, word: Word, cycles: tuple[Word, ...], top: int | None) -> _Image:
@@ -224,9 +219,8 @@ def psi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
         raise ValueError(f"bad arguments: n={n}, i={i}, perm of size {p.n}")
     if p.word[i - 1] != 1:
         raise ValueError(f"{p} does not place the value 1 at position {i}")
-    return _outcome(
-        *_psi_core(n, i, p.word, standard_cycles(p).cycles, last_top_descent(p))
-    )
+    cycles, _, _, _, _, top = _walk_word(p.word)
+    return _outcome(*_psi_core(n, i, p.word, cycles, top))
 
 
 def _consecutive_block_cycles(values: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
@@ -360,6 +354,7 @@ def varphi(n: int, i: int, p: Permutation) -> InvolutionOutcome:
         raise ValueError(f"index out of range: i={i}, n={n}")
     if p.word[i - 1] != 1:
         raise ValueError(f"{p} does not place the value 1 at position {i}")
-    if statistics(p).fix:
+    cycles, _, fix, _, _, _ = _walk_word(p.word)
+    if fix:
         raise ValueError(f"{p} is not a derangement")
-    return _outcome(*_varphi_core(p.word, standard_cycles(p).cycles))
+    return _outcome(*_varphi_core(p.word, cycles))

@@ -31,14 +31,13 @@ enters each edge's two keys in one pass over the edges, and the emitters
 go over the key pairs k < q of the partner list, in key order, reading the
 vertex (support[(k >> 1) - 1], k & 1) and the class off each key.  The
 ``edges`` view of ``MVertex`` pairs, each edge (smaller vertex, larger
-vertex) in order of the smaller vertex, and :func:`edge_class`, which
-names the class of one such edge, are kept for callers; the package itself
-reads neither.
+vertex) in order of the smaller vertex, built from the partner list at
+each read and kept nowhere, and :func:`edge_class`, which names the class
+of one such edge, are kept for callers; the package itself reads neither.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._records import FrozenRecord, set_field
@@ -74,12 +73,12 @@ class PerfectMatching(FrozenRecord):
 
     The constructor trusts its arguments: a matching from outside comes in
     through :func:`mk_matching` or :func:`matching_from_json_dict`, which
-    validate it and build its partner list.  The ``edges`` view is cached
-    in the instance ``__dict__`` and takes no part in equality, hashing,
-    ``repr`` or pickling.
+    validate it and build its partner list.  The support and the partner
+    list are all it holds; the ``edges`` view is built from them at each
+    read.
     """
 
-    __match_args__ = ("support", "partner")
+    __slots__ = __match_args__ = ("support", "partner")
     support: tuple[int, ...]
     partner: tuple[int, ...]
 
@@ -91,13 +90,11 @@ class PerfectMatching(FrozenRecord):
     def n(self) -> int:
         return len(self.support)
 
-    @cached_property
+    @property
     def edges(self) -> tuple[Edge, ...]:
         supp = self.support
         return tuple(
-            (_key_vertex(supp, k), _key_vertex(supp, q))
-            for k, q in enumerate(self.partner)
-            if k < q
+            (_key_vertex(supp, k), _key_vertex(supp, q)) for k, q in _keyed_edges(self)
         )
 
     def __str__(self) -> str:

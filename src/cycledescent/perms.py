@@ -46,48 +46,19 @@ __all__ = [
 Word = tuple[int, ...]
 
 
-class _Derived:
-    """One of the four cached values of a ``Permutation``: its standard
-    cycles, statistics, flattening and last top-descent.
-
-    A non-data descriptor: the first read of any of them runs
-    ``_cycle_walk`` once, which wraps the plain data of one
-    ``_walk_word`` of the word, and stores all four in the instance
-    ``__dict__``, which shadows the descriptors from then on.  Unlike
-    ``functools.cached_property`` before Python 3.12, a miss takes no lock.
-    Code that needs only the plain data, like the walk of S_n in
-    ``verify``, calls ``_walk_word`` and fills no cache.
-    """
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, p: Permutation | None, owner: type | None = None) -> object:
-        if p is None:
-            return self
-        cache = p.__dict__
-        cache["_cycles"], cache["_stats"], cache["_flat"], cache["_top"] = _cycle_walk(p.word)
-        return cache[self.name]
-
-
 class Permutation(FrozenRecord):
     """A permutation of [n] in one-line notation; ``word[i-1] = pi(i)``.
 
     The public constructor validates its word.  Code in this package that
     has already proven a word to be a permutation builds it with
-    :meth:`_trusted` instead.  The standard cycles, the statistics, the
-    flattening and the last top-descent are computed together by one cycle
-    walk on first use of any of them and cached in the instance
-    ``__dict__``; the cache takes no part in equality, hashing, ``repr`` or
-    pickling.
+    :meth:`_trusted` instead.  The word is all it holds: the standard
+    cycles, the statistics, the flattening and the last top-descent are
+    read off one cycle walk of the word, ``_walk_word``, at each call of
+    their accessors.
     """
 
-    __match_args__ = ("word",)
+    __slots__ = __match_args__ = ("word",)
     word: tuple[int, ...]
-    _cycles = _Derived()
-    _stats = _Derived()
-    _flat = _Derived()
-    _top = _Derived()
 
     def __init__(self, word: tuple[int, ...]) -> None:
         word = tuple(word)
@@ -315,9 +286,11 @@ def _walk_word(
     cycle's minimum, and the last of them is the last top-descent.
 
     The word must be a permutation of 1..len(word); nothing is checked.
-    The walk of S_n in ``verify`` calls this core directly and hands its
-    cycles and top-descent to the cores of ``involutions``, so no object
-    of that walk builds a ``StatRecord`` or a ``CycleDecomposition``.
+    Each accessor below, and each public map of ``involutions`` and
+    ``bijections``, walks its input once with it.  The walk of S_n in
+    ``verify`` calls this core directly and hands its cycles and
+    top-descent to the cores of ``involutions``, so no object of that walk
+    builds a ``StatRecord`` or a ``CycleDecomposition``.
     """
     n = len(word)
     seen = [False] * (n + 1)
@@ -353,28 +326,9 @@ def _walk_word(
     return tuple(cycles), exc, fix, cdes, tuple(flat), top
 
 
-def _cycle_walk(
-    word: tuple[int, ...]
-) -> tuple[CycleDecomposition, StatRecord, Word, int | None]:
-    """The four cached values of a ``Permutation``: its standard cycles,
-    statistics, flattening and last top-descent, wrapped from one
-    ``_walk_word`` of its word.  ``_Derived`` calls it on the first read
-    of any of them."""
-    cycles, exc, fix, cdes, flat, top = _walk_word(word)
-    stats = StatRecord(
-        exc=exc,
-        fix=fix,
-        cyc=len(cycles),
-        cdes=len(cdes),
-        cdes_set=frozenset(cdes),
-        inv1=cycles[0][-1] if cycles else 0,
-    )
-    return CycleDecomposition._trusted(cycles), stats, flat, top
-
-
 def standard_cycles(p: Permutation) -> CycleDecomposition:
     """Standard cycle decomposition: smallest-first cycles, increasing minima."""
-    return p._cycles
+    return CycleDecomposition._trusted(_walk_word(p.word)[0])
 
 
 def cycle_string(p: Permutation) -> str:
@@ -382,7 +336,15 @@ def cycle_string(p: Permutation) -> str:
 
 
 def statistics(p: Permutation) -> StatRecord:
-    return p._stats
+    cycles, exc, fix, cdes, _, _ = _walk_word(p.word)
+    return StatRecord(
+        exc=exc,
+        fix=fix,
+        cyc=len(cycles),
+        cdes=len(cdes),
+        cdes_set=frozenset(cdes),
+        inv1=cycles[0][-1] if cycles else 0,
+    )
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -406,7 +368,7 @@ def red(entries: Sequence[int]) -> Permutation:
 
 def hat(p: Permutation) -> Word:
     """Flattening of the standard cycle decomposition (parentheses erased)."""
-    return p._flat
+    return _walk_word(p.word)[4]
 
 
 # ---------------------------------------------------------------------------

@@ -123,18 +123,20 @@ def _tally(n: int) -> Tally:
 
     - exc gains 1 - [b > a], since a -> m ascends and m -> b descends;
     - fix loses [b == a];
-    - cdes is unchanged when b is the minimum of a's cycle (m becomes the
-      cycle's last element), else it gains 1 - [a > b]: m is a new interior
-      descent and a, followed now by m, no longer is one;
+    - cdes gains [b > a], so exc + cdes gains exactly 1.  When b is the
+      minimum of a's cycle, b <= a and m becomes the cycle's last element,
+      so cdes is unchanged; else m is a new interior descent and a,
+      followed now by m, no longer is one;
     - pi^-1(1) becomes m when b == 1, and pi(n) is b at the last level.
 
     A new fixed point adds 1 to fix and to cyc and is its own pi(n).
     """
+    if n < 0:
+        raise ValueError("negative size")
     check_cap("brute force", n)
     if n == 0:
         return ((_Key(0, 0, 0, 0, 0, 0), 1),)
     succ = [0] * (n + 1)  # succ[a] = pi(a) on the values inserted so far
-    low = [0] * (n + 1)  # low[a] = the minimum of a's cycle
     counts: defaultdict[tuple[int, ...], int] = defaultdict(int)
 
     def grow(m: int, exc: int, fix: int, cyc: int, cdes: int, inv1: int) -> None:
@@ -145,7 +147,7 @@ def _tally(n: int) -> Tally:
                     exc + (b <= a),
                     fix - (b == a),
                     cyc,
-                    cdes + (b != low[a] and b > a),
+                    cdes + (b > a),
                     n if b == 1 else inv1,
                     b,
                 ] += 1
@@ -153,17 +155,17 @@ def _tally(n: int) -> Tally:
             return
         for a in range(1, m):
             b = succ[a]
-            succ[a], succ[m], low[m] = m, b, low[a]
+            succ[a], succ[m] = m, b
             grow(
                 m + 1,
                 exc + (b <= a),
                 fix - (b == a),
                 cyc,
-                cdes + (b != low[a] and b > a),
+                cdes + (b > a),
                 m if b == 1 else inv1,
             )
             succ[a] = b
-        succ[m] = low[m] = m
+        succ[m] = m
         grow(m + 1, exc, fix + 1, cyc + 1, cdes, inv1)
 
     grow(1, 0, 0, 0, 0, 1)  # 1 is at position 1 until some m goes before it

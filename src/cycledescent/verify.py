@@ -205,8 +205,8 @@ def _check_poly_axioms(n: int, seed: int) -> str | None:
 # its index in the walk, and records its exc and cdes, the position of 1, the
 # rank of its flattening and its last top-descent, all read off one naive
 # cycle walk of its word (``perms._walk_word``), which gives plain data and
-# caches nothing on the object.  The walk hands the word, its standard cycles
-# and its top-descent to the trusted cores of ``psi``, ``varphi`` and
+# builds no record for the object.  The walk hands the word, its standard
+# cycles and its top-descent to the trusted cores of ``psi``, ``varphi`` and
 # ``phi_map``, which skip the argument checks the public maps keep for
 # outside input and give an image word, a branch tag and a delta; no
 # ``Permutation`` is built for an image.  For each map whose domain holds the

@@ -110,6 +110,18 @@ def test_enum_refuses_an_unknown_filter(capsys, what):
     assert err == "error: unknown filter: 'bogus'\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("what", ["callan", "ncdp"])
+def test_enum_refuses_a_negative_size(capsys, what, fmt):
+    code, out, err = run(capsys, "enum", what, "--n", "-3", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: negative size\n"
+    # the filter is checked before the size
+    code, out, err = run(capsys, "enum", what, "--n", "-3", "--filter", "bogus")
+    assert code == 2 and out == ""
+    assert err == "error: unknown filter: 'bogus'\n"
+
+
 def test_map_round_trip_through_cli(capsys):
     notation = "(1+ 6- 3+ 4+)(2+ 8- 7+)(5+)"
     code, out, _ = run(capsys, "map", "gamma", "--input", notation, "--format", "json")

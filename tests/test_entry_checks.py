@@ -57,6 +57,11 @@ CASES = {
     "distribution-rec-empty": (lambda: sp.cdes_distribution_rec(0), "size must be >= 1"),
     "klazar-empty": (lambda: sp.klazar_count(0), "size must be >= 1"),
     "b20-negative": (lambda: sp.b20_count(-1), "negative size"),
+    "distribution-brute-negative": (
+        lambda: sp.cdes_distribution_brute(-1),
+        "negative size",
+    ),
+    "signed-negative-size": (lambda: list(bj.enumerate_negative_cdes(-2)), "negative size"),
 }
 
 

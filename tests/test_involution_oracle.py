@@ -7,7 +7,8 @@ rebuild the image from the whole list of the input's cycles through
 ``permutation_from_cycles``, which checks that they cover 1..n once.
 The trusted cores that the walk of S_n in ``verify`` calls, and the
 cycle walk core ``perms._walk_word`` that feeds them, are compared with
-the public maps and the cached walk of each object.
+the public maps and the accessors of each object, which read their
+values off the same core at each call.
 """
 
 import os

@@ -14,8 +14,8 @@ validation, give what the public maps give on every signed object and
 every Callan matching of size n; the forward cores also give what the
 naive steps 1-3 of ``matching_oracle`` give, which the public maps, calling
 those same cores, cannot show.  The core stream of signed objects gives
-each permutation's cached cycles and fixed points and every subset of its
-cycle descents, and the two bijection walks of ``verify``, which read those
+each permutation's standard cycles and fixed points, as its accessors
+read them, and every subset of its cycle descents, and the two bijection walks of ``verify``, which read those
 plain streams and partner lists, keep the same records as the object-based
 walks of ``walk_oracle``.
 """

@@ -3,11 +3,12 @@
 Every public value class is pinned here: its constructor's parameters and
 defaults, its repr, ``==`` and ``!=`` against its own class, another class
 and a plain tuple of its fields, its hash (the hash of that tuple for a
-frozen class, none for the others), pickle and copy round trips, the
-refusal of assignment and deletion on a frozen class, and every refusal
-text of the constructors that validate (``Permutation``,
-``CycleDecomposition`` and ``SignedPermutation``).  The hash matters beyond
-itself: witness texts print sets of permutations, whose order follows it.
+frozen class, none for the others), pickle and copy round trips, that an
+instance holds its fields and no ``__dict__``, the refusal of assignment
+and deletion on a frozen class, and every refusal text of the constructors
+that validate (``Permutation``, ``CycleDecomposition`` and
+``SignedPermutation``).  The hash matters beyond itself: witness texts
+print sets of permutations, whose order follows it.
 """
 
 import copy
@@ -16,6 +17,7 @@ import pickle
 
 import pytest
 
+from cycledescent._records import set_field
 from cycledescent.bijections import BlockSeq, SignedPermutation
 from cycledescent.involutions import InvolutionOutcome
 from cycledescent.matchings import MatchStats, PerfectMatching
@@ -236,16 +238,33 @@ def test_frozen_records_refuse_assignment_and_deletion(cls):
     assert fields_of(record) == tuple(values)
 
 
+def test_every_record_holds_only_its_fields(cls):
+    record = build(cls, RECORDS[cls][1])
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        set_field(record, "other", None)
+
+
 def test_the_permutation_cache_takes_no_part():
-    p = Permutation((2, 3, 1))
-    fresh = Permutation((2, 3, 1))
-    assert statistics(p).exc == 2  # fills the cache of p only
-    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
-    assert pickle.dumps(p) == pickle.dumps(fresh)
-    for back in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
-        assert "_stats" not in vars(back)
-        assert back == p
-        assert statistics(back) == statistics(p)
+    # a permutation and a matching keep no derived value: reading one
+    # leaves them equal to a fresh copy in every way, and nothing can be
+    # stored on them beside their fields
+    p, fresh = Permutation((2, 3, 1)), Permutation((2, 3, 1))
+    m = PerfectMatching((1, 2), (0, 0, 4, 5, 2, 3))
+    m_fresh = PerfectMatching((1, 2), (0, 0, 4, 5, 2, 3))
+    assert statistics(p).exc == 2 and len(m.edges) == 2
+    for value, same in ((p, fresh), (m, m_fresh)):
+        assert not hasattr(value, "__dict__")
+        for store in (setattr, set_field):
+            with pytest.raises(AttributeError):
+                store(value, "_stats", None)
+        assert value == same and hash(value) == hash(same) and repr(value) == repr(same)
+        assert pickle.dumps(value) == pickle.dumps(same)
+        for back in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert not hasattr(back, "__dict__")
+            assert back == value
+    assert statistics(copy.copy(p)) == statistics(p)
+    assert copy.deepcopy(m).edges == m.edges
 
 
 def test_trusted_wrappers_build_equal_records():

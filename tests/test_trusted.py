@@ -1,11 +1,14 @@
 """The trusted construction paths against naive oracles, and the public
 entry points against bad input.
 
-Values built inside the package skip validation and compute their cycles,
-statistics, flattening and last top-descent in one cached walk.  These
-tests check them against a cycle walk written here, independent of the
-package, and check that the cache leaves equality, hashing, ``repr`` and
-pickling alone.  The signed permutations that the enumeration and the
+Values built inside the package skip validation.  A permutation holds its
+word alone: each read of its cycles, statistics, flattening or last
+top-descent, and each public map of ``involutions`` and ``bijections``,
+walks the word once with ``perms._walk_word``.  These tests check what
+those reads give against a cycle walk written here, independent of the
+package, check that reading leaves equality, hashing, ``repr`` and
+pickling alone, and count the walks of every read and map.  The signed
+permutations that the enumeration and the
 inverse maps build without validation must be the values the public
 constructor builds.  Values from outside still go through full validation
 at the public constructors and parsers, and the CLI turns every rejection
@@ -19,6 +22,8 @@ import re
 
 import pytest
 
+from cycledescent import bijections as bj
+from cycledescent import involutions as iv
 from cycledescent import perms
 from cycledescent.bijections import (
     SignedPermutation,
@@ -104,7 +109,7 @@ def check_trusted(p):
     assert statistics(p) == stats
     assert hat(p) == tuple(v for c in cycles for v in c)
     assert last_top_descent(p) == naive_top_descent(hat(p))
-    # the caches are filled now; they must not show in any of these
+    # the reads above stored nothing that could show in any of these
     assert fresh == p and hash(fresh) == hash(p)
     assert repr(p) == repr(fresh) == f"Permutation({p.word!r})"
     assert pickle.dumps(p) == pickle.dumps(fresh)
@@ -120,29 +125,69 @@ def test_cached_walk_matches_naive_walk(n):
             check_trusted(p)
 
 
+P7 = Permutation((3, 1, 4, 2, 7, 6, 5))  # (1 3 4 2)(5 7)(6)
+SIGNED = SignedPermutation(P7, frozenset({4}))  # (1 3 4- 2)(5 7)(6)
+CYCLIC = SignedPermutation(Permutation((3, 1, 4, 2)), frozenset({4}))  # (1 3 4- 2)
+DERANGEMENT = Permutation((3, 1, 4, 2, 7, 5, 6))  # (1 3 4 2)(5 7 6), pi(2) = 1
+
+
 def test_cache_is_per_instance_and_stable():
-    p = Permutation((3, 1, 4, 2, 7, 6, 5))
-    first = standard_cycles(p)
-    assert standard_cycles(p) is first
-    assert statistics(p) is statistics(p)
-    assert hat(p) is hat(p) == (1, 3, 4, 2, 5, 7, 6)
-    assert last_top_descent(p) == 7
-    assert str(first) == "(1 3 4 2)(5 7)(6)"
+    # nothing is cached on a permutation or a matching: each read builds
+    # its value anew from the fields, and equal reads give equal values
+    m = gamma(SIGNED)
+    for value in (P7, m):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.extra = None
+    first = standard_cycles(P7)
+    assert standard_cycles(P7) == first and str(first) == "(1 3 4 2)(5 7)(6)"
+    assert statistics(P7) == statistics(P7) == naive_stats(P7.word)
+    assert hat(P7) == hat(P7) == (1, 3, 4, 2, 5, 7, 6)
+    assert last_top_descent(P7) == last_top_descent(P7) == 7
+    assert m.edges == m.edges and len(m.edges) == P7.n
+
+
+def count_walks(monkeypatch):
+    """Patch ``_walk_word`` in every module that looks it up, and give the
+    list that collects the word of each call."""
+    walks = []
+    real = perms._walk_word
+    for module in (perms, iv, bj):
+        monkeypatch.setattr(module, "_walk_word", lambda word: walks.append(word) or real(word))
+    return walks
 
 
 @pytest.mark.parametrize("read", [standard_cycles, statistics, hat, last_top_descent])
 def test_one_cycle_walk_fills_the_whole_cache(monkeypatch, read):
-    walks = []
-    real = perms._cycle_walk
-    monkeypatch.setattr(perms, "_cycle_walk", lambda word: walks.append(word) or real(word))
-    p = Permutation((3, 1, 4, 2, 7, 6, 5))
-    read(p)
-    for other in (standard_cycles, statistics, hat, last_top_descent):
-        other(p)
-    assert walks == [p.word]
-    assert set(vars(p)) == {"word", "_cycles", "_stats", "_flat", "_top"}
-    # read on the class, a cached name gives its descriptor
-    assert Permutation._top is vars(Permutation)["_top"]
+    # each read walks the word once, and a second read walks it again
+    walks = count_walks(monkeypatch)
+    first = read(P7)
+    assert walks == [P7.word]
+    assert read(P7) == first
+    assert walks == [P7.word, P7.word]
+
+
+# map -> (the call, the permutation it walks)
+MAP_CALLS = {
+    "psi": (lambda: iv.psi(7, 2, P7), P7),
+    "phi_map": (lambda: iv.phi_map(P7), P7),
+    "varphi": (lambda: iv.varphi(7, 2, DERANGEMENT), DERANGEMENT),
+    "m_index": (lambda: iv.m_index(P7), P7),
+    "gamma": (lambda: bj.gamma(SIGNED), P7),
+    "theta": (lambda: bj.theta(CYCLIC), CYCLIC.perm),
+    "is_negative_cdes": (lambda: bj.is_negative_cdes(SIGNED), P7),
+    "format_signed": (lambda: bj.format_signed(SIGNED), P7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_CALLS))
+def test_each_public_map_walks_its_input_once(monkeypatch, name):
+    call, walked = MAP_CALLS[name]
+    walks = count_walks(monkeypatch)
+    first = call()
+    assert walks == [walked.word]
+    assert call() == first
+    assert walks == [walked.word] * 2
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -6,8 +6,11 @@ partner lists, kept verbatim with their helpers ``_key`` and ``_matching``
 (only the names of the walks lost their underscore).  They walk the public
 streams ``enumerate_negative_cdes`` and ``enumerate_matchings``, build a
 ``SignedPermutation`` and a ``PerfectMatching`` for every object and read
-``match_stats`` and the ``Permutation`` caches, so the records of the
-plain-data walks can be compared with them field by field.
+``match_stats`` and the accessors ``statistics`` and ``standard_cycles``,
+so the records of the plain-data walks can be compared with them field by
+field.  The accessors cached their values on the ``Permutation`` when these
+walks were written, as a comment in ``walk_signed`` still says; now each
+call walks the word again.
 """
 
 from cycledescent import bijections as bj

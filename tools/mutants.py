@@ -29,6 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STALENESS_TEST = "tests/test_mutants.py"
 VERIFY, STATPOLYS = "src/cycledescent/verify.py", "src/cycledescent/statpolys.py"
+PERMS, INVOLUTIONS = "src/cycledescent/perms.py", "src/cycledescent/involutions.py"
+BIJECTIONS = "src/cycledescent/bijections.py"
 
 # (name, file, old text, new text), each old text found once in its file
 MUTANTS = [
@@ -103,6 +105,31 @@ MUTANTS = [
         "callan walk runs no reverse trip", VERIFY,
         "        if gamma(cycles, neg, n) != partner and w.reverse_trip is None:",
         "        if False:",
+    ),
+    (
+        "gamma and theta skip the negative-cdes refusal", BIJECTIONS,
+        "    if not sp.neg.issubset(cdes):\n        raise",
+        "    if False:\n        raise",
+    ),
+    (
+        "varphi skips the derangement refusal", INVOLUTIONS,
+        "    if fix:\n        raise",
+        "    if False:\n        raise",
+    ),
+    (
+        "phi_map skips the increasing-flattening refusal", INVOLUTIONS,
+        "    if qv is None:\n        raise",
+        "    if False:\n        raise",
+    ),
+    (
+        "cycle walk never sets the top-descent at a cycle boundary", PERMS,
+        "        if flat and flat[-1] > start:",
+        "        if False:",
+    ),
+    (
+        "tally counts an insertion after a fixed point as a cdes", STATPOLYS,
+        "                cdes + (b > a),\n                m if b == 1",
+        "                cdes + (b >= a),\n                m if b == 1",
     ),
 ]
 
