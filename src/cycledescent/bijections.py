@@ -431,18 +431,20 @@ def signed_to_json_dict(sp: SignedPermutation) -> dict:
 
 
 def signed_from_json_dict(data: dict) -> SignedPermutation:
+    if not isinstance(data, dict):
+        raise ValueError("signed permutation JSON must be an object")
     try:
         one_line, negatives = data["one_line"], data["neg"]
-        if not isinstance(one_line, list) or not isinstance(negatives, list):
-            raise ValueError("signed permutation JSON 'one_line' and 'neg' must be lists")
-        word, neg = tuple(one_line), frozenset(negatives)
-        n = data.get("n", len(word))
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise ValueError(f"signed permutation JSON needs 'one_line' and 'neg': {exc}") from None
-    if n != len(word):
-        raise ValueError(f"declared n={n} but one_line has length {len(word)}")
-    signed = SignedPermutation(perm=Permutation(word), neg=neg)
-    # checked last, so that every input refused for another reason keeps its message
-    if type(n) is not int:
+    if not isinstance(one_line, list) or not isinstance(negatives, list):
+        raise ValueError("signed permutation JSON 'one_line' and 'neg' must be lists")
+    n = data.get("n", len(one_line))
+    if n != len(one_line):
+        raise ValueError(f"declared n={n} but one_line has length {len(one_line)}")
+    perm = Permutation(tuple(one_line))
+    # checked once the word holds, so that a bad word keeps its message; a
+    # value that only equals an integer (3.0, true), or a list, names no value
+    if type(n) is not int or not all(type(v) is int for v in negatives):
         raise ValueError("signed permutation JSON: 'n' and the 'neg' values must be integers")
-    return signed
+    return SignedPermutation(perm=perm, neg=frozenset(negatives))

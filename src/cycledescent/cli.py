@@ -8,6 +8,11 @@ and ``stats`` (single-permutation statistics).  All state lives on the
 command line; exit status 0 means every requested check passed, 1 that
 a check failed, 2 bad input, and 141 (128 + SIGPIPE) that the reader of
 standard output went away before it was written, as in ``| head``.
+
+``verify``, ``table`` and ``seq`` import ``verify``, ``reftables`` and
+``statpolys`` when they run; the parser reads the suites and caps of its
+``verify`` help from ``caps``.  Importing this module, and the other
+commands, load only the object layer.
 """
 
 from __future__ import annotations
@@ -20,11 +25,8 @@ import sys
 from . import bijections as bj
 from . import diagrams
 from . import matchings as mt
-from .caps import CAPS, check_cap
-from .perms import cycle_string, parse_permutation, statistics
-from .reftables import emit_table
-from .statpolys import b20_count, klazar_count
-from .verify import DEFAULT_SEED, SUITES, run_verification, suite_cap
+from . import perms
+from .caps import CAPS, DEFAULT_SEED, SUITES, check_cap, suite_cap
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,6 +124,8 @@ def _read_input(raw: str) -> str:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification
+
     summary = run_verification(args.suite, args.n_max, jobs=args.jobs, seed=args.seed)
     if args.json:
         print(json.dumps(summary.to_json_dict(), indent=2, sort_keys=True))
@@ -139,11 +143,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .reftables import emit_table
+
     sys.stdout.write(emit_table(args.kind, args.n, args.i))
     return 0
 
 
 def _cmd_seq(args) -> int:
+    from .statpolys import b20_count, klazar_count
+
     if args.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     check_cap(
@@ -243,10 +251,12 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    p = parse_permutation(args.perm)
-    s = statistics(p)
+    p = perms.parse_permutation(args.perm)
+    # one walk gives the cycles and every statistic printed
+    walk = perms._walk_word(p.word)
+    s = perms._stat_record(*walk[:4])
     print(f"one-line: {p}")
-    print(f"cycles:   {cycle_string(p)}")
+    print(f"cycles:   {perms.CycleDecomposition._trusted(walk[0])}")
     print(f"n={p.n} exc={s.exc} fix={s.fix} cyc={s.cyc} cdes={s.cdes}")
     print(f"cdes set: {sorted(s.cdes_set)}")
     print(f"position of 1: {s.inv1}")

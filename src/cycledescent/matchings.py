@@ -373,10 +373,12 @@ def matching_to_json_dict(m: PerfectMatching) -> dict:
 
 
 def matching_from_json_dict(data: dict) -> PerfectMatching:
+    if not isinstance(data, dict):
+        raise ValueError("matching JSON must be an object")
     try:
         support = data["support"]
         edges = data["edges"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise ValueError(f"matching JSON must have 'support' and 'edges': {exc}") from None
     if not isinstance(support, list) or not isinstance(edges, list):
         raise ValueError("matching JSON 'support' and 'edges' must be lists")

@@ -336,7 +336,11 @@ def cycle_string(p: Permutation) -> str:
 
 
 def statistics(p: Permutation) -> StatRecord:
-    cycles, exc, fix, cdes, _, _ = _walk_word(p.word)
+    return _stat_record(*_walk_word(p.word)[:4])
+
+
+def _stat_record(cycles: tuple[Word, ...], exc: int, fix: int, cdes: list[int]) -> StatRecord:
+    """The statistics read off the first four values of one ``_walk_word``."""
     return StatRecord(
         exc=exc,
         fix=fix,

@@ -4,13 +4,16 @@ Exhaustive verification suites behind the ``verify`` CLI command.
 Each check gives its first failure at a size n, as a witness text, or
 None when it holds; a suite is a set of checks, each capped by the entry of
 ``caps.CAPS`` that bounds what it reads, so that the whole battery stays
-desk-scale.  Every check is a fold: it reads the records that one walk of
-its size keeps for every check that reads them.  The brute-force checks of
-one size (closed forms, recurrences, cdes polynomials, signed identities)
-share the tally of S_n that ``statpolys`` keeps, the involution checks one
-walk of S_n, and the bijection checks one walk of the signed objects and
-one of the Callan matchings; the sequence cross-check and the ring axioms
-read no walk.  Each walk of a size is one task, so tasks are independent
+desk-scale.  The suite layout (the suites, their check ids in run order,
+each check's least size, cap entry and walks) and the default seed are
+plain data in ``caps``, which the CLI reads for its help without loading
+this module; here each check id gets its fold.  Every check is a fold: it
+reads the records that one walk of its size keeps for every check that
+reads them.  The brute-force checks of one size (closed forms,
+recurrences, cdes polynomials, signed identities) share the tally of S_n
+that ``statpolys`` keeps, the involution checks one walk of S_n, and the
+bijection checks one walk of the signed objects and one of the Callan
+matchings; the sequence cross-check and the ring axioms read no walk.  Each walk of a size is one task, so tasks are independent
 and a run can fan out over a process pool, largest sizes first; every task
 returns its records, and the caller folds each check off them.
 
@@ -38,7 +41,7 @@ from . import matchings as mt
 from . import perms
 from . import statpolys as sp
 from ._records import FrozenRecord, Record, set_field
-from .caps import CAPS
+from .caps import CAPS, CHECK_LAYOUT, DEFAULT_SEED, SUITES, suite_cap, verify_cap
 from .perms import Permutation, enumerate_permutations
 from .poly import MultiPoly
 
@@ -50,8 +53,6 @@ __all__ = [
     "run_verification",
     "DEFAULT_SEED",
 ]
-
-DEFAULT_SEED = 20260809
 
 
 class CheckOutcome(Record):
@@ -716,77 +717,39 @@ class Check(FrozenRecord):
         set_field(self, "informational", informational)
 
 
-# the walks that the checks read
-_TALLY, _PERMS, _BIJ = ("tally",), ("perms",), ("signed", "callan")
-# the caps that several checks share, each the entry that bounds what they read
-_BRUTE, _CDES = CAPS["brute force"], CAPS["cdes distribution"]
-_INVOLUTIONS, _SIGNED, _IMAGES = (
-    CAPS["involution tables"], CAPS["signed enumeration"], CAPS["image sets"]
-)
-
-# suite -> check id -> check, in the order the suite runs its checks
-_SUITE_CHECKS: dict[str, dict[str, Check]] = {
-    "theorem-p": {
-        "closed-form-all": Check(_fold_closed_form, 2, _BRUTE, _TALLY),
-        "closed-form-derangement": Check(
-            partial(_fold_closed_form, derangements=True), 2, _BRUTE, _TALLY
-        ),
-    },
-    "lemmas": {
-        "recurrence-all": Check(_fold_recurrence, 1, _BRUTE, _TALLY),
-        "recurrence-derangement": Check(
-            partial(_fold_recurrence, derangements=True), 2, _BRUTE, _TALLY
-        ),
-    },
-    "theorem-b": {
-        "cdes-poly-all": Check(_fold_cdes_poly, 1, _CDES, _TALLY),
-        "cdes-poly-derangement": Check(
-            partial(_fold_cdes_poly, derangements=True), 1, _CDES, _TALLY
-        ),
-        "sequence-cross-check": Check(_check_sequence_cross, 1, CAPS["sequence cross-check"]),
-    },
-    "identities": {
-        **{
-            f"identity-{i}": Check(partial(_fold_identity, identity_id=i), min_n, _BRUTE, _TALLY)
-            for i, min_n in sp.IDENTITY_MIN_N.items()
-        },
-        "poly-ring-axioms": Check(_check_poly_axioms, 1, 1),  # random polynomials, no size to cap
-    },
-    "involutions": {
-        "psi-involution": Check(_fold_psi_involution, 2, _INVOLUTIONS, _PERMS),
-        "psi-fixed-weight": Check(_fold_psi_fixed_weight, 2, _INVOLUTIONS, _PERMS),
-        "varphi-involution": Check(_fold_varphi_involution, 2, _INVOLUTIONS, _PERMS),
-        "phi-preservation": Check(_fold_phi_preservation, 1, _INVOLUTIONS, _PERMS),
-    },
-    "bijections": {
-        "count-callan": Check(_fold_counts, 1, _SIGNED, _BIJ),
-        "count-callan-no-vertical": Check(
-            partial(_fold_counts, derangements=True), 1, _SIGNED, _BIJ
-        ),
-        "gamma-image": Check(_fold_gamma_image, 1, _IMAGES, _BIJ),
-        "theta-image": Check(_fold_theta_image, 1, _IMAGES, _BIJ),
-        "gamma-roundtrip": Check(_fold_gamma_roundtrip, 1, _SIGNED, _BIJ),
-        "theta-roundtrip": Check(partial(_law, check_id="theta-roundtrip"), 1, _SIGNED, _BIJ),
-        "statistic-transport": Check(
-            partial(_law, check_id="statistic-transport"), 1, _SIGNED, _BIJ
-        ),
-        "derangement-restriction": Check(_fold_derangement_restriction, 1, _IMAGES, _BIJ),
-        "downline-per-cycle": Check(
-            partial(_law, check_id="downline-per-cycle"), 1, _SIGNED, _BIJ
-        ),
-        "downline-global-report": Check(
-            _fold_downline_global_report, 1, _SIGNED, _BIJ, informational=True
-        ),
-    },
+# check id -> its fold; the suites, sizes, caps and walks of the checks are
+# the layout of ``caps``
+_FOLDS: dict[str, Callable[..., str | None]] = {
+    "closed-form-all": _fold_closed_form,
+    "closed-form-derangement": partial(_fold_closed_form, derangements=True),
+    "recurrence-all": _fold_recurrence,
+    "recurrence-derangement": partial(_fold_recurrence, derangements=True),
+    "cdes-poly-all": _fold_cdes_poly,
+    "cdes-poly-derangement": partial(_fold_cdes_poly, derangements=True),
+    "sequence-cross-check": _check_sequence_cross,
+    **{f"identity-{i}": partial(_fold_identity, identity_id=i) for i in sp.IDENTITY_IDS},
+    "poly-ring-axioms": _check_poly_axioms,
+    "psi-involution": _fold_psi_involution,
+    "psi-fixed-weight": _fold_psi_fixed_weight,
+    "varphi-involution": _fold_varphi_involution,
+    "phi-preservation": _fold_phi_preservation,
+    "count-callan": _fold_counts,
+    "count-callan-no-vertical": partial(_fold_counts, derangements=True),
+    "gamma-image": _fold_gamma_image,
+    "theta-image": _fold_theta_image,
+    "gamma-roundtrip": _fold_gamma_roundtrip,
+    "theta-roundtrip": partial(_law, check_id="theta-roundtrip"),
+    "statistic-transport": partial(_law, check_id="statistic-transport"),
+    "derangement-restriction": _fold_derangement_restriction,
+    "downline-per-cycle": partial(_law, check_id="downline-per-cycle"),
+    "downline-global-report": _fold_downline_global_report,
 }
+_INFORMATIONAL = ("downline-global-report",)
 
-CHECKS: dict[str, Check] = {c: ch for checks in _SUITE_CHECKS.values() for c, ch in checks.items()}
-SUITES: dict[str, tuple[str, ...]] = {s: tuple(checks) for s, checks in _SUITE_CHECKS.items()}
-SUITES["all"] = tuple(CHECKS)
-
-
-def suite_cap(suite: str) -> int:
-    return max(CHECKS[c].cap for c in SUITES[suite])
+CHECKS: dict[str, Check] = {
+    c: Check(_FOLDS[c], min_n, verify_cap(c), walks, c in _INFORMATIONAL)
+    for c, (min_n, _, walks) in CHECK_LAYOUT.items()
+}
 
 
 def _plan(suite: str, n_max: int | None) -> list[tuple[str, int]]:

@@ -176,6 +176,27 @@ def test_stats_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("perm", ["(1 3 4 2)(5 7)(6)", "1", "2 1", "5 4 3 2 1 6", "(1)(2)(3)"])
+def test_stats_reads_all_it_prints_off_one_walk(capsys, monkeypatch, perm):
+    from cycledescent import perms
+
+    # the output the accessors give, each walking the word once
+    p = perms.parse_permutation(perm)
+    s = perms.statistics(p)
+    expected = (
+        f"one-line: {p}\n"
+        f"cycles:   {perms.cycle_string(p)}\n"
+        f"n={p.n} exc={s.exc} fix={s.fix} cyc={s.cyc} cdes={s.cdes}\n"
+        f"cdes set: {sorted(s.cdes_set)}\n"
+        f"position of 1: {s.inv1}\n"
+    )
+    walks = []
+    walk_word = perms._walk_word
+    monkeypatch.setattr(perms, "_walk_word", lambda word: walks.append(word) or walk_word(word))
+    assert run(capsys, "stats", "--perm", perm) == (0, expected, "")
+    assert walks == [p.word]
+
+
 def test_verify_reports_failures_in_text(capsys, monkeypatch):
     from cycledescent import verify as verify_mod
 

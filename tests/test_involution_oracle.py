@@ -5,6 +5,8 @@ input's word.  The oracles here choose the branch from the definitions
 (the flattening, the index m, the staircase shape by its pattern) and
 rebuild the image from the whole list of the input's cycles through
 ``permutation_from_cycles``, which checks that they cover 1..n once.
+The test reads each object's cycles, flattening and statistics once, off
+the accessors, and hands them to every oracle that needs them.
 The trusted cores that the walk of S_n in ``verify`` calls, and the
 cycle walk core ``perms._walk_word`` that feeds them, are compared with
 the public maps and the accessors of each object, which read their
@@ -34,16 +36,17 @@ ORACLE_SIZES = [
 ]
 
 
-def naive_top(p):
-    """The last entry of the flattening above its successor; None if none."""
-    flat = hat(p)
+def naive_top(flat):
+    """The last entry of a flattening above its successor; None if none."""
     tops = [a for a, b in zip(flat, flat[1:]) if a > b]
     return tops[-1] if tops else None
 
 
-def naive_phi(p):
-    qv = naive_top(p)
-    cycles = [list(c) for c in standard_cycles(p).cycles]
+# Each oracle takes the cycles (as lists), the last top-descent and the
+# position of 1 that the test reads once per object off the accessors.
+
+
+def naive_phi(p, cycles, qv):
     k = next(k for k, cyc in enumerate(cycles) if qv in cyc)
     cyc = cycles[k]
     pos = cyc.index(qv)
@@ -56,24 +59,22 @@ def naive_phi(p):
     return permutation_from_cycles(new_cycles, p.n), tag, delta
 
 
-def naive_m(p):
+def naive_m(n, cycles):
     """The least j with c_j not the largest value left out of c_{j+1}.."""
-    tail = standard_cycles(p).cycles[0][1:]
+    tail = cycles[0][1:]
     for j in range(1, len(tail) + 1):
-        if tail[j - 1] != max(set(range(1, p.n + 1)) - set(tail[j:])):
+        if tail[j - 1] != max(set(range(1, n + 1)) - set(tail[j:])):
             return j
     return None
 
 
-def naive_psi(n, p):
-    qv = naive_top(p)
-    cycles = [list(c) for c in standard_cycles(p).cycles]
+def naive_psi(n, p, cycles, qv, inv1):
     first = cycles[0]
-    if statistics(p).inv1 == 1:
-        return (p, "fixed", 0) if qv is None else naive_phi(p)
+    if inv1 == 1:
+        return (p, "fixed", 0) if qv is None else naive_phi(p, cycles, qv)
     if qv is not None and qv not in first:
-        return naive_phi(p)
-    m = naive_m(p)
+        return naive_phi(p, cycles, qv)
+    m = naive_m(n, cycles)
     if m is None:
         return p, "fixed", 0
     if m >= 2:
@@ -94,8 +95,7 @@ def staircase(seq):
     )
 
 
-def naive_varphi(n, p):
-    cycles = [list(c) for c in standard_cycles(p).cycles]
+def naive_varphi(n, p, cycles):
     last = cycles[-1]
     if staircase(last):
         if len(cycles) == 1:
@@ -125,12 +125,14 @@ def outcome(out):
 def test_maps_match_naive_cycle_rebuild(n):
     for p in enumerate_permutations("all", n):
         s = statistics(p)
+        cycles = [list(c) for c in standard_cycles(p).cycles]
+        qv = naive_top(hat(p))
         if n >= 2:
-            assert outcome(iv.psi(n, s.inv1, p)) == naive_psi(n, p), p
+            assert outcome(iv.psi(n, s.inv1, p)) == naive_psi(n, p, cycles, qv, s.inv1), p
             if not s.fix:
-                assert outcome(iv.varphi(n, s.inv1, p)) == naive_varphi(n, p), p
-        if naive_top(p) is not None:
-            assert outcome(iv.phi_map(p)) == naive_phi(p), p
+                assert outcome(iv.varphi(n, s.inv1, p)) == naive_varphi(n, p, cycles), p
+        if qv is not None:
+            assert outcome(iv.phi_map(p)) == naive_phi(p, cycles, qv), p
 
 
 def plain(out):

@@ -442,6 +442,54 @@ def test_cli_bad_input_exits_2(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("data", [5, None, "x", [1, 2]])
+def test_json_that_is_no_object_is_refused_with_its_own_text(data):
+    with pytest.raises(ValueError, match=r"^matching JSON must be an object$"):
+        matching_from_json_dict(data)
+    with pytest.raises(ValueError, match=r"^signed permutation JSON must be an object$"):
+        signed_from_json_dict(data)
+
+
+NEG_NOT_INTEGERS = "signed permutation JSON: 'n' and the 'neg' values must be integers"
+
+
+# JSON of the wrong shape is refused with a text of the package, never with
+# the TypeError that indexing or hashing it raises
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["map", "gamma-inv", "--input", "5"], "matching JSON must be an object"),
+        (["map", "gamma-inv", "--input", "null"], "matching JSON must be an object"),
+        (["map", "theta-inv", "--input", '"x"'], "matching JSON must be an object"),
+        (["map", "gamma-inv", "--input", "[1,2]"], "matching JSON must be an object"),
+        (["map", "gamma", "--input", '{"one_line": [1], "neg": [[1]]}'], NEG_NOT_INTEGERS),
+        (["map", "theta", "--input", '{"one_line": [2, 1], "neg": [{}]}'], NEG_NOT_INTEGERS),
+        (["map", "gamma", "--input", '{"one_line": [2, 1], "neg": ["1"]}'], NEG_NOT_INTEGERS),
+        # missing keys and fields that are no lists keep their texts
+        (
+            ["map", "gamma-inv", "--input", '{"edges": []}'],
+            "matching JSON must have 'support' and 'edges': 'support'",
+        ),
+        (
+            ["map", "gamma-inv", "--input", '{"support": [1], "edges": 5}'],
+            "matching JSON 'support' and 'edges' must be lists",
+        ),
+        (
+            ["map", "gamma", "--input", '{"one_line": [1]}'],
+            "signed permutation JSON needs 'one_line' and 'neg': 'neg'",
+        ),
+        (
+            ["map", "gamma", "--input", '{"one_line": 5, "neg": []}'],
+            "signed permutation JSON 'one_line' and 'neg' must be lists",
+        ),
+    ],
+)
+def test_cli_refuses_json_of_the_wrong_shape_with_its_own_text(capsys, argv, text):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {text}\n")
+
+
 @pytest.mark.parametrize("text", ["[" * 5000, '{"a": ' * 5000], ids=["arrays", "objects"])
 @pytest.mark.parametrize(
     "argv", [["map", "gamma"], ["map", "gamma-inv"], ["map", "theta-inv"], ["diagram"]]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cycledescent import statpolys as sp
+from cycledescent.caps import SUITE_LAYOUT
 from cycledescent.verify import (
     _WALKS,
     CHECKS,
@@ -25,6 +26,39 @@ def test_suites_cover_all_checks():
     named = {c for s, ids in SUITES.items() if s != "all" for c in ids}
     assert named == set(CHECKS)
     assert set(SUITES["all"]) == set(CHECKS)
+
+
+def test_checks_are_built_from_the_layout_of_caps():
+    from cycledescent import caps, verify
+
+    assert set(verify._FOLDS) == set(caps.CHECK_LAYOUT) == set(CHECKS)
+    assert tuple(CHECKS) == SUITES["all"]
+    for check_id, (min_n, _, walks) in caps.CHECK_LAYOUT.items():
+        check = CHECKS[check_id]
+        assert (check.min_n, check.cap, check.walks) == (
+            min_n, caps.verify_cap(check_id), walks
+        ), check_id
+    assert [c for c, check in CHECKS.items() if check.informational] == [
+        "downline-global-report"
+    ]
+    # verify re-exports the layout's suites, suite caps and seed
+    assert (SUITES, suite_cap, DEFAULT_SEED) == (caps.SUITES, caps.suite_cap, caps.DEFAULT_SEED)
+
+
+def test_identity_checks_follow_the_identities_of_statpolys():
+    layout = {
+        c: min_n
+        for c, (min_n, _, _) in SUITE_LAYOUT["identities"].items()
+        if c.startswith("identity-")
+    }
+    assert layout == {f"identity-{i}": sp.IDENTITY_MIN_N[i] for i in sp.IDENTITY_IDS}
+    assert list(layout) == [f"identity-{i}" for i in sp.IDENTITY_IDS]
+
+
+def test_suite_names_and_the_seed_are_written_once():
+    texts = "".join(path.read_text() for path in sorted((SRC / "cycledescent").glob("*.py")))
+    for literal in [f'"{s}"' for s in SUITES if s != "all"] + [str(DEFAULT_SEED)]:
+        assert texts.count(literal) == 1, literal
 
 
 def test_suite_caps():

@@ -1,7 +1,10 @@
 """Where the import of ``cycledescent`` and its CLI spends its time.
 
 Every CLI call, and the ``setup_s`` of every benchmark workload, pays
-``import cycledescent, cycledescent.cli`` in a fresh interpreter.  This
+``import cycledescent, cycledescent.cli`` in a fresh interpreter.  That
+import loads the object layer and the CLI only; ``verify``,
+``statpolys``, ``reftables`` and ``poly`` load in the commands that run
+them, so they are not in the figures below.  This
 tool times that import as ``benchmarks/run.py`` does, alternating fresh
 interpreters of the reference import and of the package import, and scales
 each package import by run.py's reference time over the reference import

@@ -10,7 +10,12 @@ survivors at the end; the exit status is 1 when a mutant survives.
     python tools/mutants.py
 
 Standard library and pytest only; it takes no options.  Not run by CI: a
-killed mutant takes a few seconds and a survivor a whole tier-1 run.
+killed mutant takes a few seconds and a survivor a whole tier-1 run.  A
+mutant of a core can hand a walk a partner list that is no involution,
+and a walk over one never ends and grows its lists without bound; so each
+copy runs with its address space capped at ``MEMORY_CAP`` bytes, where
+such a walk fails with MemoryError within seconds (tier-1 itself passes
+under the cap), and a run that passes ``TIMEOUT_S`` counts as killed.
 ``tests/test_mutants.py`` checks that each old text occurs exactly once in
 its file, so the list cannot go stale unnoticed; the copies run without
 that test, which every mutant would fail.
@@ -19,6 +24,7 @@ that test, which every mutant would fail.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -28,9 +34,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STALENESS_TEST = "tests/test_mutants.py"
+MEMORY_CAP = 2**30  # address space of each tier-1 copy
+TIMEOUT_S = 600  # a tier-1 copy that runs longer has not passed
 VERIFY, STATPOLYS = "src/cycledescent/verify.py", "src/cycledescent/statpolys.py"
 PERMS, INVOLUTIONS = "src/cycledescent/perms.py", "src/cycledescent/involutions.py"
-BIJECTIONS = "src/cycledescent/bijections.py"
+BIJECTIONS, MATCHINGS = "src/cycledescent/bijections.py", "src/cycledescent/matchings.py"
+CLI, CAPS = "src/cycledescent/cli.py", "src/cycledescent/caps.py"
 
 # (name, file, old text, new text), each old text found once in its file
 MUTANTS = [
@@ -131,6 +140,52 @@ MUTANTS = [
         "                cdes + (b > a),\n                m if b == 1",
         "                cdes + (b >= a),\n                m if b == 1",
     ),
+    (
+        "psi core detaches one element too few in case 1", INVOLUTIONS,
+        "        return _swapped(word, 1, first[m - 1]), \"psi-case1\", -1",
+        "        return _swapped(word, 1, first[m - 2]), \"psi-case1\", -1",
+    ),
+    (
+        "varphi core merges by the wrong comparison", INVOLUTIONS,
+        "        if prev[1] < last[top - 1]:",
+        "        if prev[1] > last[top - 1]:",
+    ),
+    (
+        "phi core merges at the next cycle's minimum", INVOLUTIONS,
+        "        return _swapped(word, top, cycles[k + 1][-1]), \"phi-merge\", 1",
+        "        return _swapped(word, top, cycles[k + 1][0]), \"phi-merge\", 1",
+    ),
+    (
+        "theta closes at the wrong end of the last block", BIJECTIONS,
+        "    b = 2 * tail if odd else 2 * head + 1",
+        "    b = 2 * head + 1 if odd else 2 * tail",
+    ),
+    (
+        "unfold signs the largest value of the walk positive", BIJECTIONS,
+        "            neg.pop()  # the block minimum is positive",
+        "            neg.pop(0)  # the block minimum is positive",
+    ),
+    (
+        "gamma_inv core skips the component of slot 1", BIJECTIONS,
+        "    for start in range(1, len(seen)):",
+        "    for start in range(2, len(seen)):",
+    ),
+    (
+        "match_stats core counts verticals as arcs", MATCHINGS,
+        "    return n - up - down - ver, up, down, ver, com",
+        "    return n - up - down, up, down, ver, com",
+    ),
+    (
+        "cli imports verify at module level", CLI,
+        "from .caps import CAPS, DEFAULT_SEED, SUITES, check_cap, suite_cap\n",
+        "from .caps import CAPS, DEFAULT_SEED, SUITES, check_cap, suite_cap\n"
+        "from .verify import run_verification  # noqa: F401\n",
+    ),
+    (
+        "layout caps theta-image by the signed enumeration", CAPS,
+        "        \"theta-image\": (1, _IMAGES, _BIJ),",
+        "        \"theta-image\": (1, _SIGNED, _BIJ),",
+    ),
 ]
 
 
@@ -149,8 +204,18 @@ def run_mutant(file: str, old: str, new: str) -> tuple[bool, float]:
             "--continue-on-collection-errors", "--ignore", STALENESS_TEST,
         ]
         start = time.perf_counter()
-        proc = subprocess.run(command, cwd=copy, env=env, capture_output=True)
+        try:
+            proc = subprocess.run(
+                command, cwd=copy, env=env, capture_output=True,
+                preexec_fn=cap_memory, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return True, time.perf_counter() - start
         return proc.returncode != 0, time.perf_counter() - start
+
+
+def cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 def main() -> int:
