@@ -443,8 +443,13 @@ def signed_from_json_dict(data: dict) -> SignedPermutation:
     if n != len(one_line):
         raise ValueError(f"declared n={n} but one_line has length {len(one_line)}")
     perm = Permutation(tuple(one_line))
+    not_integers = "signed permutation JSON: 'n' and the 'neg' values must be integers"
     # checked once the word holds, so that a bad word keeps its message; a
     # value that only equals an integer (3.0, true), or a list, names no value
-    if type(n) is not int or not all(type(v) is int for v in negatives):
-        raise ValueError("signed permutation JSON: 'n' and the 'neg' values must be integers")
-    return SignedPermutation(perm=perm, neg=frozenset(negatives))
+    if not all(type(v) is int for v in negatives):
+        raise ValueError(not_integers)
+    signed = SignedPermutation(perm=perm, neg=frozenset(negatives))
+    # checked last, so that every input refused for another reason keeps its message
+    if type(n) is not int:
+        raise ValueError(not_integers)
+    return signed

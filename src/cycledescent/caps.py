@@ -70,7 +70,7 @@ SUITE_LAYOUT: dict[str, dict[str, tuple[int, str | None, tuple[str, ...]]]] = {
         "cdes-poly-derangement": (1, _CDES, _TALLY),
         "sequence-cross-check": (1, "sequence cross-check", ()),
     },
-    # one check per identity of ``statpolys``, in its order and from its least n
+    # one check per identity of ``statpolys``, which reads each identity's least n here
     "identities": {
         "identity-brenti": (1, _BRUTE, _TALLY),
         "identity-kz-total": (1, _BRUTE, _TALLY),

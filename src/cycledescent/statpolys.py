@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from ._records import Record
-from .caps import check_cap
+from .caps import CHECK_LAYOUT, check_cap
 from .perms import (
     Permutation,
     cycle_string,
@@ -412,26 +412,26 @@ def _rhs_signed_sn(n: int) -> MultiPoly:
     return 2 ** (n - 2) * (T + T**n)
 
 
-# id -> (domain family, weight, rhs builder, minimum n)
-_IDENTITY_SPECS: dict[str, tuple[str, Weight, Callable[[int], MultiPoly], int]] = {
-    "brenti": ("all", _weight_exc_signed_cyc, lambda n: -((X - ONE) ** (n - 1)), 1),
-    "kz-total": ("derangements", _weight_exc_signed_cyc, _geometric_negative, 1),
-    "kz-refined": ("derangements", _weight_exc_signed_cyc_tlast, _rhs_refined, 1),
+# id -> (domain family, weight, rhs builder); the least n of each identity is
+# that of its check in the verify layout of ``caps``
+_IDENTITY_SPECS: dict[str, tuple[str, Weight, Callable[[int], MultiPoly]]] = {
+    "brenti": ("all", _weight_exc_signed_cyc, lambda n: -((X - ONE) ** (n - 1))),
+    "kz-total": ("derangements", _weight_exc_signed_cyc, _geometric_negative),
+    "kz-refined": ("derangements", _weight_exc_signed_cyc_tlast, _rhs_refined),
     # t marks pi(i) = 1, so the per-position sums of signed-sni are the t^i
     # coefficients of signed-sn's sum: the two forms are one equation
-    "signed-sni": ("all", _weight_signed_cdes_t, _rhs_signed_sn, 2),
-    "signed-sn": ("all", _weight_signed_cdes_t, _rhs_signed_sn, 2),
-    "signed-d-t": ("derangements", _weight_exc_signed_cdes_t, _rhs_signed_d_t, 1),
+    "signed-sni": ("all", _weight_signed_cdes_t, _rhs_signed_sn),
+    "signed-sn": ("all", _weight_signed_cdes_t, _rhs_signed_sn),
+    "signed-d-t": ("derangements", _weight_exc_signed_cdes_t, _rhs_signed_d_t),
     "signed-d-parity": (
         "derangements",
         _weight_signed_cdes,
         lambda n: MultiPoly.constant((1 - (-1) ** (n - 1)) // 2),
-        1,
     ),
 }
 
 IDENTITY_IDS = tuple(_IDENTITY_SPECS)
-IDENTITY_MIN_N = {identity_id: spec[3] for identity_id, spec in _IDENTITY_SPECS.items()}
+IDENTITY_MIN_N = {i: CHECK_LAYOUT[f"identity-{i}"][0] for i in IDENTITY_IDS}
 
 
 def _find_witness(family: str, n: int, weight: Weight, diff: MultiPoly) -> str | None:
@@ -461,7 +461,7 @@ def identity_check(identity_id: str, n: int) -> IdentityReport:
     """
     if identity_id not in _IDENTITY_SPECS:
         raise ValueError(f"unknown identity id: {identity_id!r}")
-    min_n = _IDENTITY_SPECS[identity_id][3]
+    min_n = IDENTITY_MIN_N[identity_id]
     if n < min_n:
         raise ValueError(f"identity {identity_id!r} needs n >= {min_n}")
     return _identity_check(_tally(n), identity_id, n)
@@ -469,7 +469,7 @@ def identity_check(identity_id: str, n: int) -> IdentityReport:
 
 def _identity_check(tally: Tally, identity_id: str, n: int) -> IdentityReport:
     """The core of :func:`identity_check`, read off the tally of size n."""
-    family, weight, rhs_fn, _ = _IDENTITY_SPECS[identity_id]
+    family, weight, rhs_fn = _IDENTITY_SPECS[identity_id]
     lhs = _weighted_sum(family, tally, weight)
     rhs = rhs_fn(n)
     passed = lhs == rhs

@@ -85,12 +85,12 @@ def statistic_poly_off(at):
 
 
 def brenti_rhs_off():
-    family, weight, rhs, min_n = REAL["_IDENTITY_SPECS"]["brenti"]
+    family, weight, rhs = REAL["_IDENTITY_SPECS"]["brenti"]
 
     def fake_rhs(n):
         return rhs(n) + X if n == 3 else rhs(n)
 
-    return {**REAL["_IDENTITY_SPECS"], "brenti": (family, weight, fake_rhs, min_n)}
+    return {**REAL["_IDENTITY_SPECS"], "brenti": (family, weight, fake_rhs)}
 
 
 def psi_fixed_set_with_a_cycle_descent():
@@ -109,12 +109,12 @@ def psi_fixed_set_without_a_point():
 def signed_sni_unsigned():
     # the weight of signed-sni without its sign (-1)^cdes; signed-sn keeps
     # the real weight in its own row
-    family, weight, rhs, min_n = REAL["_IDENTITY_SPECS"]["signed-sni"]
+    family, weight, rhs = REAL["_IDENTITY_SPECS"]["signed-sni"]
 
     def unsigned(k):
         return 1, (0, 0, 0, k.inv1)
 
-    return {**REAL["_IDENTITY_SPECS"], "signed-sni": (family, unsigned, rhs, min_n)}
+    return {**REAL["_IDENTITY_SPECS"], "signed-sni": (family, unsigned, rhs)}
 
 
 class NonCommuting(MultiPoly):

@@ -482,6 +482,11 @@ NEG_NOT_INTEGERS = "signed permutation JSON: 'n' and the 'neg' values must be in
             ["map", "gamma", "--input", '{"one_line": 5, "neg": []}'],
             "signed permutation JSON 'one_line' and 'neg' must be lists",
         ),
+        # the type of n is checked last: a negative value out of range keeps its text
+        (
+            ["map", "gamma", "--input", '{"one_line": [2, 1], "neg": [5], "n": 2.0}'],
+            "negative values outside 1..2: {5}",
+        ),
     ],
 )
 def test_cli_refuses_json_of_the_wrong_shape_with_its_own_text(capsys, argv, text):

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from cycledescent import statpolys as sp
-from cycledescent.caps import SUITE_LAYOUT
 from cycledescent.verify import (
     _WALKS,
     CHECKS,
@@ -43,16 +42,6 @@ def test_checks_are_built_from_the_layout_of_caps():
     ]
     # verify re-exports the layout's suites, suite caps and seed
     assert (SUITES, suite_cap, DEFAULT_SEED) == (caps.SUITES, caps.suite_cap, caps.DEFAULT_SEED)
-
-
-def test_identity_checks_follow_the_identities_of_statpolys():
-    layout = {
-        c: min_n
-        for c, (min_n, _, _) in SUITE_LAYOUT["identities"].items()
-        if c.startswith("identity-")
-    }
-    assert layout == {f"identity-{i}": sp.IDENTITY_MIN_N[i] for i in sp.IDENTITY_IDS}
-    assert list(layout) == [f"identity-{i}" for i in sp.IDENTITY_IDS]
 
 
 def test_suite_names_and_the_seed_are_written_once():
