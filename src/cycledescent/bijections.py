@@ -19,11 +19,13 @@ bijection explicitly:
   points (ver = fix).
 
 Each of the four maps is a public function that validates its input and
-then calls a core that trusts it: ``_gamma_core``/``_theta_core`` take
-standard cycles (one cycle for theta), which the public maps read off one
-``perms._walk_word`` of the word, and a negative set and give a partner
-list, and ``_gamma_inv_core``/``_theta_inv_core`` give them back from a
-partner list.  The public maps are for input from outside; the bijection
+then calls a core that trusts it: ``_gamma_core`` takes standard cycles,
+which the public maps read off one ``perms._walk_word`` of the word, and
+a negative set and gives a partner list, and ``_gamma_inv_core`` gives
+them back from a partner list.  ``theta`` is ``gamma`` on one cycle, so
+``theta`` and ``theta_inv`` call the same two cores and add only their
+refusals of an object that is not cyclic and of a matching that is not
+connected.  The public maps are for input from outside; the bijection
 walks of ``verify``, which build their inputs themselves, call the cores.
 Likewise ``enumerate_negative_cdes`` wraps a core stream,
 ``_negative_cdes_core``, that gives each permutation as a word, its
@@ -74,11 +76,11 @@ class SignedPermutation(FrozenRecord):
     Code in this package that has already built a valid ``neg`` wraps it
     with :meth:`_trusted` instead: :func:`enumerate_negative_cdes`, whose
     signs are cycle descents, and :func:`gamma_inv`/:func:`theta_inv`,
-    whose signs their cores read off the slots of a support checked to be
-    1..n, and ``verify``, which wraps a word and a negative set of the
-    core stream only to name a witness.  The cores themselves build no
-    signed permutation: the walks of ``verify`` compare what they give
-    with the standard cycles and negative sets of that stream.
+    whose signs their shared core reads off the slots of a support
+    checked to be 1..n, and ``verify``, which wraps a word and a negative
+    set of the core stream only to name a witness.  The cores themselves
+    build no signed permutation: the walks of ``verify`` compare what they
+    give with the standard cycles and negative sets of that stream.
     """
 
     __slots__ = __match_args__ = ("perm", "neg")
@@ -259,13 +261,6 @@ def _theta_partners(cycle: Sequence[int], neg: frozenset[int], partner: list[int
     partner[b] = a
 
 
-def _theta_core(cycle: Sequence[int], neg: frozenset[int]) -> tuple[int, ...]:
-    """Partner list of ``theta`` on one standard cycle of 1..len(cycle)."""
-    partner = [0] * (2 * len(cycle) + 2)
-    _theta_partners(cycle, neg, partner)
-    return tuple(partner)
-
-
 def theta(sp: SignedPermutation) -> PerfectMatching:
     """Connected Callan matching of a cyclic negative-cdes permutation.
 
@@ -280,7 +275,7 @@ def theta(sp: SignedPermutation) -> PerfectMatching:
     if len(cycles) != 1:
         raise ValueError(f"not cyclic: {len(cycles)} cycles")
     return PerfectMatching(
-        support=tuple(range(1, sp.n + 1)), partner=_theta_core(cycles[0], sp.neg)
+        support=tuple(range(1, sp.n + 1)), partner=_gamma_core(cycles, sp.neg, sp.n)
     )
 
 
@@ -293,7 +288,10 @@ def _unfold(
     Callan matching of 1..n with partner list ``partner``.  The walk leaves
     start by its bottom vertex and follows its edge; it leaves each index
     it enters by that index's other vertex, marking it in ``seen``, until
-    it comes back to the top vertex of start.  Deleting the edge at
+    it comes back to the top vertex of start.  On a partner list that is
+    not an involution the walk can miss that vertex; it then stops at the
+    first index it enters twice, after at most n steps, and gives what it
+    has read.  Deleting the edge at
     (start, 1) and identifying the two rows leaves that walk as a path from
     start.  Bars go after every path step that crosses an arc (and at the
     end); each bar-delimited block, sorted decreasingly, becomes a run of
@@ -307,6 +305,8 @@ def _unfold(
     out, close = 2 * start, 2 * start + 1
     while (key := partner[out]) != close:
         i = key >> 1
+        if seen[i]:
+            break
         seen[i] = True
         if (key ^ out) & 1 == 0:  # both ends in one row: an arc
             block.sort(reverse=True)
@@ -324,12 +324,6 @@ def _unfold(
     return tuple(cycle), neg
 
 
-def _theta_inv_core(partner: Sequence[int]) -> tuple[tuple[int, ...], frozenset[int]]:
-    """Cycle and negative set that ``theta`` maps to the component of slot 1."""
-    cycle, neg = _unfold(partner, 1, [False] * (len(partner) >> 1))
-    return cycle, frozenset(neg)
-
-
 def theta_inv(m: PerfectMatching) -> SignedPermutation:
     """Inverse of :func:`theta` on connected Callan matchings of 1..l."""
     l = m.n
@@ -337,10 +331,10 @@ def theta_inv(m: PerfectMatching) -> SignedPermutation:
         raise ValueError("support must be exactly 1..l")
     if not is_callan(m):
         raise ValueError("matching has uplines")
-    cycle, neg = _theta_inv_core(m.partner)
-    if len(cycle) != l:
+    cycles, neg = _gamma_inv_core(m.partner)
+    if len(cycles) != 1:
         raise ValueError("matching is not connected")
-    return SignedPermutation._trusted(permutation_from_cycles([cycle], l), neg)
+    return SignedPermutation._trusted(permutation_from_cycles(cycles, l), neg)
 
 
 def _gamma_core(

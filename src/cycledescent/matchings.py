@@ -225,7 +225,9 @@ def _component_walks(m: PerfectMatching) -> Iterator[tuple[int, list[int]]]:
     The walk leaves the smallest slot by its bottom vertex and follows its
     edge; it leaves each slot it enters by that slot's other vertex, until
     it comes back to the top vertex of the smallest slot, whose key is not
-    listed.  Every other slot of the component is entered exactly once.
+    listed.  Every other slot of the component is entered exactly once.  On
+    a partner list that is not an involution a walk can miss that vertex;
+    it then stops at the first slot it enters twice, after at most n steps.
     """
     partner = m.partner
     seen = [False] * (m.n + 1)
@@ -234,6 +236,8 @@ def _component_walks(m: PerfectMatching) -> Iterator[tuple[int, list[int]]]:
             keys: list[int] = []
             out, close = 2 * start, 2 * start + 1
             while (key := partner[out]) != close:
+                if seen[key >> 1]:
+                    break
                 keys.append(key)
                 seen[key >> 1] = True
                 out = key ^ 1
@@ -262,8 +266,8 @@ def _match_stats_core(partner: Sequence[int]) -> tuple[int, int, int, int, int]:
                 up += 1
             else:
                 down += 1
-    # the walks of _component_walks, marking the slots they enter and
-    # keeping no keys
+    # the walks of _component_walks, marking the slots they enter, keeping
+    # no keys and stopping, as they do, at a slot entered twice
     com = 0
     seen = [False] * (n + 1)
     for start in range(1, n + 1):
@@ -271,6 +275,8 @@ def _match_stats_core(partner: Sequence[int]) -> tuple[int, int, int, int, int]:
             com += 1
             out, close = 2 * start, 2 * start + 1
             while (key := partner[out]) != close:
+                if seen[key >> 1]:
+                    break
                 seen[key >> 1] = True
                 out = key ^ 1
     return n - up - down - ver, up, down, ver, com

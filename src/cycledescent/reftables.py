@@ -12,21 +12,16 @@ from __future__ import annotations
 from typing import Iterable
 
 from .caps import check_cap
-from .involutions import (
-    last_top_descent,
-    m_index,
-    psi,
-    psi_fixed_set,
-    varphi,
-    varphi_fixed_point,
-)
+from .involutions import _m_index, _psi_core, _varphi_core, psi_fixed_set, varphi_fixed_point
 from .perms import (
+    CycleDecomposition,
     Permutation,
+    Word,
+    _stat_record,
+    _walk_word,
     cycle_string,
     enumerate_permutations,
-    hat,
     parse_permutation,
-    statistics,
 )
 from .poly import MultiPoly
 
@@ -83,14 +78,18 @@ _VARPHI_NOTES = (
 )
 
 
-def _hat_str(p: Permutation) -> str:
-    word = hat(p)
-    return "".join(map(str, word)) if p.n <= 9 else " ".join(map(str, word))
+def _hat_str(flat: Word) -> str:
+    return "".join(map(str, flat)) if len(flat) <= 9 else " ".join(map(str, flat))
 
 
-def _weight_str(p: Permutation) -> str:
-    s = statistics(p)
+def _weight_str(walk: tuple) -> str:
+    s = _stat_record(*walk[:4])
     return str(MultiPoly.monomial((-1) ** s.cdes, ex=s.exc))
+
+
+def _image_str(word: Word) -> str:
+    """Cycle notation of the image word an involution core gives."""
+    return cycle_string(Permutation._trusted(word))
 
 
 def _rows(
@@ -117,18 +116,19 @@ def _psi_table(n: int, i: int) -> str:
         if with_m
         else "# columns: perm | weight | hat | q | image",
     ]
+    # one walk of each row's word gives every cell but the image's
     for p in rows:
-        q = last_top_descent(p)
+        walk = cycles, _, _, _, flat, q = _walk_word(p.word)
         cells = [
-            cycle_string(p),
-            _weight_str(p),
-            _hat_str(p),
+            str(CycleDecomposition._trusted(cycles)),
+            _weight_str(walk),
+            _hat_str(flat),
             "" if q is None else str(q),
         ]
         if with_m:
-            m = m_index(p)
+            m = _m_index(n, cycles[0])
             cells.append("" if m is None else str(m))
-        cells.append(cycle_string(psi(n, i, p).image))
+        cells.append(_image_str(_psi_core(n, i, p.word, cycles, q)[0]))
         lines.append("|".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -149,9 +149,11 @@ def _varphi_table(n: int) -> str:
             lambda p: (p == fp, p.word),
         )
         for p in rows:
-            out = varphi(n, i, p)
-            tag = "fixed" if out.case_tag == "fixed" else ""
-            lines.append("|".join([str(i), cycle_string(p), cycle_string(out.image), tag]))
+            cycles = _walk_word(p.word)[0]
+            image, case_tag, _ = _varphi_core(p.word, cycles)
+            tag = "fixed" if case_tag == "fixed" else ""
+            perm = str(CycleDecomposition._trusted(cycles))
+            lines.append("|".join([str(i), perm, _image_str(image), tag]))
     return "\n".join(lines) + "\n"
 
 

@@ -489,13 +489,11 @@ def _fold_phi_preservation(n: int, seed: int, w: _PermWalk) -> str | None:
 # permutations of size n once, which gives each word with its standard
 # cycles, its fixed points and the negative sets that sign it: for every
 # signed object it runs the gamma core, the inverse core on the image and
-# the statistics core on the image, and for every cyclic object the theta
-# core and its inverse.  On a cyclic object theta's partner list is
-# gamma's, so the per-cycle downline form reads the statistics of the
-# gamma image; only a theta image that differs from it is measured again.
-# The cores write each cycle's edges, and unfold each component, in one
-# pass.  A forward trip holds when the inverse core gives back the
-# object's cycles and negative set.  ``_walk_callan(n)`` walks the partner
+# the statistics core on the image, once each.  Theta is gamma on one
+# cycle, so the theta checks read the same trip, image and statistics on
+# the cyclic objects.  The cores write each cycle's edges, and unfold each
+# component, in one pass.  A forward trip holds when the inverse core
+# gives back the object's cycles and negative set.  ``_walk_callan(n)`` walks the partner
 # lists of the Callan matchings of size n once and runs the reverse round
 # trip on its own: it unfolds each partner list and checks that the gamma
 # core rebuilds it.  Each trip is compared with the enumerated object, so
@@ -550,7 +548,6 @@ def _walk_signed(n: int) -> _SignedWalk:
     # read off their modules once per walk, so that a test can patch them
     stream, stats_of = bj._negative_cdes_core, mt._match_stats_core
     gamma, gamma_inv = bj._gamma_core, bj._gamma_inv_core
-    theta, theta_inv = bj._theta_core, bj._theta_inv_core
     for word, cycles, fix, negs in stream(n):
         cyc = len(cycles)
         w.count += len(negs)
@@ -561,7 +558,10 @@ def _walk_signed(n: int) -> _SignedWalk:
         for neg in negs:
             partner = gamma(cycles, neg, n)
             if gamma_inv(partner) != (cycles, neg):
-                first.setdefault("gamma-roundtrip", f"round trip broke at {_signed(word, neg)}")
+                witness = f"round trip broke at {_signed(word, neg)}"
+                first.setdefault("gamma-roundtrip", witness)
+                if cyc == 1:  # theta is gamma on one cycle
+                    first.setdefault("theta-roundtrip", witness)
             _, _, down, ver, com = stats_of(partner)
             if com != cyc or ver != fix:
                 first.setdefault("statistic-transport", (
@@ -574,26 +574,17 @@ def _walk_signed(n: int) -> _SignedWalk:
                 if "downline-global-report" not in first:
                     first["downline-global-report"] = str(_signed(word, neg))
             if cyc == 1:
-                t = theta(cycles[0], neg)
-                if theta_inv(t) != (cycles[0], neg):
-                    first.setdefault(
-                        "theta-roundtrip", f"round trip broke at {_signed(word, neg)}"
-                    )
-                # theta and gamma agree on a cyclic object, so its theta image is
-                # measured again only when the two cores disagree
-                if t != partner:
-                    down = stats_of(t)[2]
-                bump = 1 if mt._edge_kind(3, t[3]) == "downline" else 0  # key 3 is (1, 1)
+                bump = 1 if mt._edge_kind(3, partner[3]) == "downline" else 0  # key 3: (1, 1)
                 if down != len(neg) + bump:
                     first.setdefault(
                         "downline-per-cycle",
                         f"{_signed(word, neg)}: down={down}, neg={len(neg)}, bump={bump}",
                     )
-                if images:
-                    images["theta-image"].add(_key(t))
             if images:
                 key = _key(partner)
                 images["gamma-image"].add(key)
+                if cyc == 1:
+                    images["theta-image"].add(key)
                 if not fix:
                     images["derangement-restriction"].add(key)
     w.images = {c: _exact(keys) for c, keys in images.items()}

@@ -2,9 +2,10 @@
 
 Each case replaces one fast path (``klazar_count``, ``b20_count``, the
 core of ``match_stats``, the component unfold ``_unfold``, the core stream
-of signed objects, or a core of ``gamma``, ``theta``, ``gamma_inv`` or
-``theta_inv``, which the walks call in place of the validating public maps
-and the object streams) by one that is wrong at a chosen object, runs
+of signed objects, or the core of ``gamma`` or ``gamma_inv``, which the
+walks call in place of the validating public maps and the object streams;
+theta is gamma on one cycle, so a fault of a gamma core at a cyclic
+object is a fault of theta) by one that is wrong at a chosen object, runs
 ``verify bijections --n-max 3`` through the CLI and compares every failure
 it reports, and the downline note at n = 3, with recorded texts.  The
 texts print signed permutations and matchings, so they also pin ``str`` of
@@ -14,6 +15,7 @@ both.
 import json
 
 import pytest
+from deadline import deadline
 
 from cycledescent import bijections as bj
 from cycledescent import matchings as mt
@@ -26,9 +28,7 @@ REAL = {
     "klazar_count": sp.klazar_count,
     "b20_count": sp.b20_count,
     "_gamma_core": bj._gamma_core,
-    "_theta_core": bj._theta_core,
     "_gamma_inv_core": bj._gamma_inv_core,
-    "_theta_inv_core": bj._theta_inv_core,
     "_unfold": bj._unfold,
     "_match_stats_core": mt._match_stats_core,
     "_negative_cdes_core": bj._negative_cdes_core,
@@ -40,25 +40,34 @@ P = bj.parse_signed
 S0, S1, S2 = P("(1+ 2+ 3+)"), P("(1+ 3+ 2+)"), P("(1+ 3- 2+)")
 # a cyclic object of size 4, whose image no object of size 3 has
 FOREIGN = P("(1+ 4- 2+ 3+)")
+# an object of size 3 that is not cyclic
+TWO_CYCLES = P("(1+)(2+ 3+)")
 
 
-def plain(name, s):
-    """The plain data the core ``name`` reads or gives for s: the standard
-    cycles (the one cycle for theta), the negative set and, for gamma, n."""
-    cycles = standard_cycles(s.perm).cycles
-    return (cycles, s.neg, s.n) if name == "_gamma_core" else (cycles[0], s.neg)
+def plain(s):
+    """The plain data the core of gamma reads for s: the standard cycles,
+    the negative set and n."""
+    return standard_cycles(s.perm).cycles, s.neg, s.n
 
 
-def collide(name, a, b):
-    """The core ``name`` sends b where it sends a."""
-    real = REAL[name]
-    return lambda *args: real(*plain(name, a)) if args == plain(name, b) else real(*args)
+def collide(a, b):
+    """The core of gamma sends b where it sends a."""
+    real = REAL["_gamma_core"]
+    return lambda *args: real(*plain(a)) if args == plain(b) else real(*args)
 
 
-def foreign(name, a):
-    """The core ``name`` sends a to the image of FOREIGN."""
-    real = REAL[name]
-    return lambda *args: real(*plain(name, FOREIGN)) if args == plain(name, a) else real(*args)
+def foreign(a):
+    """The core of gamma sends a to the image of FOREIGN."""
+    real = REAL["_gamma_core"]
+    return lambda *args: real(*plain(FOREIGN)) if args == plain(a) else real(*args)
+
+
+def no_involution(a):
+    """The core of gamma pairs the top vertex of the last slot of a's image
+    with the bottom vertex of slot 1, whose own partner stays as it was: a
+    partner list that is not an involution."""
+    real = REAL["_gamma_core"]
+    return lambda *args: real(*args)[:-1] + (2,) if args == plain(a) else real(*args)
 
 
 def second_call_wrong(m0):
@@ -76,11 +85,12 @@ def second_call_wrong(m0):
 
 
 def drop_signs(s0):
-    real = REAL["_theta_inv_core"]
+    """The core of ``gamma_inv`` gives s0 back without its signs."""
+    real = REAL["_gamma_inv_core"]
 
     def fake(partner):
-        cycle, neg = real(partner)
-        return (cycle, frozenset()) if (cycle, neg) == plain("_theta_core", s0) else (cycle, neg)
+        cycles, neg = real(partner)
+        return (cycles, frozenset()) if (cycles, neg, s0.n) == plain(s0) else (cycles, neg)
 
     return fake
 
@@ -136,38 +146,55 @@ CASES = {
         None,
     ),
     "gamma-collides": (
-        "_gamma_core", lambda: collide("_gamma_core", S0, S1),
+        "_gamma_core", lambda: collide(S0, S1),
         [
             ("gamma-image", 3, "gamma not injective: 7 inputs, 6 images"),
+            ("theta-image", 3, "theta not injective on 3 inputs"),
             ("gamma-roundtrip", 3, "round trip broke at (1+ 3+ 2+)"),
+            ("theta-roundtrip", 3, "round trip broke at (1+ 3+ 2+)"),
             ("derangement-restriction", 3, "3 inputs, 2 images, 3 targets"),
         ],
         None,
     ),
     "gamma-leaves-the-target": (
-        "_gamma_core", lambda: foreign("_gamma_core", S2),
+        "_gamma_core", lambda: foreign(S2),
         [
             ("gamma-image", 3, "image has 7 matchings, target 7"),
+            ("theta-image", 3, "image has 3 matchings, target 3"),
             ("gamma-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
+            ("theta-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
             ("derangement-restriction", 3, "3 inputs, 3 images, 3 targets"),
         ],
         None,
     ),
+    # theta is gamma on one cycle: these two fault the gamma core at other
+    # cyclic objects, where the downlines of the wrong image do not match
+    # the object's signs, so the per-cycle downline form fails as well
     "theta-collides": (
-        "_theta_core", lambda: collide("_theta_core", S0, S1),
+        "_gamma_core", lambda: collide(S1, S2),
         [
+            ("gamma-image", 3, "gamma not injective: 7 inputs, 6 images"),
             ("theta-image", 3, "theta not injective on 3 inputs"),
-            ("theta-roundtrip", 3, "round trip broke at (1+ 3+ 2+)"),
+            ("gamma-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
+            ("theta-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
+            ("derangement-restriction", 3, "3 inputs, 2 images, 3 targets"),
+            ("downline-per-cycle", 3, "(1+ 3- 2+): down=1, neg=1, bump=1"),
         ],
-        None,
+        "row-of-partner form holds for 4/7 signed permutations;"
+        " 1 failing inputs are cyclic; first failure (1+)(2+)(3+)",
     ),
     "theta-leaves-the-target": (
-        "_theta_core", lambda: foreign("_theta_core", S2),
+        "_gamma_core", lambda: foreign(S1),
         [
+            ("gamma-image", 3, "image has 7 matchings, target 7"),
             ("theta-image", 3, "image has 3 matchings, target 3"),
-            ("theta-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
+            ("gamma-roundtrip", 3, "round trip broke at (1+ 3+ 2+)"),
+            ("theta-roundtrip", 3, "round trip broke at (1+ 3+ 2+)"),
+            ("derangement-restriction", 3, "3 inputs, 3 images, 3 targets"),
+            ("downline-per-cycle", 3, "(1+ 3+ 2+): down=2, neg=0, bump=1"),
         ],
-        None,
+        "row-of-partner form holds for 4/7 signed permutations;"
+        " 1 failing inputs are cyclic; first failure (1+)(2+)(3+)",
     ),
     "gamma-inv-reverse": (
         "_gamma_inv_core", lambda: second_call_wrong(bj.gamma(S2)),
@@ -180,8 +207,20 @@ CASES = {
         None,
     ),
     "theta-inv": (
-        "_theta_inv_core", lambda: drop_signs(S2),
-        [("theta-roundtrip", 3, "round trip broke at (1+ 3- 2+)")],
+        "_gamma_inv_core", lambda: drop_signs(S2),
+        [
+            ("gamma-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
+            ("theta-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
+        ],
+        None,
+    ),
+    # the walk from slot 2 of the image of (1+)(2+ 3+) enters slot 1 and
+    # then slot 1 again, never coming back to (2, 1): it stops there, and
+    # its cycle fails the forward trip; theta's trip runs on cyclic
+    # objects only, and the image key is the true image's
+    "gamma-no-involution": (
+        "_gamma_core", lambda: no_involution(TWO_CYCLES),
+        [("gamma-roundtrip", 3, "round trip broke at (1+)(2+ 3+)")],
         None,
     ),
     # a fault in the code the walks run is a failing check (exit 1), not
@@ -239,7 +278,9 @@ UNFAULTED_NOTE = (
 def test_fault_is_reported_with_its_exact_text(case, monkeypatch, capsys):
     name, make, failures, note = CASES[case]
     monkeypatch.setattr(HOME.get(name, bj), name, make())
-    code = main(["verify", "bijections", "--n-max", "3", "--json"])
+    # a fault that sends a walk round forever fails here, not hangs the run
+    with deadline(2):
+        code = main(["verify", "bijections", "--n-max", "3", "--json"])
     data = json.loads(capsys.readouterr().out)
     assert [(f["check"], f["n"], f["witness"]) for f in data["failures"]] == failures
     notes = [x["text"] for x in data["notes"] if x["n"] == 3]

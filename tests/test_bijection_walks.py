@@ -95,3 +95,29 @@ def test_exact_form_is_the_set():
     assert verify._exact(set(shuffled)) == verify._exact(set(reversed(callan))) == exact
     assert len(exact) == 4 * len(callan)
     assert verify._exact({*callan[1:], other}) != exact
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_signed_walk_makes_one_trip_per_object(n, monkeypatch):
+    """One forward and one inverse core call per signed object, with the
+    theta checks read off the same trip: the per-cycle kernels of the two
+    cores, which write one cycle's edges and unfold one component, run
+    once per cycle of each object."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("_gamma_core", "_gamma_inv_core", "_theta_partners", "_unfold"):
+        monkeypatch.setattr(bj, name, counted(name, getattr(bj, name)))
+    verify._walk_signed(n)
+    objects = sum(len(negs) for *_, negs in bj._negative_cdes_core(n))
+    cycles = sum(len(c) * len(negs) for _, c, _, negs in bj._negative_cdes_core(n))
+    assert calls == {
+        "_gamma_core": objects, "_gamma_inv_core": objects,
+        "_theta_partners": cycles, "_unfold": cycles,
+    }

@@ -8,16 +8,18 @@ tests compare them, over every matching of {1..n} x {0, 1}, with the
 vertex-based classification and emitters of ``matching_oracle`` and with
 an unfold written here from the component walks; the emitters also on
 seeded matchings of sparse supports.  Every matching also survives a JSON
-round trip through ``mk_matching``.  The cores of gamma, theta and their
-inverses, which the ``verify`` walks call without the public maps'
-validation, give what the public maps give on every signed object and
-every Callan matching of size n; the forward cores also give what the
-naive steps 1-3 of ``matching_oracle`` give, which the public maps, calling
-those same cores, cannot show.  The core stream of signed objects gives
-each permutation's standard cycles and fixed points, as its accessors
-read them, and every subset of its cycle descents, and the two bijection walks of ``verify``, which read those
-plain streams and partner lists, keep the same records as the object-based
-walks of ``walk_oracle``.
+round trip through ``mk_matching``.  The cores of gamma and its inverse,
+which the ``verify`` walks call without the public maps' validation, give
+what the public maps give on every signed object and every Callan matching
+of size n, and what the public theta and theta_inv give on the cyclic
+objects and the connected matchings; the gamma core and the public theta
+also give what the naive steps 1-3 of ``matching_oracle`` give, which the
+public maps, calling those same cores, cannot show.  The core stream of
+signed objects gives each permutation's standard cycles and fixed points,
+as its accessors read them, and every subset of its cycle descents, and
+the two bijection walks of ``verify``, which read those plain streams and
+partner lists, keep the same records as the object-based walks of
+``walk_oracle``.
 """
 
 import json
@@ -34,8 +36,6 @@ from cycledescent.bijections import (
     _gamma_core,
     _gamma_inv_core,
     _negative_cdes_core,
-    _theta_core,
-    _theta_inv_core,
     enumerate_negative_cdes,
     gamma,
     gamma_inv,
@@ -122,13 +122,13 @@ def test_cores_match_the_public_maps(n):
         cycles = standard_cycles(s.perm).cycles
         assert _gamma_core(cycles, s.neg, n) == gamma(s).partner
         if len(cycles) == 1:
-            assert _theta_core(cycles[0], s.neg) == theta(s).partner
+            assert _gamma_core(cycles, s.neg, n) == theta(s).partner
     for m in enumerate_matchings(n, "callan"):
         back = gamma_inv(m)
         assert _gamma_inv_core(m.partner) == (standard_cycles(back.perm).cycles, back.neg)
         if match_stats(m).com == 1:
             back = theta_inv(m)
-            assert _theta_inv_core(m.partner) == (standard_cycles(back.perm).cycles[0], back.neg)
+            assert _gamma_inv_core(m.partner) == (standard_cycles(back.perm).cycles, back.neg)
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)
@@ -137,7 +137,7 @@ def test_forward_cores_match_the_naive_steps(n):
         cycles = standard_cycles(s.perm).cycles
         assert _gamma_core(cycles, s.neg, n) == oracle.naive_gamma(s).partner
         if len(cycles) == 1:
-            assert _theta_core(cycles[0], s.neg) == oracle.naive_theta(s).partner
+            assert theta(s) == oracle.naive_theta(s)
 
 
 @pytest.mark.parametrize("flt", ["all", "derangement"])

@@ -2,9 +2,13 @@ import json
 import math
 
 import pytest
+from deadline import deadline
 
+from cycledescent.bijections import _gamma_inv_core
 from cycledescent.matchings import (
     MVertex,
+    PerfectMatching,
+    _match_stats_core,
     components,
     edge_class,
     enumerate_matchings,
@@ -265,3 +269,21 @@ def test_json_number_out_of_float_range_is_refused_as_support():
     with pytest.raises(ValueError) as exc:
         matching_from_json_dict(json.loads('{"support": [1e400], "edges": []}'))
     assert str(exc.value) == "support must be a collection of integers: [inf]"
+
+
+# partner lists that are not involutions, on which a component walk that
+# stops only at the vertex it started from goes round forever: from slot 1
+# into slot 2 and back into slot 2; from slot 2 into slot 3, then slot 1,
+# then slot 1 again
+NOT_INVOLUTIONS = [(0, 0, 4, 2, 2, 4), (0, 0, 3, 2, 6, 7, 4, 2)]
+
+
+@pytest.mark.parametrize("partner", NOT_INVOLUTIONS)
+def test_walks_over_a_partner_list_that_is_not_an_involution_end(partner):
+    m = PerfectMatching(support=tuple(range(1, len(partner) >> 1)), partner=partner)
+    # each walk stops at the first slot it enters twice, after at most n steps
+    for walk in (_gamma_inv_core, _match_stats_core):
+        with deadline(1):
+            walk(partner)
+    with deadline(1):
+        components(m)

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from cycledescent import perms, reftables
 from cycledescent.involutions import last_top_descent, m_index, psi, varphi
 from cycledescent.perms import (
     enumerate_permutations,
@@ -104,3 +105,29 @@ def test_varphi_seed_covers_its_domain(i):
     seeded = [parse_permutation(s) for s in _VARPHI_SEED[i]]
     domain = enumerate_permutations("derangements_one_at_i", 4, i)
     assert sorted(p.word for p in seeded) == sorted(p.word for p in domain)
+
+
+# (kind, n, i) -> the column that prints each row's permutation
+WALKED_TABLES = {("psi", 4, 2): 0, ("psi", 6, 3): 0, ("varphi", 4, None): 1, ("varphi", 6, None): 1}
+
+
+@pytest.mark.parametrize("kind,n,i", list(WALKED_TABLES))
+def test_tables_walk_each_row_once(kind, n, i, monkeypatch):
+    """One walk of a row's word gives every cell of the row but the image,
+    which takes one walk of its own to print its cycles."""
+    rows, images, real = [], [], perms._walk_word
+
+    def walk(into):
+        return lambda word: (into.append(word), real(word))[1]
+
+    monkeypatch.setattr(reftables, "_walk_word", walk(rows))
+    monkeypatch.setattr(perms, "_walk_word", walk(images))
+    table = emit_table(kind, n, i)
+    walks = rows[:], len(images)
+    column = WALKED_TABLES[kind, n, i]
+    printed = [
+        parse_permutation(line.split("|")[column]).word
+        for line in table.splitlines()
+        if not line.startswith("#")
+    ]
+    assert walks == (printed, len(printed))

@@ -10,14 +10,33 @@ streams ``enumerate_negative_cdes`` and ``enumerate_matchings``, build a
 so the records of the plain-data walks can be compared with them field by
 field.  The accessors cached their values on the ``Permutation`` when these
 walks were written, as a comment in ``walk_signed`` still says; now each
-call walks the word again.
+call walks the word again.  The theta cores that ``walk_signed`` calls,
+``_theta_core`` and ``_theta_inv_core``, are kept here verbatim too:
+``bijections`` no longer has them, since theta is gamma on one cycle and
+``verify`` reads the theta checks off the gamma trip, so this walk still
+runs the theta trip on its own.
 """
+
+from typing import Sequence
 
 from cycledescent import bijections as bj
 from cycledescent import matchings as mt
 from cycledescent.caps import CAPS
 from cycledescent.perms import standard_cycles, statistics
 from cycledescent.verify import _IMAGE_CHECKS, _CallanWalk, _exact, _SignedWalk
+
+
+def _theta_core(cycle: Sequence[int], neg: frozenset[int]) -> tuple[int, ...]:
+    """Partner list of ``theta`` on one standard cycle of 1..len(cycle)."""
+    partner = [0] * (2 * len(cycle) + 2)
+    bj._theta_partners(cycle, neg, partner)
+    return tuple(partner)
+
+
+def _theta_inv_core(partner: Sequence[int]) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Cycle and negative set that ``theta`` maps to the component of slot 1."""
+    cycle, neg = bj._unfold(partner, 1, [False] * (len(partner) >> 1))
+    return cycle, frozenset(neg)
 
 
 def _key(m: mt.PerfectMatching) -> bytes:
@@ -57,8 +76,8 @@ def walk_signed(n: int) -> _SignedWalk:
                 first["downline-global-report"] = str(s)
         if pstats.cyc == 1:
             w.cyclic += 1
-            t = _matching(bj._theta_core(cycles[0], s.neg))
-            if bj._theta_inv_core(t.partner) != (cycles[0], s.neg):
+            t = _matching(_theta_core(cycles[0], s.neg))
+            if _theta_inv_core(t.partner) != (cycles[0], s.neg):
                 first.setdefault("theta-roundtrip", f"round trip broke at {s}")
             # theta and gamma agree on a cyclic object, so its theta image is
             # measured again only when the two cores disagree

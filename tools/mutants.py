@@ -11,11 +11,14 @@ survivors at the end; the exit status is 1 when a mutant survives.
 
 Standard library and pytest only; it takes no options.  Not run by CI: a
 killed mutant takes a few seconds and a survivor a whole tier-1 run.  A
-mutant of a core can hand a walk a partner list that is no involution,
-and a walk over one never ends and grows its lists without bound; so each
-copy runs with its address space capped at ``MEMORY_CAP`` bytes, where
-such a walk fails with MemoryError within seconds (tier-1 itself passes
-under the cap), and a run that passes ``TIMEOUT_S`` counts as killed.
+mutant of a core can hand a walk a partner list that is no involution;
+the component walks stop at the first slot they enter twice, so such a
+mutant fails a check like any other.  A mutant that takes that bound away
+can make a walk go round forever, growing its lists: tier-1 runs such
+walks under a deadline of a few seconds, and as a second guard each copy
+runs with its address space capped at ``MEMORY_CAP`` bytes, where a
+runaway walk fails with MemoryError (tier-1 itself passes under the
+cap), and a run that passes ``TIMEOUT_S`` counts as killed.
 ``tests/test_mutants.py`` checks that each old text occurs exactly once in
 its file, so the list cannot go stale unnoticed; the copies run without
 that test, which every mutant would fail.
@@ -101,9 +104,14 @@ MUTANTS = [
         "        if not fix:\n            w.derangements += 1",
     ),
     (
-        "signed walk never measures a theta image", VERIFY,
-        "                if t != partner:\n                    down = stats_of(t)[2]",
-        "                if False:\n                    down = stats_of(t)[2]",
+        "signed walk records a theta trip for every object", VERIFY,
+        "                if cyc == 1:  # theta is gamma on one cycle",
+        "                if True:  # theta is gamma on one cycle",
+    ),
+    (
+        "signed walk adds every image to the theta image set", VERIFY,
+        "                if cyc == 1:\n                    images[\"theta-image\"].add(key)",
+        "                if True:\n                    images[\"theta-image\"].add(key)",
     ),
     (
         "callan walk skips the last column", VERIFY,
@@ -166,9 +174,26 @@ MUTANTS = [
         "            neg.pop(0)  # the block minimum is positive",
     ),
     (
+        "unfold walks without a bound", BIJECTIONS,
+        "        if seen[i]:\n            break\n",
+        "        if False:\n            break\n",
+    ),
+    (
         "gamma_inv core skips the component of slot 1", BIJECTIONS,
         "    for start in range(1, len(seen)):",
         "    for start in range(2, len(seen)):",
+    ),
+    (
+        "match_stats core walks without a bound", MATCHINGS,
+        "                if seen[key >> 1]:\n                    break\n"
+        "                seen[key >> 1] = True\n                out = key ^ 1\n    return",
+        "                if False:\n                    break\n"
+        "                seen[key >> 1] = True\n                out = key ^ 1\n    return",
+    ),
+    (
+        "component walks go without a bound", MATCHINGS,
+        "                if seen[key >> 1]:\n                    break\n                keys.append",
+        "                if False:\n                    break\n                keys.append",
     ),
     (
         "match_stats core counts verticals as arcs", MATCHINGS,
