@@ -378,7 +378,10 @@ def hat(p: Permutation) -> Word:
 # ---------------------------------------------------------------------------
 # Enumeration streams.  All streams are deterministic and yield one-line
 # words in lexicographic order, which keeps exhaustive checks and JSON dumps
-# reproducible.
+# reproducible.  S_n has one stream, ``_all_words``, of plain words: the walk
+# of S_n in ``verify`` reads it as it is, and ``_all_perms``, which the
+# public families ``all`` and ``derangements`` read, wraps each word in a
+# ``Permutation``.
 
 FAMILIES = (
     "all",
@@ -388,9 +391,14 @@ FAMILIES = (
 )
 
 
+def _all_words(n: int) -> Iterator[Word]:
+    """The words of S_n in lexicographic order, as plain tuples."""
+    return itertools.permutations(range(1, n + 1))
+
+
 def _all_perms(n: int) -> Iterator[Permutation]:
-    for word in itertools.permutations(range(1, n + 1)):
-        yield Permutation._trusted(word)
+    """The stream ``_all_words``, each word wrapped in a ``Permutation``."""
+    return map(Permutation._trusted, _all_words(n))
 
 
 def _one_at(n: int, i: int) -> Iterator[Permutation]:

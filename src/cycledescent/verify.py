@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter
 from functools import lru_cache, partial
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 from math import factorial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from . import bijections as bj
 from . import involutions as iv
@@ -42,7 +43,7 @@ from . import perms
 from . import statpolys as sp
 from ._records import FrozenRecord, Record, set_field
 from .caps import CAPS, CHECK_LAYOUT, DEFAULT_SEED, SUITES, suite_cap, verify_cap
-from .perms import Permutation, enumerate_permutations
+from .perms import Permutation
 from .poly import MultiPoly
 
 __all__ = [
@@ -202,30 +203,38 @@ def _check_poly_axioms(n: int, seed: int) -> str | None:
 # ---------------------------------------------------------------------------
 # Involution laws from one walk of S_n per size.
 #
-# Pass 1 (``_walk_perms``) keys every object of S_n by its lexicographic rank,
-# its index in the walk, and records its exc and cdes, the position of 1, the
-# rank of its flattening and its last top-descent, all read off one naive
-# cycle walk of its word (``perms._walk_word``), which gives plain data and
-# builds no record for the object.  The walk hands the word, its standard
-# cycles and its top-descent to the trusted cores of ``psi``, ``varphi`` and
-# ``phi_map``, which skip the argument checks the public maps keep for
-# outside input and give an image word, a branch tag and a delta; no
-# ``Permutation`` is built for an image.  For each map whose domain holds the
+# Pass 1 (``_walk_perms``) reads S_n as plain words, off the stream
+# ``perms._all_words``, and keys every object by its lexicographic rank, its
+# index in the walk.  It records the exc and cdes of each object, the
+# position of 1, the rank of its flattening and its last top-descent, all
+# read off one naive cycle walk of its word (``perms._walk_word``), which
+# gives plain data: no ``Permutation`` is built for an object or an image.
+# The walk hands the word, its standard cycles and its top-descent to the
+# trusted cores of ``psi``, ``varphi`` and ``phi_map``, which skip the
+# argument checks the public maps keep for outside input and give an image
+# word, a branch tag and a delta.  For each map whose domain holds the
 # object it records the rank of the image word, the branch tag and the cdes
 # delta the branch states.  A rank is two lookups, of the word's head and
-# tail in tables built once per n; a word that is not a permutation has none,
-# so an image the cores build wrongly can alias no object.  Where ``psi``
-# takes a phi branch, its result is the phi core's for that object, so the
-# split/merge image is built once per object of phi's domain.  An image is
-# itself an object of S_n with a record of its own, so each fold reads the
-# involution law, exc preservation and the tag pairing off the records, in
-# the order and with the texts of a check that maps every image back, and no
-# image is mapped or walked again.  A stated delta that differs from the
-# walked one is reported only once every other law has held.  The signed
-# sums of (-1)^cdes x^exc that psi and varphi collapse to the weight of their
-# fixed points are read off the same exc and cdes records, so these checks
-# read no tally of ``statpolys`` and the walk is the one pass over S_n they
-# make.
+# tail in tables built once per n and bound once per walk; a word that is
+# not a permutation has none, so an image the cores build wrongly can alias
+# no object.  Where ``psi`` takes a phi branch, its result is the phi core's
+# for that object, so the split/merge image is built once per object of
+# phi's domain.
+#
+# An image is itself an object of S_n with a record of its own, so each fold
+# reads the involution law, exc preservation and the tag pairing off the
+# records, and no image is mapped or walked again.  A fold makes one pass
+# over the records and keeps, for each i (the position of 1), the first law
+# failure, the first false claim (a stated delta that is not the walked
+# one) and the fixed ranks; the signed sums of (-1)^cdes x^exc that psi and
+# varphi collapse to the weight of their fixed points are one count of the
+# same exc and cdes records by i.  The fold then goes through i in
+# increasing order: the law failure of an i, then its fixed-set, size and
+# signed-sum checks; the false claim of the least i comes last, only once
+# every law has held.  These are the order and the texts of a check that
+# walks the objects with pi(i) = 1 one i at a time and maps every image
+# back.  So these checks read no tally of ``statpolys``, and the walk is
+# the one pass over S_n they make.
 
 _PHI_PAIRS = {"phi-split": "phi-merge", "phi-merge": "phi-split"}
 _PSI_PAIRS = {**_PHI_PAIRS, "psi-case1": "psi-case2", "psi-case2": "psi-case1"}
@@ -233,21 +242,27 @@ _VARPHI_PAIRS = {"varphi-merge": "varphi-split", "varphi-split": "varphi-merge"}
 _TAGS = ("fixed", *_PSI_PAIRS, *_VARPHI_PAIRS)
 _TAG_CODE = {tag: code for code, tag in enumerate(_TAGS, start=1)}  # 0: no record
 _FIXED = _TAG_CODE["fixed"]
+_PARITY = bytes(v & 1 for v in range(256))  # cdes -> cdes mod 2, for translate
 
 
-def _code_pairs(pairs: dict[str, str]) -> dict[int, int]:
-    return {_TAG_CODE[a]: _TAG_CODE[b] for a, b in pairs.items()}
+def _code_pairs(pairs: dict[str, str]) -> bytes:
+    """The code of each tag's partner, indexed by the tag's code; 0 for none."""
+    table = bytearray(len(_TAGS) + 1)
+    for a, b in pairs.items():
+        table[_TAG_CODE[a]] = _TAG_CODE[b]
+    return bytes(table)
 
 
 @lru_cache(maxsize=None)
-def _rank_tables(n: int) -> tuple[int, dict]:
-    """Split point h = n // 2 and the ranks of heads and tails.
+def _ranker(n: int) -> Callable[[tuple[int, ...]], int]:
+    """The lexicographic rank of a word in S_n, as a function of the word;
+    -1 for any word that is not a permutation of 1..n.
 
-    The lexicographic rank of a word of S_n is the rank of its head w[:h]
-    among the h-arrangements of 1..n, times (n - h)!, plus the rank of its
-    tail w[h:] among the arrangements of its own values.  Each head maps to
-    its scaled rank and the table of tails that hold exactly the values it
-    leaves out, so a word that is not a permutation finds no tail.  At
+    The rank of a word is the rank of its head w[:h], h = n // 2, among the
+    h-arrangements of 1..n, times (n - h)!, plus the rank of its tail w[h:]
+    among the arrangements of its own values.  Each head maps to its scaled
+    rank and the table of tails that hold exactly the values it leaves out,
+    so a word that is not a permutation, of any length, finds no tail.  At
     n = 8 the heads and the tails number 1,680 each.
     """
     h = n // 2
@@ -261,20 +276,21 @@ def _rank_tables(n: int) -> tuple[int, dict]:
         w: (r * scale, tails[frozenset(values).difference(w)])
         for r, w in enumerate(permutations(values, h))
     }
-    return h, heads
+
+    def rank(word: tuple[int, ...]) -> int:
+        try:
+            base, tail_ranks = heads[word[:h]]
+            return base + tail_ranks[word[h:]]
+        except KeyError:
+            return -1
+
+    return rank
 
 
 def _rank(word: tuple[int, ...], n: int) -> int:
     """The lexicographic rank of a word in S_n; -1 for any word that is not
     a permutation of 1..n."""
-    if len(word) != n:
-        return -1
-    h, heads = _rank_tables(n)
-    try:
-        base, tails = heads[word[:h]]
-        return base + tails[word[h:]]
-    except KeyError:
-        return -1
+    return _ranker(n)(word)
 
 
 def _unrank(r: int, n: int) -> Permutation:
@@ -307,173 +323,169 @@ class _PermWalk:
 
 
 def _walk_perms(n: int) -> _PermWalk:
-    """Pass 1: one naive walk of S_n, calling the cores of ``psi``
-    (n >= 2), ``varphi`` (derangements) and ``phi_map`` (a top-descent
-    exists) once per object."""
+    """Pass 1: one naive walk of the words of S_n, calling the cores of
+    ``psi`` (n >= 2), ``varphi`` (derangements) and ``phi_map`` (a
+    top-descent exists) once per object."""
     w = _PermWalk(factorial(n))
+    rank, code = _ranker(n), _TAG_CODE
+    exc, cdes, pos1, hat_rank, tops = w.exc, w.cdes, w.pos1, w.hat_rank, w.top
+    psi_img, psi_tag, psi_delta = w.psi.img, w.psi.tag, w.psi.delta
+    varphi_img, varphi_tag, varphi_delta = w.varphi.img, w.varphi.tag, w.varphi.delta
+    phi_img, phi_tag, phi_delta = w.phi.img, w.phi.tag, w.phi.delta
     # read off their modules once per walk, so that a test can patch them
     walk, psi, varphi, phi = perms._walk_word, iv._psi_core, iv._varphi_core, iv._phi_core
-    for k, p in enumerate(enumerate_permutations("all", n)):
-        word = p.word
-        cycles, exc, fix, cdes, flat, top = walk(word)
+    for k, word in enumerate(perms._all_words(n)):
+        cycles, e, fix, cd, flat, top = walk(word)
         i = cycles[0][-1]  # the last element of the cycle of 1 goes to 1
-        w.exc[k], w.cdes[k], w.pos1[k] = exc, len(cdes), i
-        w.hat_rank[k] = _rank(flat, n)
+        exc[k], cdes[k], pos1[k], hat_rank[k] = e, len(cd), i, rank(flat)
         out = None
         if n >= 2:
-            out = image, tag, delta = psi(n, i, word, cycles, top)
-            w.psi.img[k], w.psi.tag[k], w.psi.delta[k] = _rank(image, n), _TAG_CODE[tag], delta
+            out = image, tag, psi_delta[k] = psi(n, i, word, cycles, top)
+            psi_img[k], psi_tag[k] = rank(image), code[tag]
         if not fix:
-            image, tag, delta = varphi(word, cycles)
-            w.varphi.img[k], w.varphi.tag[k], w.varphi.delta[k] = (
-                _rank(image, n), _TAG_CODE[tag], delta
-            )
+            image, tag, varphi_delta[k] = varphi(word, cycles)
+            varphi_img[k], varphi_tag[k] = rank(image), code[tag]
         if top is not None:
-            w.top[k] = top
+            tops[k] = top
             # psi's phi branches return the phi core's result for this object
             if out is None or out[1] not in _PHI_PAIRS:
                 out = phi(word, cycles, top)
-            image, tag, delta = out
-            w.phi.img[k], w.phi.tag[k], w.phi.delta[k] = _rank(image, n), _TAG_CODE[tag], delta
+            image, tag, phi_delta[k] = out
+            phi_img[k], phi_tag[k] = rank(image), code[tag]
     return w
 
 
-def _one_at(pos1: bytearray, i: int) -> Iterator[int]:
-    """The ranks of the objects with pi(i) = 1, in increasing order."""
-    k = pos1.find(i)
-    while k >= 0:
-        yield k
-        k = pos1.find(i, k + 1)
-
-
-def _false_claim(
-    n: int, w: _PermWalk, maps: _MapRecords, ranks: Iterable[int], prefix: str
-) -> str | None:
-    """The first mapped object whose stated delta is not its walked one."""
-    img, tag, delta, cdes = maps.img, maps.tag, maps.delta, w.cdes
-    for k in ranks:
-        if tag[k] and delta[k] != cdes[img[k]] - cdes[k]:
-            return (
-                f"{prefix}pi={_unrank(k, n)}: cdes delta"
-                f" {cdes[img[k]] - cdes[k]}, stated {delta[k]}"
-            )
-    return None
+def _signed_sums(n: int, records: Iterable[tuple[int, int, int]]) -> list[MultiPoly]:
+    """For each i in 0..n, the sum of (-1)^cdes x^exc over the records
+    (i, exc, cdes mod 2), one per object with pi(i) = 1."""
+    terms: list[dict[tuple[int, int, int, int], int]] = [{} for _ in range(n + 1)]
+    for (i, exc, odd), count in Counter(records).items():
+        exps = (exc, 0, 0, 0)
+        terms[i][exps] = terms[i].get(exps, 0) + (-count if odd else count)
+    return [MultiPoly(t) for t in terms]
 
 
 def _fold_psi_involution(n: int, seed: int, w: _PermWalk) -> str | None:
-    false_claim = None
-    pairs = _code_pairs(_PSI_PAIRS)
-    img, tag, delta, exc, pos1 = w.psi.img, w.psi.tag, w.psi.delta, w.exc, w.pos1
+    pairs, fixed_code = _code_pairs(_PSI_PAIRS), _FIXED
+    img, tags, exc, cdes, pos1 = w.psi.img, w.psi.tag, w.exc, w.cdes, w.pos1
+    laws: list[str | None] = [None] * (n + 1)  # the first law failure of each i
+    claims: list[str | None] = [None] * (n + 1)  # the first false claim of each i
+    fixed: list[set[int]] = [set() for _ in range(n + 1)]
+    for k, (j, t, d, i) in enumerate(zip(img, tags, w.psi.delta, pos1)):
+        if j < 0 or pos1[j] != i or img[j] != k:
+            law = "not an involution"
+        elif exc[j] != exc[k]:
+            law = "excedances not preserved"
+        elif t == fixed_code:
+            if d == 0 and j == k:
+                fixed[i].add(k)
+                continue
+            law = "bad fixed point"
+        elif abs(d) != 1:
+            law = f"cdes delta {d}"
+        elif tags[j] != pairs[t]:
+            law = f"branch {_TAGS[t - 1]} paired with {_TAGS[tags[j] - 1]}"
+        else:
+            if d != cdes[j] - cdes[k] and claims[i] is None:
+                claims[i] = (
+                    f"i={i}, pi={_unrank(k, n)}: cdes delta {cdes[j] - cdes[k]}, stated {d}"
+                )
+            continue
+        if laws[i] is None:
+            laws[i] = f"i={i}, pi={_unrank(k, n)}: {law}"
     for i in range(1, n + 1):
+        if laws[i]:
+            return laws[i]
         expected_fixed = iv.psi_fixed_set(n, i)
-        seen_fixed = set()
-        for k in _one_at(pos1, i):
-            j = img[k]
-            if j < 0 or pos1[j] != i or img[j] != k:
-                return f"i={i}, pi={_unrank(k, n)}: not an involution"
-            if exc[j] != exc[k]:
-                return f"i={i}, pi={_unrank(k, n)}: excedances not preserved"
-            if tag[k] == _FIXED:
-                if delta[k] != 0 or j != k:
-                    return f"i={i}, pi={_unrank(k, n)}: bad fixed point"
-                seen_fixed.add(k)
-            else:
-                if abs(delta[k]) != 1:
-                    return f"i={i}, pi={_unrank(k, n)}: cdes delta {delta[k]}"
-                if tag[j] != pairs[tag[k]]:
-                    return (
-                        f"i={i}, pi={_unrank(k, n)}: branch {_TAGS[tag[k] - 1]}"
-                        f" paired with {_TAGS[tag[j] - 1]}"
-                    )
-        if seen_fixed != {_rank(q.word, n) for q in expected_fixed}:
-            return f"i={i}: fixed set mismatch ({len(seen_fixed)} found)"
+        if fixed[i] != {_rank(q.word, n) for q in expected_fixed}:
+            return f"i={i}: fixed set mismatch ({len(fixed[i])} found)"
         want = 0 if 1 < i < n else 2 ** (n - 2)
         if len(expected_fixed) != want:
             return f"i={i}: fixed set has size {len(expected_fixed)}, want {want}"
-        false_claim = false_claim or _false_claim(n, w, w.psi, _one_at(pos1, i), f"i={i}, ")
-    return false_claim
-
-
-def _signed_sum(w: _PermWalk, ranks: Iterable[int]) -> MultiPoly:
-    """The sum of (-1)^cdes x^exc over the objects of the given ranks."""
-    counts: dict[tuple[int, int, int, int], int] = {}
-    for k in ranks:
-        exps = (w.exc[k], 0, 0, 0)
-        counts[exps] = counts.get(exps, 0) + (-1) ** w.cdes[k]
-    return MultiPoly(counts)
+    return next(filter(None, claims[1:]), None)
 
 
 def _fold_psi_fixed_weight(n: int, seed: int, w: _PermWalk) -> str | None:
+    sums = _signed_sums(n, zip(w.pos1, w.exc, w.cdes.translate(_PARITY)))
     for i in range(1, n + 1):
-        enumerated = _signed_sum(w, _one_at(w.pos1, i))
         fixed = []
         for p in iv.psi_fixed_set(n, i):
             k = _rank(p.word, n)
             if w.cdes[k]:
                 return f"i={i}: fixed point {p} has a cycle descent"
             fixed.append(k)
-        fixed_weight = _signed_sum(w, fixed)
+        fixed_weight = MultiPoly(Counter((w.exc[k], 0, 0, 0) for k in fixed))
         closed = sp.alternating_closed_form(n, i).substitute(t=1)
-        if not (enumerated == fixed_weight == closed):
-            return f"i={i}: enumerated {enumerated}, fixed set {fixed_weight}, closed {closed}"
+        if not (sums[i] == fixed_weight == closed):
+            return f"i={i}: enumerated {sums[i]}, fixed set {fixed_weight}, closed {closed}"
     return None
 
 
 def _fold_varphi_involution(n: int, seed: int, w: _PermWalk) -> str | None:
-    false_claim = None
-    pairs = _code_pairs(_VARPHI_PAIRS)
-    img, tag, delta, exc, pos1 = w.varphi.img, w.varphi.tag, w.varphi.delta, w.exc, w.pos1
+    pairs, fixed_code = _code_pairs(_VARPHI_PAIRS), _FIXED
+    img, tags, exc, cdes, pos1 = w.varphi.img, w.varphi.tag, w.exc, w.cdes, w.pos1
+    laws: list[str | None] = [None] * (n + 1)  # the first law failure of each i
+    claims: list[str | None] = [None] * (n + 1)  # the first false claim of each i
+    fixed: list[list[int]] = [[] for _ in range(n + 1)]
+    for k, (j, t, d, i) in enumerate(zip(img, tags, w.varphi.delta, pos1)):
+        if not t:
+            continue  # not a derangement
+        if j < 0 or pos1[j] != i or not tags[j] or img[j] != k:
+            law = "not an involution"
+        elif exc[j] != exc[k]:
+            law = "excedances not preserved"
+        elif t == fixed_code:
+            if d == 0:
+                fixed[i].append(k)
+                continue
+            law = "fixed point with cdes delta"
+        elif abs(d) != 1:
+            law = f"cdes delta {d}"
+        elif tags[j] != pairs[t]:
+            law = "branch pairing broken"
+        else:
+            if d != cdes[j] - cdes[k] and claims[i] is None:
+                claims[i] = (
+                    f"i={i}, pi={_unrank(k, n)}: cdes delta {cdes[j] - cdes[k]}, stated {d}"
+                )
+            continue
+        if laws[i] is None:
+            laws[i] = f"i={i}, pi={_unrank(k, n)}: {law}"
+    sums = _signed_sums(n, compress(zip(pos1, exc, cdes.translate(_PARITY)), tags))
     for i in range(2, n + 1):
+        if laws[i]:
+            return laws[i]
         fp = iv.varphi_fixed_point(n, i)
-        fixed_seen = []
-        for k in _one_at(pos1, i):
-            if not tag[k]:
-                continue  # not a derangement
-            j = img[k]
-            if j < 0 or pos1[j] != i or not tag[j] or img[j] != k:
-                return f"i={i}, pi={_unrank(k, n)}: not an involution"
-            if exc[j] != exc[k]:
-                return f"i={i}, pi={_unrank(k, n)}: excedances not preserved"
-            if tag[k] == _FIXED:
-                fixed_seen.append(k)
-                if delta[k] != 0:
-                    return f"i={i}, pi={_unrank(k, n)}: fixed point with cdes delta"
-            else:
-                if abs(delta[k]) != 1:
-                    return f"i={i}, pi={_unrank(k, n)}: cdes delta {delta[k]}"
-                if tag[j] != pairs[tag[k]]:
-                    return f"i={i}, pi={_unrank(k, n)}: branch pairing broken"
-        if fixed_seen != [_rank(fp.word, n)]:
-            found = {_unrank(k, n) for k in fixed_seen}
+        if fixed[i] != [_rank(fp.word, n)]:
+            found = {_unrank(k, n) for k in fixed[i]}
             return f"i={i}: fixed set {found}, expected {{{fp}}}"
-        signed_sum = _signed_sum(w, (k for k in _one_at(pos1, i) if tag[k]))
         closed = sp.alternating_closed_form(n, i, derangements=True).substitute(t=1)
-        if signed_sum != closed:
-            return f"i={i}: signed sum {signed_sum}, closed {closed}"
-        false_claim = false_claim or _false_claim(n, w, w.varphi, _one_at(pos1, i), f"i={i}, ")
-    return false_claim
+        if sums[i] != closed:
+            return f"i={i}: signed sum {sums[i]}, closed {closed}"
+    return next(filter(None, claims[2:]), None)
 
 
 def _fold_phi_preservation(n: int, seed: int, w: _PermWalk) -> str | None:
-    img, tag, delta, exc, hat_rank, top = (
-        w.phi.img, w.phi.tag, w.phi.delta, w.exc, w.hat_rank, w.top
+    pairs, claim = _code_pairs(_PHI_PAIRS), None
+    img, tags, exc, cdes, hat_rank, tops = (
+        w.phi.img, w.phi.tag, w.exc, w.cdes, w.hat_rank, w.top
     )
-    pairs = _code_pairs(_PHI_PAIRS)
-    for k in range(len(tag)):
-        if not tag[k]:
+    for k, (j, t, d) in enumerate(zip(img, tags, w.phi.delta)):
+        if not t:
             continue  # increasing flattening: phi is undefined
-        j = img[k]
         if j < 0 or hat_rank[j] != hat_rank[k]:
             return f"pi={_unrank(k, n)}: flattened word changed"
-        if top[j] != top[k]:
+        if tops[j] != tops[k]:
             return f"pi={_unrank(k, n)}: top-descent changed"
         if exc[j] != exc[k]:
             return f"pi={_unrank(k, n)}: excedances changed"
-        if abs(delta[k]) != 1:
-            return f"pi={_unrank(k, n)}: cdes delta {delta[k]}"
-        if img[j] != k or tag[j] != pairs[tag[k]]:
+        if abs(d) != 1:
+            return f"pi={_unrank(k, n)}: cdes delta {d}"
+        if img[j] != k or tags[j] != pairs[t]:
             return f"pi={_unrank(k, n)}: split/merge pairing broken"
-    return _false_claim(n, w, w.phi, range(len(tag)), "")
+        if d != cdes[j] - cdes[k] and claim is None:
+            claim = f"pi={_unrank(k, n)}: cdes delta {cdes[j] - cdes[k]}, stated {d}"
+    return claim
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +569,18 @@ def _walk_signed(n: int) -> _SignedWalk:
             w.derangements += len(negs)
         for neg in negs:
             partner = gamma(cycles, neg, n)
-            if gamma_inv(partner) != (cycles, neg):
+            try:
+                trip = gamma_inv(partner) == (cycles, neg)
+                _, _, down, ver, com = stats_of(partner)
+            except IndexError:  # a key outside 0..2n+1 names no slot to walk
+                trip = None
+            if not trip:
                 witness = f"round trip broke at {_signed(word, neg)}"
                 first.setdefault("gamma-roundtrip", witness)
                 if cyc == 1:  # theta is gamma on one cycle
                     first.setdefault("theta-roundtrip", witness)
-            _, _, down, ver, com = stats_of(partner)
+                if trip is None:
+                    continue  # no matching: nothing else to read off the image
             if com != cyc or ver != fix:
                 first.setdefault("statistic-transport", (
                     f"{_signed(word, neg)}: com={com} cyc={cyc} ver={ver} fix={fix}"

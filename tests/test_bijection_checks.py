@@ -70,6 +70,18 @@ def no_involution(a):
     return lambda *args: real(*args)[:-1] + (2,) if args == plain(a) else real(*args)
 
 
+def key_out_of_range(a):
+    """The core of gamma gives a's image with the partner of key 2 (the
+    bottom vertex of slot 1) set to 2n + 5, a key of no vertex of 1..n."""
+    real = REAL["_gamma_core"]
+
+    def fake(*args):
+        out = real(*args)
+        return out[:2] + (2 * a.n + 5,) + out[3:] if args == plain(a) else out
+
+    return fake
+
+
 def second_call_wrong(m0):
     """The core of ``gamma_inv`` is right on m0 once, then drops its signs."""
     real, calls = REAL["_gamma_inv_core"], []
@@ -222,6 +234,22 @@ CASES = {
         "_gamma_core", lambda: no_involution(TWO_CYCLES),
         [("gamma-roundtrip", 3, "round trip broke at (1+)(2+ 3+)")],
         None,
+    ),
+    # a key outside 0..2n+1 names no slot, so the walks cannot follow it:
+    # the object fails both round trips and gives no image and no edge
+    # counts, so the image sets are one short and its downline form is
+    # counted neither way
+    "gamma-key-out-of-range": (
+        "_gamma_core", lambda: key_out_of_range(S0),
+        [
+            ("gamma-image", 3, "gamma not injective: 7 inputs, 6 images"),
+            ("theta-image", 3, "theta not injective on 3 inputs"),
+            ("gamma-roundtrip", 3, "round trip broke at (1+ 2+ 3+)"),
+            ("theta-roundtrip", 3, "round trip broke at (1+ 2+ 3+)"),
+            ("derangement-restriction", 3, "3 inputs, 2 images, 3 targets"),
+        ],
+        "row-of-partner form holds for 4/7 signed permutations;"
+        " 0 failing inputs are cyclic; first failure (1+)(2+)(3+)",
     ),
     # a fault in the code the walks run is a failing check (exit 1), not
     # bad input (exit 2)

@@ -25,6 +25,7 @@ from cycledescent import statpolys as sp
 from cycledescent import verify
 from cycledescent.involutions import InvolutionOutcome
 from cycledescent.perms import Permutation, enumerate_permutations, standard_cycles, statistics
+from cycledescent.poly import MultiPoly
 
 # the core of each public map, which the walk of S_n calls in its place
 CORE = {"psi": "_psi_core", "varphi": "_varphi_core", "phi_map": "_phi_core"}
@@ -297,6 +298,81 @@ NEW_TEXT = {
 }
 
 
+# faults at two objects, each case with the text of a check that walks the
+# objects with pi(i) = 1 one i at a time: it reports the first failure by
+# i, and within one i by rank, its laws before its fixed-set, size and
+# signed-sum checks; a false claim, the least i's, comes only once every
+# law has held
+C = W((3, 1, 2, 4, 5))  # rank 48, pi(2) = 1
+E = W((2, 3, 1, 4, 5))  # rank 30, pi(3) = 1
+G = W((3, 1, 4, 5, 2))  # rank 51, a derangement with pi(2) = 1
+H = W((2, 3, 1, 5, 4))  # rank 31, a derangement with pi(3) = 1
+
+
+def flip(f, p):
+    return {p: replaced(f(p), delta_cdes=-f(p).delta_cdes)}
+
+
+def psi1(p):
+    return iv.psi(N, 1, p)
+
+
+def varphi3(p):
+    return iv.varphi(N, 3, p)
+
+
+ORDER_CASES = {
+    # the later i holds the lower rank
+    "psi-laws-at-two-i": (
+        "psi-involution", "psi",
+        lambda: {
+            C: replaced(psi2(C), delta_cdes=2), E: replaced(iv.psi(N, 3, E), delta_cdes=2)
+        },
+        "i=2, pi=3 1 2 4 5: cdes delta 2",
+    ),
+    "varphi-laws-at-two-i": (
+        "varphi-involution", "varphi",
+        lambda: {G: replaced(varphi2(G), delta_cdes=2), H: replaced(varphi3(H), delta_cdes=2)},
+        "i=2, pi=3 1 4 5 2: cdes delta 2",
+    ),
+    # a false claim at a lower rank than a law fault of the same i
+    "psi-claim-and-law-in-one-i": (
+        "psi-involution", "psi",
+        lambda: {**flip(psi2, A), B: replaced(psi2(B), delta_cdes=2)},
+        "i=2, pi=2 1 3 5 4: cdes delta 2",
+    ),
+    "varphi-claim-and-law-in-one-i": (
+        "varphi-involution", "varphi",
+        lambda: {**flip(varphi2, D), G: replaced(varphi2(G), delta_cdes=2)},
+        "i=2, pi=3 1 4 5 2: cdes delta 2",
+    ),
+    "phi-claim-and-law": (
+        "phi-preservation", "phi_map",
+        lambda: {**flip(phi, PA), C: replaced(phi(C), delta_cdes=2)},
+        "pi=3 1 2 4 5: cdes delta 2",
+    ),
+    # a false claim at i = 1 or 2, a fixed-set mismatch at the next i
+    "psi-claim-then-fixed-set": (
+        "psi-involution", "psi",
+        lambda: {**flip(psi1, PA), **fixed_pair(A, psi2)},
+        "i=2: fixed set mismatch (2 found)",
+    ),
+    "varphi-claim-then-fixed-set": (
+        "varphi-involution", "varphi",
+        lambda: {**flip(varphi2, D), **fixed_pair(H, varphi3)},
+        "i=3: fixed set {Permutation((2, 5, 1, 3, 4)), Permutation((4, 3, 1, 5, 2)),"
+        " Permutation((2, 3, 1, 5, 4))}, expected {2 5 1 3 4}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(ORDER_CASES))
+def test_first_failure_by_i_then_rank(monkeypatch, case_id):
+    check, name, overrides, want = ORDER_CASES[case_id]
+    _patch(monkeypatch, name, overrides())
+    assert fold(check, N) == want
+
+
 def run_case(monkeypatch, case_id):
     check, name, overrides, _ = CASES[case_id]
     _patch(monkeypatch, name, overrides())
@@ -395,11 +471,12 @@ def test_one_walk_and_one_map_call_per_object(monkeypatch, check, name):
 
 
 def test_involutions_suite_walks_s_n_once_per_size(monkeypatch):
-    # every walk of S_n in the process goes through _all_perms, the tally of
-    # statpolys included; an empty tally lets no earlier test hide a walk
+    # every walk of S_n in the process goes through _all_words, the walk of
+    # verify on plain words and, through _all_perms, the tally of statpolys;
+    # an empty tally lets no earlier test hide a walk
     walked, calls = Counter(), Counter()
-    real_all = perms._all_perms
-    monkeypatch.setattr(perms, "_all_perms", lambda n: walked.update([n]) or real_all(n))
+    real_all = perms._all_words
+    monkeypatch.setattr(perms, "_all_words", lambda n: walked.update([n]) or real_all(n))
     sp.statistic_poly.cache_clear()
     for name, real in REAL.items():
         def counted(*a, name=name, real=real):
@@ -420,18 +497,28 @@ def test_involutions_suite_walks_s_n_once_per_size(monkeypatch):
     assert calls == want
 
 
+def signed_sum(w, ranks):
+    """The sum of (-1)^cdes x^exc over the records of the given ranks."""
+    total = MultiPoly()
+    for k in ranks:
+        total += MultiPoly.monomial((-1) ** w.cdes[k], ex=w.exc[k])
+    return total
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_signed_sums_off_the_walk_match_the_tally(n):
     # the naive tally of statpolys, a walk of its own, is the oracle of the
-    # records that psi-fixed-weight and varphi-involution sum
+    # records that psi-fixed-weight and varphi-involution sum: the objects
+    # with pi(i) = 1 are those whose pos1 record is i, and the derangements
+    # among them those that varphi tags
     w = verify._walk_perms(n)
     for i in range(1, n + 1):
-        ranks = list(verify._one_at(w.pos1, i))
+        ranks = [k for k, p in enumerate(w.pos1) if p == i]
         derangements = [k for k in ranks if w.varphi.tag[k]]
-        assert verify._signed_sum(w, ranks) == sp.statistic_poly(n, i).substitute(
+        assert signed_sum(w, ranks) == sp.statistic_poly(n, i).substitute(
             y=-1, q=1, t=1
         ), (n, i)
-        assert verify._signed_sum(w, derangements) == sp.statistic_poly(
+        assert signed_sum(w, derangements) == sp.statistic_poly(
             n, i, derangements=True
         ).substitute(y=-1, t=1), (n, i)
 
@@ -486,7 +573,7 @@ def test_table_rank_is_the_list_rank(n):
 def test_one_at_i_ranks_follow_their_stream(n):
     w = verify._walk_perms(n)
     for i in range(1, n + 1):
-        ranks = verify._one_at(w.pos1, i)
+        ranks = [k for k, p in enumerate(w.pos1) if p == i]
         assert [verify._unrank(k, n) for k in ranks] == list(
             enumerate_permutations("one_at_i", n, i)
         )
@@ -497,7 +584,7 @@ def test_derangement_ranks_follow_their_stream(n):
     # varphi records exactly the derangements, so its tags mark the family
     w = verify._walk_perms(n)
     for i in range(2, n + 1):
-        ranks = [k for k in verify._one_at(w.pos1, i) if w.varphi.tag[k]]
+        ranks = [k for k, (p, t) in enumerate(zip(w.pos1, w.varphi.tag)) if p == i and t]
         assert [verify._unrank(k, n) for k in ranks] == list(
             enumerate_permutations("derangements_one_at_i", n, i)
         )

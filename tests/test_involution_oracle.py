@@ -10,7 +10,8 @@ the accessors, and hands them to every oracle that needs them.
 The trusted cores that the walk of S_n in ``verify`` calls, and the
 cycle walk core ``perms._walk_word`` that feeds them, are compared with
 the public maps and the accessors of each object, which read their
-values off the same core at each call.
+values off the same core at each call.  The four involution checks of
+``verify`` are folded off one walk of S_n at the same sizes.
 """
 
 import os
@@ -19,6 +20,7 @@ import pytest
 
 from cycledescent import involutions as iv
 from cycledescent import perms
+from cycledescent import verify
 from cycledescent.perms import (
     enumerate_permutations,
     hat,
@@ -29,8 +31,8 @@ from cycledescent.perms import (
 )
 
 # Tier-1 runs n <= 7 (5,040 objects at n = 7); CI runs n = 9 (362,880,
-# one size past the verify cap) as a step of its own with
-# INVOLUTION_ORACLE_SIZES=9.
+# one size past the verify cap, CAPS["involution tables"]) as a step of
+# its own with INVOLUTION_ORACLE_SIZES=9.
 ORACLE_SIZES = [
     int(n) for n in os.environ.get("INVOLUTION_ORACLE_SIZES", "0 1 2 3 4 5 6 7").split()
 ]
@@ -158,3 +160,17 @@ def test_cores_match_the_public_maps_and_the_cached_walk(n):
                 assert iv._varphi_core(p.word, cycles) == plain(iv.varphi(n, i, p)), p
         if top is not None:
             assert iv._phi_core(p.word, cycles, top) == plain(iv.phi_map(p)), p
+
+
+FOLDS = ("psi-involution", "psi-fixed-weight", "varphi-involution", "phi-preservation")
+
+
+@pytest.mark.parametrize("n", [n for n in ORACLE_SIZES if n >= 1])
+def test_involution_folds_hold_on_one_walk(n):
+    # the four involution checks of verify, folded off one walk of S_n at
+    # the same sizes, so that CI runs them one size past the verify cap
+    w = verify._walk_perms(n)
+    for check_id in FOLDS:
+        check = verify.CHECKS[check_id]
+        if n >= check.min_n:
+            assert check.fn(n, verify.DEFAULT_SEED, w) is None, (check_id, n)

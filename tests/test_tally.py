@@ -152,14 +152,15 @@ def test_tally_folds_read_their_record_not_the_cache(monkeypatch):
 
 
 def test_verification_walks_s_n_once_per_size(walks, monkeypatch):
-    # every walk of S_n goes through perms._all_perms; the five suites make
+    # every walk of S_n goes through perms._all_words, the walk of verify on
+    # plain words and every public stream of S_n alike; the five suites make
     # one per size, the walk of verify that the involution checks fold their
     # laws off.  The walk "tally" of verify, which the brute-force checks
     # fold off, goes through the cache of statpolys: the four suites that
     # read it build it once per size between them, and it walks no S_n
     walked = Counter()
-    real_all = perms._all_perms
-    monkeypatch.setattr(perms, "_all_perms", lambda n: walked.update([n]) or real_all(n))
+    real_all = perms._all_words
+    monkeypatch.setattr(perms, "_all_words", lambda n: walked.update([n]) or real_all(n))
     for suite in ("theorem-p", "lemmas", "theorem-b", "identities", "involutions"):
         assert run_verification(suite, n_max=6).exit_code == 0, suite
     assert not walks

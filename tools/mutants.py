@@ -90,13 +90,47 @@ MUTANTS = [
     ),
     (
         "perm walk runs psi from n = 3", VERIFY,
-        "        if n >= 2:\n            out = image, tag, delta = psi(",
-        "        if n >= 3:\n            out = image, tag, delta = psi(",
+        "        if n >= 2:\n            out = image, tag, psi_delta[k] = psi(",
+        "        if n >= 3:\n            out = image, tag, psi_delta[k] = psi(",
     ),
     (
         "perm walk takes every psi result as phi's", VERIFY,
         "            if out is None or out[1] not in _PHI_PAIRS:",
         "            if out is None:",
+    ),
+    (
+        "psi fold drops the excedance comparison", VERIFY,
+        "        elif exc[j] != exc[k]:\n            law = \"excedances not preserved\"\n"
+        "        elif t == fixed_code:\n            if d == 0 and j == k:",
+        "        elif False:\n            law = \"excedances not preserved\"\n"
+        "        elif t == fixed_code:\n            if d == 0 and j == k:",
+    ),
+    (
+        "psi fold reports a later i's failure before an earlier one's", VERIFY,
+        "    for i in range(1, n + 1):\n        if laws[i]:",
+        "    for i in range(n, 0, -1):\n        if laws[i]:",
+    ),
+    (
+        "varphi fold sums non-derangements", VERIFY,
+        "    sums = _signed_sums(n, compress(zip(pos1, exc, cdes.translate(_PARITY)), tags))",
+        "    sums = _signed_sums(n, zip(pos1, exc, cdes.translate(_PARITY)))",
+    ),
+    (
+        "varphi fold keeps the last law failure of each i", VERIFY,
+        "        if laws[i] is None:\n            laws[i] = f\"i={i}, pi={_unrank(k, n)}: {law}\"\n"
+        "    sums",
+        "        if True:\n            laws[i] = f\"i={i}, pi={_unrank(k, n)}: {law}\"\n"
+        "    sums",
+    ),
+    (
+        "fixed-weight fold counts every record as even", VERIFY,
+        "    sums = _signed_sums(n, zip(w.pos1, w.exc, w.cdes.translate(_PARITY)))",
+        "    sums = _signed_sums(n, zip(w.pos1, w.exc, bytes(len(w.cdes))))",
+    ),
+    (
+        "phi fold reports a false claim before a later law failure", VERIFY,
+        "        if d != cdes[j] - cdes[k] and claim is None:\n            claim = ",
+        "        if d != cdes[j] - cdes[k] and claim is None:\n            return ",
     ),
     (
         "signed walk counts one derangement per word", VERIFY,
