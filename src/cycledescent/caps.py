@@ -2,14 +2,16 @@
 The size caps: the largest n that each exhaustive stream, table, CLI
 enumeration and verify check accepts.  This table is the one place a size
 bound is written.  Every guard reads it and refuses an overlarge size before
-it allocates anything, and every check of ``verify`` takes its cap from the
-entry that bounds what it reads.
+it allocates anything, and every check of ``verify`` is capped by the entry
+that bounds what it reads.  Each reads the table as it stands at the call:
+nothing copies a cap at import.
 
 The layout of the ``verify`` suites lives here too, as plain data: the
 suites, their check ids in run order, and each check's least size, ``CAPS``
-entry and walks, with the seed of the randomized checks.  ``verify`` pairs
-each check id with its fold; the CLI builds its ``verify`` help from this
-layout alone, so that no other command loads ``verify``.
+entry and walks, with the seed of the randomized checks.  ``verify`` keeps
+only the fold of each check id and reads the rest off this layout at each
+run; the CLI builds its ``verify`` help from this layout alone, so that no
+other command loads ``verify``.
 """
 
 from __future__ import annotations

@@ -2,19 +2,22 @@
 Exhaustive verification suites behind the ``verify`` CLI command.
 
 Each check gives its first failure at a size n, as a witness text, or
-None when it holds; a suite is a set of checks, each capped by the entry of
-``caps.CAPS`` that bounds what it reads, so that the whole battery stays
-desk-scale.  The suite layout (the suites, their check ids in run order,
-each check's least size, cap entry and walks) and the default seed are
-plain data in ``caps``, which the CLI reads for its help without loading
-this module; here each check id gets its fold.  Every check is a fold: it
-reads the records that one walk of its size keeps for every check that
-reads them.  The brute-force checks of one size (closed forms,
+None when it holds; a suite is a set of checks, each capped by the entry
+of ``caps.CAPS`` that bounds what it reads, so that the whole battery
+stays desk-scale.  The suite layout (the suites, their check ids in run
+order, each check's least size, cap entry and walks) and the default
+seed are plain data in ``caps``, which the CLI reads for its help
+without loading this module.  Here each check id gets its fold and
+nothing else: a run reads the sizes, caps and walks of its checks off
+that layout and ``CAPS`` as they stand when it starts.  Every check is a
+fold: it reads the records that one walk of its size keeps for every
+check that reads them.  The brute-force checks of one size (closed forms,
 recurrences, cdes polynomials, signed identities) share the tally of S_n
 that ``statpolys`` keeps, the involution checks one walk of S_n, and the
 bijection checks one walk of the signed objects and one of the Callan
-matchings; the sequence cross-check and the ring axioms read no walk.  Each walk of a size is one task, so tasks are independent
-and a run can fan out over a process pool, largest sizes first; every task
+matchings; the sequence cross-check and the ring axioms read no
+walk.  Each walk of a size is one task, so tasks are independent and a
+run can fan out over a process pool, largest sizes first; every task
 returns its records, and the caller folds each check off them.
 
 Informational checks never fail: they return a note text, which goes to
@@ -41,7 +44,7 @@ from . import involutions as iv
 from . import matchings as mt
 from . import perms
 from . import statpolys as sp
-from ._records import FrozenRecord, Record, set_field
+from ._records import Record
 from .caps import CAPS, CHECK_LAYOUT, DEFAULT_SEED, SUITES, suite_cap, verify_cap
 from .perms import Permutation
 from .poly import MultiPoly
@@ -538,6 +541,8 @@ class _SignedWalk:
         self.cyclic_fails = 0  # cyclic objects on which it fails
         self.first: dict[str, str] = {}  # check id -> first failure
         self.images: dict[str, bytes] = {}  # image check id -> image set, up to the cap
+        # image check id -> its inputs whose image holds a key outside 0..2n+1
+        self.unimaged = dict.fromkeys(_IMAGE_CHECKS, 0)
 
 
 class _CallanWalk:
@@ -579,8 +584,11 @@ def _walk_signed(n: int) -> _SignedWalk:
                 first.setdefault("gamma-roundtrip", witness)
                 if cyc == 1:  # theta is gamma on one cycle
                     first.setdefault("theta-roundtrip", witness)
-                if trip is None:
-                    continue  # no matching: nothing else to read off the image
+                if trip is None:  # no matching: nothing else to read off the image
+                    w.unimaged["gamma-image"] += 1
+                    w.unimaged["theta-image"] += cyc == 1
+                    w.unimaged["derangement-restriction"] += not fix
+                    continue
             if com != cyc or ver != fix:
                 first.setdefault("statistic-transport", (
                     f"{_signed(word, neg)}: com={com} cyc={cyc} ver={ver} fix={fix}"
@@ -652,8 +660,19 @@ def _fold_counts(
     return None
 
 
+def _unimaged(n: int, s: _SignedWalk, check_id: str, inputs: int) -> str | None:
+    """Names the inputs of an image check whose image the signed walk could
+    not read, so that a missing image is not taken for a collision."""
+    missing = s.unimaged[check_id]
+    if missing:
+        return f"{missing} of {inputs} inputs have no image: a key outside 0..{2 * n + 1}"
+    return None
+
+
 def _fold_gamma_image(n: int, seed: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
     image, target = s.images["gamma-image"], c.targets["gamma-image"]
+    if missing := _unimaged(n, s, "gamma-image", s.count):
+        return missing
     if len(image) // n != s.count:
         return f"gamma not injective: {s.count} inputs, {len(image) // n} images"
     if image != target:
@@ -663,6 +682,8 @@ def _fold_gamma_image(n: int, seed: int, s: _SignedWalk, c: _CallanWalk) -> str 
 
 def _fold_theta_image(n: int, seed: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
     image, target = s.images["theta-image"], c.targets["theta-image"]
+    if missing := _unimaged(n, s, "theta-image", s.cyclic):
+        return missing
     if len(image) // n != s.cyclic:
         return f"theta not injective on {s.cyclic} inputs"
     if image != target:
@@ -675,6 +696,8 @@ def _fold_derangement_restriction(
 ) -> str | None:
     image, target = s.images["derangement-restriction"], c.targets["derangement-restriction"]
     images, targets = len(image) // n, len(target) // n
+    if missing := _unimaged(n, s, "derangement-restriction", s.derangements):
+        return missing
     if images != s.derangements or image != target:
         return f"{s.derangements} inputs, {images} images, {targets} targets"
     return None
@@ -698,36 +721,11 @@ def _fold_downline_global_report(
 # Suite wiring.
 
 
-class Check(FrozenRecord):
-    """A check at size n, given as ``fn(n, seed, *records)`` in the calling
-    process: its first failure, or None, folded off what the named walks of
-    size n (see ``_WALKS``) return.  A check of no walks reads no record.
-    An informational check gives its note text instead."""
-
-    __slots__ = __match_args__ = ("fn", "min_n", "cap", "walks", "informational")
-    fn: Callable[..., str | None]
-    min_n: int
-    cap: int
-    walks: tuple[str, ...]
-    informational: bool
-
-    def __init__(
-        self,
-        fn: Callable[..., str | None],
-        min_n: int,
-        cap: int,
-        walks: tuple[str, ...] = (),
-        informational: bool = False,
-    ) -> None:
-        set_field(self, "fn", fn)
-        set_field(self, "min_n", min_n)
-        set_field(self, "cap", cap)
-        set_field(self, "walks", walks)
-        set_field(self, "informational", informational)
-
-
-# check id -> its fold; the suites, sizes, caps and walks of the checks are
-# the layout of ``caps``
+# check id -> its fold, called as ``fold(n, seed, *records)`` in the calling
+# process on the records of the check's walks of size n (see ``_WALKS``):
+# its first failure, or None.  A check of no walks reads no record, and an
+# informational check gives its note text instead.  The suites, least sizes,
+# caps and walks of the checks are the layout of ``caps``, read at each run.
 _FOLDS: dict[str, Callable[..., str | None]] = {
     "closed-form-all": _fold_closed_form,
     "closed-form-derangement": partial(_fold_closed_form, derangements=True),
@@ -755,18 +753,13 @@ _FOLDS: dict[str, Callable[..., str | None]] = {
 }
 _INFORMATIONAL = ("downline-global-report",)
 
-CHECKS: dict[str, Check] = {
-    c: Check(_FOLDS[c], min_n, verify_cap(c), walks, c in _INFORMATIONAL)
-    for c, (min_n, _, walks) in CHECK_LAYOUT.items()
-}
-
 
 def _plan(suite: str, n_max: int | None) -> list[tuple[str, int]]:
     tasks: list[tuple[str, int]] = []
     for check_id in SUITES[suite]:
-        check = CHECKS[check_id]
-        hi = check.cap if n_max is None else min(n_max, check.cap)
-        for n in range(check.min_n, hi + 1):
+        cap = verify_cap(check_id)
+        hi = cap if n_max is None else min(n_max, cap)
+        for n in range(CHECK_LAYOUT[check_id][0], hi + 1):
             tasks.append((check_id, n))
     return tasks
 
@@ -784,7 +777,7 @@ def _tasks(plan: list[tuple[str, int]]) -> dict[tuple[str, int], tuple]:
     such checks."""
     tasks: dict[tuple[str, int], tuple] = {}
     for check_id, n in plan:
-        for walk in CHECKS[check_id].walks:
+        for walk in CHECK_LAYOUT[check_id][2]:
             tasks.setdefault((walk, n), (_WALKS[walk], n))
     return tasks
 
@@ -832,14 +825,14 @@ def run_verification(
         results = {key: fn(*args) for key, (fn, *args) in tasks.items()}
     summary = VerificationSummary(
         suite=suite,
-        n_lo=min((CHECKS[c].min_n for c in SUITES[suite]), default=1),
+        n_lo=min((CHECK_LAYOUT[c][0] for c in SUITES[suite]), default=1),
         n_hi=max((n for _, n in plan), default=0),
         checks_run=len(plan),
     )
     for check_id, n in plan:
-        check = CHECKS[check_id]
-        detail = check.fn(n, seed, *(results[walk, n] for walk in check.walks))
+        walks = CHECK_LAYOUT[check_id][2]
+        detail = _FOLDS[check_id](n, seed, *(results[walk, n] for walk in walks))
         if detail is not None:
-            outcomes = summary.notes if check.informational else summary.failures
+            outcomes = summary.notes if check_id in _INFORMATIONAL else summary.failures
             outcomes.append(CheckOutcome(check_id, n, detail))
     return summary

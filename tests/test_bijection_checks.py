@@ -237,19 +237,29 @@ CASES = {
     ),
     # a key outside 0..2n+1 names no slot, so the walks cannot follow it:
     # the object fails both round trips and gives no image and no edge
-    # counts, so the image sets are one short and its downline form is
-    # counted neither way
+    # counts, so each image check it is an input of names its missing image
+    # (not a collision) and its downline form is counted neither way
     "gamma-key-out-of-range": (
         "_gamma_core", lambda: key_out_of_range(S0),
         [
-            ("gamma-image", 3, "gamma not injective: 7 inputs, 6 images"),
-            ("theta-image", 3, "theta not injective on 3 inputs"),
+            ("gamma-image", 3, "1 of 7 inputs have no image: a key outside 0..7"),
+            ("theta-image", 3, "1 of 3 inputs have no image: a key outside 0..7"),
             ("gamma-roundtrip", 3, "round trip broke at (1+ 2+ 3+)"),
             ("theta-roundtrip", 3, "round trip broke at (1+ 2+ 3+)"),
-            ("derangement-restriction", 3, "3 inputs, 2 images, 3 targets"),
+            ("derangement-restriction", 3, "1 of 3 inputs have no image: a key outside 0..7"),
         ],
         "row-of-partner form holds for 4/7 signed permutations;"
         " 0 failing inputs are cyclic; first failure (1+)(2+)(3+)",
+    ),
+    # an object with a fixed point and two cycles is an input of gamma-image
+    # alone: theta-image and derangement-restriction still hold
+    "gamma-key-out-of-range-two-cycles": (
+        "_gamma_core", lambda: key_out_of_range(TWO_CYCLES),
+        [
+            ("gamma-image", 3, "1 of 7 inputs have no image: a key outside 0..7"),
+            ("gamma-roundtrip", 3, "round trip broke at (1+)(2+ 3+)"),
+        ],
+        None,
     ),
     # a fault in the code the walks run is a failing check (exit 1), not
     # bad input (exit 2)

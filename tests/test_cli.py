@@ -201,9 +201,7 @@ def test_verify_reports_failures_in_text(capsys, monkeypatch):
     from cycledescent import verify as verify_mod
 
     monkeypatch.setitem(
-        verify_mod.CHECKS,
-        "cdes-poly-all",
-        verify_mod.Check(lambda n, seed: "forced failure", 1, 2),
+        verify_mod._FOLDS, "cdes-poly-all", lambda n, seed, tally: "forced failure"
     )
     code, out, _ = run(capsys, "verify", "theorem-b", "--n-max", "2")
     assert code == 1

@@ -39,7 +39,7 @@ W = Permutation
 
 def fold(check, n):
     """Walk S_n once and fold one involution check off the walk."""
-    return verify.CHECKS[check].fn(n, verify.DEFAULT_SEED, verify._walk_perms(n))
+    return verify._FOLDS[check](n, verify.DEFAULT_SEED, verify._walk_perms(n))
 
 
 def _patch(monkeypatch, name, table):

@@ -21,6 +21,7 @@ import pytest
 from cycledescent import involutions as iv
 from cycledescent import perms
 from cycledescent import verify
+from cycledescent.caps import CHECK_LAYOUT
 from cycledescent.perms import (
     enumerate_permutations,
     hat,
@@ -171,6 +172,5 @@ def test_involution_folds_hold_on_one_walk(n):
     # the same sizes, so that CI runs them one size past the verify cap
     w = verify._walk_perms(n)
     for check_id in FOLDS:
-        check = verify.CHECKS[check_id]
-        if n >= check.min_n:
-            assert check.fn(n, verify.DEFAULT_SEED, w) is None, (check_id, n)
+        if n >= CHECK_LAYOUT[check_id][0]:
+            assert verify._FOLDS[check_id](n, verify.DEFAULT_SEED, w) is None, (check_id, n)

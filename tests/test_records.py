@@ -24,7 +24,7 @@ from cycledescent.matchings import MatchStats, PerfectMatching
 from cycledescent.perms import CycleDecomposition, Permutation, StatRecord, statistics
 from cycledescent.poly import ONE, X
 from cycledescent.statpolys import IdentityReport, PolyTable
-from cycledescent.verify import Check, CheckOutcome, VerificationSummary
+from cycledescent.verify import CheckOutcome, VerificationSummary
 
 P = Permutation((2, 3, 1))
 
@@ -99,12 +99,6 @@ RECORDS = {
         " failures=[CheckOutcome(check_id='c', n=3, detail='d')], notes=[])",
         ("all", 1, 2, 3, [], []),
     ),
-    Check: (
-        ("fn", "min_n", "cap", "walks", "informational"),
-        (len, 1, 2, (), False),
-        "Check(fn=<built-in function len>, min_n=1, cap=2, walks=(), informational=False)",
-        (len, 1, 2, ("perms",), False),
-    ),
 }
 FROZEN = {
     Permutation,
@@ -115,13 +109,11 @@ FROZEN = {
     InvolutionOutcome,
     PerfectMatching,
     MatchStats,
-    Check,
 }
 # defaults of the constructors, as (field, value, value is a fresh list)
 DEFAULTS = {
     IdentityReport: [("witness", None, False)],
     VerificationSummary: [("failures", [], True), ("notes", [], True)],
-    Check: [("walks", (), False), ("informational", False, False)],
 }
 CLASSES = list(RECORDS)
 

@@ -15,7 +15,7 @@ import pytest
 from cycledescent import perms
 from cycledescent import statpolys as sp
 from cycledescent import verify
-from cycledescent.caps import CAPS
+from cycledescent.caps import CAPS, CHECK_LAYOUT
 from cycledescent.perms import FAMILIES, enumerate_permutations, statistics
 from cycledescent.poly import ONE, MultiPoly
 from cycledescent.verify import run_verification
@@ -144,11 +144,12 @@ def test_tally_folds_read_their_record_not_the_cache(monkeypatch):
         raise AssertionError(f"the tally of S_{n} was read off the cache")
 
     monkeypatch.setattr(sp, "_tally", refused)
-    readers = {c: check for c, check in verify.CHECKS.items() if check.walks == ("tally",)}
+    readers = {c: min_n for c, (min_n, _, walks) in CHECK_LAYOUT.items() if walks == ("tally",)}
     assert len(readers) == 13
-    for check_id, check in readers.items():
-        for n in range(check.min_n, 7):
-            assert check.fn(n, verify.DEFAULT_SEED, tallies[n]) is None, (check_id, n)
+    for check_id, min_n in readers.items():
+        fold = verify._FOLDS[check_id]
+        for n in range(min_n, 7):
+            assert fold(n, verify.DEFAULT_SEED, tallies[n]) is None, (check_id, n)
 
 
 def test_verification_walks_s_n_once_per_size(walks, monkeypatch):

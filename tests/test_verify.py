@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from cycledescent import statpolys as sp
+from cycledescent.caps import CAPS, CHECK_LAYOUT, verify_cap
 from cycledescent.verify import (
+    _FOLDS,
+    _INFORMATIONAL,
     _WALKS,
-    CHECKS,
     DEFAULT_SEED,
     SUITES,
     _plan,
@@ -23,23 +25,23 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_suites_cover_all_checks():
     named = {c for s, ids in SUITES.items() if s != "all" for c in ids}
-    assert named == set(CHECKS)
-    assert set(SUITES["all"]) == set(CHECKS)
+    assert named == set(_FOLDS)
+    assert set(SUITES["all"]) == set(_FOLDS)
 
 
 def test_checks_are_built_from_the_layout_of_caps():
-    from cycledescent import caps, verify
+    from cycledescent import caps
 
-    assert set(verify._FOLDS) == set(caps.CHECK_LAYOUT) == set(CHECKS)
-    assert tuple(CHECKS) == SUITES["all"]
-    for check_id, (min_n, _, walks) in caps.CHECK_LAYOUT.items():
-        check = CHECKS[check_id]
-        assert (check.min_n, check.cap, check.walks) == (
-            min_n, caps.verify_cap(check_id), walks
-        ), check_id
-    assert [c for c, check in CHECKS.items() if check.informational] == [
-        "downline-global-report"
-    ]
+    # verify keeps a fold per check id; the sizes and walks of a run are the
+    # layout's
+    assert set(_FOLDS) == set(CHECK_LAYOUT)
+    assert tuple(CHECK_LAYOUT) == SUITES["all"]
+    plan = _plan("all", None)
+    for check_id, (min_n, _, walks) in CHECK_LAYOUT.items():
+        sizes = [n for c, n in plan if c == check_id]
+        assert sizes == list(range(min_n, verify_cap(check_id) + 1)), check_id
+        assert {walk for walk, n in _tasks([(check_id, 1)])} == set(walks), check_id
+    assert _INFORMATIONAL == ("downline-global-report",)
     # verify re-exports the layout's suites, suite caps and seed
     assert (SUITES, suite_cap, DEFAULT_SEED) == (caps.SUITES, caps.suite_cap, caps.DEFAULT_SEED)
 
@@ -60,9 +62,10 @@ def test_suite_caps():
 
 
 # Lowers every entry of the one table of caps that verify reads, each to
-# its own value, reloads verify and the CLI, and prints what the checks,
-# suite caps and walks then read, then the verify help (on one line, as the
-# test sets COLUMNS=1000).
+# its own value, after verify is loaded, reloads the CLI (whose help text is
+# built at import), and prints the largest size each check is then planned
+# at, the suite caps and what the walks keep, then the verify help (on one
+# line, as the test sets COLUMNS=1000).
 ONE_TABLE_SCRIPT = """
 import importlib, json
 from cycledescent import cli, verify
@@ -70,10 +73,12 @@ from cycledescent.caps import CAPS
 
 CAPS.update({"brute force": 8, "involution tables": 7, "cdes distribution": 6,
              "signed enumeration": 5, "image sets": 4, "sequence cross-check": 11})
-importlib.reload(verify)
 importlib.reload(cli)
+planned = {}
+for c, n in verify._plan("all", None):
+    planned[c] = max(planned.get(c, n), n)
 print(json.dumps({
-    "caps": {c: check.cap for c, check in verify.CHECKS.items()},
+    "caps": planned,
     "suite caps": {s: verify.suite_cap(s) for s in verify.SUITES},
     "image sets": [sorted(verify._walk_signed(5).images),
                    sorted(verify._walk_callan(5).targets)],
@@ -117,6 +122,16 @@ def test_every_check_cap_is_read_from_the_one_table():
     ) in help_text
 
 
+def test_a_lowered_cap_holds_from_the_next_run(monkeypatch):
+    # no check keeps a copy of its cap: a run reads CAPS as it stands
+    monkeypatch.setitem(CAPS, "signed enumeration", 6)
+    monkeypatch.setitem(CAPS, "involution tables", 6)
+    bijections = run_verification("bijections")
+    assert (bijections.n_hi, bijections.checks_run, bijections.exit_code) == (6, 60, 0)
+    involutions = run_verification("involutions")
+    assert (involutions.n_hi, involutions.checks_run, involutions.exit_code) == (6, 21, 0)
+
+
 def test_run_small_suites_pass():
     for suite in ("theorem-p", "lemmas", "identities", "involutions"):
         summary = run_verification(suite, n_max=4)
@@ -136,12 +151,12 @@ def test_every_check_returns_none_or_its_note_at_small_sizes():
     # every check folds off walk records built once per size, as
     # run_verification builds them
     records = {}
-    for check_id, check in CHECKS.items():
-        for n in range(check.min_n, min(check.cap, 4) + 1):
-            for walk in check.walks:
+    for check_id, (min_n, _, walks) in CHECK_LAYOUT.items():
+        for n in range(min_n, min(verify_cap(check_id), 4) + 1):
+            for walk in walks:
                 if (walk, n) not in records:
                     records[walk, n] = _WALKS[walk](n)
-            out = check.fn(n, DEFAULT_SEED, *(records[walk, n] for walk in check.walks))
+            out = _FOLDS[check_id](n, DEFAULT_SEED, *(records[walk, n] for walk in walks))
             if check_id == "downline-global-report":
                 assert isinstance(out, str), (check_id, n, out)
             else:
@@ -166,7 +181,7 @@ def test_tasks_are_walks_only():
     assert len(tasks) == 31
     # a tally reader of size n reads ("tally", n), which the cache of
     # statpolys builds once per process
-    assert {c for c, check in CHECKS.items() if check.walks == ("tally",)} == TALLY_READERS
+    assert {c for c, (_, _, walks) in CHECK_LAYOUT.items() if walks == ("tally",)} == TALLY_READERS
     assert _WALKS["tally"] is sp._tally
     assert all(tasks[walk, n] == (_WALKS[walk], n) for walk, n in tasks)
 
@@ -197,11 +212,7 @@ def test_summary_json_shape():
 
 
 def test_failures_set_exit_code(monkeypatch):
-    from cycledescent.verify import Check
-
-    monkeypatch.setitem(
-        CHECKS, "cdes-poly-all", Check(lambda n, seed: "forced failure", 1, 2)
-    )
+    monkeypatch.setitem(_FOLDS, "cdes-poly-all", lambda n, seed, tally: "forced failure")
     summary = run_verification("theorem-b", n_max=2)
     assert summary.exit_code == 1
     assert any(f.detail == "forced failure" for f in summary.failures)
@@ -210,9 +221,7 @@ def test_failures_set_exit_code(monkeypatch):
 
 
 def test_every_check_gets_the_seed_of_its_run(monkeypatch):
-    from cycledescent.verify import Check
-
-    monkeypatch.setitem(CHECKS, "cdes-poly-all", Check(lambda n, seed: f"seed {seed}", 1, 2))
+    monkeypatch.setitem(_FOLDS, "cdes-poly-all", lambda n, seed, tally: f"seed {seed}")
     summary = run_verification("theorem-b", n_max=2, seed=7)
     assert [(f.check_id, f.n, f.detail) for f in summary.failures] == [
         ("cdes-poly-all", 1, "seed 7"),

@@ -80,13 +80,19 @@ MUTANTS = [
     ),
     (
         "run folds with the default seed", VERIFY,
-        "        detail = check.fn(n, seed, *(results[walk, n] for walk in check.walks))",
-        "        detail = check.fn(n, DEFAULT_SEED, *(results[walk, n] for walk in check.walks))",
+        "        detail = _FOLDS[check_id](n, seed, *(results[walk, n] for walk in walks))",
+        "        detail = _FOLDS[check_id]"
+        "(n, DEFAULT_SEED, *(results[walk, n] for walk in walks))",
     ),
     (
         "run folds all but the last check", VERIFY,
-        "    for check_id, n in plan:\n        check = CHECKS[check_id]\n        detail",
-        "    for check_id, n in plan[:-1]:\n        check = CHECKS[check_id]\n        detail",
+        "    for check_id, n in plan:\n        walks = CHECK_LAYOUT[check_id][2]",
+        "    for check_id, n in plan[:-1]:\n        walks = CHECK_LAYOUT[check_id][2]",
+    ),
+    (
+        "plan ignores n_max", VERIFY,
+        "        hi = cap if n_max is None else min(n_max, cap)",
+        "        hi = cap",
     ),
     (
         "perm walk runs psi from n = 3", VERIFY,
@@ -148,6 +154,21 @@ MUTANTS = [
         "                if True:\n                    images[\"theta-image\"].add(key)",
     ),
     (
+        "signed walk counts no missing theta image", VERIFY,
+        "                    w.unimaged[\"theta-image\"] += cyc == 1",
+        "                    w.unimaged[\"theta-image\"] += 0",
+    ),
+    (
+        "signed walk counts every missing image as a derangement's", VERIFY,
+        "                    w.unimaged[\"derangement-restriction\"] += not fix",
+        "                    w.unimaged[\"derangement-restriction\"] += 1",
+    ),
+    (
+        "gamma-image fold names no missing image", VERIFY,
+        "    if missing := _unimaged(n, s, \"gamma-image\", s.count):",
+        "    if False:",
+    ),
+    (
         "callan walk skips the last column", VERIFY,
         "        vertical_free = all(partner[k] != k + 1 for k in range(2, 2 * n + 2, 2))",
         "        vertical_free = all(partner[k] != k + 1 for k in range(2, 2 * n, 2))",
@@ -161,6 +182,44 @@ MUTANTS = [
         "gamma and theta skip the negative-cdes refusal", BIJECTIONS,
         "    if not sp.neg.issubset(cdes):\n        raise",
         "    if False:\n        raise",
+    ),
+    (
+        "signed stream keeps fixed points under the derangement filter", BIJECTIONS,
+        "        if fix and derangements:\n            continue",
+        "        if False:\n            continue",
+    ),
+    (
+        "signed stream signs no largest cycle descent", BIJECTIONS,
+        "        for d in sorted(cdes):",
+        "        for d in sorted(cdes)[:-1]:",
+    ),
+    (
+        "signed JSON reader takes a value that is not an object", BIJECTIONS,
+        "    if not isinstance(data, dict):\n"
+        "        raise ValueError(\"signed permutation JSON must be an object\")",
+        "    if False:\n"
+        "        raise ValueError(\"signed permutation JSON must be an object\")",
+    ),
+    (
+        "signed JSON reader takes neg values that are not integers", BIJECTIONS,
+        "    if not all(type(v) is int for v in negatives):",
+        "    if False:",
+    ),
+    (
+        "matching JSON reader takes a value that is not an object", MATCHINGS,
+        "    if not isinstance(data, dict):\n"
+        "        raise ValueError(\"matching JSON must be an object\")",
+        "    if False:\n        raise ValueError(\"matching JSON must be an object\")",
+    ),
+    (
+        "matching stream lets the first refused key through", MATCHINGS,
+        "            if b & 1 and b >= refuse_from:",
+        "            if b & 1 and b > refuse_from:",
+    ),
+    (
+        "keyed edges drop the edges of adjacent keys", MATCHINGS,
+        "    return ((k, q) for k, q in enumerate(m.partner) if k < q)",
+        "    return ((k, q) for k, q in enumerate(m.partner) if k < q - 1)",
     ),
     (
         "varphi skips the derangement refusal", INVOLUTIONS,
