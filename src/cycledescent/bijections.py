@@ -149,7 +149,9 @@ def _negative_cdes_core(
     ``_walk_word``, and the negative sets that sign it, in the order of the
     stream.  ``enumerate_negative_cdes`` wraps each pair of word and set in
     a ``SignedPermutation``; the signed walk of ``verify`` reads them as
-    they are.
+    they are.  The list of negative sets is built once per set of cycle
+    descents and handed to every permutation with those descents, so a
+    caller reads it and does not change it.
     """
     if flt not in ("all", "derangement"):
         raise ValueError(f"unknown filter: {flt!r}")
@@ -157,15 +159,20 @@ def _negative_cdes_core(
         raise ValueError("negative size")
     check_cap("signed enumeration", n)
     derangements = flt == "derangement"
+    signs: dict[tuple[int, ...], list[frozenset[int]]] = {}  # sorted descents -> their subsets
     for word in permutations(range(1, n + 1)):
         cycles, _, fix, cdes, _, _ = _walk_word(word)
         if fix and derangements:
             continue
-        # doubling over the sorted descents: subset k holds descent j
-        # exactly when bit j of k is set
-        subsets = [frozenset()]
-        for d in sorted(cdes):
-            subsets += [s | {d} for s in subsets]
+        descents = tuple(sorted(cdes))
+        subsets = signs.get(descents)
+        if subsets is None:
+            # doubling over the sorted descents: subset k holds descent j
+            # exactly when bit j of k is set
+            subsets = [frozenset()]
+            for d in descents:
+                subsets += [s | {d} for s in subsets]
+            signs[descents] = subsets
         yield word, cycles, fix, subsets
 
 
@@ -296,31 +303,44 @@ def _unfold(
     start.  Bars go after every path step that crosses an arc (and at the
     end); each bar-delimited block, sorted decreasingly, becomes a run of
     the cycle, with the block minimum positive and the rest negative.  The
-    walk sorts each block and appends it to the cycle at the arc that
-    closes it, so no list of blocks is kept.
+    walk appends each block to the cycle at the arc that closes it, so no
+    list of blocks is kept.  It holds the first index of the open block on
+    its own and makes a list only when a second index joins it: a block of
+    one index goes into the cycle as it is, positive, and only a longer
+    block is sorted.
     """
     cycle: list[int] = []
     neg: list[int] = []
-    block = [start]
+    low, block = start, None  # the open block's first index; its list once it has two
     out, close = 2 * start, 2 * start + 1
     while (key := partner[out]) != close:
         i = key >> 1
         if seen[i]:
             break
         seen[i] = True
-        if (key ^ out) & 1 == 0:  # both ends in one row: an arc
-            block.sort(reverse=True)
-            cycle += block
-            neg += block
-            neg.pop()  # the block minimum is positive
-            block = [i]
-        else:
-            block.append(i)
+        if (key ^ out) & 1:  # between the rows: i joins the open block
+            if block is None:
+                block = [low, i]
+            else:
+                block.append(i)
+        else:  # both ends in one row: an arc closes the block, and i opens the next
+            if block is None:
+                cycle.append(low)
+            else:
+                block.sort(reverse=True)
+                cycle += block
+                block.pop()  # the block minimum is positive
+                neg += block
+                block = None
+            low = i
         out = key ^ 1
-    block.sort(reverse=True)
-    cycle += block
-    neg += block
-    neg.pop()
+    if block is None:
+        cycle.append(low)
+    else:
+        block.sort(reverse=True)
+        cycle += block
+        block.pop()
+        neg += block
     return tuple(cycle), neg
 
 
@@ -374,7 +394,7 @@ def _gamma_inv_core(
         if not seen[start]:
             cycle, cycle_neg = _unfold(partner, start, seen)
             cycles.append(cycle)
-            neg.extend(cycle_neg)
+            neg += cycle_neg
     return tuple(cycles), frozenset(neg)
 
 

@@ -256,9 +256,9 @@ def _match_stats_core(partner: Sequence[int]) -> tuple[int, int, int, int, int]:
     # vertical, larger for an upline, smaller for a downline; the vertices
     # that no such edge covers pair up in arcs, as many in each row
     up = down = ver = 0
-    n = (len(partner) >> 1) - 1  # a partner list holds 2n + 2 keys
-    for k in range(2, len(partner), 2):
-        q = partner[k]
+    k = 0
+    for q in partner[2::2]:
+        k += 2
         if q & 1:
             if q == k + 1:
                 ver += 1
@@ -266,19 +266,22 @@ def _match_stats_core(partner: Sequence[int]) -> tuple[int, int, int, int, int]:
                 up += 1
             else:
                 down += 1
+    n = k >> 1  # a partner list holds 2n + 2 keys
     # the walks of _component_walks, marking the slots they enter, keeping
     # no keys and stopping, as they do, at a slot entered twice
     com = 0
     seen = [False] * (n + 1)
     for start in range(1, n + 1):
-        if not seen[start]:
-            com += 1
-            out, close = 2 * start, 2 * start + 1
-            while (key := partner[out]) != close:
-                if seen[key >> 1]:
-                    break
-                seen[key >> 1] = True
-                out = key ^ 1
+        if seen[start]:
+            continue
+        com += 1
+        out, close = 2 * start, 2 * start + 1
+        while (key := partner[out]) != close:
+            i = key >> 1
+            if seen[i]:
+                break
+            seen[i] = True
+            out = key ^ 1
     return n - up - down - ver, up, down, ver, com
 
 
@@ -322,7 +325,10 @@ def _matchings_core(n: int, flt: str = "all") -> Iterator[tuple[int, ...]]:
 
     The arguments are checked when it is called, before the stream starts.
     ``enumerate_matchings`` wraps each partner list in a ``PerfectMatching``;
-    the Callan walk of ``verify`` reads them as they are.
+    the Callan walk of ``verify`` reads them as they are.  The stream keeps
+    the choices it has still to try on an explicit stack, so it hands each
+    tuple to the caller from one frame, and it pairs the last two free keys
+    where it reads them.
     """
     if flt not in MATCHING_FILTERS:
         raise ValueError(f"unknown filter: {flt!r}")
@@ -334,23 +340,39 @@ def _matchings_core(n: int, flt: str = "all") -> Iterator[tuple[int, ...]]:
     # an upline when b > a + 1; from an even a, the filter refuses the odd
     # keys from a + gap on (a gap past the last key refuses none)
     gap = 1 if "vertical" in refused else 3 if "upline" in refused else 2 * n + 2
+    return _pairings(n, gap)
+
+
+def _pairings(n: int, gap: int) -> Iterator[tuple[int, ...]]:
+    """The stream of :func:`_matchings_core`: the smallest free key a is
+    paired with each later free key b in increasing order, skipping an odd
+    b from a + gap on when a is even, and the keys left are paired the same
+    way."""
+    end = 2 * n + 2
     # every path to a leaf writes every key, so no choice needs undoing
-    partner = [0] * (2 * n + 2)
-
-    def rec(free: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if not free:
+    partner = [0] * end
+    # each entry pairs a with b and leaves the free keys rest, and the entry
+    # to try next is on top; the first leaves every key free, and its pair
+    # writes 0 into the unused key 0
+    stack = [(0, 0, tuple(range(2, end)))]
+    while stack:
+        a, b, rest = stack.pop()
+        partner[a], partner[b] = b, a
+        if len(rest) > 2:
+            a = rest[0]
+            refuse_from = end if a & 1 else a + gap  # an odd a makes arcs and downlines
+            for k in range(len(rest) - 1, 0, -1):  # pushed last to first: tried first to last
+                b = rest[k]
+                if b & 1 and b >= refuse_from:
+                    continue
+                stack.append((a, b, rest[1:k] + rest[k + 1 :]))
+        elif rest:  # the last two free keys pair with each other
+            a, b = rest
+            if a & 1 or not (b & 1 and b >= a + gap):
+                partner[a], partner[b] = b, a
+                yield tuple(partner)
+        else:  # n = 0: no key to pair
             yield tuple(partner)
-            return
-        a = free[0]
-        refuse_from = 2 * n + 2 if a & 1 else a + gap  # an odd a makes arcs and downlines
-        for k in range(1, len(free)):
-            b = free[k]
-            if b & 1 and b >= refuse_from:
-                continue
-            partner[a], partner[b] = b, a
-            yield from rec(free[1:k] + free[k + 1 :])
-
-    return rec(tuple(range(2, 2 * n + 2)))
 
 
 def enumerate_matchings(n: int, flt: str = "all") -> Iterator[PerfectMatching]:

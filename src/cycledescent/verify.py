@@ -37,6 +37,7 @@ from collections import Counter
 from functools import lru_cache, partial
 from itertools import combinations, compress, permutations
 from math import factorial
+from operator import eq
 from typing import Callable, Iterable
 
 from . import bijections as bj
@@ -502,18 +503,24 @@ def _fold_phi_preservation(n: int, seed: int, w: _PermWalk) -> str | None:
 # for an object; one is built only to word a failure or the downline note.
 # ``_walk_signed(n)`` walks the core stream of the negative cdes
 # permutations of size n once, which gives each word with its standard
-# cycles, its fixed points and the negative sets that sign it: for every
-# signed object it runs the gamma core, the inverse core on the image and
-# the statistics core on the image, once each.  Theta is gamma on one
+# cycles, its fixed points and the negative sets that sign it (one list of
+# sets, built once, for all the words with the same cycle descents): for
+# every signed object it runs the gamma core, the inverse core on the image
+# and the statistics core on the image, once each.  Theta is gamma on one
 # cycle, so the theta checks read the same trip, image and statistics on
 # the cyclic objects.  The cores write each cycle's edges, and unfold each
-# component, in one pass.  A forward trip holds when the inverse core
-# gives back the object's cycles and negative set.  ``_walk_callan(n)`` walks the partner
-# lists of the Callan matchings of size n once and runs the reverse round
-# trip on its own: it unfolds each partner list and checks that the gamma
-# core rebuilds it.  Each trip is compared with the enumerated object, so
-# no permutation is rebuilt from cycles, and cycles that cover no
-# permutation are a failed trip, not bad input.  A walk keeps counts, the
+# component, in one pass; the unfold sorts only the blocks of more than one
+# index.  A forward trip holds when the inverse core gives back the
+# object's cycles and negative set.  ``_walk_callan(n)`` walks the partner
+# lists of the Callan matchings of size n once, from a stream that keeps
+# its choices on a stack of its own, and runs the reverse round trip on its
+# own: it unfolds each partner list and checks that the gamma core rebuilds
+# it.  It finds the matchings with no vertical by one comparison of the
+# partners of the bottom keys with the top keys.  Each trip is compared
+# with the enumerated object, so no permutation is rebuilt from cycles, and
+# cycles that cover no permutation are a failed trip, not bad input.  The
+# downline note counts only the objects whose image the walk could read,
+# since an object with no image has no edge counts.  A walk keeps counts, the
 # first failure of each law it reads and, up to ``CAPS["image sets"]``, its
 # image or target sets in the form of ``_exact``, cheap to send.  Each
 # bijection check is a fold of its outcome off the two walks.
@@ -623,10 +630,11 @@ def _walk_callan(n: int) -> _CallanWalk:
     # read off their modules once per walk, so that a test can patch them
     stream, stats_of = mt._matchings_core, mt._match_stats_core
     gamma, gamma_inv = bj._gamma_core, bj._gamma_inv_core
+    tops = range(3, 2 * n + 2, 2)  # the top key 2i + 1 of each slot i
     for partner in stream(n, "callan"):
         w.count += 1
         # (i, 0)-(i, 1) is a vertical: key 2i partnered with key 2i + 1
-        vertical_free = all(partner[k] != k + 1 for k in range(2, 2 * n + 2, 2))
+        vertical_free = not any(map(eq, partner[2::2], tops))
         w.no_vertical += vertical_free
         cycles, neg = gamma_inv(partner)
         if gamma(cycles, neg, n) != partner and w.reverse_trip is None:
@@ -710,8 +718,10 @@ def _fold_gamma_roundtrip(n: int, seed: int, s: _SignedWalk, c: _CallanWalk) -> 
 def _fold_downline_global_report(
     n: int, seed: int, s: _SignedWalk, c: _CallanWalk
 ) -> str:
-    msg = f"row-of-partner form holds for {s.holds}/{s.count} signed permutations"
-    if s.holds < s.count:
+    # an object whose image the walk could not read has no edge counts
+    imaged = s.count - s.unimaged["gamma-image"]
+    msg = f"row-of-partner form holds for {s.holds}/{imaged} signed permutations"
+    if s.holds < imaged:
         first = s.first["downline-global-report"]
         return msg + f"; {s.cyclic_fails} failing inputs are cyclic; first failure {first}"
     return msg + "; no failures"

@@ -2,7 +2,10 @@
 
 ``naive_stats`` reads each edge's class off its two vertices and counts
 components by a union-find over indices, so it shares no code with the
-partner-key arithmetic of ``matchings``.  ``matching_str``,
+partner-key arithmetic of ``matchings``.  ``naive_partner_lists`` gives the
+partner lists of every matching of 1..n in the order of the unfiltered
+stream, by a plain recursion that pairs the smallest free key with each
+later free key in increasing order.  ``matching_str``,
 ``matching_to_json_dict``, ``render_text`` and ``render_svg`` are the
 emitters as they were before they read partner keys: they walk the
 ``edges`` view of ``MVertex`` pairs and name each edge with ``edge_class``.
@@ -42,6 +45,24 @@ def naive_stats(m):
     for i in m.support:
         groups.setdefault(find(i), []).append(i)
     return kinds, sorted(tuple(g) for g in groups.values())
+
+
+def naive_partner_lists(n):
+    """Partner lists of the matchings of 1..n: the smallest free key is
+    paired with each later free key in increasing order, and the rest
+    recursively; keys 0 and 1 are unused."""
+
+    def pairings(free):
+        if not free:
+            yield {}
+            return
+        a = free[0]
+        for b in free[1:]:
+            for rest in pairings([k for k in free if k not in (a, b)]):
+                yield {a: b, b: a, **rest}
+
+    for pairs in pairings(list(range(2, 2 * n + 2))):
+        yield tuple(pairs.get(k, 0) for k in range(2 * n + 2))
 
 
 def naive_cycles(word):

@@ -7,8 +7,10 @@ text and SVG emitters read vertices and classes off the keys.  These
 tests compare them, over every matching of {1..n} x {0, 1}, with the
 vertex-based classification and emitters of ``matching_oracle`` and with
 an unfold written here from the component walks; the emitters also on
-seeded matchings of sparse supports.  Every matching also survives a JSON
-round trip through ``mk_matching``.  The cores of gamma and its inverse,
+seeded matchings of sparse supports.  The unfiltered stream gives the
+partner lists of ``matching_oracle``'s naive recursion in the same order,
+and each filter keeps the order of the unfiltered stream.  Every matching
+also survives a JSON round trip through ``mk_matching``.  The cores of gamma and its inverse,
 which the ``verify`` walks call without the public maps' validation, give
 what the public maps give on every signed object and every Callan matching
 of size n, and what the public theta and theta_inv give on the cyclic
@@ -48,6 +50,7 @@ from cycledescent.matchings import (
     MATCHING_FILTERS,
     MVertex,
     _component_walks,
+    _matchings_core,
     edge_class,
     enumerate_matchings,
     is_callan,
@@ -83,6 +86,13 @@ def test_kernels_match_naive_classification(n):
     # a filter prunes the unfiltered stream, so it keeps its order
     for flt in MATCHING_FILTERS:
         assert list(enumerate_matchings(n, flt)) == kept[flt]
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_unfiltered_stream_keeps_the_naive_order(n):
+    want = list(oracle.naive_partner_lists(n))
+    assert list(_matchings_core(n)) == want
+    assert [m.partner for m in enumerate_matchings(n)] == want
 
 
 def naive_gamma_inv(m):

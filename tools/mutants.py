@@ -79,6 +79,36 @@ MUTANTS = [
         '    family = "one_at_i"',
     ),
     (
+        "weighted sum counts each tally key once", STATPOLYS,
+        "            counts[exps] = counts.get(exps, 0) + sign * count",
+        "            counts[exps] = counts.get(exps, 0) + sign",
+    ),
+    (
+        "cdes brute sum ignores derangements", STATPOLYS,
+        '    return _weighted_sum("derangements" if derangements else "all", tally, _weight_cdes)',
+        '    return _weighted_sum("all", tally, _weight_cdes)',
+    ),
+    (
+        "identity core reports every identity as holding", STATPOLYS,
+        "    passed = lhs == rhs",
+        "    passed = True",
+    ),
+    (
+        "klazar count drops the last term of its sum", STATPOLYS,
+        "c[m + 1 - i] * math.comb(m, i) for i in range(1, m + 1)",
+        "c[m + 1 - i] * math.comb(m, i) for i in range(1, m)",
+    ),
+    (
+        "b20 count drops the c[i] term", STATPOLYS,
+        "            sum(math.comb(m, i) * (c[i + 1] + c[i]) for i in range(0, m))",
+        "            sum(math.comb(m, i) * c[i + 1] for i in range(0, m))",
+    ),
+    (
+        "recurrence table weights the later positions by x", STATPOLYS,
+        "            for j in range(i, m):\n                acc = acc + Y * prev[j]",
+        "            for j in range(i, m):\n                acc = acc + X * prev[j]",
+    ),
+    (
         "run folds with the default seed", VERIFY,
         "        detail = _FOLDS[check_id](n, seed, *(results[walk, n] for walk in walks))",
         "        detail = _FOLDS[check_id]"
@@ -170,8 +200,8 @@ MUTANTS = [
     ),
     (
         "callan walk skips the last column", VERIFY,
-        "        vertical_free = all(partner[k] != k + 1 for k in range(2, 2 * n + 2, 2))",
-        "        vertical_free = all(partner[k] != k + 1 for k in range(2, 2 * n, 2))",
+        "    tops = range(3, 2 * n + 2, 2)  # the top key 2i + 1 of each slot i",
+        "    tops = range(3, 2 * n, 2)  # the top key 2i + 1 of each slot i",
     ),
     (
         "callan walk runs no reverse trip", VERIFY,
@@ -190,8 +220,8 @@ MUTANTS = [
     ),
     (
         "signed stream signs no largest cycle descent", BIJECTIONS,
-        "        for d in sorted(cdes):",
-        "        for d in sorted(cdes)[:-1]:",
+        "        descents = tuple(sorted(cdes))",
+        "        descents = tuple(sorted(cdes))[:-1]",
     ),
     (
         "signed JSON reader takes a value that is not an object", BIJECTIONS,
@@ -213,8 +243,13 @@ MUTANTS = [
     ),
     (
         "matching stream lets the first refused key through", MATCHINGS,
-        "            if b & 1 and b >= refuse_from:",
-        "            if b & 1 and b > refuse_from:",
+        "                if b & 1 and b >= refuse_from:",
+        "                if b & 1 and b > refuse_from:",
+    ),
+    (
+        "matching stream pairs the last two keys without the refusal", MATCHINGS,
+        "            if a & 1 or not (b & 1 and b >= a + gap):",
+        "            if True:",
     ),
     (
         "keyed edges drop the edges of adjacent keys", MATCHINGS,
@@ -263,8 +298,14 @@ MUTANTS = [
     ),
     (
         "unfold signs the largest value of the walk positive", BIJECTIONS,
-        "            neg.pop()  # the block minimum is positive",
-        "            neg.pop(0)  # the block minimum is positive",
+        "                block.pop()  # the block minimum is positive",
+        "                block.pop(0)  # the block minimum is positive",
+    ),
+    (
+        "unfold signs a block of one index negative", BIJECTIONS,
+        "            if block is None:\n                cycle.append(low)\n",
+        "            if block is None:\n                cycle.append(low)\n"
+        "                neg.append(low)\n",
     ),
     (
         "unfold walks without a bound", BIJECTIONS,
@@ -278,10 +319,10 @@ MUTANTS = [
     ),
     (
         "match_stats core walks without a bound", MATCHINGS,
-        "                if seen[key >> 1]:\n                    break\n"
-        "                seen[key >> 1] = True\n                out = key ^ 1\n    return",
-        "                if False:\n                    break\n"
-        "                seen[key >> 1] = True\n                out = key ^ 1\n    return",
+        "            if seen[i]:\n                break\n"
+        "            seen[i] = True\n            out = key ^ 1\n    return",
+        "            if False:\n                break\n"
+        "            seen[i] = True\n            out = key ^ 1\n    return",
     ),
     (
         "component walks go without a bound", MATCHINGS,
