@@ -38,9 +38,9 @@ sign means +.
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Iterator, Sequence
 
+from . import perms
 from ._records import FrozenRecord, set_field
 from .caps import check_cap
 from .matchings import PerfectMatching, is_callan
@@ -145,13 +145,13 @@ def _negative_cdes_core(
     """The objects of :func:`enumerate_negative_cdes` as plain data, one
     permutation at a time, in its order and with its refusals.
 
-    Each item is a word, its standard cycles and fixed-point count from one
-    ``_walk_word``, and the negative sets that sign it, in the order of the
-    stream.  ``enumerate_negative_cdes`` wraps each pair of word and set in
-    a ``SignedPermutation``; the signed walk of ``verify`` reads them as
-    they are.  The list of negative sets is built once per set of cycle
-    descents and handed to every permutation with those descents, so a
-    caller reads it and does not change it.
+    Each item is a word off ``perms._all_words``, its standard cycles and
+    fixed-point count from one ``_walk_word``, and the negative sets that
+    sign it, in the order of the stream.  ``enumerate_negative_cdes`` wraps
+    each pair of word and set in a ``SignedPermutation``; the signed walk of
+    ``verify`` reads them as they are.  The list of negative sets is built
+    once per set of cycle descents and handed to every permutation with
+    those descents, so a caller reads it and does not change it.
     """
     if flt not in ("all", "derangement"):
         raise ValueError(f"unknown filter: {flt!r}")
@@ -160,7 +160,7 @@ def _negative_cdes_core(
     check_cap("signed enumeration", n)
     derangements = flt == "derangement"
     signs: dict[tuple[int, ...], list[frozenset[int]]] = {}  # sorted descents -> their subsets
-    for word in permutations(range(1, n + 1)):
+    for word in perms._all_words(n):
         cycles, _, fix, cdes, _, _ = _walk_word(word)
         if fix and derangements:
             continue

@@ -379,9 +379,9 @@ def hat(p: Permutation) -> Word:
 # Enumeration streams.  All streams are deterministic and yield one-line
 # words in lexicographic order, which keeps exhaustive checks and JSON dumps
 # reproducible.  S_n has one stream, ``_all_words``, of plain words: the walk
-# of S_n in ``verify`` reads it as it is, and ``_all_perms``, which the
-# public families ``all`` and ``derangements`` read, wraps each word in a
-# ``Permutation``.
+# of S_n in ``verify`` and the core stream of ``bijections`` read it as it
+# is, and ``_all_perms``, which the public families ``all`` and
+# ``derangements`` read, wraps each word in a ``Permutation``.
 
 FAMILIES = (
     "all",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache, partial
 from itertools import combinations, compress, permutations
 from math import factorial
@@ -218,12 +218,13 @@ def _check_poly_axioms(n: int, seed: int) -> str | None:
 # argument checks the public maps keep for outside input and give an image
 # word, a branch tag and a delta.  For each map whose domain holds the
 # object it records the rank of the image word, the branch tag and the cdes
-# delta the branch states.  A rank is two lookups, of the word's head and
-# tail in tables built once per n and bound once per walk; a word that is
-# not a permutation has none, so an image the cores build wrongly can alias
-# no object.  Where ``psi`` takes a phi branch, its result is the phi core's
-# for that object, so the split/merge image is built once per object of
-# phi's domain.
+# delta the branch states, as stated.  A rank is two lookups, of the word's
+# head and tail in tables built once per n and bound once per walk; a word
+# that is not a permutation, or no tuple, has none, so an image the cores
+# build wrongly can alias no object.  A tag that no map gives pairs with no
+# tag.  Where ``psi`` takes a phi branch, its result is the phi core's for
+# that object, so the split/merge image is built once per object of phi's
+# domain.
 #
 # An image is itself an object of S_n with a record of its own, so each fold
 # reads the involution law, exc preservation and the tag pairing off the
@@ -243,7 +244,7 @@ def _check_poly_axioms(n: int, seed: int) -> str | None:
 _PHI_PAIRS = {"phi-split": "phi-merge", "phi-merge": "phi-split"}
 _PSI_PAIRS = {**_PHI_PAIRS, "psi-case1": "psi-case2", "psi-case2": "psi-case1"}
 _VARPHI_PAIRS = {"varphi-merge": "varphi-split", "varphi-split": "varphi-merge"}
-_TAGS = ("fixed", *_PSI_PAIRS, *_VARPHI_PAIRS)
+_TAGS = ("fixed", *_PSI_PAIRS, *_VARPHI_PAIRS, "unknown")  # "unknown": any other tag
 _TAG_CODE = {tag: code for code, tag in enumerate(_TAGS, start=1)}  # 0: no record
 _FIXED = _TAG_CODE["fixed"]
 _PARITY = bytes(v & 1 for v in range(256))  # cdes -> cdes mod 2, for translate
@@ -285,7 +286,7 @@ def _ranker(n: int) -> Callable[[tuple[int, ...]], int]:
         try:
             base, tail_ranks = heads[word[:h]]
             return base + tail_ranks[word[h:]]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a word that is no tuple
             return -1
 
     return rank
@@ -313,7 +314,7 @@ class _MapRecords:
     def __init__(self, size: int) -> None:
         self.img = array("i", [-1]) * size  # rank of the image; -1 for none or another size
         self.tag = bytearray(size)  # _TAG_CODE of the branch; 0 outside the domain
-        self.delta = array("b", bytes(size))  # the stated cdes delta
+        self.delta = [0] * size  # the stated cdes delta, of any size
 
 
 class _PermWalk:
@@ -331,7 +332,7 @@ def _walk_perms(n: int) -> _PermWalk:
     ``psi`` (n >= 2), ``varphi`` (derangements) and ``phi_map`` (a
     top-descent exists) once per object."""
     w = _PermWalk(factorial(n))
-    rank, code = _ranker(n), _TAG_CODE
+    rank, code = _ranker(n), defaultdict(lambda: len(_TAGS), _TAG_CODE)
     exc, cdes, pos1, hat_rank, tops = w.exc, w.cdes, w.pos1, w.hat_rank, w.top
     psi_img, psi_tag, psi_delta = w.psi.img, w.psi.tag, w.psi.delta
     varphi_img, varphi_tag, varphi_delta = w.varphi.img, w.varphi.tag, w.varphi.delta
@@ -385,7 +386,7 @@ def _fold_psi_involution(n: int, seed: int, w: _PermWalk) -> str | None:
                 fixed[i].add(k)
                 continue
             law = "bad fixed point"
-        elif abs(d) != 1:
+        elif d not in (-1, 1):
             law = f"cdes delta {d}"
         elif tags[j] != pairs[t]:
             law = f"branch {_TAGS[t - 1]} paired with {_TAGS[tags[j] - 1]}"
@@ -443,7 +444,7 @@ def _fold_varphi_involution(n: int, seed: int, w: _PermWalk) -> str | None:
                 fixed[i].append(k)
                 continue
             law = "fixed point with cdes delta"
-        elif abs(d) != 1:
+        elif d not in (-1, 1):
             law = f"cdes delta {d}"
         elif tags[j] != pairs[t]:
             law = "branch pairing broken"
@@ -483,7 +484,7 @@ def _fold_phi_preservation(n: int, seed: int, w: _PermWalk) -> str | None:
             return f"pi={_unrank(k, n)}: top-descent changed"
         if exc[j] != exc[k]:
             return f"pi={_unrank(k, n)}: excedances changed"
-        if abs(d) != 1:
+        if d not in (-1, 1):
             return f"pi={_unrank(k, n)}: cdes delta {d}"
         if img[j] != k or tags[j] != pairs[t]:
             return f"pi={_unrank(k, n)}: split/merge pairing broken"
@@ -518,26 +519,21 @@ def _fold_phi_preservation(n: int, seed: int, w: _PermWalk) -> str | None:
 # it.  It finds the matchings with no vertical by one comparison of the
 # partners of the bottom keys with the top keys.  Each trip is compared
 # with the enumerated object, so no permutation is rebuilt from cycles, and
-# cycles that cover no permutation are a failed trip, not bad input.  The
-# downline note counts only the objects whose image the walk could read,
-# since an object with no image has no edge counts.  A walk keeps counts, the
-# first failure of each law it reads and, up to ``CAPS["image sets"]``, its
-# image or target sets in the form of ``_exact``, cheap to send.  Each
-# bijection check is a fold of its outcome off the two walks.
+# cycles that cover no permutation are a failed trip, not bad input.  A walk
+# keeps counts, the first failure of each law it reads and, up to
+# ``CAPS["image sets"]``, its image or target sets in the form of ``_exact``,
+# each member a whole partner list as bytes, which determines its matching.
+# An object whose image has a key that names no slot or no byte has no image
+# and no edge counts, and the downline note leaves it out.  Each bijection
+# check is a fold of its outcome off the two walks.
 
 _IMAGE_CHECKS = ("gamma-image", "theta-image", "derangement-restriction")
 
 
-def _key(partner: tuple[int, ...]) -> bytes:
-    """The partner of the first vertex of each edge of a matching of 1..n,
-    read off its partner list, in key order: n bytes that tell it from
-    every other matching of 1..n."""
-    return bytes(q for k, q in enumerate(partner) if k < q)
-
-
 def _exact(keys: set[bytes]) -> bytes:
-    """A set of matchings of size n, given by ``_key``, sorted and joined:
-    n bytes a member, so two sets are equal exactly when their values are."""
+    """A set of matchings of size n, each given by its partner list as
+    bytes, sorted and joined: 2n + 2 bytes a member, so two sets are equal
+    exactly when their values are."""
     return b"".join(sorted(keys))
 
 
@@ -584,7 +580,8 @@ def _walk_signed(n: int) -> _SignedWalk:
             try:
                 trip = gamma_inv(partner) == (cycles, neg)
                 _, _, down, ver, com = stats_of(partner)
-            except IndexError:  # a key outside 0..2n+1 names no slot to walk
+                key = bytes(partner)
+            except (IndexError, ValueError):  # a key that names no slot or no byte
                 trip = None
             if not trip:
                 witness = f"round trip broke at {_signed(word, neg)}"
@@ -614,7 +611,6 @@ def _walk_signed(n: int) -> _SignedWalk:
                         f"{_signed(word, neg)}: down={down}, neg={len(neg)}, bump={bump}",
                     )
             if images:
-                key = _key(partner)
                 images["gamma-image"].add(key)
                 if cyc == 1:
                     images["theta-image"].add(key)
@@ -641,7 +637,7 @@ def _walk_callan(n: int) -> _CallanWalk:
             m = mt.PerfectMatching(support=tuple(range(1, n + 1)), partner=partner)
             w.reverse_trip = f"reverse round trip broke at {m}"
         if targets:
-            key = _key(partner)
+            key = bytes(partner)
             targets["gamma-image"].add(key)
             if stats_of(partner)[4] == 1:
                 targets["theta-image"].add(key)
@@ -681,10 +677,11 @@ def _fold_gamma_image(n: int, seed: int, s: _SignedWalk, c: _CallanWalk) -> str 
     image, target = s.images["gamma-image"], c.targets["gamma-image"]
     if missing := _unimaged(n, s, "gamma-image", s.count):
         return missing
-    if len(image) // n != s.count:
-        return f"gamma not injective: {s.count} inputs, {len(image) // n} images"
+    images, targets = len(image) // (2 * n + 2), len(target) // (2 * n + 2)
+    if images != s.count:
+        return f"gamma not injective: {s.count} inputs, {images} images"
     if image != target:
-        return f"image has {len(image) // n} matchings, target {len(target) // n}"
+        return f"image has {images} matchings, target {targets}"
     return None
 
 
@@ -692,10 +689,11 @@ def _fold_theta_image(n: int, seed: int, s: _SignedWalk, c: _CallanWalk) -> str 
     image, target = s.images["theta-image"], c.targets["theta-image"]
     if missing := _unimaged(n, s, "theta-image", s.cyclic):
         return missing
-    if len(image) // n != s.cyclic:
+    images, targets = len(image) // (2 * n + 2), len(target) // (2 * n + 2)
+    if images != s.cyclic:
         return f"theta not injective on {s.cyclic} inputs"
     if image != target:
-        return f"image has {len(image) // n} matchings, target {len(target) // n}"
+        return f"image has {images} matchings, target {targets}"
     return None
 
 
@@ -703,7 +701,7 @@ def _fold_derangement_restriction(
     n: int, seed: int, s: _SignedWalk, c: _CallanWalk
 ) -> str | None:
     image, target = s.images["derangement-restriction"], c.targets["derangement-restriction"]
-    images, targets = len(image) // n, len(target) // n
+    images, targets = len(image) // (2 * n + 2), len(target) // (2 * n + 2)
     if missing := _unimaged(n, s, "derangement-restriction", s.derangements):
         return missing
     if images != s.derangements or image != target:

@@ -70,14 +70,14 @@ def no_involution(a):
     return lambda *args: real(*args)[:-1] + (2,) if args == plain(a) else real(*args)
 
 
-def key_out_of_range(a):
-    """The core of gamma gives a's image with the partner of key 2 (the
-    bottom vertex of slot 1) set to 2n + 5, a key of no vertex of 1..n."""
+def set_entry(a, k, q):
+    """The core of gamma gives a's image with entry k of its partner list,
+    the partner of key k, set to q."""
     real = REAL["_gamma_core"]
 
     def fake(*args):
         out = real(*args)
-        return out[:2] + (2 * a.n + 5,) + out[3:] if args == plain(a) else out
+        return out[:k] + (q,) + out[k + 1 :] if args == plain(a) else out
 
     return fake
 
@@ -229,18 +229,23 @@ CASES = {
     # the walk from slot 2 of the image of (1+)(2+ 3+) enters slot 1 and
     # then slot 1 again, never coming back to (2, 1): it stops there, and
     # its cycle fails the forward trip; theta's trip runs on cyclic
-    # objects only, and the image key is the true image's
+    # objects only, and the image key, the whole partner list, is no
+    # Callan matching's
     "gamma-no-involution": (
         "_gamma_core", lambda: no_involution(TWO_CYCLES),
-        [("gamma-roundtrip", 3, "round trip broke at (1+)(2+ 3+)")],
+        [
+            ("gamma-image", 3, "image has 7 matchings, target 7"),
+            ("gamma-roundtrip", 3, "round trip broke at (1+)(2+ 3+)"),
+        ],
         None,
     ),
-    # a key outside 0..2n+1 names no slot, so the walks cannot follow it:
+    # a key outside 0..2n+1 (here the partner of key 2, the bottom vertex of
+    # slot 1, set to 2n + 5) names no slot, so the walks cannot follow it:
     # the object fails both round trips and gives no image and no edge
     # counts, so each image check it is an input of names its missing image
     # (not a collision) and its downline form is counted neither way
     "gamma-key-out-of-range": (
-        "_gamma_core", lambda: key_out_of_range(S0),
+        "_gamma_core", lambda: set_entry(S0, 2, 11),
         [
             ("gamma-image", 3, "1 of 7 inputs have no image: a key outside 0..7"),
             ("theta-image", 3, "1 of 3 inputs have no image: a key outside 0..7"),
@@ -254,7 +259,7 @@ CASES = {
     # an object with a fixed point and two cycles is an input of gamma-image
     # alone: theta-image and derangement-restriction still hold
     "gamma-key-out-of-range-two-cycles": (
-        "_gamma_core", lambda: key_out_of_range(TWO_CYCLES),
+        "_gamma_core", lambda: set_entry(TWO_CYCLES, 2, 11),
         [
             ("gamma-image", 3, "1 of 7 inputs have no image: a key outside 0..7"),
             ("gamma-roundtrip", 3, "round trip broke at (1+)(2+ 3+)"),
@@ -262,6 +267,47 @@ CASES = {
         # the object with no image has no edge counts to read
         "row-of-partner form holds for 5/6 signed permutations;"
         " 0 failing inputs are cyclic; first failure (1+)(2+)(3+)",
+    ),
+    # a key past 255 names no slot and no byte: no image, as above, and a
+    # failing check (exit 1), not bad input (exit 2)
+    "gamma-key-past-a-byte": (
+        "_gamma_core", lambda: set_entry(S0, 3, 300),
+        [
+            ("gamma-image", 3, "1 of 7 inputs have no image: a key outside 0..7"),
+            ("theta-image", 3, "1 of 3 inputs have no image: a key outside 0..7"),
+            ("gamma-roundtrip", 3, "round trip broke at (1+ 2+ 3+)"),
+            ("theta-roundtrip", 3, "round trip broke at (1+ 2+ 3+)"),
+            ("derangement-restriction", 3, "1 of 3 inputs have no image: a key outside 0..7"),
+        ],
+        "row-of-partner form holds for 4/6 signed permutations;"
+        " 0 failing inputs are cyclic; first failure (1+)(2+)(3+)",
+    ),
+    # the partner of key 7, the top vertex of slot 3, is read by no walk:
+    # the forward trip and the statistics hold, and the image key, the whole
+    # partner list, is what tells the wrong image from the true one
+    "gamma-unread-entry": (
+        "_gamma_core", lambda: set_entry(P("(1+)(2+)(3+)"), 7, 0),
+        [
+            ("gamma-image", 3, "image has 7 matchings, target 7"),
+            (
+                "gamma-roundtrip", 3,
+                "reverse round trip broke at (1,0)-(1,1) (2,0)-(2,1) (3,0)-(3,1)",
+            ),
+        ],
+        None,
+    ),
+    # key 5 partnered with key 0, below it: no two inputs share an image,
+    # so gamma-image names a wrong image, not a collision
+    "gamma-entry-below-its-key": (
+        "_gamma_core", lambda: set_entry(TWO_CYCLES, 5, 0),
+        [
+            ("gamma-image", 3, "image has 7 matchings, target 7"),
+            (
+                "gamma-roundtrip", 3,
+                "reverse round trip broke at (1,0)-(1,1) (2,0)-(3,0) (2,1)-(3,1)",
+            ),
+        ],
+        None,
     ),
     # a fault in the code the walks run is a failing check (exit 1), not
     # bad input (exit 2)

@@ -10,12 +10,13 @@ holds their image and target sets in an exact form of plain bytes.
 
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
 from cycledescent import bijections as bj
 from cycledescent import matchings as mt
-from cycledescent import verify
+from cycledescent import perms, verify
 from cycledescent.verify import run_verification
 
 
@@ -49,6 +50,16 @@ def test_each_stream_is_walked_once_per_size(monkeypatch):
     assert len(images) == objects + callan
 
 
+def test_signed_stream_walks_s_n_once_per_size(monkeypatch):
+    # the core stream of signed objects reads S_n off perms._all_words, the
+    # one stream of S_n, once for each size the signed walk reaches
+    walked = Counter()
+    real_all = perms._all_words
+    monkeypatch.setattr(perms, "_all_words", lambda n: walked.update([n]) or real_all(n))
+    assert run_verification("bijections").exit_code == 0
+    assert walked == Counter(range(1, 8))
+
+
 def test_parallel_bijections_match_serial():
     serial = run_verification("bijections", n_max=6)
     parallel = run_verification("bijections", n_max=6, jobs=2)
@@ -79,21 +90,15 @@ def test_perm_walk_sends_no_permutations(n):
     assert b"Permutation" not in pickle.dumps(verify._walk_perms(n))
 
 
-@pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 15), (4, 105), (5, 945)])
-def test_key_tells_every_matching_apart(n, count):
-    keys = {verify._key(m.partner) for m in mt.enumerate_matchings(n)}
-    assert len(keys) == count and {len(key) for key in keys} == {n}
-
-
 def test_exact_form_is_the_set():
-    everything = [verify._key(m.partner) for m in mt.enumerate_matchings(4)]
-    callan = [verify._key(m.partner) for m in mt.enumerate_matchings(4, "callan")]
+    everything = [bytes(m.partner) for m in mt.enumerate_matchings(4)]
+    callan = [bytes(m.partner) for m in mt.enumerate_matchings(4, "callan")]
     other = next(key for key in everything if key not in callan)
     shuffled = callan * 2
     random.Random(1).shuffle(shuffled)
     exact = verify._exact(set(callan))
     assert verify._exact(set(shuffled)) == verify._exact(set(reversed(callan))) == exact
-    assert len(exact) == 4 * len(callan)
+    assert len(exact) == 10 * len(callan)  # 2n + 2 bytes a member
     assert verify._exact({*callan[1:], other}) != exact
 
 

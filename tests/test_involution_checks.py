@@ -6,6 +6,9 @@ at one chosen object, runs the check, and compares its verdict with the
 text a check that maps every image back prints for the same fault.  The
 cases where such a check cannot report (it raises on an image outside
 the family, or never compares the stated delta with a walk) are marked.
+Outputs of a kind no right core gives (a delta past a byte, a tag no map
+gives, an image that is no tuple) run through the CLI, which must report
+a failing check, not raise.
 
 The involution checks fold their laws and signed sums off one walk of
 S_n, which keys every object by its lexicographic rank; the tests at the
@@ -13,6 +16,7 @@ end pin down the ranks, the walk order, that each core is called once per
 object of its domain and that the suite walks S_n once per size.
 """
 
+import json
 from collections import Counter
 from itertools import permutations, product
 
@@ -23,6 +27,7 @@ from cycledescent import involutions as iv
 from cycledescent import perms
 from cycledescent import statpolys as sp
 from cycledescent import verify
+from cycledescent.cli import main
 from cycledescent.involutions import InvolutionOutcome
 from cycledescent.perms import Permutation, enumerate_permutations, standard_cycles, statistics
 from cycledescent.poly import MultiPoly
@@ -384,6 +389,74 @@ def test_fault_is_reported(monkeypatch, case_id):
     expected = CASES[case_id][3]
     want = NEW_TEXT[case_id] if expected in (None, False) else expected
     assert run_case(monkeypatch, case_id) == want
+
+
+def stating_delta(delta, at):
+    """The core of psi states ``delta`` at the word ``at``."""
+    real = REAL["psi"]
+
+    def fake(n, i, word, cycles, top):
+        image, tag, d = real(n, i, word, cycles, top)
+        return image, tag, delta if word == at else d
+
+    return fake
+
+
+def renaming_tag(old, new):
+    """The core of varphi gives the tag ``new`` wherever it gives ``old``."""
+    real = REAL["varphi"]
+
+    def fake(word, cycles):
+        image, tag, d = real(word, cycles)
+        return image, new if tag == old else tag, d
+
+    return fake
+
+
+def listing_image(*args):
+    """The core of phi_map, with its image word as a list."""
+    image, tag, d = REAL["phi_map"](*args)
+    return list(image), tag, d
+
+
+# outputs of a kind no right core gives (a delta past a byte, a tag no map
+# gives, an image that is no tuple): case id -> (map name, fake core,
+# failures of ``verify involutions --n-max 5`` as (check, n, witness)); the
+# phi core's list image is also psi's on its phi branches
+CORE_OUTPUT_FAULTS = {
+    "psi-delta-200": (
+        "psi", lambda: stating_delta(200, A.word),
+        [("psi-involution", 5, "i=2, pi=2 1 3 4 5: cdes delta 200")],
+    ),
+    "varphi-unknown-tag": (
+        "varphi", lambda: renaming_tag("varphi-split", "varphi-splits"),
+        [
+            ("varphi-involution", 4, "i=2, pi=2 1 4 3: branch pairing broken"),
+            ("varphi-involution", 5, "i=2, pi=2 1 4 5 3: branch pairing broken"),
+        ],
+    ),
+    "phi-list-image": (
+        "phi_map", lambda: listing_image,
+        [
+            ("psi-involution", 4, "i=1, pi=1 4 2 3: not an involution"),
+            ("psi-involution", 5, "i=1, pi=1 2 5 3 4: not an involution"),
+            ("phi-preservation", 3, "pi=3 1 2: flattened word changed"),
+            ("phi-preservation", 4, "pi=1 4 2 3: flattened word changed"),
+            ("phi-preservation", 5, "pi=1 2 5 3 4: flattened word changed"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case_id", sorted(CORE_OUTPUT_FAULTS))
+def test_core_output_fault_fails_a_check(monkeypatch, capsys, case_id):
+    # a failing check (exit 1) with its witness, not a traceback
+    name, make, failures = CORE_OUTPUT_FAULTS[case_id]
+    monkeypatch.setattr(iv, CORE[name], make())
+    code = main(["verify", "involutions", "--n-max", "5", "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert [(f["check"], f["n"], f["witness"]) for f in data["failures"]] == failures
+    assert code == 1
 
 
 def test_unbroken_maps_pass(monkeypatch):

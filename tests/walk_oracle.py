@@ -2,8 +2,9 @@
 
 ``walk_signed`` and ``walk_callan`` are the object-based ``_walk_signed``
 and ``_walk_callan`` of ``verify`` before the walks read plain words and
-partner lists, kept verbatim with their helpers ``_key`` and ``_matching``
-(only the names of the walks lost their underscore).  They walk the public
+partner lists, kept verbatim with their helper ``_matching`` (only the
+names of the walks lost their underscore, and each image or target is keyed
+by its whole partner list as bytes, as in ``verify``).  They walk the public
 streams ``enumerate_negative_cdes`` and ``enumerate_matchings``, build a
 ``SignedPermutation`` and a ``PerfectMatching`` for every object and read
 ``match_stats`` and the accessors ``statistics`` and ``standard_cycles``,
@@ -37,13 +38,6 @@ def _theta_inv_core(partner: Sequence[int]) -> tuple[tuple[int, ...], frozenset[
     """Cycle and negative set that ``theta`` maps to the component of slot 1."""
     cycle, neg = bj._unfold(partner, 1, [False] * (len(partner) >> 1))
     return cycle, frozenset(neg)
-
-
-def _key(m: mt.PerfectMatching) -> bytes:
-    """The partner of the first vertex of each edge of m, in key order: n
-    bytes that tell m from every other matching on its support."""
-    return bytes(q for k, q in enumerate(m.partner) if k < q)
-
 
 
 def _matching(partner: tuple[int, ...]) -> mt.PerfectMatching:
@@ -88,10 +82,10 @@ def walk_signed(n: int) -> _SignedWalk:
                     "downline-per-cycle", f"{s}: down={down}, neg={len(s.neg)}, bump={bump}"
                 )
             if images:
-                images["theta-image"].add(_key(t))
+                images["theta-image"].add(bytes(t.partner))
         w.derangements += pstats.fix == 0
         if images:
-            key = _key(m)
+            key = bytes(m.partner)
             images["gamma-image"].add(key)
             if pstats.fix == 0:
                 images["derangement-restriction"].add(key)
@@ -111,7 +105,7 @@ def walk_callan(n: int) -> _CallanWalk:
         if bj._gamma_core(cycles, neg, n) != m.partner and w.reverse_trip is None:
             w.reverse_trip = f"reverse round trip broke at {m}"
         if targets:
-            key = _key(m)
+            key = bytes(m.partner)
             targets["gamma-image"].add(key)
             if mt.match_stats(m).com == 1:
                 targets["theta-image"].add(key)

@@ -130,6 +130,21 @@ MUTANTS = [
         "        if n >= 3:\n            out = image, tag, psi_delta[k] = psi(",
     ),
     (
+        "rank refuses no word that is no tuple", VERIFY,
+        "        except (KeyError, TypeError):",
+        "        except KeyError:",
+    ),
+    (
+        "involution walk knows no unknown tag", VERIFY,
+        "defaultdict(lambda: len(_TAGS), _TAG_CODE)",
+        "_TAG_CODE",
+    ),
+    (
+        "involution walk keeps each stated delta in a byte", VERIFY,
+        "        self.delta = [0] * size",
+        "        self.delta = array(\"b\", bytes(size))",
+    ),
+    (
         "perm walk takes every psi result as phi's", VERIFY,
         "            if out is None or out[1] not in _PHI_PAIRS:",
         "            if out is None:",
@@ -197,6 +212,17 @@ MUTANTS = [
         "gamma-image fold names no missing image", VERIFY,
         "    if missing := _unimaged(n, s, \"gamma-image\", s.count):",
         "    if False:",
+    ),
+    (
+        # both walks: the partner of the first vertex of each edge, at its key
+        "image key keeps only k < q", VERIFY,
+        "    return b\"\".join(sorted(keys))",
+        "    return b\"\".join(sorted(bytes(q * (k < q) for k, q in enumerate(p)) for p in keys))",
+    ),
+    (
+        "signed walk lets a key past a byte through", VERIFY,
+        "            except (IndexError, ValueError):",
+        "            except IndexError:",
     ),
     (
         "callan walk skips the last column", VERIFY,
