@@ -36,7 +36,9 @@ CAPS: dict[str, int] = {
     "CLI matching enumeration": 7,  # `enum callan|matchings`, `seq mn`
     "cdes distribution": 8,  # verify's cdes-poly checks
     "sequence cross-check": 12,  # verify's two integer recurrences against cdes-poly at y=2
-    "image sets": 6,  # verify compares the image and target sets of the walks
+    # the sizes at which verify reports gamma-image, theta-image and
+    # derangement-restriction; they hold by counting off the walks of every size
+    "image sets": 6,
 }
 
 

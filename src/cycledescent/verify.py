@@ -46,7 +46,7 @@ from . import matchings as mt
 from . import perms
 from . import statpolys as sp
 from ._records import Record
-from .caps import CAPS, CHECK_LAYOUT, DEFAULT_SEED, SUITES, suite_cap, verify_cap
+from .caps import CHECK_LAYOUT, DEFAULT_SEED, SUITES, suite_cap, verify_cap
 from .perms import Permutation
 from .poly import MultiPoly
 
@@ -222,9 +222,10 @@ def _check_poly_axioms(n: int, seed: int) -> str | None:
 # head and tail in tables built once per n and bound once per walk; a word
 # that is not a permutation, or no tuple, has none, so an image the cores
 # build wrongly can alias no object.  A tag that no map gives pairs with no
-# tag.  Where ``psi`` takes a phi branch, its result is the phi core's for
-# that object, so the split/merge image is built once per object of phi's
-# domain.
+# tag; one that is no str, which may not even hash (a list), is looked up as
+# 0, which no map gives.  Where ``psi`` takes a phi branch, its result is
+# the phi core's for that object, so the split/merge image is built once per
+# object of phi's domain.
 #
 # An image is itself an object of S_n with a record of its own, so each fold
 # reads the involution law, exc preservation and the tag pairing off the
@@ -247,6 +248,7 @@ _VARPHI_PAIRS = {"varphi-merge": "varphi-split", "varphi-split": "varphi-merge"}
 _TAGS = ("fixed", *_PSI_PAIRS, *_VARPHI_PAIRS, "unknown")  # "unknown": any other tag
 _TAG_CODE = {tag: code for code, tag in enumerate(_TAGS, start=1)}  # 0: no record
 _FIXED = _TAG_CODE["fixed"]
+_PHI_CODES = (_TAG_CODE["phi-split"], _TAG_CODE["phi-merge"])
 _PARITY = bytes(v & 1 for v in range(256))  # cdes -> cdes mod 2, for translate
 
 
@@ -346,17 +348,17 @@ def _walk_perms(n: int) -> _PermWalk:
         out = None
         if n >= 2:
             out = image, tag, psi_delta[k] = psi(n, i, word, cycles, top)
-            psi_img[k], psi_tag[k] = rank(image), code[tag]
+            psi_img[k], psi_tag[k] = rank(image), code[tag if type(tag) is str else 0]
         if not fix:
             image, tag, varphi_delta[k] = varphi(word, cycles)
-            varphi_img[k], varphi_tag[k] = rank(image), code[tag]
+            varphi_img[k], varphi_tag[k] = rank(image), code[tag if type(tag) is str else 0]
         if top is not None:
             tops[k] = top
             # psi's phi branches return the phi core's result for this object
-            if out is None or out[1] not in _PHI_PAIRS:
+            if out is None or psi_tag[k] not in _PHI_CODES:
                 out = phi(word, cycles, top)
             image, tag, phi_delta[k] = out
-            phi_img[k], phi_tag[k] = rank(image), code[tag]
+            phi_img[k], phi_tag[k] = rank(image), code[tag if type(tag) is str else 0]
     return w
 
 
@@ -496,8 +498,8 @@ def _fold_phi_preservation(n: int, seed: int, w: _PermWalk) -> str | None:
 # ---------------------------------------------------------------------------
 # Bijection checks from two walks per size.
 #
-# Both walks read plain data from start to end and call the trusted cores
-# of ``bijections`` and ``matchings``, which read and give plain data
+# The signed walk reads plain data from start to end and calls the trusted
+# cores of ``bijections`` and ``matchings``, which read and give plain data
 # (standard cycles and a negative set, a partner list, or the edge counts
 # of one) and skip the validation the public maps keep for outside input.
 # No ``SignedPermutation``, ``PerfectMatching`` or ``MatchStats`` is built
@@ -507,52 +509,49 @@ def _fold_phi_preservation(n: int, seed: int, w: _PermWalk) -> str | None:
 # cycles, its fixed points and the negative sets that sign it (one list of
 # sets, built once, for all the words with the same cycle descents): for
 # every signed object it runs the gamma core, the inverse core on the image
-# and the statistics core on the image, once each.  Theta is gamma on one
-# cycle, so the theta checks read the same trip, image and statistics on
-# the cyclic objects.  The cores write each cycle's edges, and unfold each
-# component, in one pass; the unfold sorts only the blocks of more than one
-# index.  A forward trip holds when the inverse core gives back the
-# object's cycles and negative set.  ``_walk_callan(n)`` walks the partner
-# lists of the Callan matchings of size n once, from a stream that keeps
-# its choices on a stack of its own, and runs the reverse round trip on its
-# own: it unfolds each partner list and checks that the gamma core rebuilds
-# it.  It finds the matchings with no vertical by one comparison of the
-# partners of the bottom keys with the top keys.  Each trip is compared
-# with the enumerated object, so no permutation is rebuilt from cycles, and
-# cycles that cover no permutation are a failed trip, not bad input.  A walk
-# keeps counts, the first failure of each law it reads and, up to
-# ``CAPS["image sets"]``, its image or target sets in the form of ``_exact``,
-# each member a whole partner list as bytes, which determines its matching.
-# An object whose image has a key that names no slot or no byte has no image
-# and no edge counts, and the downline note leaves it out.  Each bijection
-# check is a fold of its outcome off the two walks.
-
-_IMAGE_CHECKS = ("gamma-image", "theta-image", "derangement-restriction")
-
-
-def _exact(keys: set[bytes]) -> bytes:
-    """A set of matchings of size n, each given by its partner list as
-    bytes, sorted and joined: 2n + 2 bytes a member, so two sets are equal
-    exactly when their values are."""
-    return b"".join(sorted(keys))
+# and the statistics core on the image, once each, and tests that the image
+# is the canonical partner list of a Callan matching of 1..n.  Theta is
+# gamma on one cycle, so the theta checks read the same trip, image and
+# statistics on the cyclic objects.  The cores write each cycle's edges,
+# and unfold each component, in one pass; the unfold sorts only the blocks
+# of more than one index.  A forward trip holds when the inverse core gives
+# back the object's cycles and negative set, so no permutation is rebuilt
+# from cycles, and cycles that cover no permutation are a failed trip, not
+# bad input.  An object whose image has a key that names no slot (past the
+# list, past a byte or no integer) has no image and no edge counts, and the
+# downline note leaves it out.  ``_walk_callan(n)`` only counts the Callan
+# matchings of size n, off a stream that keeps its choices on a stack of its
+# own, and those with no vertical, by one comparison of the partners of the
+# bottom keys with the top keys.  A walk keeps counts and the first failure
+# of each law it reads.  Each bijection check is a fold of its outcome off
+# the two walks.
+#
+# The image checks hold by counting, with no set of images or of matchings.
+# The inverse core is a function of the partner list, so the forward trip on
+# every object s makes gamma injective; when every image is read and is a
+# Callan matching, gamma(S) is |S| Callan matchings, and the Callan count
+# |C| = |S| gives gamma(S) = C (gamma-image).  With com = cyc on every s,
+# gamma maps the cyclic objects onto the connected matchings (theta-image),
+# and with ver = fix the derangements onto the matchings with no vertical
+# (derangement-restriction).  Each m in C is then some gamma(s), so the
+# reverse trip gamma(gamma_inv(m)) = m needs no walk of its own.
 
 
 class _SignedWalk:
     def __init__(self) -> None:
-        self.count = self.cyclic = self.derangements = 0
+        self.count = self.derangements = 0
         self.holds = 0  # objects on which the row-of-partner downline form holds
         self.cyclic_fails = 0  # cyclic objects on which it fails
-        self.first: dict[str, str] = {}  # check id -> first failure
-        self.images: dict[str, bytes] = {}  # image check id -> image set, up to the cap
-        # image check id -> its inputs whose image holds a key outside 0..2n+1
-        self.unimaged = dict.fromkeys(_IMAGE_CHECKS, 0)
+        # check id, or "no-callan-image", -> first failure
+        self.first: dict[str, str] = {}
+        self.unimaged = 0  # objects whose image has a key that names no slot
+        self.invalid = 0  # objects whose image is no Callan matching's partner list
+        self.breaks = {"com = cyc": 0, "ver = fix": 0}  # objects that break each transport rule
 
 
 class _CallanWalk:
     def __init__(self) -> None:
         self.count = self.no_vertical = 0
-        self.reverse_trip: str | None = None  # first failure of gamma(gamma_inv(m)) == m
-        self.targets: dict[str, bytes] = {}  # image check id -> target set, up to the cap
 
 
 def _signed(word: tuple[int, ...], neg: frozenset[int]) -> bj.SignedPermutation:
@@ -563,25 +562,32 @@ def _signed(word: tuple[int, ...], neg: frozenset[int]) -> bj.SignedPermutation:
 
 def _walk_signed(n: int) -> _SignedWalk:
     w = _SignedWalk()
-    first = w.first
-    images = {c: set() for c in _IMAGE_CHECKS} if n <= CAPS["image sets"] else {}
+    first, breaks = w.first, w.breaks
+    # the canonical partner list of a Callan matching of 1..n, as bytes: 2n + 2
+    # of them, 0 in slots 0 and 1, an involution of the keys 2..2n+1 with no
+    # fixed key, and no upline (from the statistics core).  Read through
+    # itself as a translate table, padded with 0, the list gives ident when
+    # partner[0] is 0 and partner[partner[k]] is k on every key k, which
+    # leaves partner[k] no slot outside 2..2n+1; the list XOR ident then has
+    # its last zero byte at slot 1 when partner[1] is 0 and no key is fixed.
+    size = 2 * n + 2
+    ident, pad = bytes((0, 0, *range(2, size))), bytes(256 - size)
+    diagonal = int.from_bytes(ident, "big")
     # read off their modules once per walk, so that a test can patch them
     stream, stats_of = bj._negative_cdes_core, mt._match_stats_core
     gamma, gamma_inv = bj._gamma_core, bj._gamma_inv_core
     for word, cycles, fix, negs in stream(n):
         cyc = len(cycles)
         w.count += len(negs)
-        if cyc == 1:
-            w.cyclic += len(negs)
         if not fix:
             w.derangements += len(negs)
         for neg in negs:
             partner = gamma(cycles, neg, n)
             try:
                 trip = gamma_inv(partner) == (cycles, neg)
-                _, _, down, ver, com = stats_of(partner)
+                _, up, down, ver, com = stats_of(partner)
                 key = bytes(partner)
-            except (IndexError, ValueError):  # a key that names no slot or no byte
+            except (IndexError, TypeError, ValueError):  # a key that names no slot
                 trip = None
             if not trip:
                 witness = f"round trip broke at {_signed(word, neg)}"
@@ -589,11 +595,19 @@ def _walk_signed(n: int) -> _SignedWalk:
                 if cyc == 1:  # theta is gamma on one cycle
                     first.setdefault("theta-roundtrip", witness)
                 if trip is None:  # no matching: nothing else to read off the image
-                    w.unimaged["gamma-image"] += 1
-                    w.unimaged["theta-image"] += cyc == 1
-                    w.unimaged["derangement-restriction"] += not fix
+                    w.unimaged += 1
                     continue
+            if (
+                up
+                or len(key) != size
+                or key.translate(key + pad) != ident
+                or (int.from_bytes(key, "big") ^ diagonal).to_bytes(size, "big").rfind(0) != 1
+            ):
+                w.invalid += 1
+                first.setdefault("no-callan-image", str(_signed(word, neg)))
             if com != cyc or ver != fix:
+                breaks["com = cyc"] += com != cyc
+                breaks["ver = fix"] += ver != fix
                 first.setdefault("statistic-transport", (
                     f"{_signed(word, neg)}: com={com} cyc={cyc} ver={ver} fix={fix}"
                 ))
@@ -610,40 +624,17 @@ def _walk_signed(n: int) -> _SignedWalk:
                         "downline-per-cycle",
                         f"{_signed(word, neg)}: down={down}, neg={len(neg)}, bump={bump}",
                     )
-            if images:
-                images["gamma-image"].add(key)
-                if cyc == 1:
-                    images["theta-image"].add(key)
-                if not fix:
-                    images["derangement-restriction"].add(key)
-    w.images = {c: _exact(keys) for c, keys in images.items()}
     return w
 
 
 def _walk_callan(n: int) -> _CallanWalk:
     w = _CallanWalk()
-    targets = {c: set() for c in _IMAGE_CHECKS} if n <= CAPS["image sets"] else {}
-    # read off their modules once per walk, so that a test can patch them
-    stream, stats_of = mt._matchings_core, mt._match_stats_core
-    gamma, gamma_inv = bj._gamma_core, bj._gamma_inv_core
     tops = range(3, 2 * n + 2, 2)  # the top key 2i + 1 of each slot i
-    for partner in stream(n, "callan"):
+    # read off its module at each walk, so that a test can patch it
+    for partner in mt._matchings_core(n, "callan"):
         w.count += 1
         # (i, 0)-(i, 1) is a vertical: key 2i partnered with key 2i + 1
-        vertical_free = not any(map(eq, partner[2::2], tops))
-        w.no_vertical += vertical_free
-        cycles, neg = gamma_inv(partner)
-        if gamma(cycles, neg, n) != partner and w.reverse_trip is None:
-            m = mt.PerfectMatching(support=tuple(range(1, n + 1)), partner=partner)
-            w.reverse_trip = f"reverse round trip broke at {m}"
-        if targets:
-            key = bytes(partner)
-            targets["gamma-image"].add(key)
-            if stats_of(partner)[4] == 1:
-                targets["theta-image"].add(key)
-            if vertical_free:
-                targets["derangement-restriction"].add(key)
-    w.targets = {c: _exact(keys) for c, keys in targets.items()}
+        w.no_vertical += not any(map(eq, partner[2::2], tops))
     return w
 
 
@@ -664,60 +655,33 @@ def _fold_counts(
     return None
 
 
-def _unimaged(n: int, s: _SignedWalk, check_id: str, inputs: int) -> str | None:
-    """Names the inputs of an image check whose image the signed walk could
-    not read, so that a missing image is not taken for a collision."""
-    missing = s.unimaged[check_id]
-    if missing:
-        return f"{missing} of {inputs} inputs have no image: a key outside 0..{2 * n + 1}"
-    return None
-
-
-def _fold_gamma_image(n: int, seed: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
-    image, target = s.images["gamma-image"], c.targets["gamma-image"]
-    if missing := _unimaged(n, s, "gamma-image", s.count):
-        return missing
-    images, targets = len(image) // (2 * n + 2), len(target) // (2 * n + 2)
-    if images != s.count:
-        return f"gamma not injective: {s.count} inputs, {images} images"
-    if image != target:
-        return f"image has {images} matchings, target {targets}"
-    return None
-
-
-def _fold_theta_image(n: int, seed: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
-    image, target = s.images["theta-image"], c.targets["theta-image"]
-    if missing := _unimaged(n, s, "theta-image", s.cyclic):
-        return missing
-    images, targets = len(image) // (2 * n + 2), len(target) // (2 * n + 2)
-    if images != s.cyclic:
-        return f"theta not injective on {s.cyclic} inputs"
-    if image != target:
-        return f"image has {images} matchings, target {targets}"
-    return None
-
-
-def _fold_derangement_restriction(
-    n: int, seed: int, s: _SignedWalk, c: _CallanWalk
+def _fold_image(
+    n: int, seed: int, s: _SignedWalk, c: _CallanWalk, rule: str | None = None
 ) -> str | None:
-    image, target = s.images["derangement-restriction"], c.targets["derangement-restriction"]
-    images, targets = len(image) // (2 * n + 2), len(target) // (2 * n + 2)
-    if missing := _unimaged(n, s, "derangement-restriction", s.derangements):
-        return missing
-    if images != s.derangements or image != target:
-        return f"{s.derangements} inputs, {images} images, {targets} targets"
+    """gamma(S) = C by counting, or the first of its premises that fails;
+    theta-image adds the rule com = cyc and derangement-restriction the rule
+    ver = fix, each on every object."""
+    if s.unimaged:
+        return f"{s.unimaged} of {s.count} inputs have no image: a key that names no slot"
+    if s.invalid:
+        return (
+            f"{s.invalid} of {s.count} images are no Callan matching;"
+            f" the first is gamma({s.first['no-callan-image']})"
+        )
+    if trip := s.first.get("gamma-roundtrip"):
+        return f"gamma not shown injective: {trip}"
+    if s.count != c.count:
+        return f"{s.count} inputs, {c.count} Callan matchings"
+    if rule and s.breaks[rule]:
+        return f"{rule} fails on {s.breaks[rule]} of {s.count} inputs"
     return None
-
-
-def _fold_gamma_roundtrip(n: int, seed: int, s: _SignedWalk, c: _CallanWalk) -> str | None:
-    return s.first.get("gamma-roundtrip") or c.reverse_trip
 
 
 def _fold_downline_global_report(
     n: int, seed: int, s: _SignedWalk, c: _CallanWalk
 ) -> str:
     # an object whose image the walk could not read has no edge counts
-    imaged = s.count - s.unimaged["gamma-image"]
+    imaged = s.count - s.unimaged
     msg = f"row-of-partner form holds for {s.holds}/{imaged} signed permutations"
     if s.holds < imaged:
         first = s.first["downline-global-report"]
@@ -750,12 +714,12 @@ _FOLDS: dict[str, Callable[..., str | None]] = {
     "phi-preservation": _fold_phi_preservation,
     "count-callan": _fold_counts,
     "count-callan-no-vertical": partial(_fold_counts, derangements=True),
-    "gamma-image": _fold_gamma_image,
-    "theta-image": _fold_theta_image,
-    "gamma-roundtrip": _fold_gamma_roundtrip,
+    "gamma-image": _fold_image,
+    "theta-image": partial(_fold_image, rule="com = cyc"),
+    "gamma-roundtrip": partial(_law, check_id="gamma-roundtrip"),
     "theta-roundtrip": partial(_law, check_id="theta-roundtrip"),
     "statistic-transport": partial(_law, check_id="statistic-transport"),
-    "derangement-restriction": _fold_derangement_restriction,
+    "derangement-restriction": partial(_fold_image, rule="ver = fix"),
     "downline-per-cycle": partial(_law, check_id="downline-per-cycle"),
     "downline-global-report": _fold_downline_global_report,
 }

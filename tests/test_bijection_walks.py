@@ -3,13 +3,13 @@
 Its ten checks read their outcomes off one walk of the negative cdes
 permutations and one walk of the Callan matchings per size, so the core
 of gamma runs once per signed object (the forward round trip, the images,
-the statistics) and once per Callan matching (the reverse round trip).  The
+the statistics) and the Callan walk, which only counts, calls no core.  The
 two walks of a size are two tasks at every size, and what they send back
-holds their image and target sets in an exact form of plain bytes.
+is counts and texts.  The image checks, which hold by counting, also hold
+one size past the size ``verify`` reports them at.
 """
 
 import pickle
-import random
 from collections import Counter
 
 import pytest
@@ -17,6 +17,7 @@ import pytest
 from cycledescent import bijections as bj
 from cycledescent import matchings as mt
 from cycledescent import perms, verify
+from cycledescent.caps import CAPS
 from cycledescent.verify import run_verification
 
 
@@ -46,8 +47,24 @@ def test_each_stream_is_walked_once_per_size(monkeypatch):
     assert sorted(signed) == [(n, "all") for n in range(1, 7)]
     assert sorted(matchings) == [(n, "callan") for n in range(1, 7)]
     objects = sum(len(negs) for n in range(1, 7) for *_, negs in real_signed(n))
-    callan = sum(1 for n in range(1, 7) for _ in real_matchings(n, "callan"))
-    assert len(images) == objects + callan
+    assert len(images) == objects
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_callan_walk_calls_no_core(n, monkeypatch):
+    # the Callan walk enumerates and counts: no gamma, inverse or stats core
+    def refused(*args):
+        raise AssertionError("the Callan walk called a core")
+
+    for module, name in [
+        (bj, "_gamma_core"), (bj, "_gamma_inv_core"), (mt, "_match_stats_core")
+    ]:
+        monkeypatch.setattr(module, name, refused)
+    walk = verify._walk_callan(n)
+    assert (walk.count, walk.no_vertical) == (
+        sum(1 for _ in mt._matchings_core(n, "callan")),
+        sum(1 for _ in mt._matchings_core(n, "callan_no_vertical")),
+    )
 
 
 def test_signed_stream_walks_s_n_once_per_size(monkeypatch):
@@ -81,7 +98,6 @@ def test_walks_send_no_matchings(n):
     signed, callan = verify._walk_signed(n), verify._walk_callan(n)
     for walk in (signed, callan):
         assert b"PerfectMatching" not in pickle.dumps(walk)
-    assert set(signed.images) == set(callan.targets) == set(verify._IMAGE_CHECKS)
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -90,16 +106,13 @@ def test_perm_walk_sends_no_permutations(n):
     assert b"Permutation" not in pickle.dumps(verify._walk_perms(n))
 
 
-def test_exact_form_is_the_set():
-    everything = [bytes(m.partner) for m in mt.enumerate_matchings(4)]
-    callan = [bytes(m.partner) for m in mt.enumerate_matchings(4, "callan")]
-    other = next(key for key in everything if key not in callan)
-    shuffled = callan * 2
-    random.Random(1).shuffle(shuffled)
-    exact = verify._exact(set(callan))
-    assert verify._exact(set(shuffled)) == verify._exact(set(reversed(callan))) == exact
-    assert len(exact) == 10 * len(callan)  # 2n + 2 bytes a member
-    assert verify._exact({*callan[1:], other}) != exact
+def test_image_checks_hold_one_size_past_their_cap():
+    # "image sets" bounds only the sizes the three checks are reported at;
+    # their premises are read off the walks of every size
+    n = CAPS["image sets"] + 1
+    signed, callan = verify._walk_signed(n), verify._walk_callan(n)
+    for check in ("gamma-image", "theta-image", "derangement-restriction"):
+        assert verify._FOLDS[check](n, 0, signed, callan) is None
 
 
 @pytest.mark.parametrize("n", [3, 6])

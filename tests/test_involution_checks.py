@@ -7,8 +7,8 @@ text a check that maps every image back prints for the same fault.  The
 cases where such a check cannot report (it raises on an image outside
 the family, or never compares the stated delta with a walk) are marked.
 Outputs of a kind no right core gives (a delta past a byte, a tag no map
-gives, an image that is no tuple) run through the CLI, which must report
-a failing check, not raise.
+gives, a tag that is no str, an image that is no tuple) run through the
+CLI, which must report a failing check, not raise.
 
 The involution checks fold their laws and signed sums off one walk of
 S_n, which keys every object by its lexicographic rank; the tests at the
@@ -420,7 +420,7 @@ def listing_image(*args):
 
 
 # outputs of a kind no right core gives (a delta past a byte, a tag no map
-# gives, an image that is no tuple): case id -> (map name, fake core,
+# gives, a tag that is no str, an image that is no tuple): case id -> (map name, fake core,
 # failures of ``verify involutions --n-max 5`` as (check, n, witness)); the
 # phi core's list image is also psi's on its phi branches
 CORE_OUTPUT_FAULTS = {
@@ -430,6 +430,15 @@ CORE_OUTPUT_FAULTS = {
     ),
     "varphi-unknown-tag": (
         "varphi", lambda: renaming_tag("varphi-split", "varphi-splits"),
+        [
+            ("varphi-involution", 4, "i=2, pi=2 1 4 3: branch pairing broken"),
+            ("varphi-involution", 5, "i=2, pi=2 1 4 5 3: branch pairing broken"),
+        ],
+    ),
+    # a tag that is no str, here a list, which cannot be hashed, reads as
+    # a tag no map gives
+    "varphi-list-tag": (
+        "varphi", lambda: renaming_tag("varphi-split", ["varphi-split"]),
         [
             ("varphi-involution", 4, "i=2, pi=2 1 4 3: branch pairing broken"),
             ("varphi-involution", 5, "i=2, pi=2 1 4 5 3: branch pairing broken"),

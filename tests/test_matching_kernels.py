@@ -21,7 +21,9 @@ signed objects gives each permutation's standard cycles and fixed points,
 as its accessors read them, and every subset of its cycle descents, and
 the two bijection walks of ``verify``, which read those plain streams and
 partner lists, keep the same records as the object-based walks of
-``walk_oracle``.
+``walk_oracle``; the signed walk's test that an image is a Callan
+matching agrees with the naive one there on every matching of n <= 3 and
+on each change of one of its entries.
 """
 
 import json
@@ -32,6 +34,7 @@ import pytest
 
 import matching_oracle as oracle
 import walk_oracle
+from cycledescent import bijections as bj
 from cycledescent import verify
 from cycledescent.bijections import (
     SignedPermutation,
@@ -44,7 +47,6 @@ from cycledescent.bijections import (
     theta,
     theta_inv,
 )
-from cycledescent.caps import CAPS
 from cycledescent.diagrams import render_svg, render_text
 from cycledescent.matchings import (
     MATCHING_FILTERS,
@@ -169,13 +171,26 @@ def test_signed_stream_core_reads_each_permutation(n, flt):
 @pytest.mark.parametrize("n", [n for n in ORACLE_SIZES if n >= 1])
 def test_walks_keep_the_records_of_the_object_walks(n):
     signed, callan = verify._walk_signed(n), verify._walk_callan(n)
-    # every field: the counts, the first failures, the reverse trip and the
-    # image and target sets as exact bytes
+    # every field: the counts, the first failures, and the counts of the
+    # images that are no Callan matching and of the transport breaks
     assert vars(signed) == vars(walk_oracle.walk_signed(n))
     assert vars(callan) == vars(walk_oracle.walk_callan(n))
-    assert set(signed.images) == set(callan.targets) == (
-        set(verify._IMAGE_CHECKS) if n <= CAPS["image sets"] else set()
-    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_signed_walk_tests_each_image_as_the_naive_test_does(n, monkeypatch):
+    # every matching of size n, Callan or not, and each with one entry set
+    # to each key, as the image of every signed object: the walk finds every
+    # image, or none, no Callan matching, as the naive test of walk_oracle
+    objects = sum(len(negs) for *_, negs in _negative_cdes_core(n))
+    size = 2 * n + 2
+    for m in enumerate_matchings(n):
+        for k, q in [(0, 0), *((k, q) for k in range(size) for q in range(size))]:
+            partner = m.partner[:k] + (q,) + m.partner[k + 1 :]
+            monkeypatch.setattr(bj, "_gamma_core", lambda *args: partner)
+            walk = verify._walk_signed(n)
+            valid = walk_oracle._is_callan_partner_list(partner, n)
+            assert (walk.unimaged, walk.invalid) == (0, 0 if valid else objects)
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)

@@ -6,7 +6,11 @@ and no text over the notation's own alphabet may make ``stats`` or
 Beyond the exhaustive caps of ``verify``, ``psi``, ``varphi`` and
 ``phi_map`` keep their involution laws, ``gamma``/``theta`` invert and
 carry the statistics over, and ``theta`` gives what the naive steps of
-``matching_oracle`` give on cyclic objects of 8 to 300 values.  Matching
+``matching_oracle`` give on cyclic objects of 8 to 300 values.  Signed
+objects whose cycles are cut into long decreasing blocks make the same
+trips, and Callan matchings drawn by the choices of the Callan stream make
+the trips from the matching side and carry com and ver to the cycles and
+fixed points of their inverse images, up to n = 200.  Matching
 JSON and signed-permutation JSON, valid or broken, never make ``map`` or
 ``diagram`` print a traceback, and the key-based matching statistics
 agree with a naive oracle on Callan and non-Callan matchings.  Every test
@@ -218,6 +222,104 @@ def test_gamma_roundtrip_beyond_the_cap(s):
 @given(negative_cdes(cyclic()))
 def test_theta_roundtrip_beyond_the_cap(s):
     assert bj.theta_inv(bj.theta(s)) == s
+
+
+@st.composite
+def long_blocks(draw, max_n=200):
+    """A negative cdes permutation of 1..n, n <= max_n, with long blocks.
+
+    The values are dealt into cycles of drawn lengths; each cycle is its
+    minimum and then blocks of drawn lengths, often 8 or more values, each
+    written decreasingly with every value but its last (smallest) negative.
+    Uniform signs on uniform permutations almost never give such a block.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    values = rng.sample(range(1, n + 1), n)
+    cycles, neg, start = [], set(), 0
+    while start < n:
+        end = rng.randint(start + 1, n)
+        low = min(values[start:end])
+        rest = [v for v in values[start:end] if v != low]  # in drawn order
+        cycle, cut = [low], 0
+        while cut < len(rest):
+            stop = rng.randint(cut + 1, len(rest))
+            block = sorted(rest[cut:stop], reverse=True)
+            cycle += block
+            neg.update(block[:-1])
+            cut = stop
+        cycles.append(cycle)
+        start = end
+    return SignedPermutation(perm=permutation_from_cycles(cycles, n), neg=frozenset(neg))
+
+
+@settings(SEEDED, max_examples=60)
+@given(long_blocks())
+def test_long_blocks_beyond_the_cap(s):
+    # a long block closed by an arc is unfolded by the sort the exhaustive
+    # walks never reach with more than 7 values
+    m = bj.gamma(s)
+    assert bj.gamma_inv(m) == s
+    stats, pstats = match_stats(m), statistics(s.perm)
+    assert (stats.com, stats.ver) == (pstats.cyc, pstats.fix)
+    if pstats.cyc == 1:
+        assert bj.theta_inv(bj.theta(s)) == s
+
+
+def _pairs_without_upline(keys):
+    """Whether the free keys can be paired with no upline.  An upline joins
+    an even (bottom) key k to an odd (top) key above k + 1; every other pair
+    is allowed.  So an even count of even keys pairs in arcs, and an odd one
+    needs one odd key at most the largest even key plus one."""
+    evens = [k for k in keys if not k & 1]
+    odds = [k for k in keys if k & 1]
+    return len(evens) % 2 == 0 or odds[0] <= evens[-1] + 1
+
+
+@st.composite
+def callan_partner_lists(draw, max_n=200):
+    """The partner list of a Callan matching of 1..n, n <= max_n.
+
+    It makes the choices of the Callan stream, ``matchings._pairings``,
+    drawing one where the stream tries each: the smallest free key a is
+    paired with a later free key b, an odd b above a + 1 refused when a is
+    even.  A drawn b that leaves keys with no Callan pairing is put back and
+    another drawn.  So every Callan matching can occur, but not uniformly.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    partner = [0] * (2 * n + 2)
+    free = list(range(2, 2 * n + 2))
+    while free:
+        a = free.pop(0)
+        choices = [b for b in free if a & 1 or not (b & 1 and b > a + 1)]
+        while True:
+            b = choices.pop(rng.randrange(len(choices)))
+            rest = [k for k in free if k != b]
+            if _pairs_without_upline(rest):
+                break
+        partner[a], partner[b] = b, a
+        free = rest
+    return tuple(partner)
+
+
+@settings(SEEDED, max_examples=60)
+@given(callan_partner_lists())
+def test_callan_matchings_beyond_the_cap(partner):
+    # the round trip from the matching side, which verify reads off the
+    # signed walk by counting, at sizes no enumeration reaches
+    n = len(partner) // 2 - 1
+    edges = [((k >> 1, k & 1), (q >> 1, q & 1)) for k, q in enumerate(partner) if 1 < k < q]
+    m = mk_matching(range(1, n + 1), edges)
+    assert m.partner == partner and is_callan(m)
+    s = bj.gamma_inv(m)
+    assert bj.gamma(s) == m
+    stats, pstats = match_stats(m), statistics(s.perm)
+    assert (stats.com, stats.ver) == (pstats.cyc, pstats.fix)
+    if stats.com == 1:
+        assert bj.theta(bj.theta_inv(m)) == m
+    if all(partner[k] != k + 1 for k in range(2, 2 * n + 2, 2)):  # no vertical
+        assert pstats.fix == 0
 
 
 def test_theta_matches_the_naive_steps_at_map_sizes():

@@ -64,8 +64,8 @@ def test_suite_caps():
 # Lowers every entry of the one table of caps that verify reads, each to
 # its own value, after verify is loaded, reloads the CLI (whose help text is
 # built at import), and prints the largest size each check is then planned
-# at, the suite caps and what the walks keep, then the verify help (on one
-# line, as the test sets COLUMNS=1000).
+# at and the suite caps, then the verify help (on one line, as the test sets
+# COLUMNS=1000).
 ONE_TABLE_SCRIPT = """
 import importlib, json
 from cycledescent import cli, verify
@@ -78,8 +78,6 @@ print(json.dumps({
     # a check's sizes are planned upward, so its last is its largest
     "caps": {c: n for c, n in verify._plan("all", None)},
     "suite caps": {s: verify.suite_cap(s) for s in verify.SUITES},
-    "image sets": [sorted(verify._walk_signed(5).images),
-                   sorted(verify._walk_callan(5).targets)],
 }))
 cli.main(["verify", "--help"])
 """
@@ -112,7 +110,6 @@ def test_every_check_cap_is_read_from_the_one_table():
         "theorem-p": 8, "lemmas": 8, "theorem-b": 11, "identities": 8,
         "involutions": 7, "bijections": 5, "all": 11,
     }
-    assert out["image sets"] == [[], []]
     assert (
         "closed forms, recurrences and signed identities run to n <= 8, the cdes"
         " distribution to n <= 6, the involution laws to n <= 7, matching"

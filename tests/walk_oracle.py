@@ -2,9 +2,12 @@
 
 ``walk_signed`` and ``walk_callan`` are the object-based ``_walk_signed``
 and ``_walk_callan`` of ``verify`` before the walks read plain words and
-partner lists, kept verbatim with their helper ``_matching`` (only the
-names of the walks lost their underscore, and each image or target is keyed
-by its whole partner list as bytes, as in ``verify``).  They walk the public
+partner lists, kept with their helper ``_matching``.  Since then the names
+of the walks lost their underscore, and the walks follow ``verify`` in what
+they record: the signed walk keeps no image set but tests each image with
+the naive ``_is_callan_partner_list`` and counts the objects that break
+each rule of statistic transport, and the Callan walk keeps no target set
+and runs no reverse trip.  They walk the public
 streams ``enumerate_negative_cdes`` and ``enumerate_matchings``, build a
 ``SignedPermutation`` and a ``PerfectMatching`` for every object and read
 ``match_stats`` and the accessors ``statistics`` and ``standard_cycles``,
@@ -22,9 +25,8 @@ from typing import Sequence
 
 from cycledescent import bijections as bj
 from cycledescent import matchings as mt
-from cycledescent.caps import CAPS
 from cycledescent.perms import standard_cycles, statistics
-from cycledescent.verify import _IMAGE_CHECKS, _CallanWalk, _exact, _SignedWalk
+from cycledescent.verify import _CallanWalk, _SignedWalk
 
 
 def _theta_core(cycle: Sequence[int], neg: frozenset[int]) -> tuple[int, ...]:
@@ -45,10 +47,25 @@ def _matching(partner: tuple[int, ...]) -> mt.PerfectMatching:
     return mt.PerfectMatching(support=tuple(range(1, len(partner) >> 1)), partner=partner)
 
 
+def _is_callan_partner_list(partner: tuple[int, ...], n: int) -> bool:
+    """Whether ``partner`` is the partner list of a Callan matching of 1..n:
+    2n + 2 entries, 0 in slots 0 and 1, and on the keys 2..2n+1 an
+    involution with no fixed key and no upline, read key by key."""
+    keys = range(2, 2 * n + 2)
+    if len(partner) != 2 * n + 2 or partner[:2] != (0, 0):
+        return False
+    for k in keys:
+        q = partner[k]
+        if q not in keys or q == k or partner[q] != k:
+            return False
+        if mt.edge_class((mt.MVertex(k >> 1, k & 1), mt.MVertex(q >> 1, q & 1))) == "upline":
+            return False
+    return True
+
+
 def walk_signed(n: int) -> _SignedWalk:
     w = _SignedWalk()
     first = w.first
-    images = {c: set() for c in _IMAGE_CHECKS} if n <= CAPS["image sets"] else {}
     for s in bj.enumerate_negative_cdes(n):
         # cached on the Permutation its sign sets share
         pstats, cycles = statistics(s.perm), standard_cycles(s.perm).cycles
@@ -56,7 +73,12 @@ def walk_signed(n: int) -> _SignedWalk:
         m = _matching(bj._gamma_core(cycles, s.neg, n))
         if bj._gamma_inv_core(m.partner) != (cycles, s.neg):
             first.setdefault("gamma-roundtrip", f"round trip broke at {s}")
+        if not _is_callan_partner_list(m.partner, n):
+            w.invalid += 1
+            first.setdefault("no-callan-image", str(s))
         stats = mt.match_stats(m)
+        w.breaks["com = cyc"] += stats.com != pstats.cyc
+        w.breaks["ver = fix"] += stats.ver != pstats.fix
         if stats.com != pstats.cyc or stats.ver != pstats.fix:
             first.setdefault("statistic-transport", (
                 f"{s}: com={stats.com} cyc={pstats.cyc}"
@@ -69,7 +91,6 @@ def walk_signed(n: int) -> _SignedWalk:
             if "downline-global-report" not in first:
                 first["downline-global-report"] = str(s)
         if pstats.cyc == 1:
-            w.cyclic += 1
             t = _matching(_theta_core(cycles[0], s.neg))
             if _theta_inv_core(t.partner) != (cycles[0], s.neg):
                 first.setdefault("theta-roundtrip", f"round trip broke at {s}")
@@ -81,35 +102,14 @@ def walk_signed(n: int) -> _SignedWalk:
                 first.setdefault(
                     "downline-per-cycle", f"{s}: down={down}, neg={len(s.neg)}, bump={bump}"
                 )
-            if images:
-                images["theta-image"].add(bytes(t.partner))
         w.derangements += pstats.fix == 0
-        if images:
-            key = bytes(m.partner)
-            images["gamma-image"].add(key)
-            if pstats.fix == 0:
-                images["derangement-restriction"].add(key)
-    w.images = {c: _exact(keys) for c, keys in images.items()}
     return w
 
 
 def walk_callan(n: int) -> _CallanWalk:
     w = _CallanWalk()
-    targets = {c: set() for c in _IMAGE_CHECKS} if n <= CAPS["image sets"] else {}
     for m in mt.enumerate_matchings(n, "callan"):
         w.count += 1
         # (i, 0)-(i, 1) is a vertical: key 2i partnered with key 2i + 1
-        vertical_free = all(m.partner[k] != k + 1 for k in range(2, 2 * n + 2, 2))
-        w.no_vertical += vertical_free
-        cycles, neg = bj._gamma_inv_core(m.partner)
-        if bj._gamma_core(cycles, neg, n) != m.partner and w.reverse_trip is None:
-            w.reverse_trip = f"reverse round trip broke at {m}"
-        if targets:
-            key = bytes(m.partner)
-            targets["gamma-image"].add(key)
-            if mt.match_stats(m).com == 1:
-                targets["theta-image"].add(key)
-            if vertical_free:
-                targets["derangement-restriction"].add(key)
-    w.targets = {c: _exact(keys) for c, keys in targets.items()}
+        w.no_vertical += all(m.partner[k] != k + 1 for k in range(2, 2 * n + 2, 2))
     return w
