@@ -30,7 +30,8 @@ walks of ``verify``, which build their inputs themselves, call the cores.
 Likewise ``enumerate_negative_cdes`` wraps a core stream,
 ``_negative_cdes_core``, that gives each permutation as a word, its
 standard cycles and fixed points and the negative sets that sign it, and
-the signed walk reads that stream.
+the signed walk reads that stream, or the shard of it that holds the words
+with one first letter.
 
 Notation: ``(1+ 6- 4- 3+ 2+ 8- 7- 5+)`` writes a signed cycle; an omitted
 sign means +.
@@ -38,6 +39,8 @@ sign means +.
 
 from __future__ import annotations
 
+from itertools import islice
+from math import factorial
 from typing import Iterator, Sequence
 
 from . import perms
@@ -140,7 +143,7 @@ def _negative_cdes_cycles(sp: SignedPermutation) -> tuple[Word, ...]:
 
 
 def _negative_cdes_core(
-    n: int, flt: str = "all"
+    n: int, flt: str = "all", letter: int | None = None
 ) -> Iterator[tuple[Word, tuple[Word, ...], int, list[frozenset[int]]]]:
     """The objects of :func:`enumerate_negative_cdes` as plain data, one
     permutation at a time, in its order and with its refusals.
@@ -149,9 +152,13 @@ def _negative_cdes_core(
     fixed-point count from one ``_walk_word``, and the negative sets that
     sign it, in the order of the stream.  ``enumerate_negative_cdes`` wraps
     each pair of word and set in a ``SignedPermutation``; the signed walk of
-    ``verify`` reads them as they are.  The list of negative sets is built
-    once per set of cycle descents and handed to every permutation with
-    those descents, so a caller reads it and does not change it.
+    ``verify`` reads them as they are.  With a ``letter`` in 1..n the stream
+    is the shard of the words that start with it, the ranks
+    [(letter - 1) * (n - 1)!, letter * (n - 1)!) of the lexicographic
+    stream, in the same order; the n shards, one after another, are the
+    whole stream.  The list of negative sets is built once per shard for
+    each set of cycle descents and handed to every permutation of the shard
+    with those descents, so a caller reads it and does not change it.
     """
     if flt not in ("all", "derangement"):
         raise ValueError(f"unknown filter: {flt!r}")
@@ -160,7 +167,11 @@ def _negative_cdes_core(
     check_cap("signed enumeration", n)
     derangements = flt == "derangement"
     signs: dict[tuple[int, ...], list[frozenset[int]]] = {}  # sorted descents -> their subsets
-    for word in perms._all_words(n):
+    words = perms._all_words(n)
+    if letter is not None:
+        shard = factorial(n - 1)
+        words = islice(words, (letter - 1) * shard, letter * shard)
+    for word in words:
         cycles, _, fix, cdes, _, _ = _walk_word(word)
         if fix and derangements:
             continue

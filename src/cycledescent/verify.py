@@ -16,9 +16,12 @@ recurrences, cdes polynomials, signed identities) share the tally of S_n
 that ``statpolys`` keeps, the involution checks one walk of S_n, and the
 bijection checks one walk of the signed objects and one of the Callan
 matchings; the sequence cross-check and the ring axioms read no
-walk.  Each walk of a size is one task, so tasks are independent and a
-run can fan out over a process pool, largest sizes first; every task
-returns its records, and the caller folds each check off them.
+walk.  Each walk of a size is one task, but for the signed walk of the
+run's largest size, which is one task per first letter of its words, so
+tasks are independent and a run can fan out over a process pool, largest
+sizes first; every task returns its records, the caller merges the shards
+of the signed walk in the order of its stream, and folds each check off
+the records.
 
 Informational checks never fail: they return a note text, which goes to
 the summary's notes (used for the downline formula, whose textbook global
@@ -517,14 +520,26 @@ def _fold_phi_preservation(n: int, seed: int, w: _PermWalk) -> str | None:
 # of more than one index.  A forward trip holds when the inverse core gives
 # back the object's cycles and negative set, so no permutation is rebuilt
 # from cycles, and cycles that cover no permutation are a failed trip, not
-# bad input.  An object whose image has a key that names no slot (past the
-# list, past a byte or no integer) has no image and no edge counts, and the
-# downline note leaves it out.  ``_walk_callan(n)`` only counts the Callan
+# bad input.  The trip is broken only when the inverse core says so, by
+# another answer or by a key it cannot follow.  An image that the statistics
+# core cannot read, with a key that names no slot (past the list, past a
+# byte or no integer), is no image and has no edge counts, and the downline
+# note leaves it out.  ``_walk_callan(n)`` only counts the Callan
 # matchings of size n, off a stream that keeps its choices on a stack of its
 # own, and those with no vertical, by one comparison of the partners of the
 # bottom keys with the top keys.  A walk keeps counts and the first failure
 # of each law it reads.  Each bijection check is a fold of its outcome off
 # the two walks.
+#
+# The signed walk of a run's largest size is most of the run's walk time, so
+# it runs as n shards, which a pool shares out: ``_walk_signed(n, a)`` walks
+# only the words that start with the letter a, a contiguous range of the
+# stream.  The caller merges the records of the n shards in the order of a,
+# never in the order they ran or ended in, so the merged record is the whole
+# walk's: the counts add up (``_SignedWalk.extend``), and each first failure
+# is the earliest shard's that has one, which is the first in the stream.
+# A shard's record, counts and a few witness texts, pickles to about 245
+# bytes at n = 7.
 #
 # The image checks hold by counting, with no set of images or of matchings.
 # The inverse core is a function of the partner list, so the forward trip on
@@ -548,6 +563,21 @@ class _SignedWalk:
         self.invalid = 0  # objects whose image is no Callan matching's partner list
         self.breaks = {"com = cyc": 0, "ver = fix": 0}  # objects that break each transport rule
 
+    def extend(self, later: _SignedWalk) -> None:
+        """Take in the record of a walk of the objects that follow this
+        walk's in the stream: the counts add up, and a first failure stays
+        this walk's where it has one."""
+        self.count += later.count
+        self.derangements += later.derangements
+        self.holds += later.holds
+        self.cyclic_fails += later.cyclic_fails
+        self.unimaged += later.unimaged
+        self.invalid += later.invalid
+        for rule, breaks in later.breaks.items():
+            self.breaks[rule] += breaks
+        for check_id, witness in later.first.items():
+            self.first.setdefault(check_id, witness)
+
 
 class _CallanWalk:
     def __init__(self) -> None:
@@ -560,7 +590,7 @@ def _signed(word: tuple[int, ...], neg: frozenset[int]) -> bj.SignedPermutation:
     return bj.SignedPermutation._trusted(Permutation._trusted(word), neg)
 
 
-def _walk_signed(n: int) -> _SignedWalk:
+def _walk_signed(n: int, letter: int | None = None) -> _SignedWalk:
     w = _SignedWalk()
     first, breaks = w.first, w.breaks
     # the canonical partner list of a Callan matching of 1..n, as bytes: 2n + 2
@@ -576,7 +606,7 @@ def _walk_signed(n: int) -> _SignedWalk:
     # read off their modules once per walk, so that a test can patch them
     stream, stats_of = bj._negative_cdes_core, mt._match_stats_core
     gamma, gamma_inv = bj._gamma_core, bj._gamma_inv_core
-    for word, cycles, fix, negs in stream(n):
+    for word, cycles, fix, negs in stream(n, letter=letter):
         cyc = len(cycles)
         w.count += len(negs)
         if not fix:
@@ -585,18 +615,19 @@ def _walk_signed(n: int) -> _SignedWalk:
             partner = gamma(cycles, neg, n)
             try:
                 trip = gamma_inv(partner) == (cycles, neg)
-                _, up, down, ver, com = stats_of(partner)
-                key = bytes(partner)
-            except (IndexError, TypeError, ValueError):  # a key that names no slot
-                trip = None
+            except (IndexError, TypeError, ValueError):  # a key the inverse core cannot follow
+                trip = False
             if not trip:
                 witness = f"round trip broke at {_signed(word, neg)}"
                 first.setdefault("gamma-roundtrip", witness)
                 if cyc == 1:  # theta is gamma on one cycle
                     first.setdefault("theta-roundtrip", witness)
-                if trip is None:  # no matching: nothing else to read off the image
-                    w.unimaged += 1
-                    continue
+            try:
+                _, up, down, ver, com = stats_of(partner)
+                key = bytes(partner)
+            except (IndexError, TypeError, ValueError):  # a key that names no slot
+                w.unimaged += 1  # no matching: nothing else to read off the image
+                continue
             if (
                 up
                 or len(key) != size
@@ -743,14 +774,23 @@ _WALKS = {
 }
 
 
-def _tasks(plan: list[tuple[str, int]]) -> dict[tuple[str, int], tuple]:
-    """The tasks of a plan as (function, n), keyed (walk, n) in plan order:
-    one for each walk of size n that a planned check reads, shared by all
-    such checks."""
-    tasks: dict[tuple[str, int], tuple] = {}
+def _tasks(plan: list[tuple[str, int]]) -> dict[tuple, tuple]:
+    """The tasks of a plan as (function, *args), keyed (walk, n) in plan
+    order: one for each walk of size n that a planned check reads, shared by
+    all such checks.  The signed walk of the plan's largest signed size, the
+    longest task, is n shards instead, one per first letter a, each keyed
+    ("signed", n, a) and run as ``_walk_signed(n, a)``; they are listed from
+    the last letter, whose shard signs the most objects, to the first, so
+    that a pool starts the largest shard first."""
+    top = max((n for check_id, n in plan if "signed" in CHECK_LAYOUT[check_id][2]), default=0)
+    tasks: dict[tuple, tuple] = {}
     for check_id, n in plan:
         for walk in CHECK_LAYOUT[check_id][2]:
-            tasks.setdefault((walk, n), (_WALKS[walk], n))
+            if (walk, n) == ("signed", top):
+                for a in range(n, 0, -1):
+                    tasks.setdefault((walk, n, a), (_walk_signed, n, a))
+            else:
+                tasks.setdefault((walk, n), (_WALKS[walk], n))
     return tasks
 
 
@@ -795,6 +835,10 @@ def run_verification(
             results = {key: future.result() for key, future in futures.items()}
     else:
         results = {key: fn(*args) for key, (fn, *args) in tasks.items()}
+    # the shards of a signed walk, merged in first-letter order: the order of
+    # the stream, whatever the order they ran or ended in
+    for key in sorted(key for key in tasks if len(key) == 3):
+        results.setdefault(key[:2], _SignedWalk()).extend(results.pop(key))
     summary = VerificationSummary(
         suite=suite,
         n_lo=min((CHECK_LAYOUT[c][0] for c in SUITES[suite]), default=1),

@@ -8,7 +8,9 @@ theta is gamma on one cycle, so a fault of a gamma core at a cyclic
 object is a fault of theta) by one that is wrong at a chosen object, runs
 ``verify bijections --n-max 3`` through the CLI and compares every failure
 it reports, and the downline note at n = 3, with recorded texts.  The
-texts print signed permutations, so they also pin their ``str``.
+texts print signed permutations, so they also pin their ``str``.  The
+signed walk of n = 3, the largest size, runs in three shards by first
+letter, so the texts of n = 3 also pin the order in which they merge.
 
 The three image checks hold by counting, each on the premises of
 gamma-image: every image is read and is a Callan matching's partner list,
@@ -56,6 +58,7 @@ TWO_CYCLES, IDENTITY = P("(1+)(2+ 3+)"), P("(1+)(2+)(3+)")
 NO_IMAGE = "1 of 7 inputs have no image: a key that names no slot"
 NO_CALLAN = "1 of 7 images are no Callan matching; the first is gamma("
 NOT_SHOWN_INJECTIVE = "gamma not shown injective: round trip broke at "
+TWO_NO_CALLAN = "2 of 7 images are no Callan matching; the first is gamma((1+)(2+)(3+))"
 
 
 def plain(s):
@@ -70,10 +73,10 @@ def collide(a, b):
     return lambda *args: real(*plain(a)) if args == plain(b) else real(*args)
 
 
-def foreign(a):
-    """The core of gamma sends a to the image of FOREIGN."""
-    real = REAL["_gamma_core"]
-    return lambda *args: real(*plain(FOREIGN)) if args == plain(a) else real(*args)
+def foreign(*objects):
+    """The core of gamma sends each of ``objects`` to the image of FOREIGN."""
+    real, faulted = REAL["_gamma_core"], {plain(a) for a in objects}
+    return lambda *args: real(*plain(FOREIGN)) if args in faulted else real(*args)
 
 
 def no_involution(a):
@@ -154,8 +157,8 @@ def repeat_a_derangement(s0):
     """The core stream of signed objects gives s0 twice."""
     real = REAL["_negative_cdes_core"]
 
-    def fake(n, flt="all"):
-        for word, cycles, fix, negs in real(n, flt):
+    def fake(n, flt="all", letter=None):
+        for word, cycles, fix, negs in real(n, flt, letter):
             if word == s0.perm.word:
                 negs = [x for neg in negs for x in ([neg, neg] if neg == s0.neg else [neg])]
             yield word, cycles, fix, negs
@@ -196,6 +199,22 @@ CASES = {
             ("gamma-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
             ("theta-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
             ("derangement-restriction", 3, NO_CALLAN + "(1+ 3- 2+))"),
+        ],
+        None,
+    ),
+    # n = 3 is the largest size, so its signed walk runs in three shards, by
+    # first letter: the identity (word 123) is in the first, (1+ 3- 2+)
+    # (word 312) in the last.  The shards merge in the order of the stream,
+    # so each check names the first faulted object that it reads
+    "gamma-leaves-the-target-in-two-shards": (
+        "_gamma_core", lambda: foreign(IDENTITY, S2),
+        [
+            ("gamma-image", 3, TWO_NO_CALLAN),
+            ("theta-image", 3, TWO_NO_CALLAN),
+            ("gamma-roundtrip", 3, "round trip broke at (1+)(2+)(3+)"),
+            ("theta-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
+            ("statistic-transport", 3, "(1+)(2+)(3+): com=1 cyc=3 ver=0 fix=3"),
+            ("derangement-restriction", 3, TWO_NO_CALLAN),
         ],
         None,
     ),
@@ -292,14 +311,14 @@ CASES = {
         " 0 failing inputs are cyclic; first failure (1+)(2+)(3+)",
     ),
     # a key past 255 names no slot and no byte: no image, as above, and a
-    # failing check (exit 1), not bad input (exit 2)
+    # failing check (exit 1), not bad input (exit 2).  The inverse core
+    # never follows the partner of key 3, the top vertex of slot 1, so it
+    # gives the object back, and the trip holds
     "gamma-key-past-a-byte": (
         "_gamma_core", lambda: set_entry(S0, 3, 300),
         [
             ("gamma-image", 3, NO_IMAGE),
             ("theta-image", 3, NO_IMAGE),
-            ("gamma-roundtrip", 3, "round trip broke at (1+ 2+ 3+)"),
-            ("theta-roundtrip", 3, "round trip broke at (1+ 2+ 3+)"),
             ("derangement-restriction", 3, NO_IMAGE),
         ],
         "row-of-partner form holds for 4/6 signed permutations;"
@@ -357,15 +376,14 @@ CASES = {
         " 0 failing inputs are cyclic; first failure (1+)(2+ 3+)",
     ),
     # a key that is no int (3.0, equal to the true key 3) names no slot: the
-    # inverse core, which only compares it, gives the object back, but the
-    # statistics core cannot read its class, so the image is missing, and a
-    # failing check (exit 1), not a crash
+    # inverse core, which only compares it, gives the object back, so the
+    # trip holds, but the statistics core cannot read its class, so the
+    # image is missing, and a failing check (exit 1), not a crash
     "gamma-float-key": (
         "_gamma_core", lambda: set_entry(IDENTITY, 2, 3.0),
         [
             ("gamma-image", 3, NO_IMAGE),
             ("theta-image", 3, NO_IMAGE),
-            ("gamma-roundtrip", 3, "round trip broke at (1+)(2+)(3+)"),
             ("derangement-restriction", 3, NO_IMAGE),
         ],
         # the object with no image has no edge counts to read
@@ -405,6 +423,15 @@ CASES = {
         [
             ("statistic-transport", 2, "(1+)(2+): com=2 cyc=2 ver=3 fix=2"),
             ("derangement-restriction", 2, "ver = fix fails on 2 of 2 inputs"),
+        ],
+        None,
+    ),
+    # at n = 3, the largest size, the breaks of the three shards add up
+    "match-stats-ver-in-shards": (
+        "_match_stats_core", lambda: bump_stat("ver", 3),
+        [
+            ("statistic-transport", 3, "(1+)(2+)(3+): com=3 cyc=3 ver=4 fix=3"),
+            ("derangement-restriction", 3, "ver = fix fails on 7 of 7 inputs"),
         ],
         None,
     ),

@@ -4,13 +4,16 @@ Its ten checks read their outcomes off one walk of the negative cdes
 permutations and one walk of the Callan matchings per size, so the core
 of gamma runs once per signed object (the forward round trip, the images,
 the statistics) and the Callan walk, which only counts, calls no core.  The
-two walks of a size are two tasks at every size, and what they send back
-is counts and texts.  The image checks, which hold by counting, also hold
-one size past the size ``verify`` reports them at.
+two walks of a size are two tasks, but for the signed walk of a run's
+largest size, which is one task per first letter; what they send back is
+counts and texts, and the shards of a walk merge into the whole walk's
+record.  The image checks, which hold by counting, also hold one size
+past the size ``verify`` reports them at.
 """
 
 import pickle
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -25,11 +28,13 @@ def test_each_stream_is_walked_once_per_size(monkeypatch):
     real_signed, real_matchings, real_gamma = (
         bj._negative_cdes_core, mt._matchings_core, bj._gamma_core
     )
-    signed, matchings, images = [], [], []
+    signed, matchings, images, words = [], [], [], Counter()
 
-    def walk_signed(n, flt="all"):
-        signed.append((n, flt))
-        return real_signed(n, flt)
+    def walk_signed(n, flt="all", letter=None):
+        signed.append((n, flt, letter))
+        for item in real_signed(n, flt, letter):
+            words[item[0]] += 1
+            yield item
 
     def walk_matchings(n, flt="all"):
         matchings.append((n, flt))
@@ -44,7 +49,12 @@ def test_each_stream_is_walked_once_per_size(monkeypatch):
     monkeypatch.setattr(bj, "_gamma_core", gamma_core)
     summary = run_verification("bijections", n_max=6)
     assert summary.exit_code == 0
-    assert sorted(signed) == [(n, "all") for n in range(1, 7)]
+    # the largest size runs in one shard per first letter, and each word of
+    # S_n is walked once across them
+    assert Counter(signed) == Counter(
+        [*((n, "all", None) for n in range(1, 6)), *((6, "all", a) for a in range(1, 7))]
+    )
+    assert words == Counter(w for n in range(1, 7) for w in permutations(range(1, n + 1)))
     assert sorted(matchings) == [(n, "callan") for n in range(1, 7)]
     objects = sum(len(negs) for n in range(1, 7) for *_, negs in real_signed(n))
     assert len(images) == objects
@@ -69,12 +79,22 @@ def test_callan_walk_calls_no_core(n, monkeypatch):
 
 def test_signed_stream_walks_s_n_once_per_size(monkeypatch):
     # the core stream of signed objects reads S_n off perms._all_words, the
-    # one stream of S_n, once for each size the signed walk reaches
-    walked = Counter()
-    real_all = perms._all_words
-    monkeypatch.setattr(perms, "_all_words", lambda n: walked.update([n]) or real_all(n))
+    # one stream of S_n, once for each size the signed walk reaches, and
+    # once for each shard of the largest size, n = 7; each shard walks the
+    # words with its first letter, so each word is walked once
+    streams, walked = Counter(), Counter()
+    real_all, real_signed = perms._all_words, bj._negative_cdes_core
+
+    def walk_signed(n, flt="all", letter=None):
+        for item in real_signed(n, flt, letter):
+            walked[item[0]] += 1
+            yield item
+
+    monkeypatch.setattr(perms, "_all_words", lambda n: streams.update([n]) or real_all(n))
+    monkeypatch.setattr(bj, "_negative_cdes_core", walk_signed)
     assert run_verification("bijections").exit_code == 0
-    assert walked == Counter(range(1, 8))
+    assert streams == Counter({**dict.fromkeys(range(1, 7), 1), 7: 7})
+    assert walked == Counter(w for n in range(1, 8) for w in permutations(range(1, n + 1)))
 
 
 def test_parallel_bijections_match_serial():
@@ -86,11 +106,17 @@ def test_parallel_bijections_match_serial():
     assert serial.exit_code == 0
 
 
-def test_signed_and_callan_walks_are_two_tasks_at_every_size():
+def test_largest_signed_walk_is_one_task_per_first_letter():
+    # the signed and Callan walks of a size are two tasks, but the signed
+    # walk of the largest size, which is one shard per first letter, listed
+    # from the last letter (the largest shard) to the first
     tasks = verify._tasks(verify._plan("all", None))
-    walks = {key for key in tasks if key[0] in ("signed", "callan", "bijections")}
-    assert walks == {(walk, n) for walk in ("signed", "callan") for n in range(1, 8)}
-    assert all(tasks[walk, n][1:] == (n,) for walk, n in walks)
+    walks = [key for key in tasks if key[0] in ("signed", "callan", "bijections")]
+    pairs = {(walk, n) for walk in ("signed", "callan") for n in range(1, 8)}
+    assert set(walks) == pairs - {("signed", 7)} | {("signed", 7, a) for a in range(1, 8)}
+    assert [key for key in walks if len(key) == 3] == [("signed", 7, a) for a in range(7, 0, -1)]
+    assert all(tasks[key][1:] == key[1:] for key in walks)
+    assert all(tasks[key][0] is verify._walk_signed for key in walks if key[0] == "signed")
 
 
 @pytest.mark.parametrize("n", [3, 6])

@@ -18,12 +18,15 @@ objects and the connected matchings; the gamma core and the public theta
 also give what the naive steps 1-3 of ``matching_oracle`` give, which the
 public maps, calling those same cores, cannot show.  The core stream of
 signed objects gives each permutation's standard cycles and fixed points,
-as its accessors read them, and every subset of its cycle descents, and
+as its accessors read them, and every subset of its cycle descents, its
+shards by first letter are the whole stream, and
 the two bijection walks of ``verify``, which read those plain streams and
 partner lists, keep the same records as the object-based walks of
 ``walk_oracle``; the signed walk's test that an image is a Callan
 matching agrees with the naive one there on every matching of n <= 3 and
-on each change of one of its entries.
+on each change of one of its entries.  ``verify`` runs the signed walk of
+its largest size as one shard per first letter; the record it merges from
+the shards is the whole walk's, field by field.
 """
 
 import json
@@ -165,6 +168,8 @@ def test_signed_stream_core_reads_each_permutation(n, flt):
             subsets += [s | {d} for s in subsets]
         want.append((p.word, standard_cycles(p).cycles, stats.fix, subsets))
     assert list(_negative_cdes_core(n, flt)) == want
+    if n:  # the shards by first letter, one after another, are the whole stream
+        assert [x for a in range(1, n + 1) for x in _negative_cdes_core(n, flt, a)] == want
 
 
 # the walks read key 3, the top vertex of slot 1, so they start at n = 1
@@ -175,6 +180,21 @@ def test_walks_keep_the_records_of_the_object_walks(n):
     # images that are no Callan matching and of the transport breaks
     assert vars(signed) == vars(walk_oracle.walk_signed(n))
     assert vars(callan) == vars(walk_oracle.walk_callan(n))
+
+
+@pytest.mark.parametrize("n", [n for n in ORACLE_SIZES if n >= 1])
+def test_merged_shards_keep_the_record_of_the_whole_walk(n, monkeypatch):
+    # a run up to n shards its signed walk of size n; the count-callan fold
+    # is handed the merged record, which must equal the unsharded walk's
+    assert ("signed", n, n) in verify._tasks(verify._plan("bijections", n))
+    merged = {}
+
+    def keep(size, seed, signed, callan):
+        merged[size] = signed
+
+    monkeypatch.setitem(verify._FOLDS, "count-callan", keep)
+    verify.run_verification("bijections", n_max=n)
+    assert vars(merged[n]) == vars(verify._walk_signed(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

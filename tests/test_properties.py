@@ -10,7 +10,9 @@ carry the statistics over, and ``theta`` gives what the naive steps of
 objects whose cycles are cut into long decreasing blocks make the same
 trips, and Callan matchings drawn by the choices of the Callan stream make
 the trips from the matching side and carry com and ver to the cycles and
-fixed points of their inverse images, up to n = 200.  Matching
+fixed points of their inverse images, up to n = 200; a draw that joins
+components first gives mostly connected matchings, on which theta's trip
+runs at large n.  Matching
 JSON and signed-permutation JSON, valid or broken, never make ``map`` or
 ``diagram`` print a traceback, and the key-based matching statistics
 agree with a naive oracle on Callan and non-Callan matchings.  Every test
@@ -24,6 +26,7 @@ import random
 import time
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -276,31 +279,58 @@ def _pairs_without_upline(keys):
     return len(evens) % 2 == 0 or odds[0] <= evens[-1] + 1
 
 
-@st.composite
-def callan_partner_lists(draw, max_n=200):
-    """The partner list of a Callan matching of 1..n, n <= max_n.
+def _callan_partner_list(n, rng, connect=False):
+    """The partner list of a Callan matching of 1..n, drawn by ``rng``.
 
     It makes the choices of the Callan stream, ``matchings._pairings``,
     drawing one where the stream tries each: the smallest free key a is
     paired with a later free key b, an odd b above a + 1 refused when a is
     even.  A drawn b that leaves keys with no Callan pairing is put back and
-    another drawn.  So every Callan matching can occur, but not uniformly.
+    another drawn.  So every Callan matching can occur, but not uniformly,
+    and most draws have many components.  With ``connect``, b is drawn
+    first among the keys in another component than a's (slots joined by the
+    edges drawn so far), so most draws are connected, at every n.
     """
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     partner = [0] * (2 * n + 2)
     free = list(range(2, 2 * n + 2))
+    comp = list(range(n + 1))  # slot -> the least slot of its component so far
     while free:
         a = free.pop(0)
         choices = [b for b in free if a & 1 or not (b & 1 and b > a + 1)]
+        near = []
+        if connect:  # the edges that join two components, tried first
+            near = [b for b in choices if comp[b >> 1] != comp[a >> 1]]
+            choices = [b for b in choices if comp[b >> 1] == comp[a >> 1]]
         while True:
-            b = choices.pop(rng.randrange(len(choices)))
+            keys = near or choices
+            b = keys.pop(rng.randrange(len(keys)))
             rest = [k for k in free if k != b]
             if _pairs_without_upline(rest):
                 break
         partner[a], partner[b] = b, a
+        if connect:
+            joined = {comp[a >> 1], comp[b >> 1]}
+            comp = [min(joined) if c in joined else c for c in comp]
         free = rest
     return tuple(partner)
+
+
+@st.composite
+def callan_partner_lists(draw, max_n=200, connect=False):
+    """A partner list of ``_callan_partner_list``, n <= max_n."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return _callan_partner_list(n, rng, connect)
+
+
+def _matching(partner):
+    """The matching of a Callan partner list, built from its edges by the
+    public constructor, which checks them."""
+    n = len(partner) // 2 - 1
+    edges = [((k >> 1, k & 1), (q >> 1, q & 1)) for k, q in enumerate(partner) if 1 < k < q]
+    m = mk_matching(range(1, n + 1), edges)
+    assert m.partner == partner and is_callan(m)
+    return m
 
 
 @settings(SEEDED, max_examples=60)
@@ -308,18 +338,34 @@ def callan_partner_lists(draw, max_n=200):
 def test_callan_matchings_beyond_the_cap(partner):
     # the round trip from the matching side, which verify reads off the
     # signed walk by counting, at sizes no enumeration reaches
-    n = len(partner) // 2 - 1
-    edges = [((k >> 1, k & 1), (q >> 1, q & 1)) for k, q in enumerate(partner) if 1 < k < q]
-    m = mk_matching(range(1, n + 1), edges)
-    assert m.partner == partner and is_callan(m)
+    m = _matching(partner)
     s = bj.gamma_inv(m)
     assert bj.gamma(s) == m
     stats, pstats = match_stats(m), statistics(s.perm)
     assert (stats.com, stats.ver) == (pstats.cyc, pstats.fix)
     if stats.com == 1:
         assert bj.theta(bj.theta_inv(m)) == m
-    if all(partner[k] != k + 1 for k in range(2, 2 * n + 2, 2)):  # no vertical
+    if all(partner[k] != k + 1 for k in range(2, len(partner), 2)):  # no vertical
         assert pstats.fix == 0
+
+
+@settings(SEEDED, max_examples=40)
+@given(callan_partner_lists(connect=True))
+def test_connected_callan_matchings_beyond_the_cap(partner):
+    # the uniform draw above is seldom connected past small n; this one
+    # mostly is, so theta's trip from the matching side runs at large n
+    m = _matching(partner)
+    if match_stats(m).com == 1:
+        assert bj.theta(bj.theta_inv(m)) == m
+    else:
+        with pytest.raises(ValueError, match="not connected"):
+            bj.theta_inv(m)
+
+
+def test_connecting_draws_are_mostly_connected():
+    rng = random.Random(29)
+    draws = [_callan_partner_list(n, rng, connect=True) for n in range(20, 200, 20)]
+    assert sum(match_stats(_matching(p)).com == 1 for p in draws) >= 6
 
 
 def test_theta_matches_the_naive_steps_at_map_sizes():

@@ -40,7 +40,9 @@ def test_checks_are_built_from_the_layout_of_caps():
     for check_id, (min_n, _, walks) in CHECK_LAYOUT.items():
         sizes = [n for c, n in plan if c == check_id]
         assert sizes == list(range(min_n, verify_cap(check_id) + 1)), check_id
-        assert {walk for walk, n in _tasks([(check_id, 1)])} == set(walks), check_id
+        # a task's key starts with its walk (the signed walk of a plan's
+        # largest size is sharded, one key per first letter)
+        assert {key[0] for key in _tasks([(check_id, 1)])} == set(walks), check_id
     assert _INFORMATIONAL == ("downline-global-report",)
     # verify re-exports the layout's suites, suite caps and seed
     assert (SUITES, suite_cap, DEFAULT_SEED) == (caps.SUITES, caps.suite_cap, caps.DEFAULT_SEED)
@@ -170,15 +172,17 @@ TALLY_READERS = {
 
 def test_tasks_are_walks_only():
     tasks = _tasks(_plan("all", None))
-    sizes = {"tally": range(1, 10), "perms": range(1, 9), "signed": range(1, 8),
+    sizes = {"tally": range(1, 10), "perms": range(1, 9), "signed": range(1, 7),
              "callan": range(1, 8)}
-    assert set(tasks) == {(walk, n) for walk, ns in sizes.items() for n in ns}
-    assert len(tasks) == 31
+    # the signed walk of the largest size, 7, is one shard per first letter
+    shards = {("signed", 7, a) for a in range(1, 8)}
+    assert set(tasks) == {(walk, n) for walk, ns in sizes.items() for n in ns} | shards
+    assert len(tasks) == 37
     # a tally reader of size n reads ("tally", n), which the cache of
     # statpolys builds once per process
     assert {c for c, (_, _, walks) in CHECK_LAYOUT.items() if walks == ("tally",)} == TALLY_READERS
     assert _WALKS["tally"] is sp._tally
-    assert all(tasks[walk, n] == (_WALKS[walk], n) for walk, n in tasks)
+    assert all(tasks[key] == (_WALKS[key[0]], *key[1:]) for key in tasks)
 
 
 def test_unknown_suite_and_bad_nmax():

@@ -200,8 +200,8 @@ MUTANTS = [
     ),
     (
         "signed walk counts no missing image", VERIFY,
-        "                    w.unimaged += 1",
-        "                    w.unimaged += 0",
+        "                w.unimaged += 1",
+        "                w.unimaged += 0",
     ),
     (
         "gamma-image fold names no missing image", VERIFY,
@@ -210,13 +210,48 @@ MUTANTS = [
     ),
     (
         "signed walk lets a key past a byte through", VERIFY,
-        "            except (IndexError, TypeError, ValueError):",
-        "            except (IndexError, TypeError):",
+        "            except (IndexError, TypeError, ValueError):  # a key that names no slot",
+        "            except (IndexError, TypeError):  # a key that names no slot",
     ),
     (
         "signed walk lets a key that is no int through", VERIFY,
-        "            except (IndexError, TypeError, ValueError):",
-        "            except (IndexError, ValueError):",
+        "            except (IndexError, TypeError, ValueError):  # a key that names no slot",
+        "            except (IndexError, ValueError):  # a key that names no slot",
+    ),
+    (
+        "signed walk lets a key the inverse core cannot follow through", VERIFY,
+        "            except (IndexError, TypeError, ValueError):  # a key the inverse core",
+        "            except (TypeError, ValueError):  # a key the inverse core",
+    ),
+    (
+        "signed walk counts an unreadable image as a broken trip", VERIFY,
+        "                trip = gamma_inv(partner) == (cycles, neg)\n",
+        "                trip = gamma_inv(partner) == (cycles, neg) and stats_of(partner)\n",
+    ),
+    (
+        "shards merge in reverse order", VERIFY,
+        "    for key in sorted(key for key in tasks if len(key) == 3):",
+        "    for key in sorted((key for key in tasks if len(key) == 3), reverse=True):",
+    ),
+    (
+        "shard merge skips the last shard", VERIFY,
+        "    for key in sorted(key for key in tasks if len(key) == 3):",
+        "    for key in sorted(key for key in tasks if len(key) == 3)[:-1]:",
+    ),
+    (
+        "shard merge drops the first shard's count", VERIFY,
+        "        self.count += later.count\n",
+        "        self.count += later.count if self.count else 0\n",
+    ),
+    (
+        "shard merge adds no transport breaks", VERIFY,
+        "            self.breaks[rule] += breaks",
+        "            self.breaks[rule] += 0",
+    ),
+    (
+        "shard merge keeps a later shard's first failure", VERIFY,
+        "            self.first.setdefault(check_id, witness)",
+        "            self.first[check_id] = witness",
     ),
     (
         "signed walk tests no image", VERIFY,
@@ -262,6 +297,11 @@ MUTANTS = [
         "signed stream keeps fixed points under the derangement filter", BIJECTIONS,
         "        if fix and derangements:\n            continue",
         "        if False:\n            continue",
+    ),
+    (
+        "signed stream shard takes one word past its letter", BIJECTIONS,
+        "        words = islice(words, (letter - 1) * shard, letter * shard)",
+        "        words = islice(words, (letter - 1) * shard, letter * shard + 1)",
     ),
     (
         "signed stream signs no largest cycle descent", BIJECTIONS,
