@@ -465,7 +465,8 @@ def signed_from_json_dict(data: dict) -> SignedPermutation:
     if not isinstance(one_line, list) or not isinstance(negatives, list):
         raise ValueError("signed permutation JSON 'one_line' and 'neg' must be lists")
     n = data.get("n", len(one_line))
-    if n != len(one_line):
+    # an n that is no int is refused by the type check below, never as a length
+    if type(n) is int and n != len(one_line):
         raise ValueError(f"declared n={n} but one_line has length {len(one_line)}")
     perm = Permutation(tuple(one_line))
     not_integers = "signed permutation JSON: 'n' and the 'neg' values must be integers"

@@ -38,7 +38,7 @@ import random
 from array import array
 from collections import Counter, defaultdict
 from functools import lru_cache, partial
-from itertools import combinations, compress, permutations
+from itertools import combinations, compress, islice, permutations
 from math import factorial
 from operator import eq
 from typing import Callable, Iterable
@@ -232,18 +232,23 @@ def _check_poly_axioms(n: int, seed: int) -> str | None:
 #
 # An image is itself an object of S_n with a record of its own, so each fold
 # reads the involution law, exc preservation and the tag pairing off the
-# records, and no image is mapped or walked again.  A fold makes one pass
-# over the records and keeps, for each i (the position of 1), the first law
+# records, and no image is mapped or walked again.  psi-involution and
+# varphi-involution share one law pass (``_law_pass``) over the records of
+# their map, which keeps, for each i (the position of 1), the first law
 # failure, the first false claim (a stated delta that is not the walked
-# one) and the fixed ranks; the signed sums of (-1)^cdes x^exc that psi and
-# varphi collapse to the weight of their fixed points are one count of the
-# same exc and cdes records by i.  The fold then goes through i in
-# increasing order: the law failure of an i, then its fixed-set, size and
-# signed-sum checks; the false claim of the least i comes last, only once
-# every law has held.  These are the order and the texts of a check that
-# walks the objects with pi(i) = 1 one i at a time and maps every image
-# back.  So these checks read no tally of ``statpolys``, and the walk is
-# the one pass over S_n they make.
+# one) and the fixed ranks; what differs between the two maps is data they
+# bind it with: the pair-code table, the texts of a bad fixed point and of a
+# broken pairing, and whether a fixed point must map to itself.  The signed
+# sums of (-1)^cdes x^exc that psi and varphi collapse to the weight of
+# their fixed points are one count of the same exc and cdes records by i.
+# Each fold then goes through i in increasing order: the law failure of an
+# i, then its own fixed-set, size and signed-sum checks; the false claim of
+# the least i comes last, only once every law has held.  These are the
+# order and the texts of a check that walks the objects with pi(i) = 1 one
+# i at a time and maps every image back; a witness is named by its rank,
+# the index of its word in the stream ``perms._all_words`` (``_unrank``).
+# So these checks read no tally of ``statpolys``, and the walk is the one
+# pass over S_n they make.
 
 _PHI_PAIRS = {"phi-split": "phi-merge", "phi-merge": "phi-split"}
 _PSI_PAIRS = {**_PHI_PAIRS, "psi-case1": "psi-case2", "psi-case2": "psi-case1"}
@@ -261,6 +266,16 @@ def _code_pairs(pairs: dict[str, str]) -> bytes:
     for a, b in pairs.items():
         table[_TAG_CODE[a]] = _TAG_CODE[b]
     return bytes(table)
+
+
+_PHI_PAIR_CODES = _code_pairs(_PHI_PAIRS)
+# what the law pass of psi and of varphi is bound with: the pair-code table,
+# the law texts of a bad fixed point and of a broken pairing (formatted with
+# the two tags), and whether a fixed point must map to itself
+_PSI_LAWS = (_code_pairs(_PSI_PAIRS), "bad fixed point", "branch {} paired with {}", True)
+_VARPHI_LAWS = (
+    _code_pairs(_VARPHI_PAIRS), "fixed point with cdes delta", "branch pairing broken", False
+)
 
 
 @lru_cache(maxsize=None)
@@ -297,20 +312,10 @@ def _ranker(n: int) -> Callable[[tuple[int, ...]], int]:
     return rank
 
 
-def _rank(word: tuple[int, ...], n: int) -> int:
-    """The lexicographic rank of a word in S_n; -1 for any word that is not
-    a permutation of 1..n."""
-    return _ranker(n)(word)
-
-
 def _unrank(r: int, n: int) -> Permutation:
-    """The word of rank r in S_n; used only to name a witness."""
-    rest = list(range(1, n + 1))
-    word = []
-    for m in range(n - 1, -1, -1):
-        j, r = divmod(r, factorial(m))
-        word.append(rest.pop(j))
-    return Permutation(tuple(word))
+    """The word of rank r in S_n, the r-th of the walk's stream
+    ``perms._all_words``; used only to name a witness."""
+    return Permutation._trusted(next(islice(perms._all_words(n), r, None)))
 
 
 class _MapRecords:
@@ -375,26 +380,32 @@ def _signed_sums(n: int, records: Iterable[tuple[int, int, int]]) -> list[MultiP
     return [MultiPoly(t) for t in terms]
 
 
-def _fold_psi_involution(n: int, seed: int, w: _PermWalk) -> str | None:
-    pairs, fixed_code = _code_pairs(_PSI_PAIRS), _FIXED
-    img, tags, exc, cdes, pos1 = w.psi.img, w.psi.tag, w.exc, w.cdes, w.pos1
-    laws: list[str | None] = [None] * (n + 1)  # the first law failure of each i
-    claims: list[str | None] = [None] * (n + 1)  # the first false claim of each i
-    fixed: list[set[int]] = [set() for _ in range(n + 1)]
-    for k, (j, t, d, i) in enumerate(zip(img, tags, w.psi.delta, pos1)):
-        if j < 0 or pos1[j] != i or img[j] != k:
+def _law_pass(
+    n: int, w: _PermWalk, m: _MapRecords, pairs: bytes, bad_fixed: str, bad_pair: str,
+    self_fixed: bool,
+) -> tuple[list[str | None], list[str | None], list[list[int]]]:
+    """One pass over the records of psi or varphi: for each i, the first law
+    failure, the first false claim and the ranks of the fixed points."""
+    img, tags, exc, cdes, pos1 = m.img, m.tag, w.exc, w.cdes, w.pos1
+    laws: list[str | None] = [None] * (n + 1)
+    claims: list[str | None] = [None] * (n + 1)
+    fixed: list[list[int]] = [[] for _ in range(n + 1)]
+    for k, (j, t, d, i) in enumerate(zip(img, tags, m.delta, pos1)):
+        if not t:
+            continue  # outside the map's domain
+        if j < 0 or pos1[j] != i or not tags[j] or img[j] != k:
             law = "not an involution"
         elif exc[j] != exc[k]:
             law = "excedances not preserved"
-        elif t == fixed_code:
-            if d == 0 and j == k:
-                fixed[i].add(k)
+        elif t == _FIXED:
+            if d == 0 and (j == k or not self_fixed):
+                fixed[i].append(k)
                 continue
-            law = "bad fixed point"
+            law = bad_fixed
         elif d not in (-1, 1):
             law = f"cdes delta {d}"
         elif tags[j] != pairs[t]:
-            law = f"branch {_TAGS[t - 1]} paired with {_TAGS[tags[j] - 1]}"
+            law = bad_pair.format(_TAGS[t - 1], _TAGS[tags[j] - 1])
         else:
             if d != cdes[j] - cdes[k] and claims[i] is None:
                 claims[i] = (
@@ -403,11 +414,16 @@ def _fold_psi_involution(n: int, seed: int, w: _PermWalk) -> str | None:
             continue
         if laws[i] is None:
             laws[i] = f"i={i}, pi={_unrank(k, n)}: {law}"
+    return laws, claims, fixed
+
+
+def _fold_psi_involution(n: int, seed: int, w: _PermWalk) -> str | None:
+    laws, claims, fixed = _law_pass(n, w, w.psi, *_PSI_LAWS)
     for i in range(1, n + 1):
         if laws[i]:
             return laws[i]
         expected_fixed = iv.psi_fixed_set(n, i)
-        if fixed[i] != {_rank(q.word, n) for q in expected_fixed}:
+        if set(fixed[i]) != {_ranker(n)(q.word) for q in expected_fixed}:
             return f"i={i}: fixed set mismatch ({len(fixed[i])} found)"
         want = 0 if 1 < i < n else 2 ** (n - 2)
         if len(expected_fixed) != want:
@@ -420,7 +436,7 @@ def _fold_psi_fixed_weight(n: int, seed: int, w: _PermWalk) -> str | None:
     for i in range(1, n + 1):
         fixed = []
         for p in iv.psi_fixed_set(n, i):
-            k = _rank(p.word, n)
+            k = _ranker(n)(p.word)
             if w.cdes[k]:
                 return f"i={i}: fixed point {p} has a cycle descent"
             fixed.append(k)
@@ -432,42 +448,17 @@ def _fold_psi_fixed_weight(n: int, seed: int, w: _PermWalk) -> str | None:
 
 
 def _fold_varphi_involution(n: int, seed: int, w: _PermWalk) -> str | None:
-    pairs, fixed_code = _code_pairs(_VARPHI_PAIRS), _FIXED
-    img, tags, exc, cdes, pos1 = w.varphi.img, w.varphi.tag, w.exc, w.cdes, w.pos1
-    laws: list[str | None] = [None] * (n + 1)  # the first law failure of each i
-    claims: list[str | None] = [None] * (n + 1)  # the first false claim of each i
-    fixed: list[list[int]] = [[] for _ in range(n + 1)]
-    for k, (j, t, d, i) in enumerate(zip(img, tags, w.varphi.delta, pos1)):
-        if not t:
-            continue  # not a derangement
-        if j < 0 or pos1[j] != i or not tags[j] or img[j] != k:
-            law = "not an involution"
-        elif exc[j] != exc[k]:
-            law = "excedances not preserved"
-        elif t == fixed_code:
-            if d == 0:
-                fixed[i].append(k)
-                continue
-            law = "fixed point with cdes delta"
-        elif d not in (-1, 1):
-            law = f"cdes delta {d}"
-        elif tags[j] != pairs[t]:
-            law = "branch pairing broken"
-        else:
-            if d != cdes[j] - cdes[k] and claims[i] is None:
-                claims[i] = (
-                    f"i={i}, pi={_unrank(k, n)}: cdes delta {cdes[j] - cdes[k]}, stated {d}"
-                )
-            continue
-        if laws[i] is None:
-            laws[i] = f"i={i}, pi={_unrank(k, n)}: {law}"
-    sums = _signed_sums(n, compress(zip(pos1, exc, cdes.translate(_PARITY)), tags))
+    laws, claims, fixed = _law_pass(n, w, w.varphi, *_VARPHI_LAWS)
+    sums = _signed_sums(n, compress(zip(w.pos1, w.exc, w.cdes.translate(_PARITY)), w.varphi.tag))
     for i in range(2, n + 1):
         if laws[i]:
             return laws[i]
         fp = iv.varphi_fixed_point(n, i)
-        if fixed[i] != [_rank(fp.word, n)]:
-            found = {_unrank(k, n) for k in fixed[i]}
+        if fixed[i] != [_ranker(n)(fp.word)]:
+            ranks = set(fixed[i])  # named in one pass of the stream, not one _unrank each
+            found = {
+                Permutation._trusted(u) for k, u in enumerate(perms._all_words(n)) if k in ranks
+            }
             return f"i={i}: fixed set {found}, expected {{{fp}}}"
         closed = sp.alternating_closed_form(n, i, derangements=True).substitute(t=1)
         if sums[i] != closed:
@@ -476,7 +467,7 @@ def _fold_varphi_involution(n: int, seed: int, w: _PermWalk) -> str | None:
 
 
 def _fold_phi_preservation(n: int, seed: int, w: _PermWalk) -> str | None:
-    pairs, claim = _code_pairs(_PHI_PAIRS), None
+    pairs, claim = _PHI_PAIR_CODES, None
     img, tags, exc, cdes, hat_rank, tops = (
         w.phi.img, w.phi.tag, w.exc, w.cdes, w.hat_rank, w.top
     )

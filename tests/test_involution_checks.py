@@ -391,6 +391,14 @@ def test_fault_is_reported(monkeypatch, case_id):
     assert run_case(monkeypatch, case_id) == want
 
 
+def test_varphi_fixed_tag_on_a_moved_object_fails_at_its_image(monkeypatch):
+    # unlike psi's (case psi-fixed-moved), a varphi fixed point need not map
+    # to itself: the moved object D counts as fixed, and the law breaks at
+    # its image G, whose tag pairs with no fixed tag
+    _patch(monkeypatch, "varphi", {D: replaced(varphi2(D), case_tag="fixed", delta_cdes=0)})
+    assert fold("varphi-involution", N) == "i=2, pi=3 1 4 5 2: branch pairing broken"
+
+
 def stating_delta(delta, at):
     """The core of psi states ``delta`` at the word ``at``."""
     real = REAL["psi"]
@@ -611,23 +619,26 @@ def test_signed_sums_off_the_walk_match_the_tally(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_rank_is_the_stream_index(n):
+    rank = verify._ranker(n)
     for k, p in enumerate(enumerate_permutations("all", n)):
-        assert verify._rank(p.word, n) == k
-        assert verify._unrank(k, n) == p
+        assert rank(p.word) == k
+        # _unrank reads the stream itself, so the list rank is its oracle
+        assert list_rank(verify._unrank(k, n).word, n) == k
 
 
 def test_rank_refuses_words_outside_the_family():
-    assert verify._rank((2, 1, 3), 4) == -1
-    assert verify._rank((1, 2, 3, 4, 5), 4) == -1
+    assert verify._ranker(4)((2, 1, 3)) == -1
+    assert verify._ranker(4)((1, 2, 3, 4, 5)) == -1
     # head and tail each an arrangement of distinct values, but not together
-    assert verify._rank((1, 2, 3, 4, 1, 2, 3, 4), 8) == -1
+    assert verify._ranker(8)((1, 2, 3, 4, 1, 2, 3, 4)) == -1
 
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_rank_refuses_every_word_that_is_no_permutation(n):
+    rank = verify._ranker(n)
     for word in product(range(n + 2), repeat=n):
         want = list_rank(word, n) if sorted(word) == list(range(1, n + 1)) else -1
-        assert verify._rank(word, n) == want, word
+        assert rank(word) == want, word
 
 
 def list_rank(word, n):
@@ -645,10 +656,11 @@ def list_rank(word, n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_table_rank_is_the_list_rank(n):
+    rank = verify._ranker(n)
     for word in permutations(range(1, n + 1)):
-        assert verify._rank(word, n) == list_rank(word, n)
+        assert rank(word) == list_rank(word, n)
     for word in (tuple(range(1, n)), tuple(range(1, n + 2))):
-        assert verify._rank(word, n) == list_rank(word, n) == -1
+        assert rank(word) == list_rank(word, n) == -1
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -284,6 +284,10 @@ def test_constructors_normalise_their_fields():
         ((True, 2), "not a permutation of 1..2: (True, 2)"),
         (("1",), "not a permutation of 1..1: ('1',)"),
         ([2, None], "not a permutation of 1..2: (2, None)"),
+        ((1, 2, 4), "not a permutation of 1..3: (1, 2, 4)"),
+        ((1, "a"), "not a permutation of 1..2: (1, 'a')"),
+        (("b", "a"), "not a permutation of 1..2: ('b', 'a')"),
+        ((1.5, 1), "not a permutation of 1..2: (1.5, 1)"),
     ],
 )
 def test_permutation_refusals(word, text):
@@ -312,6 +316,12 @@ def test_permutation_refusals(word, text):
         (7, "cycle elements must be integers: 7"),
         (((1, 2.0),), "cycle elements must be integers: ((1, 2.0),)"),
         (((True, 2),), "cycle elements must be integers: ((True, 2),)"),
+        (((3, 4), (1, 2)), "cycle minima not strictly increasing"),
+        (((1, 2), (2, 3)), "element repeated across cycles: 2"),
+        (((),), "empty cycle"),
+        (((0, 1),), "cycle minima not strictly increasing"),
+        (((1, 2.5),), "cycle elements must be integers: ((1, 2.5),)"),
+        ((("a",),), "cycle elements must be integers: (('a',),)"),
     ],
 )
 def test_cycle_decomposition_refusals(cycles, text):
@@ -329,6 +339,10 @@ def test_cycle_decomposition_refusals(cycles, text):
         ({"a"}, "negative values outside 1..2: {'a'}"),
         ({True}, "negative values must be integers: {True}"),
         ({2.0}, "negative values must be integers: {2.0}"),
+        # 2.0 equals a value of 1..2 but names none of them
+        ({1, 2.0}, "negative values must be integers: {1, 2.0}"),
+        # the range is checked before the type
+        ({2, 3.0}, "negative values outside 1..2: {2, 3.0}"),
     ],
 )
 def test_signed_permutation_refusals(neg, text):

@@ -155,11 +155,45 @@ MUTANTS = [
         "            if out is None:",
     ),
     (
-        "psi fold drops the excedance comparison", VERIFY,
-        "        elif exc[j] != exc[k]:\n            law = \"excedances not preserved\"\n"
-        "        elif t == fixed_code:\n            if d == 0 and j == k:",
-        "        elif False:\n            law = \"excedances not preserved\"\n"
-        "        elif t == fixed_code:\n            if d == 0 and j == k:",
+        "law pass reads objects outside the map's domain", VERIFY,
+        "        if not t:\n            continue  # outside the map's domain",
+        "        if False:\n            continue  # outside the map's domain",
+    ),
+    (
+        "law pass drops the excedance comparison", VERIFY,
+        "        elif exc[j] != exc[k]:\n            law = \"excedances not preserved\"",
+        "        elif False:\n            law = \"excedances not preserved\"",
+    ),
+    (
+        "law pass keeps the last law failure of each i", VERIFY,
+        "        if laws[i] is None:\n            laws[i] = ",
+        "        if True:\n            laws[i] = ",
+    ),
+    (
+        "psi law pass lets a fixed point map elsewhere", VERIFY,
+        "\"branch {} paired with {}\", True)",
+        "\"branch {} paired with {}\", False)",
+    ),
+    (
+        "varphi law pass makes a fixed point map to itself", VERIFY,
+        "\"branch pairing broken\", False\n",
+        "\"branch pairing broken\", True\n",
+    ),
+    (
+        "law pass swaps the fixed-point texts of psi and varphi", VERIFY,
+        "\"bad fixed point\", \"branch {} paired with {}\", True)\n_VARPHI_LAWS = (\n"
+        "    _code_pairs(_VARPHI_PAIRS), \"fixed point with cdes delta\",",
+        "\"fixed point with cdes delta\", \"branch {} paired with {}\", True)\n"
+        "_VARPHI_LAWS = (\n    _code_pairs(_VARPHI_PAIRS), \"bad fixed point\",",
+    ),
+    (
+        "law pass swaps the pairing texts of psi and varphi", VERIFY,
+        "\"branch {} paired with {}\", True)\n_VARPHI_LAWS = (\n"
+        "    _code_pairs(_VARPHI_PAIRS), \"fixed point with cdes delta\","
+        " \"branch pairing broken\"",
+        "\"branch pairing broken\", True)\n_VARPHI_LAWS = (\n"
+        "    _code_pairs(_VARPHI_PAIRS), \"fixed point with cdes delta\","
+        " \"branch {} paired with {}\"",
     ),
     (
         "psi fold reports a later i's failure before an earlier one's", VERIFY,
@@ -168,15 +202,8 @@ MUTANTS = [
     ),
     (
         "varphi fold sums non-derangements", VERIFY,
-        "    sums = _signed_sums(n, compress(zip(pos1, exc, cdes.translate(_PARITY)), tags))",
-        "    sums = _signed_sums(n, zip(pos1, exc, cdes.translate(_PARITY)))",
-    ),
-    (
-        "varphi fold keeps the last law failure of each i", VERIFY,
-        "        if laws[i] is None:\n            laws[i] = f\"i={i}, pi={_unrank(k, n)}: {law}\"\n"
-        "    sums",
-        "        if True:\n            laws[i] = f\"i={i}, pi={_unrank(k, n)}: {law}\"\n"
-        "    sums",
+        "compress(zip(w.pos1, w.exc, w.cdes.translate(_PARITY)), w.varphi.tag)",
+        "zip(w.pos1, w.exc, w.cdes.translate(_PARITY))",
     ),
     (
         "fixed-weight fold counts every record as even", VERIFY,
@@ -314,6 +341,11 @@ MUTANTS = [
         "        raise ValueError(\"signed permutation JSON must be an object\")",
         "    if False:\n"
         "        raise ValueError(\"signed permutation JSON must be an object\")",
+    ),
+    (
+        "signed JSON reader compares an n that is no int as a length", BIJECTIONS,
+        "    if type(n) is int and n != len(one_line):",
+        "    if n != len(one_line):",
     ),
     (
         "signed JSON reader takes neg values that are not integers", BIJECTIONS,
