@@ -41,6 +41,7 @@ from cycledescent.involutions import last_top_descent
 from cycledescent.matchings import matching_from_json_dict, mk_matching
 from cycledescent.perms import (
     FAMILIES,
+    CycleDecomposition,
     Permutation,
     StatRecord,
     enumerate_permutations,
@@ -219,6 +220,40 @@ def test_trusted_signed_permutations_match_the_public_constructor(n):
 
 # ---------------------------------------------------------------------------
 # Public entry points keep rejecting bad values.
+
+
+@pytest.mark.parametrize(
+    "word", [(1, 1), (0, 1), (2, 3), (1, 2, 4), (1, "a"), ("b", "a"), (1.5, 1)]
+)
+def test_permutation_rejects(word):
+    with pytest.raises(ValueError):
+        Permutation(word)
+
+
+@pytest.mark.parametrize("neg", [{4}, {0}, {3.0}, {True}, {2, 3.0}])
+def test_signed_permutation_rejects(neg):
+    # 3.0 and True equal values of 1..3 but name none of them
+    with pytest.raises(ValueError):
+        SignedPermutation(Permutation((3, 1, 2)), frozenset(neg))
+
+
+@pytest.mark.parametrize(
+    "cycles",
+    [
+        ((2, 1),),
+        ((3, 4), (1, 2)),
+        ((1, 2), (2, 3)),
+        ((),),
+        ((0, 1),),
+        ((1, 2.5),),
+        ((1, 2.0),),
+        (("a",),),
+        ((1, None),),
+    ],
+)
+def test_cycle_decomposition_rejects(cycles):
+    with pytest.raises(ValueError):
+        CycleDecomposition(cycles)
 
 
 # (cycles, n, the refusal that the CLI prints for them)
