@@ -9,6 +9,12 @@ command line; exit status 0 means every requested check passed, 1 that
 a check failed, 2 bad input, and 141 (128 + SIGPIPE) that the reader of
 standard output went away before it was written, as in ``| head``.
 
+``main(argv)`` parses a request that names a command with that command's
+parser alone, and refuses what it leaves in the top-level parser's words,
+as the top-level pass would; any other argv (help, an unknown command, a
+leading option, or ``None`` for ``sys.argv[1:]``) goes to the top-level
+parser.  Both are built once, at import.
+
 ``verify``, ``table`` and ``seq`` import ``verify``, ``reftables`` and
 ``statpolys`` when they run; the parser reads the suites and caps of its
 ``verify`` help from ``caps``.  Importing this module, and the other
@@ -29,7 +35,8 @@ from . import perms
 from .caps import CAPS, DEFAULT_SEED, SUITES, check_cap, suite_cap
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the parser of each command by its name."""
     parser = argparse.ArgumentParser(
         prog="cycledescent",
         description="Cycle-descent statistics, involutions and matching bijections.",
@@ -113,10 +120,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="statistics of one permutation")
     p_stats.add_argument("--perm", required=True, help="one-line or cycle notation")
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def _read_input(raw: str) -> str:
@@ -274,8 +281,22 @@ _HANDLERS = {
 }
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, without the top-level pass when argv
+    names a command: that pass would only sort the arguments and hand all of
+    them to the command's parser."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:  # help, a bad command, or sys.argv[1:] for None
+        return _PARSER.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     try:
         status = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

@@ -455,11 +455,10 @@ def _fold_varphi_involution(n: int, seed: int, w: _PermWalk) -> str | None:
             return laws[i]
         fp = iv.varphi_fixed_point(n, i)
         if fixed[i] != [_ranker(n)(fp.word)]:
-            ranks = set(fixed[i])  # named in one pass of the stream, not one _unrank each
-            found = {
-                Permutation._trusted(u) for k, u in enumerate(perms._all_words(n)) if k in ranks
-            }
-            return f"i={i}: fixed set {found}, expected {{{fp}}}"
+            # the count, then at most the first three in rank order
+            shown = ", ".join(str(_unrank(k, n)) for k in fixed[i][:3])
+            more = ", ..." if len(fixed[i]) > 3 else ""
+            return f"i={i}: fixed set of {len(fixed[i])} {{{shown}{more}}}, expected {{{fp}}}"
         closed = sp.alternating_closed_form(n, i, derangements=True).substitute(t=1)
         if sums[i] != closed:
             return f"i={i}: signed sum {sums[i]}, closed {closed}"

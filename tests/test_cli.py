@@ -4,10 +4,15 @@ import os
 import runpy
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cycledescent import cli
 from cycledescent.cli import main
 from cycledescent.bijections import parse_signed, signed_to_json_dict
 from cycledescent.matchings import matching_to_json_dict
@@ -321,3 +326,158 @@ def test_help_matches_golden(capsys, monkeypatch):
         assert err == ""
         parts.append(f"$ cycledescent {' '.join([*command, '--help'])}\n{out}")
     assert "\n".join(parts) == HELP_GOLDEN.read_text()
+
+
+# ---------------------------------------------------------------------------
+# A request that names a command is parsed by that command's parser alone.
+# Its exit status, stdout and stderr must be those of the two-level parse,
+# where the top-level parser hands everything after the command name to the
+# command's parser and refuses, in its own words, what that parser leaves.
+
+
+def two_level(argv):
+    """``main`` with every request parsed by the top-level parser."""
+    with mock.patch.object(cli, "_parse", cli._PARSER.parse_args):
+        return main(argv)
+
+
+def outcome(call, argv, stdin=""):
+    """The exit status, stdout and stderr of ``call(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.object(
+        sys, "stdin", io.StringIO(stdin)
+    ):
+        try:
+            code = call(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ("verify", "table", "seq", "enum", "map", "diagram", "stats")
+EQUIVALENT_ARGVS = [
+    [],
+    [""],
+    ["--help"],
+    ["-h", "map"],
+    ["--he"],
+    ["bogus", "--perm", "1"],
+    ["-x", "stats", "--perm", "1"],
+    ["--", "stats", "--perm", "1"],
+    ["stats"],
+    ["stats", "--perm", "3 1 2"],
+    ["stats", "--perm=3 1 2"],
+    ["stats", "--pe", "(1 3)(2)"],
+    ["stats", "--perm", "-1"],
+    ["stats", "--perm", ""],
+    ["stats", "--perm", "3 1 2", "stray"],
+    ["stats", "--perm", "3 1 2", "--bogus=1", "x"],
+    ["stats", "--perm", "1", "--", "x"],
+    ["stats", "--perm", "3 1 2", "--help"],
+    ["stats", "-h", "bogus"],
+    ["stats", "--he"],
+    ["map", "gamma", "--inp", "(1+ 2+)"],
+    ["map", "gamma", "--input", "(1+ 2+)", "--format=json"],
+    ["map", "gamma", "--input", "-"],
+    ["map", "theta-inv", "--input", "-h"],
+    ["map", "gamma", "--", "--input", "(1+ 2+)"],
+    ["map", "--", "gamma", "--input", "(1+ 2+)"],
+    ["map", "", "--input", "(1+ 2+)"],
+    ["map", "gamma", "--input", "(1+ 2+)", "--format", "svg", "--format", "text"],
+    ["diagram", "--input=(1+ 2+)", "--format", "bogus"],
+    ["diagram", "--input", "(1+ 2+)", "--format", "svg"],
+    ["seq", "b21", "--n-max", "5"],
+    ["seq", "b21", "--n-max", "-3"],
+    ["seq", "b21", "--n-max"],
+    ["seq", "--n", "4", "b20"],
+    ["table", "psi", "--n", "3", "--i", "2"],
+    ["table", "varphi", "--n=3", "--i"],
+    ["enum", "callan", "--n", "3", "--format", "json"],
+    ["enum", "ncdp", "--n", "3", "--filter", "bogus"],
+    ["verify", "theorem-p", "--n-max", "3"],
+    ["verify", "--json", "lemmas", "--n-max", "3", "--jobs", "1"],
+    ["verify", "theorem-p", "--n-max", "99"],
+    ["verify", "--n-max=x", "all"],
+]
+
+
+@pytest.mark.parametrize("argv", EQUIVALENT_ARGVS, ids=repr)
+def test_one_pass_answers_as_the_two_level_parse(argv):
+    want = outcome(two_level, argv, stdin="(1+ 2+)")
+    assert outcome(main, argv, stdin="(1+ 2+)") == want
+
+
+def echo(args):
+    """A handler that prints what the parse gave it."""
+    print(sorted(vars(args).items()))
+    return 0
+
+
+# a request each command answers, and the command's own options, their
+# values and the choices of its positionals
+GOOD = {
+    "verify": ["theorem-p", "--n-max", "3"],
+    "table": ["psi", "--n", "3"],
+    "seq": ["b21", "--n-max", "4"],
+    "enum": ["callan", "--n", "3"],
+    "map": ["gamma", "--input", "(1+ 2+)"],
+    "diagram": ["--input", "(1+ 2+)"],
+    "stats": ["--perm", "3 1 2"],
+}
+OWN_TOKENS = {
+    "verify": ["all", "--n-max=3", "--json", "--jobs", "1", "--seed"],
+    "table": ["varphi", "--n=3", "--i", "2"],
+    "seq": ["mn", "--n-max=4"],
+    "enum": ["ncdp", "--filter", "all", "--format", "json"],
+    "map": ["theta-inv", "--input=(1+ 2+)", "--format", "svg"],
+    "diagram": ["--input=-", "--format", "text"],
+    "stats": ["--perm=2 1", "2 1"],
+}
+# prefixes, values that start with '-', '--', help, empty strings, strays
+NOISE = ["--inp", "--n-m", "--fo", "--pe", "--j", "--=", "--bogus", "-x", "-1", "--", "-"]
+NOISE += ["-h", "--help", "--he", "", "stray", "gamma", "b21", *COMMANDS]
+
+
+def argvs():
+    """A good request with some of its words dropped and some of its
+    command's tokens and noise put in; or an argv whose first word names
+    no command."""
+    heads = st.sampled_from([*COMMANDS, *COMMANDS, "", "-h", "--", "bogus"])
+    noise = st.one_of(st.sampled_from(NOISE), st.text(alphabet="-=ab1 ", max_size=4))
+
+    def edit(head):
+        good = [head, *GOOD.get(head, ())]
+        token = st.one_of(st.sampled_from(OWN_TOKENS.get(head, NOISE)), noise)
+        kept = st.sampled_from([True, True, True, False])
+        keep = st.lists(kept, min_size=len(good) - 1, max_size=len(good) - 1)
+        puts = st.lists(st.tuples(st.integers(1, len(good) + 3), token), max_size=4)
+
+        def build(keep, puts):
+            argv = [head, *(w for w, k in zip(good[1:], keep) if k)]
+            for at, w in puts:
+                argv.insert(at, w)
+            return argv
+
+        return st.builds(build, keep, puts)
+
+    return heads.flatmap(edit)
+
+
+@given(argv=argvs())
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+def test_one_pass_parses_as_the_two_level_parse(argv):
+    # every handler answers from its namespace (and stdin) alone, so equal
+    # namespaces give equal answers; the echo prints them and costs nothing
+    with mock.patch.dict(cli._HANDLERS, dict.fromkeys(COMMANDS, echo)):
+        assert outcome(main, argv) == outcome(two_level, argv)
+
+
+@pytest.mark.parametrize("argv", [["stats", "--perm", "2 1"], ["stats", "--perm", "2 1", "x"]])
+def test_a_request_naming_a_command_skips_the_top_level_pass(monkeypatch, argv):
+    want = outcome(two_level, argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", refuse)
+    assert outcome(main, argv) == want

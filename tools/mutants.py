@@ -201,6 +201,11 @@ MUTANTS = [
         "    for i in range(n, 0, -1):\n        if laws[i]:",
     ),
     (
+        "varphi fold names every fixed point it found", VERIFY,
+        "            shown = \", \".join(str(_unrank(k, n)) for k in fixed[i][:3])",
+        "            shown = \", \".join(str(_unrank(k, n)) for k in fixed[i])",
+    ),
+    (
         "varphi fold sums non-derangements", VERIFY,
         "compress(zip(w.pos1, w.exc, w.cdes.translate(_PARITY)), w.varphi.tag)",
         "zip(w.pos1, w.exc, w.cdes.translate(_PARITY))",
@@ -463,6 +468,36 @@ MUTANTS = [
         "from .caps import CAPS, DEFAULT_SEED, SUITES, check_cap, suite_cap\n",
         "from .caps import CAPS, DEFAULT_SEED, SUITES, check_cap, suite_cap\n"
         "from .verify import run_verification  # noqa: F401\n",
+    ),
+    (
+        "cli parses every request with the top-level parser", CLI,
+        "    command = _COMMANDS.get(argv[0]) if argv else None\n",
+        "    command = None\n",
+    ),
+    (
+        "cli hands the command name to the command's parser", CLI,
+        "    args, extras = command.parse_known_args(argv[1:])",
+        "    args, extras = command.parse_known_args(argv)",
+    ),
+    (
+        "cli lets leftover arguments through", CLI,
+        "    if extras:\n        _PARSER.error(",
+        "    if False:\n        _PARSER.error(",
+    ),
+    (
+        "cli refuses leftover arguments with the command's usage line", CLI,
+        "        _PARSER.error(f\"unrecognized arguments:",
+        "        command.error(f\"unrecognized arguments:",
+    ),
+    (
+        "cli reads no sys.argv for argv None", CLI,
+        "        return _PARSER.parse_args(argv)\n",
+        "        return _PARSER.parse_args(argv or [])\n",
+    ),
+    (
+        "cli leaves the command unset", CLI,
+        "    args.command = argv[0]\n",
+        "",
     ),
     (
         "layout caps theta-image by the signed enumeration", CAPS,
