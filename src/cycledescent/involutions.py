@@ -264,22 +264,29 @@ def psi_fixed_set(n: int, i: int) -> frozenset[Permutation]:
 # The involution on derangements with pi(i) = 1.
 
 
-def _staircase(seq: Sequence[int]) -> bool:
-    """True for sequences of distinct values order-isomorphic to
-    1, 2, .., r-1, s, s-1, .., r (length s >= 2): they increase up to their
-    maximum and decrease from it on, and the entry before the maximum, if
-    any, is below the last entry."""
-    s = len(seq)
-    if s < 2:
-        return False
-    top = seq.index(max(seq))
-    for j in range(1, top):
-        if seq[j - 1] > seq[j]:
-            return False
-    for j in range(top + 1, s):
+def _staircase_prefix(seq: Sequence[int]) -> tuple[int, int]:
+    """The length of the longest staircase-shaped prefix of ``seq`` and the
+    0-based position of its maximum, in one left-to-right scan.
+
+    A sequence of distinct values is staircase shaped when it has length
+    s >= 2 and is order-isomorphic to 1, 2, .., r-1, s, s-1, .., r: it
+    increases up to its maximum and decreases from it on, and the entry
+    before the maximum, if any, is below every entry after it.  The shape
+    is hereditary (every prefix of length >= 2 of such a sequence has it),
+    so the scan stops at the first entry that breaks it: an ascent once the
+    decreasing run has begun, or a descent to below the entry before the
+    maximum.  A sequence shorter than 2 has no such prefix; its own length
+    is returned.
+    """
+    top = 0
+    for j in range(1, len(seq)):
         if seq[j - 1] < seq[j]:
-            return False
-    return top == 0 or seq[top - 1] < seq[-1]
+            if top < j - 1:  # an ascent after the decreasing run began
+                return j, top
+            top = j
+        elif top and seq[j] < seq[top - 1]:
+            return j, top
+    return len(seq), top
 
 
 def varphi_fixed_point(n: int, i: int) -> Permutation:
@@ -292,15 +299,22 @@ def varphi_fixed_point(n: int, i: int) -> Permutation:
 
 def _varphi_core(word: Word, cycles: tuple[Word, ...]) -> _Image:
     """``varphi`` of the derangement ``word``, whose standard cycles are
-    ``cycles``; nothing is checked."""
-    last = cycles[-1]
-    s = len(last)
+    ``cycles``; nothing is checked.
 
-    if _staircase(last):
+    One scan of the last cycle gives its longest staircase-shaped prefix and
+    the position of that prefix's maximum.  The cycle starts at its minimum,
+    so its prefixes of length 2 and 3 always qualify.  When the prefix is
+    the whole cycle, the cycle is merged (or is the fixed point); otherwise
+    it is split after the prefix, which is then the longest staircase-shaped
+    proper prefix.
+    """
+    last = cycles[-1]
+    cut, top = _staircase_prefix(last)
+
+    if cut == len(last):
         if len(cycles) == 1:
             return word, "fixed", 0
         prev = cycles[-2]
-        top = last.index(max(last))  # 0-based position of the maximum
         if prev[1] < last[top - 1]:
             merged = (prev[0], *last, *prev[1:])
         else:
@@ -313,15 +327,6 @@ def _varphi_core(word: Word, cycles: tuple[Word, ...]) -> _Image:
             )
         return _rewired(word, merged), "varphi-merge", 1
 
-    # longest staircase-shaped proper prefix; prefixes of length 2 and 3
-    # always qualify, and the property is hereditary, so scan upward
-    cut = 3
-    for length in range(4, s):
-        if _staircase(last[:length]):
-            cut = length
-        else:
-            break
-    top = last[:cut].index(max(last[:cut]))
     after = last[cut]
     head = (last[0], *last[cut:])
     if after < last[top - 1]:

@@ -226,6 +226,18 @@ def _statistic_poly(tally: Tally, i: int, derangements: bool = False) -> MultiPo
 statistic_poly.cache_clear = _tally.cache_clear  # type: ignore[attr-defined]
 
 
+# Each family's recurrence rows, keyed by the derangement flag: the tables
+# P[0], P[1], .. with their totals, and the cdes distributions b[0], b[1],
+# ..; each grows on demand, so each row is built once per process, as the
+# tally is.  _YM1_POWERS holds (y - 1)^0, (y - 1)^1, .., also built once.
+_TABLE_ROWS: dict[bool, tuple[list[dict[int, MultiPoly]], list[MultiPoly]]] = {
+    False: ([{}, {1: ONE}], [ONE, ONE]),  # the empty and the singleton table
+    True: ([{}, {1: ZERO}], [ONE, ZERO]),
+}
+_CDES_ROWS: dict[bool, list[MultiPoly]] = {False: [ZERO, ONE], True: [ONE, ZERO]}
+_YM1_POWERS = [ONE]
+
+
 def recurrence_table(n: int, derangements: bool = False) -> PolyTable:
     """Table of the (x, y) polynomials at q = 1 (or q = 0) and t = 1, built
     bottom-up from the deletion recurrence
@@ -237,19 +249,17 @@ def recurrence_table(n: int, derangements: bool = False) -> PolyTable:
     fixed-point-free variant keeps the same shape with bases
     total(P[0]) = 1, total(P[1]) = 0 and P[m, 1] = 0 for m >= 2 (the value
     1 cannot sit at position 1 in a derangement); those bases are the
-    unique ones reproducing brute force at small sizes.
+    unique ones reproducing brute force at small sizes.  Each row of each
+    family is built once per process, as the tally is; every call gets its
+    own copy of the entries.
     """
     if derangements:
         if n < 2:
             raise ValueError("derangement table needs n >= 2")
-        totals: list[MultiPoly] = [ONE, ZERO]
-        tables: list[dict[int, MultiPoly]] = [{}, {1: ZERO}]
-    else:
-        if n < 1:
-            raise ValueError("table needs n >= 1")
-        totals = [ONE, ONE]  # total over the empty and the singleton table
-        tables = [{}, {1: ONE}]
-    for m in range(2, n + 1):
+    elif n < 1:
+        raise ValueError("table needs n >= 1")
+    tables, totals = _TABLE_ROWS[derangements]
+    for m in range(len(tables), n + 1):
         prev = tables[m - 1]
         row: dict[int, MultiPoly] = {}
         row[1] = ZERO if derangements else totals[m - 1]
@@ -260,12 +270,12 @@ def recurrence_table(n: int, derangements: bool = False) -> PolyTable:
             for j in range(i, m):
                 acc = acc + Y * prev[j]
             row[i] = acc
-        tables.append(row)
         total = ZERO
         for p in row.values():
             total = total + p
         totals.append(total)
-    return PolyTable(n=n, entries=tables[n])
+        tables.append(row)
+    return PolyTable(n=n, entries=dict(tables[n]))
 
 
 def alternating_closed_form(n: int, i: int, derangements: bool = False) -> MultiPoly:
@@ -301,6 +311,13 @@ def _cdes_distribution_brute(tally: Tally, derangements: bool = False) -> MultiP
     return _weighted_sum("derangements" if derangements else "all", tally, _weight_cdes)
 
 
+def _ym1_power(e: int) -> MultiPoly:
+    """(y - 1)^e, each power built once per process."""
+    while len(_YM1_POWERS) <= e:
+        _YM1_POWERS.append(_YM1_POWERS[-1] * (Y - ONE))
+    return _YM1_POWERS[e]
+
+
 def cdes_distribution_rec(n: int, derangements: bool = False) -> MultiPoly:
     """The same distribution computed by recurrence, as a polynomial in y.
 
@@ -308,26 +325,25 @@ def cdes_distribution_rec(n: int, derangements: bool = False) -> MultiPoly:
         b[m+1] = b[m] + sum(b[i] * C(m, i-1) * (y-1)^(m-i), i=1..m).
     Fixed-point-free:  b[0] = 1, b[1] = 0 and
         b[m+1] = sum(C(m, i) * (b[i+1] + b[i]) * (y-1)^(m-i-1), i=0..m-1).
+
+    Each b[m] of each family is built once per process, as the tally is.
     """
-    ym1 = Y - ONE
     if derangements:
         if n < 0:
             raise ValueError("negative size")
-        b: list[MultiPoly] = [ONE, ZERO]
-        for m in range(1, n):
+    elif n < 1:
+        raise ValueError("size must be >= 1")
+    b = _CDES_ROWS[derangements]
+    for m in range(len(b) - 1, n):
+        if derangements:
             acc = ZERO
             for i in range(0, m):
-                term = (b[i + 1] + b[i]) * (ym1 ** (m - i - 1))
+                term = (b[i + 1] + b[i]) * _ym1_power(m - i - 1)
                 acc = acc + math.comb(m, i) * term
-            b.append(acc)
-        return b[n]
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    b = [ZERO, ONE]
-    for m in range(1, n):
-        acc = b[m]
-        for i in range(1, m + 1):
-            acc = acc + math.comb(m, i - 1) * b[i] * (ym1 ** (m - i))
+        else:
+            acc = b[m]
+            for i in range(1, m + 1):
+                acc = acc + math.comb(m, i - 1) * b[i] * _ym1_power(m - i)
         b.append(acc)
     return b[n]
 

@@ -227,8 +227,9 @@ def _check_poly_axioms(n: int, seed: int) -> str | None:
 # build wrongly can alias no object.  A tag that no map gives pairs with no
 # tag; one that is no str, which may not even hash (a list), is looked up as
 # 0, which no map gives.  Where ``psi`` takes a phi branch, its result is
-# the phi core's for that object, so the split/merge image is built once per
-# object of phi's domain.
+# the phi core's for that object, so phi's record is a copy of psi's: the
+# split/merge image is built, ranked and its tag looked up once per object
+# of phi's domain.
 #
 # An image is itself an object of S_n with a record of its own, so each fold
 # reads the involution law, exc preservation and the tag pairing off the
@@ -353,20 +354,19 @@ def _walk_perms(n: int) -> _PermWalk:
         cycles, e, fix, cd, flat, top = walk(word)
         i = cycles[0][-1]  # the last element of the cycle of 1 goes to 1
         exc[k], cdes[k], pos1[k], hat_rank[k] = e, len(cd), i, rank(flat)
-        out = None
         if n >= 2:
-            out = image, tag, psi_delta[k] = psi(n, i, word, cycles, top)
+            image, tag, psi_delta[k] = psi(n, i, word, cycles, top)
             psi_img[k], psi_tag[k] = rank(image), code[tag if type(tag) is str else 0]
         if not fix:
             image, tag, varphi_delta[k] = varphi(word, cycles)
             varphi_img[k], varphi_tag[k] = rank(image), code[tag if type(tag) is str else 0]
         if top is not None:
             tops[k] = top
-            # psi's phi branches return the phi core's result for this object
-            if out is None or psi_tag[k] not in _PHI_CODES:
-                out = phi(word, cycles, top)
-            image, tag, phi_delta[k] = out
-            phi_img[k], phi_tag[k] = rank(image), code[tag if type(tag) is str else 0]
+            if psi_tag[k] in _PHI_CODES:  # psi's phi branches give phi's record
+                phi_img[k], phi_tag[k], phi_delta[k] = psi_img[k], psi_tag[k], psi_delta[k]
+            else:
+                image, tag, phi_delta[k] = phi(word, cycles, top)
+                phi_img[k], phi_tag[k] = rank(image), code[tag if type(tag) is str else 0]
     return w
 
 

@@ -594,6 +594,26 @@ def test_involutions_suite_walks_s_n_once_per_size(monkeypatch):
     assert calls == want
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_phi_record_is_the_phi_core_result(n):
+    # where psi takes a phi branch the walk copies psi's record to phi's;
+    # every phi record must still be what a direct phi core call gives
+    w = verify._walk_perms(n)
+    copied = 0
+    for k, word in enumerate(perms._all_words(n)):
+        cycles, _, _, _, _, top = perms._walk_word(word)
+        record = w.phi.img[k], w.phi.tag[k], w.phi.delta[k]
+        if top is None:
+            assert record == (-1, 0, 0), word
+            continue
+        image, tag, delta = iv._phi_core(word, cycles, top)
+        assert record == (list_rank(image, n), verify._TAG_CODE[tag], delta), word
+        copied += w.psi.tag[k] == w.phi.tag[k]
+    # psi takes a phi branch on some object of every S_n with n >= 4, such
+    # as (1)(2 4)(3), and on none below
+    assert (copied > 0) == (n >= 4)
+
+
 def signed_sum(w, ranks):
     """The sum of (-1)^cdes x^exc over the records of the given ranks."""
     total = MultiPoly()

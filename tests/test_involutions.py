@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -201,11 +202,19 @@ SPARSE = (3, 4, 7, 10, 11, 15, 20, 26)
 
 @pytest.mark.parametrize("k", range(9))
 def test_staircase_on_values_is_the_rank_word_test(k):
-    # every order pattern of length k, on the values 1..k and on values with gaps
+    # the one scan of varphi's cut on every order pattern of length k, on the
+    # values 1..k and on values with gaps: the staircase-shaped prefixes are
+    # exactly those of length 2 up to the cut, and top is the position of the
+    # cut prefix's maximum.  The oracle reads the rank word alone, so it is
+    # asked once per prefix of the word on 1..k, which many words share
+    oracle = lru_cache(maxsize=None)(_staircase_by_ranks)
     for word in permutations(range(1, k + 1)):
-        sparse = tuple(SPARSE[v - 1] for v in word)
-        assert iv._staircase(word) == _staircase_by_ranks(word)
-        assert iv._staircase(sparse) == _staircase_by_ranks(sparse)
+        shaped = [j for j in range(k + 1) if oracle(word[:j])]
+        for seq in (word, tuple(SPARSE[v - 1] for v in word)):
+            cut, top = iv._staircase_prefix(seq)
+            assert shaped == list(range(2, cut + 1)), seq
+            if cut >= 2:
+                assert seq[top] == max(seq[:cut]), seq
 
 
 def test_varphi_involution_exhaustive_small():

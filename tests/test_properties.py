@@ -4,7 +4,9 @@ The parsers must invert the formatters at sizes no enumeration reaches,
 and no text over the notation's own alphabet may make ``stats`` or
 ``map gamma`` fail other than with exit status 2 and an ``error:`` line.
 Beyond the exhaustive caps of ``verify``, ``psi``, ``varphi`` and
-``phi_map`` keep their involution laws, ``gamma``/``theta`` invert and
+``phi_map`` keep their involution laws, also on derangements up to n =
+200 whose last cycle starts with a long staircase-shaped run, where
+varphi's one scan finds its cut; ``gamma``/``theta`` invert and
 carry the statistics over, and ``theta`` gives what the naive steps of
 ``matching_oracle`` give on cyclic objects of 8 to 300 values.  Signed
 objects whose cycles are cut into long decreasing blocks make the same
@@ -31,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycledescent import bijections as bj
+from cycledescent import involutions as iv
 from cycledescent.bijections import (
     SignedPermutation,
     format_signed,
@@ -53,6 +56,7 @@ from cycledescent.perms import (
     cycle_string,
     parse_permutation,
     permutation_from_cycles,
+    standard_cycles,
     statistics,
 )
 
@@ -179,6 +183,66 @@ def test_varphi_involution_law_beyond_the_cap(p):
         p,
         lambda q: q.n == n and q.word[i - 1] == 1 and statistics(q).fix == 0,
     )
+
+
+@st.composite
+def staircase_derangements(draw, max_n=200):
+    """A derangement of 1..n, n <= max_n, whose last cycle starts with a
+    long staircase-shaped run, and the length of the cycle's longest
+    staircase-shaped prefix.
+
+    The last cycle is its minimum and an increasing run, then a decreasing
+    run of larger values, all above the entry before the maximum; then
+    either one entry that breaks the shape (an ascent, or a descent below
+    the entry before the maximum) and the rest of the cycle in drawn
+    order, or nothing, when the whole cycle is staircase shaped.  The
+    other cycles have the minima 1..c, below every value of the last cycle.
+    Uniform cuts of uniform arrangements almost never give such a cycle.
+    """
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    s = rng.randint(2, n)  # the length of the last cycle
+    if n - s == 1:
+        s = n
+    c = rng.randint(1, (n - s) // 2) if n > s else 0
+    values = rng.sample(range(c + 1, n + 1), n - c)
+    cycles = [[j] for j in range(1, c + 1)]
+    for k, v in enumerate(values[s:]):  # at least c values, one for each cycle
+        cycles[k if k < c else rng.randrange(c)].append(v)
+    own = sorted(values[:s])  # the values of the last cycle
+    while True:
+        cut = s if s < 4 or rng.random() < 0.5 else rng.randint(3, s - 1)
+        shaped = [own[0], *sorted(rng.sample(own[1:], cut - 1))]
+        r = rng.randint(2, cut)  # shaped[r - 2] is the entry before the maximum
+        left = [v for v in own if v not in shaped]
+        breaks = [v for v in left if v < shaped[r - 2] or (r < cut and v > shaped[r - 1])]
+        if cut == s or breaks:
+            break
+    last = shaped[: r - 1] + shaped[r - 1 :][::-1]
+    if cut < s:
+        b = rng.choice(breaks)
+        rest = [v for v in left if v != b]
+        last += [b, *rng.sample(rest, len(rest))]
+    return permutation_from_cycles([*cycles, last], n), cut
+
+
+@settings(SEEDED, max_examples=100)
+@given(staircase_derangements())
+def test_varphi_on_long_staircase_prefixes_beyond_the_cap(drawn):
+    # the one scan of varphi's cut on last cycles the uniform draws miss
+    p, cut = drawn
+    n, i = p.n, p.word.index(1) + 1
+    cycles = standard_cycles(p).cycles
+    assert iv._staircase_prefix(cycles[-1])[0] == cut
+    assert_involution_law(
+        lambda q: varphi(n, i, q),
+        p,
+        lambda q: q.n == n and q.word[i - 1] == 1 and statistics(q).fix == 0,
+    )
+    out = varphi(n, i, p)
+    split = cut < len(cycles[-1])
+    assert out.case_tag == ("varphi-split" if split else "varphi-merge" if cycles[:-1] else "fixed")
+    assert iv._varphi_core(p.word, cycles) == (out.image.word, out.case_tag, out.delta_cdes)
 
 
 def naive_phi_stats(p):

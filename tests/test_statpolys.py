@@ -46,6 +46,16 @@ def test_recurrence_table_derangement_bases():
         recurrence_table(1, derangements=True)
 
 
+def test_recurrence_rows_are_built_once_and_handed_out_as_copies():
+    # the rows live for the process; a caller that edits its table's
+    # entries changes no later call's table
+    first = recurrence_table(6, derangements=True)
+    want = dict(first.entries)
+    first.entries.clear()
+    assert recurrence_table(6, derangements=True).entries == want
+    assert recurrence_table(6, derangements=True).entries is not want
+
+
 def test_recurrence_matches_brute_force():
     for n in range(1, 7):
         table = recurrence_table(n)

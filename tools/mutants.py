@@ -109,6 +109,21 @@ MUTANTS = [
         "            for j in range(i, m):\n                acc = acc + X * prev[j]",
     ),
     (
+        "recurrence table rows keyed without their family", STATPOLYS,
+        "    tables, totals = _TABLE_ROWS[derangements]",
+        "    tables, totals = _TABLE_ROWS[False]",
+    ),
+    (
+        "cdes recurrence rows keyed without their family", STATPOLYS,
+        "    b = _CDES_ROWS[derangements]",
+        "    b = _CDES_ROWS[False]",
+    ),
+    (
+        "recurrence table hands out its shared row", STATPOLYS,
+        "    return PolyTable(n=n, entries=dict(tables[n]))",
+        "    return PolyTable(n=n, entries=tables[n])",
+    ),
+    (
         "run folds with the default seed", VERIFY,
         "        detail = _FOLDS[check_id](n, seed, *(results[walk, n] for walk in walks))",
         "        detail = _FOLDS[check_id]"
@@ -126,8 +141,8 @@ MUTANTS = [
     ),
     (
         "perm walk runs psi from n = 3", VERIFY,
-        "        if n >= 2:\n            out = image, tag, psi_delta[k] = psi(",
-        "        if n >= 3:\n            out = image, tag, psi_delta[k] = psi(",
+        "        if n >= 2:\n            image, tag, psi_delta[k] = psi(",
+        "        if n >= 3:\n            image, tag, psi_delta[k] = psi(",
     ),
     (
         "rank refuses no word that is no tuple", VERIFY,
@@ -151,8 +166,14 @@ MUTANTS = [
     ),
     (
         "perm walk takes every psi result as phi's", VERIFY,
-        "            if out is None or psi_tag[k] not in _PHI_CODES:",
-        "            if out is None:",
+        "            if psi_tag[k] in _PHI_CODES:  # psi's phi branches give phi's record",
+        "            if psi_tag[k]:  # psi's phi branches give phi's record",
+    ),
+    (
+        "perm walk copies phi's record from varphi's", VERIFY,
+        "                phi_img[k], phi_tag[k], phi_delta[k] = psi_img[k], psi_tag[k], psi_delta[k]",
+        "                phi_img[k], phi_tag[k], phi_delta[k] = "
+        "varphi_img[k], varphi_tag[k], varphi_delta[k]",
     ),
     (
         "law pass reads objects outside the map's domain", VERIFY,
@@ -402,6 +423,16 @@ MUTANTS = [
         "psi core detaches one element too few in case 1", INVOLUTIONS,
         "        return _swapped(word, 1, first[m - 1]), \"psi-case1\", -1",
         "        return _swapped(word, 1, first[m - 2]), \"psi-case1\", -1",
+    ),
+    (
+        "staircase scan compares the decreasing run with <=", INVOLUTIONS,
+        "            if top < j - 1:  # an ascent after the decreasing run began",
+        "            if top <= j - 1:  # an ascent after the decreasing run began",
+    ),
+    (
+        "staircase scan drops the bound set by the entry before the maximum", INVOLUTIONS,
+        "        elif top and seq[j] < seq[top - 1]:",
+        "        elif False:",
     ),
     (
         "varphi core merges by the wrong comparison", INVOLUTIONS,
