@@ -143,7 +143,7 @@ def plain(out):
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)
-def test_cores_and_the_cycle_walk_match_the_public_maps_and_the_accessors(n):
+def test_cores_match_the_public_maps_and_the_cached_walk(n):
     # the walk of S_n in verify feeds the cores the plain data of one
     # _walk_word; the public maps check their input and wrap the same cores
     for p in enumerate_permutations("all", n):
