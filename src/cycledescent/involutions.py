@@ -156,18 +156,26 @@ def phi_map(p: Permutation) -> InvolutionOutcome:
 
 def _m_index(n: int, first: Word) -> int | None:
     """``m_index`` of a permutation of [n] whose cycle containing 1 is
-    ``first``."""
-    tail = first[1:]  # c_1 .. c_l
-    excluded: set[int] = set()
-    m = None
-    cur_max = n
-    for j in range(len(tail), 0, -1):
-        while cur_max in excluded:
-            cur_max -= 1
-        if tail[j - 1] < cur_max:
+    ``first``, in one scan of its tail c_1 .. c_l.
+
+    c_1 is below the largest value that c_2 .. c_l leave out unless every
+    value above c_1 is among them, so m = 1 then.  When it is, each c_j of
+    an increasing run c_1 < ... < c_j has every larger value after it, and
+    the first j >= 2 with c_j < c_{j-1} is m: c_{j-1} is larger and not
+    after it.  No such j: m is None.
+    """
+    if len(first) < 2:
+        return None  # 1 is fixed: no tail
+    c1 = prev = first[1]
+    above, m = 0, None  # values above c_1 among c_2 .. c_l; the first descent
+    for j in range(2, len(first)):
+        c = first[j]
+        if c > c1:
+            above += 1
+        if c < prev and m is None:
             m = j
-        excluded.add(tail[j - 1])
-    return m
+        prev = c
+    return m if above == n - c1 else 1
 
 
 def m_index(p: Permutation) -> int | None:

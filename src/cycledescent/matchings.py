@@ -21,9 +21,11 @@ read it and the support.
 Edge classes are read off key parity.  An edge between keys k < q is an
 arc when k and q have the same parity.  Otherwise, for even k (a bottom
 vertex) it is a vertical when q = k + 1 and an upline when q is larger,
-and for odd k (a top vertex) it is a downline.  The kernels below
-(:func:`match_stats`, :func:`is_callan` and the filters of
-:func:`enumerate_matchings`) count or refuse edges by these integer tests.
+and for odd k (a top vertex) it is a downline.  The kernels below count
+or refuse edges by these integer tests: ``_edge_counts``, which counts the
+uplines, downlines and verticals in one pass over the bottom keys;
+:func:`match_stats`, which adds the arcs and a component pass to it;
+:func:`is_callan`; and the filters of :func:`enumerate_matchings`.
 
 Matchings are read and written off their keys too.  :func:`mk_matching`
 enters each edge's two keys in one pass over the edges, and the emitters
@@ -244,17 +246,16 @@ def _component_walks(m: PerfectMatching) -> Iterator[tuple[int, list[int]]]:
             yield start, keys
 
 
-def _match_stats_core(partner: Sequence[int]) -> tuple[int, int, int, int, int]:
-    """(arc, up, down, ver, com) of the matching with partner list ``partner``.
+def _edge_counts(partner: Sequence[int]) -> tuple[int, int, int]:
+    """(up, down, ver) of the matching with partner list ``partner``.
 
-    :func:`match_stats` wraps this in a ``MatchStats``; the bijection walks
-    of ``verify``, which hold partner lists and no matchings, call it
-    directly.
+    One pass over the bottom keys and no component walk: the signed walk of
+    ``verify``, which reads com off the cycles of the inverse core of gamma,
+    calls this for the edge classes alone.
     """
     # every edge between the rows has one bottom end, an even key k: its
     # partner q is a bottom key (an arc) or a top key, q = k + 1 for a
-    # vertical, larger for an upline, smaller for a downline; the vertices
-    # that no such edge covers pair up in arcs, as many in each row
+    # vertical, larger for an upline, smaller for a downline
     up = down = ver = 0
     k = 0
     for q in partner[2::2]:
@@ -266,7 +267,21 @@ def _match_stats_core(partner: Sequence[int]) -> tuple[int, int, int, int, int]:
                 up += 1
             else:
                 down += 1
-    n = k >> 1  # a partner list holds 2n + 2 keys
+    return up, down, ver
+
+
+def _match_stats_core(partner: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """(arc, up, down, ver, com) of the matching with partner list ``partner``.
+
+    :func:`match_stats` wraps this in a ``MatchStats``.  The edge classes
+    come from :func:`_edge_counts`, and com from one component pass; the
+    signed walk of ``verify`` calls this only on an image that the inverse
+    core of gamma could not follow.
+    """
+    up, down, ver = _edge_counts(partner)
+    # a partner list holds 2n + 2 keys; the vertices that no edge between
+    # the rows covers pair up in arcs, as many in each row
+    n = (len(partner) - 1) >> 1
     # the walks of _component_walks, marking the slots they enter, keeping
     # no keys and stopping, as they do, at a slot entered twice
     com = 0

@@ -502,24 +502,31 @@ def _fold_phi_preservation(n: int, seed: int, w: _PermWalk) -> str | None:
 # cycles, its fixed points and the negative sets that sign it (one list of
 # sets, built once, for all the words with the same cycle descents): for
 # every signed object it runs the gamma core, the inverse core on the image
-# and the statistics core on the image, once each, and tests that the image
-# is the canonical partner list of a Callan matching of 1..n.  Theta is
-# gamma on one cycle, so the theta checks read the same trip, image and
-# statistics on the cyclic objects.  The cores write each cycle's edges,
-# and unfold each component, in one pass; the unfold sorts only the blocks
-# of more than one index.  A forward trip holds when the inverse core gives
-# back the object's cycles and negative set, so no permutation is rebuilt
-# from cycles, and cycles that cover no permutation are a failed trip, not
-# bad input.  The trip is broken only when the inverse core says so, by
-# another answer or by a key it cannot follow.  An image that the statistics
-# core cannot read, with a key that names no slot (past the list, past a
-# byte or no integer), is no image and has no edge counts, and the downline
-# note leaves it out.  ``_walk_callan(n)`` only counts the Callan
-# matchings of size n, off a stream that keeps its choices on a stack of its
-# own, and those with no vertical, by one comparison of the partners of the
-# bottom keys with the top keys.  A walk keeps counts and the first failure
-# of each law it reads.  Each bijection check is a fold of its outcome off
-# the two walks.
+# and the edge kernel of the statistics on the image, once each, and tests
+# that the image is the canonical partner list of a Callan matching of
+# 1..n.  The inverse core unfolds one cycle per component, so com is the
+# count of the cycles it gives, and the components of an image are walked
+# once; that count is cyc whenever the trip holds, so statistic-transport's
+# com half and theta-image rest on the inverse core's partition.  The edge
+# kernel gives up, down and ver, so ver = fix is read apart from the
+# inverse core.  Theta is gamma on one cycle, so the theta checks read the
+# same trip, image and statistics on the cyclic objects.  The cores write
+# each cycle's edges, and unfold each component, in one pass; the unfold
+# sorts only the blocks of more than one index.  A forward trip holds when
+# the inverse core gives back the object's cycles and negative set, so no
+# permutation is rebuilt from cycles, and cycles that cover no permutation
+# are a failed trip, not bad input.  The trip is broken only when the
+# inverse core says so, by another answer or by a key it cannot follow.
+# Only an image the inverse core could not follow is read by the whole
+# statistics core, component pass and all.  An image that the edge kernel
+# or the statistics core cannot read, with a key that names no slot (past
+# the list, past a byte or no integer), is no image and has no edge counts,
+# and the downline note leaves it out.  ``_walk_callan(n)`` only counts the
+# Callan matchings of size n, off a stream that keeps its choices on a stack
+# of its own, and those with no vertical, by one comparison of the partners
+# of the bottom keys with the top keys.  A walk keeps counts and the first
+# failure of each law it reads.  Each bijection check is a fold of its
+# outcome off the two walks.
 #
 # The signed walk of a run's largest size is most of the run's walk time, so
 # it runs as n shards, which a pool shares out: ``_walk_signed(n, a)`` walks
@@ -594,7 +601,7 @@ def _walk_signed(n: int, letter: int | None = None) -> _SignedWalk:
     ident, pad = bytes((0, 0, *range(2, size))), bytes(256 - size)
     diagonal = int.from_bytes(ident, "big")
     # read off their modules once per walk, so that a test can patch them
-    stream, stats_of = bj._negative_cdes_core, mt._match_stats_core
+    stream, edges_of, stats_of = bj._negative_cdes_core, mt._edge_counts, mt._match_stats_core
     gamma, gamma_inv = bj._gamma_core, bj._gamma_inv_core
     for word, cycles, fix, negs in stream(n, letter=letter):
         cyc = len(cycles)
@@ -604,16 +611,21 @@ def _walk_signed(n: int, letter: int | None = None) -> _SignedWalk:
         for neg in negs:
             partner = gamma(cycles, neg, n)
             try:
-                trip = gamma_inv(partner) == (cycles, neg)
+                back = gamma_inv(partner)
+                trip = back == (cycles, neg)
             except (IndexError, TypeError, ValueError):  # a key the inverse core cannot follow
-                trip = False
+                back, trip = None, False
             if not trip:
                 witness = f"round trip broke at {_signed(word, neg)}"
                 first.setdefault("gamma-roundtrip", witness)
                 if cyc == 1:  # theta is gamma on one cycle
                     first.setdefault("theta-roundtrip", witness)
             try:
-                _, up, down, ver, com = stats_of(partner)
+                if back is None:  # the statistics core reads what the inverse core could not
+                    _, up, down, ver, com = stats_of(partner)
+                else:  # the inverse core unfolds one cycle per component
+                    up, down, ver = edges_of(partner)
+                    com = len(back[0])
                 key = bytes(partner)
             except (IndexError, TypeError, ValueError):  # a key that names no slot
                 w.unimaged += 1  # no matching: nothing else to read off the image

@@ -1,9 +1,9 @@
 """Fault injection into the ten ``bijections`` checks of ``verify``.
 
 Each case replaces one fast path (``klazar_count``, ``b20_count``, the
-core of ``match_stats``, the component unfold ``_unfold``, the core stream
-of signed objects, or the core of ``gamma`` or ``gamma_inv``, which the
-walks call in place of the validating public maps and the object streams;
+edge kernel of ``match_stats``, the component unfold ``_unfold``, the core
+stream of signed objects, or the core of ``gamma`` or ``gamma_inv``, which
+the walks call in place of the validating public maps and the object streams;
 theta is gamma on one cycle, so a fault of a gamma core at a cyclic
 object is a fault of theta) by one that is wrong at a chosen object, runs
 ``verify bijections --n-max 3`` through the CLI and compares every failure
@@ -17,8 +17,10 @@ gamma-image: every image is read and is a Callan matching's partner list,
 every forward trip holds and the counts agree.  So a fault that breaks a
 premise fails all three, naming the first premise that fails, and
 theta-image and derangement-restriction add the transport rules com = cyc
-and ver = fix.  No walk runs the reverse trip, so an inverse core that is
-wrong only on a second call with the same partner list goes unseen.
+and ver = fix.  The signed walk reads com off the inverse core's cycles,
+so com = cyc fails only where a trip fails; a test of the fold reads the
+rule off a record.  No walk runs the reverse trip, so an inverse core that
+is wrong only on a second call with the same partner list goes unseen.
 """
 
 import json
@@ -29,6 +31,7 @@ from deadline import deadline
 from cycledescent import bijections as bj
 from cycledescent import matchings as mt
 from cycledescent import statpolys as sp
+from cycledescent import verify
 from cycledescent.cli import main
 from cycledescent.perms import standard_cycles
 from cycledescent.verify import SUITES
@@ -39,11 +42,11 @@ REAL = {
     "_gamma_core": bj._gamma_core,
     "_gamma_inv_core": bj._gamma_inv_core,
     "_unfold": bj._unfold,
-    "_match_stats_core": mt._match_stats_core,
+    "_edge_counts": mt._edge_counts,
     "_negative_cdes_core": bj._negative_cdes_core,
 }
-HOME = {"klazar_count": sp, "b20_count": sp, "_match_stats_core": mt}
-STATS = ("arc", "up", "down", "ver", "com")  # the fields the stats core gives, in order
+HOME = {"klazar_count": sp, "b20_count": sp, "_edge_counts": mt}
+EDGES = ("up", "down", "ver")  # the edge classes the edge kernel counts, in order
 
 P = bj.parse_signed
 S0, S1, S2 = P("(1+ 2+ 3+)"), P("(1+ 3+ 2+)"), P("(1+ 3- 2+)")
@@ -142,13 +145,38 @@ def repeat_in_3_cycles():
     return fake
 
 
-def bump_stat(field, n):
-    """The stats core counts one more of ``field`` on every matching of size n."""
-    real, j = REAL["_match_stats_core"], STATS.index(field)
+def bump_edges(field, n):
+    """The edge kernel counts one more of ``field`` on every matching of size n."""
+    real, j = REAL["_edge_counts"], EDGES.index(field)
 
     def fake(partner):
         out = real(partner)
         return out[:j] + (out[j] + 1,) + out[j + 1 :] if len(partner) == 2 * n + 2 else out
+
+    return fake
+
+
+def extra_cycle(n):
+    """The core of ``gamma_inv`` gives one cycle more, its last one again,
+    on every partner list of size n."""
+    real = REAL["_gamma_inv_core"]
+
+    def fake(partner):
+        cycles, neg = real(partner)
+        return (cycles + cycles[-1:], neg) if len(partner) == 2 * n + 2 else (cycles, neg)
+
+    return fake
+
+
+def refuse(s0):
+    """The core of ``gamma_inv`` raises on the image of s0, which the
+    statistics core then reads."""
+    real, image = REAL["_gamma_inv_core"], bj.gamma(s0).partner
+
+    def fake(partner):
+        if partner == image:
+            raise ValueError("refused")
+        return real(partner)
 
     return fake
 
@@ -390,6 +418,19 @@ CASES = {
         "row-of-partner form holds for 5/6 signed permutations;"
         " 0 failing inputs are cyclic; first failure (1+)(2+ 3+)",
     ),
+    # an inverse core that raises breaks the trip, and the statistics core,
+    # which can follow every key, reads the image: no image is missing
+    "gamma-inv-raises": (
+        "_gamma_inv_core", lambda: refuse(S2),
+        [
+            ("gamma-image", 3, NOT_SHOWN_INJECTIVE + "(1+ 3- 2+)"),
+            ("theta-image", 3, NOT_SHOWN_INJECTIVE + "(1+ 3- 2+)"),
+            ("gamma-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
+            ("theta-roundtrip", 3, "round trip broke at (1+ 3- 2+)"),
+            ("derangement-restriction", 3, NOT_SHOWN_INJECTIVE + "(1+ 3- 2+)"),
+        ],
+        None,
+    ),
     # a fault in the code the walks run is a failing check (exit 1), not
     # bad input (exit 2)
     "unfold-repeats-a-value": (
@@ -403,23 +444,29 @@ CASES = {
         ],
         None,
     ),
+    # com is the count of the inverse core's cycles: one too many breaks
+    # every trip of size 2 as well as com = cyc
     "match-stats-com": (
-        "_match_stats_core", lambda: bump_stat("com", 2),
+        "_gamma_inv_core", lambda: extra_cycle(2),
         [
-            ("theta-image", 2, "com = cyc fails on 2 of 2 inputs"),
+            ("gamma-image", 2, NOT_SHOWN_INJECTIVE + "(1+)(2+)"),
+            ("theta-image", 2, NOT_SHOWN_INJECTIVE + "(1+)(2+)"),
+            ("gamma-roundtrip", 2, "round trip broke at (1+)(2+)"),
+            ("theta-roundtrip", 2, "round trip broke at (1+ 2+)"),
             ("statistic-transport", 2, "(1+)(2+): com=3 cyc=2 ver=2 fix=2"),
+            ("derangement-restriction", 2, NOT_SHOWN_INJECTIVE + "(1+)(2+)"),
         ],
         None,
     ),
     "match-stats-down": (
-        "_match_stats_core", lambda: bump_stat("down", 3),
+        "_edge_counts", lambda: bump_edges("down", 3),
         [("downline-per-cycle", 3, "(1+ 2+ 3+): down=2, neg=0, bump=1")],
         "row-of-partner form holds for 2/7 signed permutations;"
         " 3 failing inputs are cyclic; first failure (1+ 2+)(3+)",
     ),
     # the fixed points of pi go to the vertical edges of gamma(pi)
     "match-stats-ver": (
-        "_match_stats_core", lambda: bump_stat("ver", 2),
+        "_edge_counts", lambda: bump_edges("ver", 2),
         [
             ("statistic-transport", 2, "(1+)(2+): com=2 cyc=2 ver=3 fix=2"),
             ("derangement-restriction", 2, "ver = fix fails on 2 of 2 inputs"),
@@ -428,7 +475,7 @@ CASES = {
     ),
     # at n = 3, the largest size, the breaks of the three shards add up
     "match-stats-ver-in-shards": (
-        "_match_stats_core", lambda: bump_stat("ver", 3),
+        "_edge_counts", lambda: bump_edges("ver", 3),
         [
             ("statistic-transport", 3, "(1+)(2+)(3+): com=3 cyc=3 ver=4 fix=3"),
             ("derangement-restriction", 3, "ver = fix fails on 7 of 7 inputs"),
@@ -474,3 +521,14 @@ def test_every_bijections_check_is_reached():
     reached = {check for case in CASES.values() for check, _, _ in case[2]}
     reached.add("downline-global-report")  # its note changes in match-stats-down
     assert reached == set(SUITES["bijections"])
+
+
+def test_theta_image_reads_its_rule_off_the_record():
+    # the signed walk reads com off the inverse core's cycles, so com = cyc
+    # fails only on an object whose trip fails, which theta-image names
+    # first; its own rule is read off the break counts of the record
+    s, c = verify._SignedWalk(), verify._CallanWalk()
+    s.count = c.count = 2
+    s.breaks["com = cyc"] = 1
+    assert verify._FOLDS["gamma-image"](2, 0, s, c) is None
+    assert verify._FOLDS["theta-image"](2, 0, s, c) == "com = cyc fails on 1 of 2 inputs"

@@ -5,8 +5,8 @@ recurrence table, the cdes recurrence, an integer count or an identity's
 right-hand side) by one that is wrong at one size, runs a suite through the
 CLI and compares every failure it reports with recorded texts.  The
 brute-force sums these checks compare against are left alone, except where
-a case breaks a brute-force sum, a fixed set, a weight or the core of
-``match_stats`` on purpose, to reach a return that no fast path can.  The
+a case breaks a brute-force sum, a fixed set, a weight or the edge kernel
+of ``match_stats`` on purpose, to reach a return that no fast path can.  The
 poly-ring-axioms cases draw the check's random polynomials as subclasses
 of ``MultiPoly`` that get one operation wrong, so no other check sees the
 fault.
@@ -34,7 +34,7 @@ REAL = {
     "_statistic_poly": sp._statistic_poly,
     "_IDENTITY_SPECS": sp._IDENTITY_SPECS,
     "psi_fixed_set": iv.psi_fixed_set,
-    "_match_stats_core": mt._match_stats_core,
+    "_edge_counts": mt._edge_counts,
     "_random_poly": verify._random_poly,
 }
 X = MultiPoly.monomial(1, ex=1)
@@ -280,16 +280,16 @@ def global_form_down(partner):
 
 
 def test_downline_report_without_failures(monkeypatch, capsys):
-    # a stats core whose downline count always fits the row-of-partner form;
-    # the per-cycle form, which reads the same core on the images of theta,
-    # then fails
-    real = REAL["_match_stats_core"]
+    # an edge kernel whose downline count always fits the row-of-partner
+    # form; the per-cycle form, which reads the same kernel on the images of
+    # theta, then fails
+    real = REAL["_edge_counts"]
 
     def fits(partner):
-        arc, up, _, ver, com = real(partner)
-        return arc, up, global_form_down(partner), ver, com
+        up, _, ver = real(partner)
+        return up, global_form_down(partner), ver
 
-    monkeypatch.setattr(mt, "_match_stats_core", fits)
+    monkeypatch.setattr(mt, "_edge_counts", fits)
     code = main(["verify", "bijections", "--n-max", "3", "--json"])
     data = json.loads(capsys.readouterr().out)
     assert [(f["check"], f["n"], f["witness"]) for f in data["failures"]] == [
@@ -308,13 +308,13 @@ def test_downline_report_without_failures(monkeypatch, capsys):
 def test_downline_report_names_the_signed_object_that_fails(monkeypatch, capsys):
     # the form fits every object but (1+ 3- 2+), the second sign set of its
     # permutation, so the note must name that set and not the first one
-    real, odd_one = REAL["_match_stats_core"], bj.gamma(bj.parse_signed("(1+ 3- 2+)")).partner
+    real, odd_one = REAL["_edge_counts"], bj.gamma(bj.parse_signed("(1+ 3- 2+)")).partner
 
     def fits_but_one(partner):
-        arc, up, _, ver, com = real(partner)
-        return arc, up, global_form_down(partner) + (partner == odd_one), ver, com
+        up, _, ver = real(partner)
+        return up, global_form_down(partner) + (partner == odd_one), ver
 
-    monkeypatch.setattr(mt, "_match_stats_core", fits_but_one)
+    monkeypatch.setattr(mt, "_edge_counts", fits_but_one)
     code = main(["verify", "bijections", "--n-max", "3", "--json"])
     data = json.loads(capsys.readouterr().out)
     assert [(f["check"], f["n"], f["witness"]) for f in data["failures"]] == [

@@ -11,12 +11,17 @@ The trusted cores that the walk of S_n in ``verify`` calls, and the
 cycle walk core ``perms._walk_word`` that feeds them, are compared with
 the public maps and the accessors of each object, which read their
 values off the same core at each call.  The four involution checks of
-``verify`` are folded off one walk of S_n at the same sizes.
+``verify`` are folded off one walk of S_n at the same sizes.  The one-scan
+``_m_index`` of the psi core gives what the set-based right-to-left scan it
+replaced gives, on the cycle of 1 of every object of S_n for n <= 8, and on
+seeded cycles of up to 200 values drawn so that its descent scan decides.
 """
 
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycledescent import involutions as iv
 from cycledescent import perms
@@ -174,3 +179,47 @@ def test_involution_folds_hold_on_one_walk(n):
     for check_id in FOLDS:
         if n >= CHECK_LAYOUT[check_id][0]:
             assert verify._FOLDS[check_id](n, verify.DEFAULT_SEED, w) is None, (check_id, n)
+
+
+def set_m_index(n, first):
+    """m_index by the set-based scan: right to left over the tail c_1 ..
+    c_l, keeping the largest value not yet seen."""
+    tail = first[1:]
+    excluded, m, cur_max = set(), None, n
+    for j in range(len(tail), 0, -1):
+        while cur_max in excluded:
+            cur_max -= 1
+        if tail[j - 1] < cur_max:
+            m = j
+        excluded.add(tail[j - 1])
+    return m
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_m_index_matches_the_set_based_scan(n):
+    for word in perms._all_words(n):
+        first = perms._walk_word(word)[0][0]
+        assert iv._m_index(n, first) == set_m_index(n, first), word
+
+
+@st.composite
+def first_cycles(draw, max_n=200):
+    """(n, cycle of 1) of a permutation of [n].  Most draws put every value
+    above c_1 in the tail, where m is no longer 1, with a sorted run in
+    front, so that m is a late descent or None."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    if n == 1 or draw(st.integers(0, 4)) == 0:
+        tail = draw(st.permutations(range(2, n + 1)))[: draw(st.integers(0, n - 1))]
+        return n, (1, *tail)
+    c1 = draw(st.integers(min_value=2, max_value=n))
+    below = draw(st.lists(st.sampled_from(range(2, c1)), unique=True)) if c1 > 2 else []
+    rest = list(draw(st.permutations([*below, *range(c1 + 1, n + 1)])))
+    run = draw(st.integers(0, len(rest)))
+    return n, (1, c1, *sorted(rest[:run]), *rest[run:])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(first_cycles())
+def test_m_index_matches_the_set_based_scan_beyond_the_cap(drawn):
+    n, first = drawn
+    assert iv._m_index(n, first) == set_m_index(n, first)

@@ -14,7 +14,10 @@ also survives a JSON round trip through ``mk_matching``.  The cores of gamma and
 which the ``verify`` walks call without the public maps' validation, give
 what the public maps give on every signed object and every Callan matching
 of size n, and what the public theta and theta_inv give on the cyclic
-objects and the connected matchings; the gamma core and the public theta
+objects and the connected matchings.  On every Callan matching, the
+inverse core gives as many cycles as ``match_stats`` counts components, and
+``_edge_counts`` gives its up, down and ver: the signed walk of ``verify``
+reads com and the edge classes there.  The gamma core and the public theta
 also give what the naive steps 1-3 of ``matching_oracle`` give, which the
 public maps, calling those same cores, cannot show.  The core stream of
 signed objects gives each permutation's standard cycles and fixed points,
@@ -55,6 +58,7 @@ from cycledescent.matchings import (
     MATCHING_FILTERS,
     MVertex,
     _component_walks,
+    _edge_counts,
     _matchings_core,
     edge_class,
     enumerate_matchings,
@@ -144,6 +148,14 @@ def test_cores_match_the_public_maps(n):
         if match_stats(m).com == 1:
             back = theta_inv(m)
             assert _gamma_inv_core(m.partner) == (standard_cycles(back.perm).cycles, back.neg)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_inverse_core_and_edge_counts_give_the_statistics(n):
+    for m in enumerate_matchings(n, "callan"):
+        stats = match_stats(m)
+        assert len(_gamma_inv_core(m.partner)[0]) == stats.com, m
+        assert _edge_counts(m.partner) == (stats.up, stats.down, stats.ver), m
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES)

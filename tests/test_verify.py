@@ -201,6 +201,25 @@ def test_parallel_matches_serial():
     assert serial.checks_run == parallel.checks_run
 
 
+def test_a_pool_of_spawned_workers_matches_serial(monkeypatch):
+    # a spawned worker imports the package afresh and shares no state with
+    # the caller, as every worker does where spawn or forkserver is the
+    # default start method
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from cycledescent import verify
+
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(
+        verify, "ProcessPoolExecutor",
+        lambda max_workers: ProcessPoolExecutor(max_workers=max_workers, mp_context=spawn),
+    )
+    serial = run_verification("bijections", 4)
+    pooled = run_verification("bijections", 4, jobs=2)
+    assert pooled.to_json_dict() == serial.to_json_dict()
+
+
 def test_summary_json_shape():
     summary = run_verification("theorem-p", n_max=3)
     data = summary.to_json_dict()

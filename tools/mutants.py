@@ -278,8 +278,18 @@ MUTANTS = [
     ),
     (
         "signed walk counts an unreadable image as a broken trip", VERIFY,
-        "                trip = gamma_inv(partner) == (cycles, neg)\n",
-        "                trip = gamma_inv(partner) == (cycles, neg) and stats_of(partner)\n",
+        "                trip = back == (cycles, neg)\n",
+        "                trip = back == (cycles, neg) and stats_of(partner)\n",
+    ),
+    (
+        "signed walk takes com as cyc without reading the inverse core's cycles", VERIFY,
+        "                    com = len(back[0])\n",
+        "                    com = cyc\n",
+    ),
+    (
+        "signed walk drops the fallback for an inverse core that raised", VERIFY,
+        "                if back is None:  # the statistics core reads",
+        "                if False:  # the statistics core reads",
     ),
     (
         "shards merge in reverse order", VERIFY,
@@ -425,6 +435,16 @@ MUTANTS = [
         "        return _swapped(word, 1, first[m - 2]), \"psi-case1\", -1",
     ),
     (
+        "m_index scan takes an ascent for its descent", INVOLUTIONS,
+        "        if c < prev and m is None:",
+        "        if c > prev and m is None:",
+    ),
+    (
+        "m_index scan drops its count of the values above c_1", INVOLUTIONS,
+        "    return m if above == n - c1 else 1",
+        "    return m",
+    ),
+    (
         "staircase scan compares the decreasing run with <=", INVOLUTIONS,
         "            if top < j - 1:  # an ascent after the decreasing run began",
         "            if top <= j - 1:  # an ascent after the decreasing run began",
@@ -488,6 +508,13 @@ MUTANTS = [
         "component walks go without a bound", MATCHINGS,
         "                if seen[key >> 1]:\n                    break\n                keys.append",
         "                if False:\n                    break\n                keys.append",
+    ),
+    (
+        "edge kernel counts a vertical as an upline", MATCHINGS,
+        "            if q == k + 1:\n                ver += 1\n            elif q > k:\n"
+        "                up += 1\n",
+        "            if q > k:\n                up += 1\n            elif q == k + 1:\n"
+        "                ver += 1\n",
     ),
     (
         "match_stats core counts verticals as arcs", MATCHINGS,
