@@ -24,8 +24,10 @@ vertex) it is a vertical when q = k + 1 and an upline when q is larger,
 and for odd k (a top vertex) it is a downline.  The kernels below count
 or refuse edges by these integer tests: ``_edge_counts``, which counts the
 uplines, downlines and verticals in one pass over the bottom keys;
-:func:`match_stats`, which adds the arcs and a component pass to it;
-:func:`is_callan`; and the filters of :func:`enumerate_matchings`.
+:func:`match_stats`, which adds the arcs to it and counts the walks of
+``_component_walks``, the one component walk, which :func:`components`
+reads too; :func:`is_callan`; and the filters of
+:func:`enumerate_matchings`.
 
 Matchings are read and written off their keys too.  :func:`mk_matching`
 enters each edge's two keys in one pass over the edges, and the emitters
@@ -220,9 +222,9 @@ class MatchStats(FrozenRecord):
         set_field(self, "com", com)
 
 
-def _component_walks(m: PerfectMatching) -> Iterator[tuple[int, list[int]]]:
-    """(smallest slot, keys entered on the walk from it) per component, by
-    smallest slot.
+def _component_walks(partner: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
+    """(smallest slot, keys entered on the walk from it) per component of
+    the matching with partner list ``partner``, by smallest slot.
 
     The walk leaves the smallest slot by its bottom vertex and follows its
     edge; it leaves each slot it enters by that slot's other vertex, until
@@ -231,9 +233,10 @@ def _component_walks(m: PerfectMatching) -> Iterator[tuple[int, list[int]]]:
     a partner list that is not an involution a walk can miss that vertex;
     it then stops at the first slot it enters twice, after at most n steps.
     """
-    partner = m.partner
-    seen = [False] * (m.n + 1)
-    for start in range(1, m.n + 1):
+    # a partner list holds 2n + 2 keys
+    n = (len(partner) - 1) >> 1
+    seen = [False] * (n + 1)
+    for start in range(1, n + 1):
         if not seen[start]:
             keys: list[int] = []
             out, close = 2 * start, 2 * start + 1
@@ -270,38 +273,12 @@ def _edge_counts(partner: Sequence[int]) -> tuple[int, int, int]:
     return up, down, ver
 
 
-def _match_stats_core(partner: Sequence[int]) -> tuple[int, int, int, int, int]:
-    """(arc, up, down, ver, com) of the matching with partner list ``partner``.
-
-    :func:`match_stats` wraps this in a ``MatchStats``.  The edge classes
-    come from :func:`_edge_counts`, and com from one component pass; the
-    signed walk of ``verify`` calls this only on an image that the inverse
-    core of gamma could not follow.
-    """
-    up, down, ver = _edge_counts(partner)
-    # a partner list holds 2n + 2 keys; the vertices that no edge between
-    # the rows covers pair up in arcs, as many in each row
-    n = (len(partner) - 1) >> 1
-    # the walks of _component_walks, marking the slots they enter, keeping
-    # no keys and stopping, as they do, at a slot entered twice
-    com = 0
-    seen = [False] * (n + 1)
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        com += 1
-        out, close = 2 * start, 2 * start + 1
-        while (key := partner[out]) != close:
-            i = key >> 1
-            if seen[i]:
-                break
-            seen[i] = True
-            out = key ^ 1
-    return n - up - down - ver, up, down, ver, com
-
-
 def match_stats(m: PerfectMatching) -> MatchStats:
-    return MatchStats(*_match_stats_core(m.partner))
+    up, down, ver = _edge_counts(m.partner)
+    com = sum(1 for _ in _component_walks(m.partner))
+    # the vertices that no edge between the rows covers pair up in arcs, as
+    # many in each row
+    return MatchStats(m.n - up - down - ver, up, down, ver, com)
 
 
 def is_callan(m: PerfectMatching) -> bool:
@@ -317,7 +294,7 @@ def is_callan(m: PerfectMatching) -> bool:
 def components(m: PerfectMatching) -> list[PerfectMatching]:
     """Induced sub-matchings, one per identification cycle, by min support."""
     out: list[PerfectMatching] = []
-    for start, keys in _component_walks(m):
+    for start, keys in _component_walks(m.partner):
         slots = sorted([start, *(k >> 1 for k in keys)])
         new_slot = {s: r for r, s in enumerate(slots, 1)}
         partner = (0, 0, *(

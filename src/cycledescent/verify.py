@@ -506,27 +506,28 @@ def _fold_phi_preservation(n: int, seed: int, w: _PermWalk) -> str | None:
 # that the image is the canonical partner list of a Callan matching of
 # 1..n.  The inverse core unfolds one cycle per component, so com is the
 # count of the cycles it gives, and the components of an image are walked
-# once; that count is cyc whenever the trip holds, so statistic-transport's
-# com half and theta-image rest on the inverse core's partition.  The edge
-# kernel gives up, down and ver, so ver = fix is read apart from the
-# inverse core.  Theta is gamma on one cycle, so the theta checks read the
-# same trip, image and statistics on the cyclic objects.  The cores write
+# once; where the inverse core raised, the component walks of ``matchings``
+# count them instead.  That count is cyc whenever the trip holds, so
+# statistic-transport's com half rests on the inverse core's partition,
+# and com = cyc is no premise apart from the trip.  The edge kernel gives
+# up, down and ver, so ver = fix is read apart from the inverse core.
+# Theta is gamma on one cycle, so the theta checks read the same trip,
+# image and statistics on the cyclic objects.  The cores write
 # each cycle's edges, and unfold each component, in one pass; the unfold
 # sorts only the blocks of more than one index.  A forward trip holds when
 # the inverse core gives back the object's cycles and negative set, so no
 # permutation is rebuilt from cycles, and cycles that cover no permutation
 # are a failed trip, not bad input.  The trip is broken only when the
 # inverse core says so, by another answer or by a key it cannot follow.
-# Only an image the inverse core could not follow is read by the whole
-# statistics core, component pass and all.  An image that the edge kernel
-# or the statistics core cannot read, with a key that names no slot (past
-# the list, past a byte or no integer), is no image and has no edge counts,
-# and the downline note leaves it out.  ``_walk_callan(n)`` only counts the
-# Callan matchings of size n, off a stream that keeps its choices on a stack
-# of its own, and those with no vertical, by one comparison of the partners
-# of the bottom keys with the top keys.  A walk keeps counts and the first
-# failure of each law it reads.  Each bijection check is a fold of its
-# outcome off the two walks.
+# An image that the edge kernel or the component walks cannot read, with
+# a key that names no slot (past the list, past a byte or no integer), or
+# one too short to hold key 3, the top vertex of slot 1, is no image and
+# has no edge counts, and the downline note leaves it out.  ``_walk_callan(n)``
+# only counts the Callan matchings of size n, off a stream that keeps its
+# choices on a stack of its own, and those with no vertical, by one
+# comparison of the partners of the bottom keys with the top keys.  A walk
+# keeps counts and the first failure of each law it reads.  Each bijection
+# check is a fold of its outcome off the two walks.
 #
 # The signed walk of a run's largest size is most of the run's walk time, so
 # it runs as n shards, which a pool shares out: ``_walk_signed(n, a)`` walks
@@ -542,9 +543,10 @@ def _fold_phi_preservation(n: int, seed: int, w: _PermWalk) -> str | None:
 # The inverse core is a function of the partner list, so the forward trip on
 # every object s makes gamma injective; when every image is read and is a
 # Callan matching, gamma(S) is |S| Callan matchings, and the Callan count
-# |C| = |S| gives gamma(S) = C (gamma-image).  With com = cyc on every s,
-# gamma maps the cyclic objects onto the connected matchings (theta-image),
-# and with ver = fix the derangements onto the matchings with no vertical
+# |C| = |S| gives gamma(S) = C (gamma-image).  The forward trip gives back
+# cyc cycles, one per component, so com = cyc on every s, and gamma maps the
+# cyclic objects onto the connected matchings (theta-image, the same fold);
+# with ver = fix, the derangements go onto the matchings with no vertical
 # (derangement-restriction).  Each m in C is then some gamma(s), so the
 # reverse trip gamma(gamma_inv(m)) = m needs no walk of its own.
 
@@ -558,7 +560,7 @@ class _SignedWalk:
         self.first: dict[str, str] = {}
         self.unimaged = 0  # objects whose image has a key that names no slot
         self.invalid = 0  # objects whose image is no Callan matching's partner list
-        self.breaks = {"com = cyc": 0, "ver = fix": 0}  # objects that break each transport rule
+        self.breaks = 0  # objects that break the transport rule ver = fix
 
     def extend(self, later: _SignedWalk) -> None:
         """Take in the record of a walk of the objects that follow this
@@ -570,8 +572,7 @@ class _SignedWalk:
         self.cyclic_fails += later.cyclic_fails
         self.unimaged += later.unimaged
         self.invalid += later.invalid
-        for rule, breaks in later.breaks.items():
-            self.breaks[rule] += breaks
+        self.breaks += later.breaks
         for check_id, witness in later.first.items():
             self.first.setdefault(check_id, witness)
 
@@ -589,10 +590,10 @@ def _signed(word: tuple[int, ...], neg: frozenset[int]) -> bj.SignedPermutation:
 
 def _walk_signed(n: int, letter: int | None = None) -> _SignedWalk:
     w = _SignedWalk()
-    first, breaks = w.first, w.breaks
+    first = w.first
     # the canonical partner list of a Callan matching of 1..n, as bytes: 2n + 2
     # of them, 0 in slots 0 and 1, an involution of the keys 2..2n+1 with no
-    # fixed key, and no upline (from the statistics core).  Read through
+    # fixed key, and no upline (from the edge kernel).  Read through
     # itself as a translate table, padded with 0, the list gives ident when
     # partner[0] is 0 and partner[partner[k]] is k on every key k, which
     # leaves partner[k] no slot outside 2..2n+1; the list XOR ident then has
@@ -601,7 +602,7 @@ def _walk_signed(n: int, letter: int | None = None) -> _SignedWalk:
     ident, pad = bytes((0, 0, *range(2, size))), bytes(256 - size)
     diagonal = int.from_bytes(ident, "big")
     # read off their modules once per walk, so that a test can patch them
-    stream, edges_of, stats_of = bj._negative_cdes_core, mt._edge_counts, mt._match_stats_core
+    stream, edges_of, walks = bj._negative_cdes_core, mt._edge_counts, mt._component_walks
     gamma, gamma_inv = bj._gamma_core, bj._gamma_inv_core
     for word, cycles, fix, negs in stream(n, letter=letter):
         cyc = len(cycles)
@@ -621,12 +622,11 @@ def _walk_signed(n: int, letter: int | None = None) -> _SignedWalk:
                 if cyc == 1:  # theta is gamma on one cycle
                     first.setdefault("theta-roundtrip", witness)
             try:
-                if back is None:  # the statistics core reads what the inverse core could not
-                    _, up, down, ver, com = stats_of(partner)
-                else:  # the inverse core unfolds one cycle per component
-                    up, down, ver = edges_of(partner)
-                    com = len(back[0])
-                key = bytes(partner)
+                up, down, ver = edges_of(partner)
+                # the inverse core unfolds one cycle per component; where it
+                # raised, the component walks count them
+                com = len(back[0]) if back is not None else sum(1 for _ in walks(partner))
+                key, top = bytes(partner), partner[3]  # key 3 is (1, 1)
             except (IndexError, TypeError, ValueError):  # a key that names no slot
                 w.unimaged += 1  # no matching: nothing else to read off the image
                 continue
@@ -639,19 +639,18 @@ def _walk_signed(n: int, letter: int | None = None) -> _SignedWalk:
                 w.invalid += 1
                 first.setdefault("no-callan-image", str(_signed(word, neg)))
             if com != cyc or ver != fix:
-                breaks["com = cyc"] += com != cyc
-                breaks["ver = fix"] += ver != fix
+                w.breaks += ver != fix
                 first.setdefault("statistic-transport", (
                     f"{_signed(word, neg)}: com={com} cyc={cyc} ver={ver} fix={fix}"
                 ))
-            if down == len(neg) + (0 if partner[3] & 1 else 1):  # key 3 is (1, 1)
+            if down == len(neg) + (0 if top & 1 else 1):
                 w.holds += 1
             else:
                 w.cyclic_fails += cyc == 1
                 if "downline-global-report" not in first:
                     first["downline-global-report"] = str(_signed(word, neg))
             if cyc == 1:
-                bump = 1 if mt._edge_kind(3, partner[3]) == "downline" else 0  # key 3: (1, 1)
+                bump = 1 if mt._edge_kind(3, top) == "downline" else 0
                 if down != len(neg) + bump:
                     first.setdefault(
                         "downline-per-cycle",
@@ -689,11 +688,11 @@ def _fold_counts(
 
 
 def _fold_image(
-    n: int, seed: int, s: _SignedWalk, c: _CallanWalk, rule: str | None = None
+    n: int, seed: int, s: _SignedWalk, c: _CallanWalk, derangements: bool = False
 ) -> str | None:
     """gamma(S) = C by counting, or the first of its premises that fails;
-    theta-image adds the rule com = cyc and derangement-restriction the rule
-    ver = fix, each on every object."""
+    gamma-image and theta-image read these alone (the trip gives com = cyc),
+    and derangement-restriction adds the rule ver = fix on every object."""
     if s.unimaged:
         return f"{s.unimaged} of {s.count} inputs have no image: a key that names no slot"
     if s.invalid:
@@ -705,8 +704,8 @@ def _fold_image(
         return f"gamma not shown injective: {trip}"
     if s.count != c.count:
         return f"{s.count} inputs, {c.count} Callan matchings"
-    if rule and s.breaks[rule]:
-        return f"{rule} fails on {s.breaks[rule]} of {s.count} inputs"
+    if derangements and s.breaks:
+        return f"ver = fix fails on {s.breaks} of {s.count} inputs"
     return None
 
 
@@ -748,11 +747,11 @@ _FOLDS: dict[str, Callable[..., str | None]] = {
     "count-callan": _fold_counts,
     "count-callan-no-vertical": partial(_fold_counts, derangements=True),
     "gamma-image": _fold_image,
-    "theta-image": partial(_fold_image, rule="com = cyc"),
+    "theta-image": _fold_image,
     "gamma-roundtrip": partial(_law, check_id="gamma-roundtrip"),
     "theta-roundtrip": partial(_law, check_id="theta-roundtrip"),
     "statistic-transport": partial(_law, check_id="statistic-transport"),
-    "derangement-restriction": partial(_fold_image, rule="ver = fix"),
+    "derangement-restriction": partial(_fold_image, derangements=True),
     "downline-per-cycle": partial(_law, check_id="downline-per-cycle"),
     "downline-global-report": _fold_downline_global_report,
 }

@@ -16,11 +16,14 @@ The three image checks hold by counting, each on the premises of
 gamma-image: every image is read and is a Callan matching's partner list,
 every forward trip holds and the counts agree.  So a fault that breaks a
 premise fails all three, naming the first premise that fails, and
-theta-image and derangement-restriction add the transport rules com = cyc
-and ver = fix.  The signed walk reads com off the inverse core's cycles,
-so com = cyc fails only where a trip fails; a test of the fold reads the
-rule off a record.  No walk runs the reverse trip, so an inverse core that
-is wrong only on a second call with the same partner list goes unseen.
+derangement-restriction adds the transport rule ver = fix.  The signed
+walk reads com off the inverse core's cycles, or counts the component
+walks of ``matchings`` where the inverse core raised, so com = cyc fails
+only where a trip fails: theta-image is the fold of gamma-image, and a
+test of the fold reads it off hand-built records.  An image too short to
+hold key 3 is no image, as is one with a key that names no slot.  No walk
+runs the reverse trip, so an inverse core that is wrong only on a second
+call with the same partner list goes unseen.
 """
 
 import json
@@ -169,8 +172,8 @@ def extra_cycle(n):
 
 
 def refuse(s0):
-    """The core of ``gamma_inv`` raises on the image of s0, which the
-    statistics core then reads."""
+    """The core of ``gamma_inv`` raises on the image of s0, whose components
+    the component walks then count."""
     real, image = REAL["_gamma_inv_core"], bj.gamma(s0).partner
 
     def fake(partner):
@@ -405,8 +408,8 @@ CASES = {
     ),
     # a key that is no int (3.0, equal to the true key 3) names no slot: the
     # inverse core, which only compares it, gives the object back, so the
-    # trip holds, but the statistics core cannot read its class, so the
-    # image is missing, and a failing check (exit 1), not a crash
+    # trip holds, but the edge kernel cannot read its class, so the image
+    # is missing, and a failing check (exit 1), not a crash
     "gamma-float-key": (
         "_gamma_core", lambda: set_entry(IDENTITY, 2, 3.0),
         [
@@ -418,8 +421,9 @@ CASES = {
         "row-of-partner form holds for 5/6 signed permutations;"
         " 0 failing inputs are cyclic; first failure (1+)(2+ 3+)",
     ),
-    # an inverse core that raises breaks the trip, and the statistics core,
-    # which can follow every key, reads the image: no image is missing
+    # an inverse core that raises breaks the trip, and the component walks,
+    # which can follow every key, count the image's components: no image is
+    # missing
     "gamma-inv-raises": (
         "_gamma_inv_core", lambda: refuse(S2),
         [
@@ -430,6 +434,22 @@ CASES = {
             ("derangement-restriction", 3, NOT_SHOWN_INJECTIVE + "(1+ 3- 2+)"),
         ],
         None,
+    ),
+    # an image of 3 entries, too short to hold key 3, the top vertex of
+    # slot 1, is no image, like one with a key that names no slot, and a
+    # failing check (exit 1), not a crash; the inverse core cannot follow
+    # it, so the trip breaks
+    "gamma-short-image": (
+        "_gamma_core", lambda: give(TWO_CYCLES, bj.gamma(TWO_CYCLES).partner[:3]),
+        [
+            ("gamma-image", 3, NO_IMAGE),
+            ("theta-image", 3, NO_IMAGE),
+            ("gamma-roundtrip", 3, "round trip broke at (1+)(2+ 3+)"),
+            ("derangement-restriction", 3, NO_IMAGE),
+        ],
+        # the object with no image has no edge counts to read
+        "row-of-partner form holds for 5/6 signed permutations;"
+        " 0 failing inputs are cyclic; first failure (1+)(2+)(3+)",
     ),
     # a fault in the code the walks run is a failing check (exit 1), not
     # bad input (exit 2)
@@ -525,10 +545,21 @@ def test_every_bijections_check_is_reached():
 
 def test_theta_image_reads_its_rule_off_the_record():
     # the signed walk reads com off the inverse core's cycles, so com = cyc
-    # fails only on an object whose trip fails, which theta-image names
-    # first; its own rule is read off the break counts of the record
-    s, c = verify._SignedWalk(), verify._CallanWalk()
-    s.count = c.count = 2
-    s.breaks["com = cyc"] = 1
-    assert verify._FOLDS["gamma-image"](2, 0, s, c) is None
-    assert verify._FOLDS["theta-image"](2, 0, s, c) == "com = cyc fails on 1 of 2 inputs"
+    # fails only on an object whose trip fails: theta-image reads the rule
+    # as the record's trip, and a ver break is derangement-restriction's
+    def record(**fields):
+        s, c = verify._SignedWalk(), verify._CallanWalk()
+        s.count = c.count = 2
+        vars(s).update(fields)
+        return s, c
+
+    witness = "round trip broke at (1+ 2+)"
+    broken_trip = record(first={"gamma-roundtrip": witness})
+    assert verify._FOLDS["theta-image"](2, 0, *broken_trip) == (
+        "gamma not shown injective: " + witness
+    )
+    ver_break = record(breaks=1)
+    assert verify._FOLDS["theta-image"](2, 0, *ver_break) is None
+    assert verify._FOLDS["derangement-restriction"](2, 0, *ver_break) == (
+        "ver = fix fails on 1 of 2 inputs"
+    )

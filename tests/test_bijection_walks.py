@@ -62,12 +62,13 @@ def test_each_stream_is_walked_once_per_size(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_callan_walk_calls_no_core(n, monkeypatch):
-    # the Callan walk enumerates and counts: no gamma, inverse, stats or edge core
+    # the Callan walk enumerates and counts: no gamma or inverse core, no
+    # component walk and no edge kernel
     def refused(*args):
         raise AssertionError("the Callan walk called a core")
 
     for module, name in [
-        (bj, "_gamma_core"), (bj, "_gamma_inv_core"), (mt, "_match_stats_core"),
+        (bj, "_gamma_core"), (bj, "_gamma_inv_core"), (mt, "_component_walks"),
         (mt, "_edge_counts"),
     ]:
         monkeypatch.setattr(module, name, refused)

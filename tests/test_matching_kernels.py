@@ -17,7 +17,9 @@ of size n, and what the public theta and theta_inv give on the cyclic
 objects and the connected matchings.  On every Callan matching, the
 inverse core gives as many cycles as ``match_stats`` counts components, and
 ``_edge_counts`` gives its up, down and ver: the signed walk of ``verify``
-reads com and the edge classes there.  The gamma core and the public theta
+reads com and the edge classes there.  Where the inverse core raises on
+every image, the component walks of ``matchings`` count com in its place,
+and the signed walk keeps its record but for the broken trips.  The gamma core and the public theta
 also give what the naive steps 1-3 of ``matching_oracle`` give, which the
 public maps, calling those same cores, cannot show.  The core stream of
 signed objects gives each permutation's standard cycles and fixed points,
@@ -109,7 +111,7 @@ def naive_gamma_inv(m):
     n = m.n
     word = [0] * n
     neg = set()
-    for start, keys in _component_walks(m):
+    for start, keys in _component_walks(m.partner):
         runs, run, out = [], [start], 2 * start
         for key in keys:
             step = (MVertex(out >> 1, out & 1), MVertex(key >> 1, key & 1))
@@ -192,6 +194,34 @@ def test_walks_keep_the_records_of_the_object_walks(n):
     # images that are no Callan matching and of the transport breaks
     assert vars(signed) == vars(walk_oracle.walk_signed(n))
     assert vars(callan) == vars(walk_oracle.walk_callan(n))
+
+
+@pytest.mark.parametrize("n", [n for n in ORACLE_SIZES if n >= 1])
+def test_component_walks_count_com_where_the_inverse_core_raises(n, monkeypatch):
+    # an inverse core that raises on every image breaks every trip, and the
+    # component walks count com in its place: the record is the unpatched
+    # walk's but for the witnesses of the two round trips, the first object
+    # and the first cyclic one; no image is missing or wrong and no
+    # statistic breaks
+    want = vars(verify._walk_signed(n))
+    objects = [
+        (str(SignedPermutation(Permutation(word), neg)), len(cycles))
+        for word, cycles, _, negs in _negative_cdes_core(n) for neg in negs
+    ]
+    want["first"] = {
+        **want["first"],
+        "gamma-roundtrip": f"round trip broke at {objects[0][0]}",
+        "theta-roundtrip": f"round trip broke at {next(s for s, cyc in objects if cyc == 1)}",
+    }
+
+    def refuse(partner):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(bj, "_gamma_inv_core", refuse)
+    got = vars(verify._walk_signed(n))
+    assert got == want
+    assert "statistic-transport" not in got["first"]
+    assert (got["unimaged"], got["invalid"], got["breaks"]) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("n", [n for n in ORACLE_SIZES if n >= 1])

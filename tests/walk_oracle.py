@@ -77,8 +77,7 @@ def walk_signed(n: int) -> _SignedWalk:
             w.invalid += 1
             first.setdefault("no-callan-image", str(s))
         stats = mt.match_stats(m)
-        w.breaks["com = cyc"] += stats.com != pstats.cyc
-        w.breaks["ver = fix"] += stats.ver != pstats.fix
+        w.breaks += stats.ver != pstats.fix
         if stats.com != pstats.cyc or stats.ver != pstats.fix:
             first.setdefault("statistic-transport", (
                 f"{s}: com={stats.com} cyc={pstats.cyc}"

@@ -279,17 +279,29 @@ MUTANTS = [
     (
         "signed walk counts an unreadable image as a broken trip", VERIFY,
         "                trip = back == (cycles, neg)\n",
-        "                trip = back == (cycles, neg) and stats_of(partner)\n",
+        "                trip = back == (cycles, neg) and bytes(partner)\n",
     ),
     (
         "signed walk takes com as cyc without reading the inverse core's cycles", VERIFY,
-        "                    com = len(back[0])\n",
-        "                    com = cyc\n",
+        "                com = len(back[0]) if back is not None else",
+        "                com = cyc if back is not None else",
     ),
     (
         "signed walk drops the fallback for an inverse core that raised", VERIFY,
-        "                if back is None:  # the statistics core reads",
-        "                if False:  # the statistics core reads",
+        "if back is not None else sum(1 for _ in walks(partner))",
+        "if True else sum(1 for _ in walks(partner))",
+    ),
+    (
+        "signed walk reads key 3 of an image outside its try", VERIFY,
+        "                key, top = bytes(partner), partner[3]  # key 3 is (1, 1)\n"
+        "            except (IndexError, TypeError, ValueError):  # a key that names no slot\n"
+        "                w.unimaged += 1  # no matching: nothing else to read off the image\n"
+        "                continue\n",
+        "                key = bytes(partner)\n"
+        "            except (IndexError, TypeError, ValueError):  # a key that names no slot\n"
+        "                w.unimaged += 1  # no matching: nothing else to read off the image\n"
+        "                continue\n"
+        "            top = partner[3]  # key 3 is (1, 1)\n",
     ),
     (
         "shards merge in reverse order", VERIFY,
@@ -308,8 +320,8 @@ MUTANTS = [
     ),
     (
         "shard merge adds no transport breaks", VERIFY,
-        "            self.breaks[rule] += breaks",
-        "            self.breaks[rule] += 0",
+        "        self.breaks += later.breaks\n",
+        "        self.breaks += 0\n",
     ),
     (
         "shard merge keeps a later shard's first failure", VERIFY,
@@ -337,13 +349,8 @@ MUTANTS = [
         "(int.from_bytes(key, \"big\") ^ diagonal).to_bytes(size, \"big\").rfind(0) < 1",
     ),
     (
-        "theta-image ignores transport", VERIFY,
-        "    \"theta-image\": partial(_fold_image, rule=\"com = cyc\"),",
-        "    \"theta-image\": _fold_image,",
-    ),
-    (
         "derangement-restriction ignores transport", VERIFY,
-        "    \"derangement-restriction\": partial(_fold_image, rule=\"ver = fix\"),",
+        "    \"derangement-restriction\": partial(_fold_image, derangements=True),",
         "    \"derangement-restriction\": _fold_image,",
     ),
     (
@@ -498,13 +505,6 @@ MUTANTS = [
         "    for start in range(2, len(seen)):",
     ),
     (
-        "match_stats core walks without a bound", MATCHINGS,
-        "            if seen[i]:\n                break\n"
-        "            seen[i] = True\n            out = key ^ 1\n    return",
-        "            if False:\n                break\n"
-        "            seen[i] = True\n            out = key ^ 1\n    return",
-    ),
-    (
         "component walks go without a bound", MATCHINGS,
         "                if seen[key >> 1]:\n                    break\n                keys.append",
         "                if False:\n                    break\n                keys.append",
@@ -518,8 +518,8 @@ MUTANTS = [
     ),
     (
         "match_stats core counts verticals as arcs", MATCHINGS,
-        "    return n - up - down - ver, up, down, ver, com",
-        "    return n - up - down, up, down, ver, com",
+        "    return MatchStats(m.n - up - down - ver, up, down, ver, com)",
+        "    return MatchStats(m.n - up - down, up, down, ver, com)",
     ),
     (
         "cli imports verify at module level", CLI,
